@@ -132,6 +132,21 @@ echo "== scale bench smoke =="
 QUICK=1 dune exec bench/main.exe -- scale
 grep -q '"scale\.' BENCH.json
 
+echo "== e2e bench smoke =="
+# The end-to-end simulator benchmark (bench/e2e/README.md) for about a
+# second per workload, i.e. one or a few repetition pairs each, ~20 s in
+# all. Timings are not gated here, but every repetition's output checks
+# are: each traced repetition's digest must equal its untraced twin's,
+# the error counters must be zero and the utilization floors must hold.
+# A failed repetition makes ccp_bench exit 1 and report a non-zero
+# "failed" count on its last line.
+e2e_out="$(bash bench/e2e/run.sh --seconds 1 --trace 1)"
+e2e_result="$(printf '%s\n' "$e2e_out" | tail -n 1)"
+case "$e2e_result" in
+  *'"failed":0,'*) ;;
+  *) echo "e2e bench smoke: $e2e_result" >&2; exit 1 ;;
+esac
+
 if [ -n "${SOAK_SEED:-}" ]; then
   echo "== soak (CCP_PROP_SEED=$SOAK_SEED) =="
   CCP_PROP_SEED="$SOAK_SEED" dune exec test/main.exe -- test -e

@@ -22,7 +22,15 @@ let default_config =
 (* Scoreboard entry: one transmitted, not yet cumulatively acknowledged
    segment. [copies] counts transmissions currently believed in the
    network; it drops to zero when the segment is SACKed (delivered) or
-   declared lost. *)
+   declared lost.
+
+   Entries are threaded on two intrusive circular lists that share the
+   flow's sentinel [head], so keeping the scoreboard allocates nothing
+   beyond the entries themselves. [next] links every outstanding segment
+   in sequence order. [u_prev]/[u_next] link the unSACKed ones, also in
+   sequence order: per-ACK loss-recovery scans walk this list, so their
+   cost does not grow with the SACKed part of the window. A segment off a
+   list links to itself there. *)
 type seg = {
   seq : int;
   len : int;
@@ -32,6 +40,9 @@ type seg = {
   mutable sacked : bool;
   mutable lost : bool;
   mutable copies : int;
+  mutable next : seg;
+  mutable u_prev : seg;
+  mutable u_next : seg;
 }
 
 type t = {
@@ -48,7 +59,10 @@ type t = {
   mutable snd_nxt : int;
   mutable cwnd : int;
   segs : (int, seg) Hashtbl.t;  (* keyed by seq *)
-  order : seg Queue.t;  (* seq order; front is the oldest outstanding *)
+  head : seg;
+      (* Sentinel of both scoreboard lists: [head.next] is the oldest
+         outstanding segment, [head.u_next] the oldest unSACKed one. *)
+  mutable tail : seg;  (* newest outstanding segment; [head] when none *)
   retx_queue : seg Queue.t;  (* lost segments awaiting retransmission *)
   mutable pipe : int;  (* bytes believed in the network *)
   mutable highest_sacked : int;  (* highest SACKed byte (exclusive) *)
@@ -107,9 +121,28 @@ let make_obs_handles obs =
     o_cwnd_updates = Metrics.counter m ~unit_:"updates" "tcp.cwnd_updates";
   }
 
+(* The sentinel's snapshot is never read; taking it from a throwaway
+   estimator leaves the flow's own send accounting untouched. *)
+let sentinel_snapshot = Rate_estimator.on_send (Rate_estimator.create ()) ~now:Time_ns.zero ~bytes:0
+
 let create ~sim ~flow ~config ~cc ~transmit ?obs ?(obs_sample_interval = Time_ns.zero)
     ?perturb () =
   if config.mss <= 0 then invalid_arg "Tcp_flow: mss must be positive";
+  let rec head =
+    {
+      seq = -1;
+      len = 0;
+      sent_at = Time_ns.zero;
+      retransmitted = false;
+      snapshot = sentinel_snapshot;
+      sacked = false;
+      lost = false;
+      copies = 0;
+      next = head;
+      u_prev = head;
+      u_next = head;
+    }
+  in
   {
     sim;
     flow;
@@ -128,7 +161,8 @@ let create ~sim ~flow ~config ~cc ~transmit ?obs ?(obs_sample_interval = Time_ns
     snd_nxt = 0;
     cwnd = config.initial_cwnd_segments * config.mss;
     segs = Hashtbl.create 1024;
-    order = Queue.create ();
+    head;
+    tail = head;
     retx_queue = Queue.create ();
     pipe = 0;
     highest_sacked = 0;
@@ -206,6 +240,12 @@ let set_cwnd_internal t bytes =
     notify_cwnd t
   end
 
+let unlink_unsacked seg =
+  seg.u_prev.u_next <- seg.u_next;
+  seg.u_next.u_prev <- seg.u_prev;
+  seg.u_prev <- seg;
+  seg.u_next <- seg
+
 (* --- RTO management --- *)
 
 let cancel_rto t =
@@ -255,10 +295,17 @@ and send_new_segment t ~len =
       sacked = false;
       lost = false;
       copies = 0;
+      next = t.head;
+      u_prev = t.head.u_prev;
+      u_next = t.head;
     }
   in
   Hashtbl.replace t.segs seq seg;
-  Queue.add seg t.order;
+  (* The newest segment goes at the end of both lists. *)
+  t.tail.next <- seg;
+  t.tail <- seg;
+  t.head.u_prev.u_next <- seg;
+  t.head.u_prev <- seg;
   t.snd_nxt <- t.snd_nxt + len;
   emit t seg ~retransmit:false
 
@@ -275,9 +322,9 @@ and next_payload_len t =
    returned from the head may still sit in the retransmit queue; it is
    skipped there later because retransmission clears its [lost] flag. *)
 and pop_retransmit_candidate t =
-  match Queue.peek_opt t.order with
-  | Some head when head.lost && (not head.sacked) && head.copies = 0 -> Some head
-  | Some _ | None ->
+  let oldest = t.head.next in
+  if oldest != t.head && oldest.lost && (not oldest.sacked) && oldest.copies = 0 then Some oldest
+  else
     let rec pop () =
       match Queue.take_opt t.retx_queue with
       | None -> None
@@ -346,25 +393,26 @@ and on_rto t =
        The retransmit queue is rebuilt in sequence order so the hole at
        snd_una — the only segment that can advance the window — goes out
        first, not behind a backlog of stale entries. *)
-    let lost = ref 0 in
     Queue.clear t.retx_queue;
-    Queue.iter
-      (fun seg ->
-        if not seg.sacked then begin
-          t.pipe <- t.pipe - (seg.len * seg.copies);
-          seg.copies <- 0;
-          seg.retransmitted <- false;
-          if not seg.lost then lost := !lost + seg.len;
-          seg.lost <- true;
-          Queue.add seg t.retx_queue
-        end)
-      t.order;
+    let rec mark_lost seg lost =
+      if seg == t.head then lost
+      else begin
+        t.pipe <- t.pipe - (seg.len * seg.copies);
+        seg.copies <- 0;
+        seg.retransmitted <- false;
+        let lost = if seg.lost then lost else lost + seg.len in
+        seg.lost <- true;
+        Queue.add seg t.retx_queue;
+        mark_lost seg.u_next lost
+      end
+    in
+    let lost = mark_lost t.head.u_next 0 in
     t.recovery_point <- None;
     t.recovery_quota <- 0;
     t.prr_delivered <- 0;
     t.prr_out <- 0;
     let ctl = Option.get t.ctl in
-    t.cc.on_loss ctl { kind = Rto; at = now t; bytes_lost_estimate = max !lost t.config.mss };
+    t.cc.on_loss ctl { kind = Rto; at = now t; bytes_lost_estimate = max lost t.config.mss };
     try_send t;
     arm_rto t
   end
@@ -386,6 +434,7 @@ let mark_sacked t (start, stop) =
           t.pipe <- t.pipe - (seg.len * seg.copies);
           seg.copies <- 0;
           seg.sacked <- true;
+          unlink_unsacked seg;
           seg.lost <- false;
           if Time_ns.compare seg.sent_at t.newest_sacked_sent_at > 0 then
             t.newest_sacked_sent_at <- seg.sent_at;
@@ -465,50 +514,90 @@ let prr_update t ~delivered =
    unSACKed segment whose (re)transmission is more than two smoothed RTTs
    old — while ACKs keep arriving — was lost again. Re-mark it so
    try_send resends instead of stalling into an RTO. Scanning is bounded
-   to the leading window of unSACKed segments to keep per-ACK work O(1)
-   amortized. *)
+   to the first [max_retx_scan] unSACKed segments, which the unSACKed list
+   reaches without stepping over SACKed ones, so per-ACK work is O(1)
+   however much of the window is SACKed. *)
 let max_retx_scan = 64
+
+let rec scan_retransmits t ~at ~deadline seg examined =
+  if seg != t.head && examined < max_retx_scan then begin
+    if
+      seg.retransmitted && seg.copies > 0
+      && Time_ns.compare (Time_ns.sub at seg.sent_at) deadline > 0
+    then begin
+      t.pipe <- t.pipe - (seg.len * seg.copies);
+      seg.copies <- 0;
+      seg.lost <- true;
+      Queue.add seg t.retx_queue
+    end;
+    scan_retransmits t ~at ~deadline seg.u_next (examined + 1)
+  end
 
 let check_retransmit_timeouts t =
   match Rtt_estimator.srtt t.rtt_est with
   | None -> ()
   | Some srtt ->
-    let deadline = Time_ns.scale srtt 2.0 in
-    let at = now t in
-    let examined = ref 0 in
-    (try
-       Queue.iter
-         (fun seg ->
-           if !examined >= max_retx_scan then raise Exit;
-           if not seg.sacked then begin
-             incr examined;
-             if
-               seg.retransmitted && seg.copies > 0
-               && Time_ns.compare (Time_ns.sub at seg.sent_at) deadline > 0
-             then begin
-               t.pipe <- t.pipe - (seg.len * seg.copies);
-               seg.copies <- 0;
-               seg.lost <- true;
-               Queue.add seg t.retx_queue
-             end
-           end)
-         t.order
-     with Exit -> ())
+    scan_retransmits t ~at:(now t) ~deadline:(Time_ns.scale srtt 2.0) t.head.u_next 0
 
 let pop_acked t cum_ack =
   let rec pop newest =
-    match Queue.peek_opt t.order with
-    | Some seg when seg.seq + seg.len <= cum_ack ->
-      ignore (Queue.take t.order);
+    let seg = t.head.next in
+    if seg != t.head && seg.seq + seg.len <= cum_ack then begin
+      t.head.next <- seg.next;
+      if t.tail == seg then t.tail <- t.head;
+      seg.next <- seg;
+      if not seg.sacked then unlink_unsacked seg;
       Hashtbl.remove t.segs seg.seq;
       t.pipe <- t.pipe - (seg.len * seg.copies);
       seg.copies <- 0;
       (* Prefer an RTT/rate sample from a never-retransmitted segment. *)
       let newest = if seg.retransmitted then newest else Some seg in
       pop newest
-    | _ -> newest
+    end
+    else newest
   in
   pop None
+
+(* Scoreboard invariants, for tests: [pipe] is the sum of [len * copies]
+   over outstanding segments; the outstanding list is contiguous from
+   below [snd_una] up to [snd_nxt] and ends at [tail]; [segs] maps
+   exactly the outstanding segments; and the unSACKed list is the
+   outstanding segments with [sacked = false], in sequence order. *)
+let audit t =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let rec walk seg unsacked ~count ~pipe =
+    if seg == t.head then begin
+      if unsacked != t.head then fail "unSACKed list runs past the scoreboard at %d" unsacked.seq;
+      (count, pipe)
+    end
+    else begin
+      let stop = seg.seq + seg.len in
+      if count = 0 && stop <= t.snd_una then fail "acknowledged segment %d outstanding" seg.seq;
+      if seg.next == t.head then begin
+        if t.tail != seg then fail "tail is not the newest segment %d" seg.seq;
+        if stop <> t.snd_nxt then fail "scoreboard ends at %d, snd_nxt is %d" stop t.snd_nxt
+      end
+      else if seg.next.seq <> stop then fail "gap after segment %d" seg.seq;
+      (match Hashtbl.find_opt t.segs seg.seq with
+      | Some s when s == seg -> ()
+      | Some _ | None -> fail "segment %d not in the table" seg.seq);
+      let unsacked =
+        if seg.sacked then unsacked
+        else if unsacked != seg then fail "unSACKed segment %d is off the unSACKed list" seg.seq
+        else if seg.u_next.u_prev != seg then fail "broken back link after %d" seg.seq
+        else seg.u_next
+      in
+      walk seg.next unsacked ~count:(count + 1) ~pipe:(pipe + (seg.len * seg.copies))
+    end
+  in
+  match walk t.head.next t.head.u_next ~count:0 ~pipe:0 with
+  | exception Failure msg -> Error msg
+  | _ when t.head.u_next.u_prev != t.head -> Error "broken back link at the sentinel"
+  | _ when t.head.next == t.head && t.tail != t.head -> Error "tail set on an empty scoreboard"
+  | count, _ when count <> Hashtbl.length t.segs ->
+    Error (Printf.sprintf "%d outstanding segments, %d in the table" count (Hashtbl.length t.segs))
+  | _, pipe when pipe <> t.pipe -> Error (Printf.sprintf "pipe is %d, segments hold %d" t.pipe pipe)
+  | _ -> Ok ()
 
 let build_ctl t : Congestion_iface.ctl =
   {

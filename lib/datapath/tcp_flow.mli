@@ -83,6 +83,15 @@ val retransmits : t -> int
 val timeouts : t -> int
 val recoveries : t -> int
 
+val audit : t -> (unit, string) result
+(** Check the SACK scoreboard's invariants: [inflight] equals the bytes
+    of every outstanding segment times its copies in the network; the
+    outstanding segments are contiguous up to [snd_nxt] and indexed
+    exactly by sequence number; and the list of unSACKed segments that
+    loss recovery walks is exactly the outstanding segments not yet
+    SACKed, in sequence order. [Error] names the first violation. For
+    tests; it walks the whole window. *)
+
 (** {1 Listeners} *)
 
 val set_cwnd_listener : t -> (Time_ns.t -> int -> unit) -> unit

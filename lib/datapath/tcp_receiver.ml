@@ -5,7 +5,13 @@ type t = {
   send_ack : Packet.t -> unit;
   delayed_ack_every : int;
   mutable expected : int;  (* next in-order byte awaited *)
-  mutable ooo : (int * int) list;  (* disjoint sorted [start, stop) intervals above expected *)
+  (* Out-of-order set: disjoint, non-adjacent [starts.(i), stops.(i))
+     intervals for i in [lo, hi), sorted, above [expected]. Empty arrays
+     until the first out-of-order segment, so in-order flows pay nothing. *)
+  mutable starts : int array;
+  mutable stops : int array;
+  mutable lo : int;
+  mutable hi : int;
   mutable unacked_segments : int;  (* in-order segments since the last ACK *)
   mutable acks_sent : int;
   mutable segments_received : int;
@@ -18,29 +24,89 @@ let create ~flow ~send_ack ?(delayed_ack_every = 1) () =
     send_ack;
     delayed_ack_every;
     expected = 0;
-    ooo = [];
+    starts = [||];
+    stops = [||];
+    lo = 0;
+    hi = 0;
     unacked_segments = 0;
     acks_sent = 0;
     segments_received = 0;
   }
 
-(* Insert [start, stop) into the sorted disjoint interval list, merging
-   overlapping and adjacent intervals. *)
-let rec insert_interval intervals (start, stop) =
-  match intervals with
-  | [] -> [ (start, stop) ]
-  | (s, e) :: rest ->
-    if stop < s then (start, stop) :: intervals
-    else if start > e then (s, e) :: insert_interval rest (start, stop)
-    else insert_interval rest (min s start, max e stop)
+let initial_capacity = 16
 
-(* Advance [expected] through any interval that now touches it. *)
+(* Make room for one more interval at the end of the window: slide the
+   window to the front when at least half the arrays lie before it,
+   otherwise double them, so each insertion costs O(1) amortized. *)
+let reserve t =
+  let cap = Array.length t.starts in
+  if t.hi = cap then begin
+    let n = t.hi - t.lo in
+    if cap = 0 || 2 * t.lo < cap then begin
+      let cap = max initial_capacity (2 * cap) in
+      let starts = Array.make cap 0 and stops = Array.make cap 0 in
+      Array.blit t.starts t.lo starts 0 n;
+      Array.blit t.stops t.lo stops 0 n;
+      t.starts <- starts;
+      t.stops <- stops
+    end
+    else begin
+      Array.blit t.starts t.lo t.starts 0 n;
+      Array.blit t.stops t.lo t.stops 0 n
+    end;
+    t.lo <- 0;
+    t.hi <- n
+  end
+
+(* Insert [start, stop) into the interval set, merging overlapping and
+   adjacent intervals. *)
+let insert_interval t start stop =
+  (* Binary search for the first interval that ends at or after [start]. *)
+  let lo = ref t.lo and hi = ref t.hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.stops.(mid) < start then lo := mid + 1 else hi := mid
+  done;
+  let i = !lo in
+  (* It and its successors up to the first one past [stop] merge in. *)
+  let j = ref i and start = ref start and stop = ref stop in
+  while !j < t.hi && t.starts.(!j) <= !stop do
+    if t.starts.(!j) < !start then start := t.starts.(!j);
+    if t.stops.(!j) > !stop then stop := t.stops.(!j);
+    incr j
+  done;
+  let i =
+    if !j = i then begin
+      (* Nothing merged: open a slot at [i]. *)
+      let offset = i - t.lo in
+      reserve t;
+      let i = t.lo + offset in
+      Array.blit t.starts i t.starts (i + 1) (t.hi - i);
+      Array.blit t.stops i t.stops (i + 1) (t.hi - i);
+      t.hi <- t.hi + 1;
+      i
+    end
+    else begin
+      (* [i, j) collapse into slot [i]. *)
+      Array.blit t.starts !j t.starts (i + 1) (t.hi - !j);
+      Array.blit t.stops !j t.stops (i + 1) (t.hi - !j);
+      t.hi <- t.hi - (!j - i - 1);
+      i
+    end
+  in
+  t.starts.(i) <- !start;
+  t.stops.(i) <- !stop
+
+(* Advance [expected] through the first interval if it now touches it. *)
 let advance t =
-  match t.ooo with
-  | (s, e) :: rest when s <= t.expected ->
-    if e > t.expected then t.expected <- e;
-    t.ooo <- rest
-  | _ -> ()
+  if t.lo < t.hi && t.starts.(t.lo) <= t.expected then begin
+    if t.stops.(t.lo) > t.expected then t.expected <- t.stops.(t.lo);
+    t.lo <- t.lo + 1;
+    if t.lo = t.hi then begin
+      t.lo <- 0;
+      t.hi <- 0
+    end
+  end
 
 let emit_ack t ~(trigger : Packet.data) ~ecn_echo ~acked_segments ~newly_sacked =
   t.acks_sent <- t.acks_sent + 1;
@@ -64,7 +130,7 @@ let ingest t (pkt : Packet.t) =
       `In_order
     end
     else begin
-      t.ooo <- insert_interval t.ooo (d.seq, stop);
+      insert_interval t d.seq stop;
       `Sacked (d.seq, stop)
     end
 
@@ -92,8 +158,8 @@ let on_data t pkt =
 let on_batch t pkts =
   match pkts with
   | [] -> ()
-  | _ ->
-    let last = List.nth pkts (List.length pkts - 1) in
+  | first :: rest ->
+    let last = List.fold_left (fun _ p -> p) first rest in
     (match last.Packet.payload with
     | Ack _ -> invalid_arg "Tcp_receiver.on_batch: got an ACK"
     | Data d ->
@@ -110,6 +176,10 @@ let on_batch t pkts =
 
 let expected_seq t = t.expected
 let delivered_bytes t = t.expected
-let out_of_order_bytes t = List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 t.ooo
+
+let out_of_order_bytes t =
+  let rec sum i acc = if i >= t.hi then acc else sum (i + 1) (acc + (t.stops.(i) - t.starts.(i))) in
+  sum t.lo 0
+
 let acks_sent t = t.acks_sent
 let segments_received t = t.segments_received

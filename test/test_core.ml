@@ -100,6 +100,40 @@ let test_sweep_grid_shape () =
 
 (* --- randomized robustness properties (the expensive ones) --- *)
 
+(* A bulk transfer of [total] bytes through a [rate_bps] bottleneck, 5 ms
+   each way, whose sender drops [loss_pct] % of its transmissions at
+   random. [after_ack] runs after the sender has taken each ACK. Returns
+   the receiver and the sender after 120 simulated seconds. *)
+let lossy_transfer ?(rate_bps = 10e6) ?(queue_bytes = 50_000)
+    ?(cc = Ccp_algorithms.Native_reno.create ()) ?(after_ack = fun _ _ -> ()) ~seed ~loss_pct
+    ~total () =
+  let sim = Sim.create ~seed:(seed + 1) () in
+  let rng = Rng.create ~seed:(seed + 7) in
+  let fwd =
+    Link.create ~sim ~rate_bps ~delay:(Time_ns.ms 5)
+      ~qdisc:(Queue_disc.Droptail { capacity_bytes = queue_bytes; ecn_threshold_bytes = None })
+      ()
+  in
+  let rev =
+    Link.create ~sim ~rate_bps:100e6 ~delay:(Time_ns.ms 5)
+      ~qdisc:(Queue_disc.Droptail { capacity_bytes = 10_000_000; ecn_threshold_bytes = None })
+      ()
+  in
+  let receiver = Tcp_receiver.create ~flow:1 ~send_ack:(fun a -> Link.send rev a) () in
+  Link.connect fwd (fun p -> Tcp_receiver.on_data receiver p);
+  let config = { Tcp_flow.default_config with app_limit_bytes = Some total } in
+  let flow =
+    Tcp_flow.create ~sim ~flow:1 ~config ~cc
+      ~transmit:(fun pkt -> if Rng.int rng 100 >= loss_pct then Link.send fwd pkt)
+      ()
+  in
+  Link.connect rev (fun a ->
+      Tcp_flow.on_ack flow a;
+      after_ack receiver flow);
+  Tcp_flow.start flow;
+  Sim.run ~until:(Time_ns.sec 120) sim;
+  (receiver, flow)
+
 (* Any transfer completes exactly, whatever random subset of packets the
    network drops (up to 20%), because the scoreboard + RTO machinery
    recovers everything. *)
@@ -108,46 +142,108 @@ let prop_transfer_completes_under_random_loss =
     QCheck.(pair (int_bound 1_000_000) (int_range 1 20))
     (fun (seed, loss_pct) ->
       let total = 120_000 in
-      let sim = Sim.create ~seed:(seed + 1) () in
-      let rng = Rng.create ~seed:(seed + 7) in
-      let fwd =
-        Link.create ~sim ~rate_bps:10e6 ~delay:(Time_ns.ms 5)
-          ~qdisc:(Queue_disc.Droptail { capacity_bytes = 50_000; ecn_threshold_bytes = None })
-          ()
-      in
-      let rev =
-        Link.create ~sim ~rate_bps:100e6 ~delay:(Time_ns.ms 5)
-          ~qdisc:(Queue_disc.Droptail { capacity_bytes = 10_000_000; ecn_threshold_bytes = None })
-          ()
-      in
-      let receiver = Tcp_receiver.create ~flow:1 ~send_ack:(fun a -> Link.send rev a) () in
-      Link.connect fwd (fun p -> Tcp_receiver.on_data receiver p);
-      let cc = Ccp_algorithms.Native_reno.create () in
-      let config = { Tcp_flow.default_config with app_limit_bytes = Some total } in
-      let flow =
-        Tcp_flow.create ~sim ~flow:1 ~config ~cc
-          ~transmit:(fun pkt -> if Rng.int rng 100 >= loss_pct then Link.send fwd pkt)
-          ()
-      in
-      Link.connect rev (fun a -> Tcp_flow.on_ack flow a);
-      Tcp_flow.start flow;
-      Sim.run ~until:(Time_ns.sec 120) sim;
+      let receiver, flow = lossy_transfer ~seed ~loss_pct ~total () in
       Tcp_receiver.delivered_bytes receiver = total && Tcp_flow.snd_una flow = total)
 
-(* The receiver reassembles any arrival permutation of a segment stream. *)
+(* Audit the sender's scoreboard after every ACK of a lossy transfer;
+   returns the largest out-of-order backlog the receiver held. *)
+let audited_transfer ?rate_bps ?queue_bytes ?cc ~seed ~loss_pct ~total () =
+  let max_ooo = ref 0 in
+  let after_ack receiver flow =
+    max_ooo := max !max_ooo (Tcp_receiver.out_of_order_bytes receiver);
+    match Tcp_flow.audit flow with
+    | Ok () -> ()
+    | Error msg ->
+      QCheck.Test.fail_reportf "scoreboard at snd_una %d: %s" (Tcp_flow.snd_una flow) msg
+  in
+  let receiver, _flow =
+    lossy_transfer ?rate_bps ?queue_bytes ?cc ~after_ack ~seed ~loss_pct ~total ()
+  in
+  let delivered = Tcp_receiver.delivered_bytes receiver in
+  if delivered <> total then QCheck.Test.fail_reportf "delivered %d of %d bytes" delivered total;
+  !max_ooo
+
+let prop_scoreboard_audit_under_random_loss =
+  QCheck.Test.make ~name:"scoreboard audit holds under random loss" ~count:8
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 20))
+    (fun (seed, loss_pct) ->
+      ignore (audited_transfer ~seed ~loss_pct ~total:120_000 () : int);
+      true)
+
+(* A fixed 2 MB window at 100 Mbit/s with 5 % loss keeps far more than
+   [max_retx_scan] (64) SACKed segments outstanding, so the lost-
+   retransmission scan skips SACKed segments on most ACKs. *)
+let prop_scoreboard_audit_high_bdp =
+  QCheck.Test.make ~name:"scoreboard audit holds with a large SACKed window" ~count:3
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let window = 2_000_000 in
+      let cc =
+        {
+          (Congestion_iface.noop "fixed") with
+          on_init = (fun ctl -> ctl.Congestion_iface.set_cwnd window);
+        }
+      in
+      let max_ooo =
+        audited_transfer ~rate_bps:100e6 ~queue_bytes:(2 * window) ~cc ~seed ~loss_pct:5
+          ~total:(4 * window) ()
+      in
+      let segs = max_ooo / Tcp_flow.default_config.mss in
+      if segs <= 64 then QCheck.Test.fail_reportf "only %d segments ever SACKed at once" segs;
+      true)
+
+(* The out-of-order set as a sorted list of disjoint [start, stop)
+   intervals, merging overlapping and adjacent ones: the receiver's
+   original representation, kept as the reference model. *)
+let rec model_insert intervals (start, stop) =
+  match intervals with
+  | [] -> [ (start, stop) ]
+  | (s, e) :: rest ->
+    if stop < s then (start, stop) :: intervals
+    else if start > e then (s, e) :: model_insert rest (start, stop)
+    else model_insert rest (min s start, max e stop)
+
+(* The model receiver: next expected byte and the out-of-order set. *)
+let model_arrive (expected, ooo) (start, stop) =
+  if stop <= expected then (expected, ooo)
+  else if start <= expected then
+    match ooo with
+    | (s, e) :: rest when s <= stop -> (max stop e, rest)
+    | _ -> (stop, ooo)
+  else (expected, model_insert ooo (start, stop))
+
+(* The receiver reassembles any arrival permutation of a segment stream,
+   with random duplicates, and agrees with the list model after every
+   arrival. Up to 400 segments, so the interval arrays grow and slide. *)
 let prop_receiver_reassembles_any_order =
   QCheck.Test.make ~name:"receiver reassembles any arrival order" ~count:100
-    QCheck.(pair (int_range 1 40) (int_bound 1_000_000))
-    (fun (segments, seed) ->
+    QCheck.(triple (int_range 1 400) (int_bound 1_000_000) (int_bound 30))
+    (fun (segments, seed, dup_pct) ->
       let rng = Rng.create ~seed in
       let order = Array.init segments Fun.id in
       Rng.shuffle rng order;
+      let arrivals =
+        Array.to_list order
+        |> List.concat_map (fun i -> if Rng.int rng 100 < dup_pct then [ i; i ] else [ i ])
+      in
       let receiver = Tcp_receiver.create ~flow:1 ~send_ack:(fun _ -> ()) () in
-      Array.iter
-        (fun i ->
+      let model = ref (0, []) in
+      List.iteri
+        (fun k i ->
           Tcp_receiver.on_data receiver
-            (Packet.data ~flow:1 ~seq:(i * 1000) ~len:1000 ~sent_at:Time_ns.zero ()))
-        order;
+            (Packet.data ~flow:1 ~seq:(i * 1000) ~len:1000 ~sent_at:Time_ns.zero ());
+          model := model_arrive !model ((i * 1000), (i * 1000) + 1000);
+          let expected, ooo = !model in
+          let ooo_bytes = List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 ooo in
+          if
+            Tcp_receiver.expected_seq receiver <> expected
+            || Tcp_receiver.out_of_order_bytes receiver <> ooo_bytes
+          then
+            QCheck.Test.fail_reportf "arrival %d (segment %d): receiver %d/%d, model %d/%d" k i
+              (Tcp_receiver.expected_seq receiver)
+              (Tcp_receiver.out_of_order_bytes receiver)
+              expected ooo_bytes)
+        arrivals;
       Tcp_receiver.expected_seq receiver = segments * 1000
       && Tcp_receiver.out_of_order_bytes receiver = 0)
 
@@ -186,6 +282,8 @@ let suite =
     ( "core.properties",
       [
         QCheck_alcotest.to_alcotest prop_transfer_completes_under_random_loss;
+        QCheck_alcotest.to_alcotest prop_scoreboard_audit_under_random_loss;
+        QCheck_alcotest.to_alcotest prop_scoreboard_audit_high_bdp;
         QCheck_alcotest.to_alcotest prop_receiver_reassembles_any_order;
         QCheck_alcotest.to_alcotest prop_codec_never_crashes;
       ] );

@@ -128,6 +128,73 @@ let test_golden_trace () =
             a)
       (List.combine expected actual)
 
+(* --- determinism: Figure 3 at full rate --- *)
+
+(* CCP Cubic on the Figure 3 link at 1 Gbit/s for 0.25 s: the only golden
+   whose window runs into heavy loss with tens of thousands of segments
+   outstanding, so the scoreboard's SACKed-region handling (the lost
+   retransmission scan, the receiver's out-of-order set) is pinned here.
+   The file holds the run's counters plus an MD5 of every trace series,
+   floats in hex so the bytes are exact. *)
+let fig3_ccp_lines () =
+  let duration = Time_ns.ms 250 in
+  let config =
+    Experiment.default_config ~rate_bps:Scenarios.Fig3.rate_bps
+      ~base_rtt:Scenarios.Fig3.base_rtt ~duration
+  in
+  let r =
+    Experiment.run
+      {
+        config with
+        Experiment.seed = 42;
+        warmup = Time_ns.scale duration 0.1;
+        flows = [ Experiment.flow (Experiment.Ccp_cc (Ccp_algorithms.Ccp_cubic.create ())) ];
+      }
+  in
+  let run_line =
+    Printf.sprintf "run utilization=%h drops=%d ecn_marks=%d median_rtt=%d p95_rtt=%d p99_rtt=%d"
+      r.Experiment.utilization r.drops r.ecn_marks r.median_rtt r.p95_rtt r.p99_rtt
+  in
+  let flow_line (f : Experiment.flow_result) =
+    Printf.sprintf
+      "flow %d %s delivered=%d goodput=%h mean_rtt=%d segments=%d retransmits=%d timeouts=%d \
+       recoveries=%d final_cwnd=%d"
+      f.flow_id f.cc_name f.delivered_bytes f.goodput_bps f.mean_rtt f.segments_sent
+      f.retransmits f.timeouts f.recoveries f.final_cwnd
+  in
+  let agent_line =
+    match r.agent_stats with
+    | Some a -> [ Printf.sprintf "agent reports=%d installs=%d" a.reports a.installs ]
+    | None -> []
+  in
+  let series_line name =
+    let points = Ccp_net.Trace.series r.trace name in
+    let b = Buffer.create 4096 in
+    List.iter (fun (at, v) -> Printf.bprintf b "%d %h\n" at v) points;
+    Printf.sprintf "series %s points=%d md5=%s" name (List.length points)
+      (Digest.to_hex (Digest.string (Buffer.contents b)))
+  in
+  (run_line :: List.map flow_line r.flows)
+  @ agent_line
+  @ List.map series_line (List.sort compare (Ccp_net.Trace.series_names r.trace))
+
+let fig3_golden_path () =
+  if Sys.file_exists "golden_fig3_ccp.expected" then "golden_fig3_ccp.expected"
+  else "test/golden_fig3_ccp.expected"
+
+let test_golden_fig3_ccp () =
+  let actual = fig3_ccp_lines () in
+  (* Regenerate with CCP_REGEN_FIG3=path/to/golden_fig3_ccp.expected after
+     an intentional change to the transport's dynamics. *)
+  match Sys.getenv_opt "CCP_REGEN_FIG3" with
+  | Some path ->
+    let oc = open_out path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+    close_out oc;
+    Printf.printf "regenerated %s\n" path
+  | None ->
+    Alcotest.(check (list string)) "fig3 ccp-cubic run" (read_lines (fig3_golden_path ())) actual
+
 let suite =
   [
     ( "fidelity",
@@ -135,5 +202,6 @@ let suite =
         Alcotest.test_case "fig3 ccp-vs-native cwnd fidelity" `Quick test_fig3_fidelity;
         Alcotest.test_case "fig4 ccp-vs-native convergence fidelity" `Quick test_fig4_fidelity;
         Alcotest.test_case "golden trace is deterministic" `Quick test_golden_trace;
+        Alcotest.test_case "golden fig3 ccp-cubic at 1 Gbit/s" `Quick test_golden_fig3_ccp;
       ] );
   ]
