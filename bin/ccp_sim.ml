@@ -36,6 +36,70 @@ let algorithms : (string * (unit -> Experiment.cc_spec)) list =
 
 let algorithm_names = String.concat ", " (List.map fst algorithms)
 
+(* A one-line error on stderr, then exit 1. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "ccp_sim: %s\n%!" msg;
+      exit 1)
+    fmt
+
+let split_list s =
+  List.filter (fun x -> x <> "") (List.map String.trim (String.split_on_char ',' s))
+
+let opt_list s = match split_list s with [] -> None | l -> Some l
+
+let int_list ~flag ~default spec =
+  match split_list spec with
+  | [] -> default
+  | items ->
+    List.map
+      (fun s ->
+        match int_of_string_opt s with
+        | Some n -> n
+        | None -> fail "%s: %S is not an integer" flag s)
+      items
+
+(* Write a JSON artifact, then re-read and re-check what landed on disk:
+   the file is only useful to downstream tooling if it parses and
+   validates. [wrote] reports the validator's count. *)
+let write_artifact ~what ~path ~validate ~wrote json =
+  match
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (Ccp_obs.Json.to_string json);
+        output_char oc '\n');
+    In_channel.with_open_bin path In_channel.input_all
+  with
+  | exception Sys_error e -> fail "cannot write %s: %s" what e
+  | data -> (
+    match Ccp_obs.Json.parse data with
+    | Error e -> fail "%s %s does not parse: %s" what path e
+    | Ok parsed -> (
+      match validate parsed with
+      | Error e -> fail "%s %s is malformed: %s" what path e
+      | Ok n -> wrote n))
+
+let write_scorecard ~validate json path =
+  write_artifact ~what:"scorecard" ~path ~validate json
+    ~wrote:(Printf.printf "scorecard: wrote %s (%d cells)\n" path)
+
+(* The ccp-timeline/v1 document of the first cell's telemetry bundle. *)
+let write_timeline telemetry path =
+  match Option.map Ccp_obs.Timeline.of_obs telemetry with
+  | None -> fail "--timeline: no telemetry bundle on the first cell"
+  | Some (Error e) -> fail "--timeline: %s" e
+  | Some (Ok doc) ->
+    write_artifact ~what:"timeline" ~path ~validate:Ccp_obs.Timeline.validate doc
+      ~wrote:(Printf.printf "timeline: wrote %s (%d windows)\n" path)
+
+let merge_bench_json bench_json rows =
+  Option.iter
+    (fun path ->
+      match Ccp_obs.Metrics.merge_rows_file ~path rows with
+      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
+      | Error e -> fail "--bench-json: %s" e)
+    bench_json
+
 (* --- shared options --- *)
 
 let rate_mbps =
@@ -78,6 +142,25 @@ let trace_file =
      malformed line makes the command exit non-zero."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
+let seeds_arg doc = Arg.(value & opt string "42" & info [ "seeds" ] ~docv:"LIST" ~doc)
+
+let scorecard_file =
+  let doc =
+    "Write the scorecard as JSON to $(docv). The file is re-read and schema-validated; \
+     a malformed scorecard makes the command exit non-zero."
+  in
+  Arg.(value & opt (some string) None & info [ "scorecard" ] ~docv:"FILE" ~doc)
+
+let timeline_file doc =
+  Arg.(value & opt (some string) None & info [ "timeline" ] ~docv:"FILE" ~doc)
+
+let bench_json rows =
+  let doc =
+    Printf.sprintf
+      "Merge %s into the BENCH.json-schema file at $(docv) (created when absent)." rows
+  in
+  Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
 
 (* --- IPC fault-injection options (docs/fault-injection.md) --- *)
 
@@ -329,9 +412,8 @@ let write_trace ~path (obs : Ccp_obs.Obs.t) =
     if csv then Ccp_obs.Recorder.flow_samples_csv recorder
     else Ccp_obs.Recorder.to_jsonl recorder
   in
-  let oc = open_out path in
-  output_string oc data;
-  close_out oc;
+  (try Out_channel.with_open_text path (fun oc -> output_string oc data)
+   with Sys_error e -> fail "cannot write trace: %s" e);
   let ic = open_in path in
   let lines = ref 0 and bad = ref 0 in
   (try
@@ -354,10 +436,7 @@ let write_trace ~path (obs : Ccp_obs.Obs.t) =
     !lines
     (Ccp_obs.Recorder.length recorder)
     (Ccp_obs.Recorder.dropped recorder);
-  if !bad > 0 then begin
-    Printf.eprintf "ccp_sim: trace validation failed: %d malformed line(s) in %s\n%!" !bad path;
-    exit 1
-  end
+  if !bad > 0 then fail "trace validation failed: %d malformed line(s) in %s" !bad path
 
 let run_cmd =
   let action rate_mbps rtt_ms duration_s buffer_bdp seed flows ecn_bdp trace ipc_drop ipc_dup
@@ -546,26 +625,9 @@ let slug label =
 
 let write_chrome ~path (s : Scenarios.Reaction.series) =
   let obs = Option.get s.Scenarios.Reaction.result.Experiment.config.Experiment.obs in
-  let recorder = Ccp_obs.Obs.recorder_exn obs in
-  let json = Ccp_obs.Tracer.chrome_of_recorder recorder in
-  let oc = open_out path in
-  output_string oc (Ccp_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  (* Re-read and validate: the file is only useful if Perfetto loads it. *)
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ccp_obs.Json.parse data with
-  | Error e ->
-    Printf.eprintf "ccp_sim: chrome trace %s does not parse: %s\n%!" path e;
-    exit 1
-  | Ok parsed -> (
-    match Ccp_obs.Tracer.validate_chrome parsed with
-    | Error e ->
-      Printf.eprintf "ccp_sim: chrome trace %s is malformed: %s\n%!" path e;
-      exit 1
-    | Ok n ->
+  write_artifact ~what:"chrome trace" ~path ~validate:Ccp_obs.Tracer.validate_chrome
+    (Ccp_obs.Tracer.chrome_of_recorder (Ccp_obs.Obs.recorder_exn obs))
+    ~wrote:(fun n ->
       Printf.printf "trace: wrote %s (%d trace events, series %S)\n" path n
         s.Scenarios.Reaction.label)
 
@@ -628,13 +690,7 @@ let latency_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let bench_json =
-    let doc =
-      "Merge $(b,reaction.*) percentile and span-count rows into the BENCH.json-schema \
-       file at $(docv) (created when absent)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
-  in
+  let bench_json = bench_json "$(b,reaction.*) percentile and span-count rows" in
   let action duration_s seed trace bench_json =
     let series =
       Scenarios.Reaction.run ~duration:(Time_ns.of_float_sec duration_s) ~seed ()
@@ -642,22 +698,10 @@ let latency_cmd =
     print_string (Report.render_reaction series);
     print_newline ();
     let failures = check_reaction_consistency series in
-    (match trace with
-    | Some path -> write_chrome ~path (List.hd series)
-    | None -> ());
-    (match bench_json with
-    | Some path -> (
-      match Ccp_obs.Metrics.merge_rows_file ~path (reaction_rows series) with
-      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
-      | Error e ->
-        Printf.eprintf "ccp_sim: --bench-json: %s\n%!" e;
-        exit 1)
-    | None -> ());
-    if failures > 0 then begin
-      Printf.eprintf "ccp_sim: %d series measured p99 outside [0.4, 1.1] x model p99\n%!"
-        failures;
-      exit 1
-    end
+    Option.iter (fun path -> write_chrome ~path (List.hd series)) trace;
+    merge_bench_json bench_json (reaction_rows series);
+    if failures > 0 then
+      fail "%d series measured p99 outside [0.4, 1.1] x model p99" failures
   in
   Cmd.v
     (Cmd.info "latency"
@@ -667,26 +711,6 @@ let latency_cmd =
     Term.(const action $ duration_s $ seed $ trace $ bench_json)
 
 (* --- robustness: measurement-noise matrix (docs/robustness.md) --- *)
-
-let write_scorecard ~path (sc : Scenarios.Robustness.scorecard) =
-  let oc = open_out path in
-  output_string oc (Ccp_obs.Json.to_string (Scenarios.Robustness.to_json sc));
-  output_char oc '\n';
-  close_out oc;
-  (* Re-read and validate what landed on disk, like --trace does. *)
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ccp_obs.Json.parse data with
-  | Error e ->
-    Printf.eprintf "ccp_sim: scorecard %s does not parse: %s\n%!" path e;
-    exit 1
-  | Ok parsed -> (
-    match Scenarios.Robustness.validate_scorecard parsed with
-    | Error e ->
-      Printf.eprintf "ccp_sim: scorecard %s is malformed: %s\n%!" path e;
-      exit 1
-    | Ok n -> Printf.printf "scorecard: wrote %s (%d cells)\n" path n)
 
 let robustness_rows (sc : Scenarios.Robustness.scorecard) =
   let keys =
@@ -745,10 +769,7 @@ let robustness_cmd =
     in
     Arg.(value & opt string "" & info [ "perturb" ] ~docv:"LIST" ~doc)
   in
-  let seeds =
-    let doc = "Comma-separated seeds; each seed multiplies the matrix." in
-    Arg.(value & opt string "42" & info [ "seeds" ] ~docv:"LIST" ~doc)
-  in
+  let seeds = seeds_arg "Comma-separated seeds; each seed multiplies the matrix." in
   let rate_mbps =
     let doc = "Bottleneck rate in Mbit/s." in
     Arg.(value & opt float 48.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
@@ -757,57 +778,25 @@ let robustness_cmd =
     let doc = "Simulated duration per cell in seconds." in
     Arg.(value & opt float 10.0 & info [ "duration" ] ~docv:"S" ~doc)
   in
-  let scorecard_file =
-    let doc =
-      "Write the scorecard as JSON to $(docv). The file is re-read and schema-validated; \
-       a malformed scorecard makes the command exit non-zero."
-    in
-    Arg.(value & opt (some string) None & info [ "scorecard" ] ~docv:"FILE" ~doc)
-  in
   let bench_json =
-    let doc =
-      "Merge $(b,robustness.*) per-(algorithm, perturbation) rows (averaged over seeds) \
-       into the BENCH.json-schema file at $(docv) (created when absent)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
+    bench_json "$(b,robustness.*) per-(algorithm, perturbation) rows (averaged over seeds)"
   in
   let action algos perturbs seeds rate_mbps rtt_ms duration_s scorecard_file bench_json =
-    let split s = List.filter (fun x -> x <> "") (List.map String.trim (String.split_on_char ',' s)) in
-    let opt_list s = match split s with [] -> None | l -> Some l in
-    let seeds =
-      match
-        List.map
-          (fun s ->
-            match int_of_string_opt s with
-            | Some n -> n
-            | None ->
-              Printf.eprintf "ccp_sim: --seeds: %S is not an integer\n%!" s;
-              exit 1)
-          (split seeds)
-      with
-      | [] -> [ 42 ]
-      | l -> l
-    in
+    let seeds = int_list ~flag:"--seeds" ~default:[ 42 ] seeds in
     let sc =
       try
         Scenarios.Robustness.run ~rate_bps:(rate_mbps *. 1e6)
           ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
           ~duration:(Time_ns.of_float_sec duration_s) ~seeds ?algos:(opt_list algos)
           ?perturbs:(opt_list perturbs) ()
-      with Invalid_argument e ->
-        Printf.eprintf "ccp_sim: %s\n%!" e;
-        exit 1
+      with Invalid_argument e -> fail "%s" e
     in
     print_string (Report.render_robustness sc);
-    (match scorecard_file with Some path -> write_scorecard ~path sc | None -> ());
-    match bench_json with
-    | Some path -> (
-      match Ccp_obs.Metrics.merge_rows_file ~path (robustness_rows sc) with
-      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
-      | Error e ->
-        Printf.eprintf "ccp_sim: --bench-json: %s\n%!" e;
-        exit 1)
-    | None -> ()
+    Option.iter
+      (write_scorecard ~validate:Scenarios.Robustness.validate_scorecard
+         (Scenarios.Robustness.to_json sc))
+      scorecard_file;
+    merge_bench_json bench_json (robustness_rows sc)
   in
   Cmd.v
     (Cmd.info "robustness"
@@ -820,53 +809,6 @@ let robustness_cmd =
       $ scorecard_file $ bench_json)
 
 (* --- chaos: composed resilience scenario (docs/fault-injection.md) --- *)
-
-let write_chaos_scorecard ~path (sc : Scenarios.Chaos.scorecard) =
-  let oc = open_out path in
-  output_string oc (Ccp_obs.Json.to_string (Scenarios.Chaos.to_json sc));
-  output_char oc '\n';
-  close_out oc;
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ccp_obs.Json.parse data with
-  | Error e ->
-    Printf.eprintf "ccp_sim: scorecard %s does not parse: %s\n%!" path e;
-    exit 1
-  | Ok parsed -> (
-    match Scenarios.Chaos.validate_scorecard parsed with
-    | Error e ->
-      Printf.eprintf "ccp_sim: scorecard %s is malformed: %s\n%!" path e;
-      exit 1
-    | Ok n -> Printf.printf "scorecard: wrote %s (%d cells)\n" path n)
-
-(* Write-then-revalidate for the ccp-timeline/v1 document, the same
-   discipline as the scorecards: the bytes on disk are re-read and
-   re-checked against Ccp_obs.Timeline.validate before we claim
-   success. *)
-let write_timeline ~path (obs : Ccp_obs.Obs.t) =
-  match Ccp_obs.Timeline.of_obs obs with
-  | Error e ->
-    Printf.eprintf "ccp_sim: --timeline: %s\n%!" e;
-    exit 1
-  | Ok doc -> (
-    let oc = open_out path in
-    output_string oc (Ccp_obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    let ic = open_in_bin path in
-    let data = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Ccp_obs.Json.parse data with
-    | Error e ->
-      Printf.eprintf "ccp_sim: timeline %s does not parse: %s\n%!" path e;
-      exit 1
-    | Ok parsed -> (
-      match Ccp_obs.Timeline.validate parsed with
-      | Error e ->
-        Printf.eprintf "ccp_sim: timeline %s is malformed: %s\n%!" path e;
-        exit 1
-      | Ok n -> Printf.printf "timeline: wrote %s (%d windows)\n" path n))
 
 let chaos_rows (sc : Scenarios.Chaos.scorecard) =
   let modes =
@@ -902,10 +844,7 @@ let chaos_rows (sc : Scenarios.Chaos.scorecard) =
     modes
 
 let chaos_cmd =
-  let seeds =
-    let doc = "Comma-separated seeds; each seed runs a cold and a warm cell." in
-    Arg.(value & opt string "42" & info [ "seeds" ] ~docv:"LIST" ~doc)
-  in
+  let seeds = seeds_arg "Comma-separated seeds; each seed runs a cold and a warm cell." in
   let rate_mbps =
     let doc = "Bottleneck rate in Mbit/s." in
     Arg.(value & opt float 96.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
@@ -914,47 +853,16 @@ let chaos_cmd =
     let doc = "Simulated duration per cell in seconds." in
     Arg.(value & opt float 12.0 & info [ "duration" ] ~docv:"S" ~doc)
   in
-  let scorecard_file =
-    let doc =
-      "Write the scorecard as JSON to $(docv). The file is re-read and schema-validated; \
-       a malformed scorecard makes the command exit non-zero."
-    in
-    Arg.(value & opt (some string) None & info [ "scorecard" ] ~docv:"FILE" ~doc)
-  in
-  let bench_json =
-    let doc =
-      "Merge $(b,chaos.*) per-mode rows (averaged over seeds) into the BENCH.json-schema \
-       file at $(docv) (created when absent)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
-  in
+  let bench_json = bench_json "$(b,chaos.*) per-mode rows (averaged over seeds)" in
   let timeline_file =
-    let doc =
-      "Arm the telemetry bundle (windowed time-series, Top-K flow sketches, SLO \
-       engine) and write the first cell's $(b,ccp-timeline/v1) document to $(docv). \
-       The file is re-read and schema-validated; a malformed timeline makes the \
-       command exit non-zero. Also embeds a $(b,health) section per scorecard cell."
-    in
-    Arg.(value & opt (some string) None & info [ "timeline" ] ~docv:"FILE" ~doc)
+    timeline_file
+      "Arm the telemetry bundle (windowed time-series, Top-K flow sketches, SLO engine) \
+       and write the first cell's $(b,ccp-timeline/v1) document to $(docv). The file is \
+       re-read and schema-validated; a malformed timeline makes the command exit \
+       non-zero. Also embeds a $(b,health) section per scorecard cell."
   in
   let action seeds rate_mbps rtt_ms duration_s scorecard_file bench_json timeline_file =
-    let seeds =
-      match
-        List.filter_map
-          (fun s ->
-            let s = String.trim s in
-            if s = "" then None
-            else
-              match int_of_string_opt s with
-              | Some n -> Some n
-              | None ->
-                Printf.eprintf "ccp_sim: --seeds: %S is not an integer\n%!" s;
-                exit 1)
-          (String.split_on_char ',' seeds)
-      with
-      | [] -> [ 42 ]
-      | l -> l
-    in
+    let seeds = int_list ~flag:"--seeds" ~default:[ 42 ] seeds in
     let sc =
       Scenarios.Chaos.run ~rate_bps:(rate_mbps *. 1e6)
         ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
@@ -985,23 +893,15 @@ let chaos_cmd =
                   | None -> "-")
                 c.Scenarios.Chaos.recoveries)))
       sc.Scenarios.Chaos.cells;
-    (match scorecard_file with Some path -> write_chaos_scorecard ~path sc | None -> ());
-    (match timeline_file with
-    | Some path -> (
-      match sc.Scenarios.Chaos.cells with
-      | { Scenarios.Chaos.telemetry = Some obs; _ } :: _ -> write_timeline ~path obs
-      | _ ->
-        Printf.eprintf "ccp_sim: --timeline: no telemetry bundle on the first cell\n%!";
-        exit 1)
-    | None -> ());
-    match bench_json with
-    | Some path -> (
-      match Ccp_obs.Metrics.merge_rows_file ~path (chaos_rows sc) with
-      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
-      | Error e ->
-        Printf.eprintf "ccp_sim: --bench-json: %s\n%!" e;
-        exit 1)
-    | None -> ()
+    Option.iter
+      (write_scorecard ~validate:Scenarios.Chaos.validate_scorecard
+         (Scenarios.Chaos.to_json sc))
+      scorecard_file;
+    Option.iter
+      (write_timeline
+         (match sc.Scenarios.Chaos.cells with c :: _ -> c.telemetry | [] -> None))
+      timeline_file;
+    merge_bench_json bench_json (chaos_rows sc)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1133,25 +1033,6 @@ let top_cmd =
 
 (* --- incast: flow-count scale-out family (docs/scale.md) --- *)
 
-let write_incast_scorecard ~path (sc : Scenarios.Incast.scorecard) =
-  let oc = open_out path in
-  output_string oc (Ccp_obs.Json.to_string (Scenarios.Incast.to_json sc));
-  output_char oc '\n';
-  close_out oc;
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ccp_obs.Json.parse data with
-  | Error e ->
-    Printf.eprintf "ccp_sim: scorecard %s does not parse: %s\n%!" path e;
-    exit 1
-  | Ok parsed -> (
-    match Scenarios.Incast.validate_scorecard parsed with
-    | Error e ->
-      Printf.eprintf "ccp_sim: scorecard %s is malformed: %s\n%!" path e;
-      exit 1
-    | Ok n -> Printf.printf "scorecard: wrote %s (%d cells)\n" path n)
-
 let incast_rows (sc : Scenarios.Incast.scorecard) =
   let groups =
     List.sort_uniq compare
@@ -1197,10 +1078,7 @@ let incast_cmd =
     in
     Arg.(value & opt string "" & info [ "algos" ] ~docv:"LIST" ~doc)
   in
-  let seeds =
-    let doc = "Comma-separated seeds; each seed multiplies the matrix." in
-    Arg.(value & opt string "42" & info [ "seeds" ] ~docv:"LIST" ~doc)
-  in
+  let seeds = seeds_arg "Comma-separated seeds; each seed multiplies the matrix." in
   let rate_mbps =
     let doc = "Bottleneck rate in Mbit/s." in
     Arg.(value & opt float 96.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
@@ -1220,57 +1098,28 @@ let incast_cmd =
     in
     Arg.(value & flag & info [ "no-batching" ] ~doc)
   in
-  let scorecard_file =
-    let doc =
-      "Write the scorecard as JSON to $(docv). The file is re-read and schema-validated; \
-       a malformed scorecard makes the command exit non-zero."
-    in
-    Arg.(value & opt (some string) None & info [ "scorecard" ] ~docv:"FILE" ~doc)
-  in
   let bench_json =
-    let doc =
-      "Merge $(b,incast.*) per-(algorithm, N) rows (averaged over seeds and arrivals) \
-       into the BENCH.json-schema file at $(docv) (created when absent)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
+    bench_json "$(b,incast.*) per-(algorithm, N) rows (averaged over seeds and arrivals)"
   in
   let timeline_file =
-    let doc =
-      "Arm the telemetry bundle (Top-K flow sketches at k=64, windowed time-series, \
-       SLO engine) and write the first cell's $(b,ccp-timeline/v1) document to \
-       $(docv); re-read and schema-validated before the command exits zero."
-    in
-    Arg.(value & opt (some string) None & info [ "timeline" ] ~docv:"FILE" ~doc)
+    timeline_file
+      "Arm the telemetry bundle (Top-K flow sketches at k=64, windowed time-series, SLO \
+       engine) and write the first cell's $(b,ccp-timeline/v1) document to $(docv); \
+       re-read and schema-validated before the command exits zero."
   in
   let action ns arrivals algos seeds rate_mbps rtt_ms duration_s no_batching scorecard_file
       bench_json timeline_file =
-    let split s =
-      List.filter (fun x -> x <> "") (List.map String.trim (String.split_on_char ',' s))
-    in
-    let ints flag s =
-      List.map
-        (fun x ->
-          match int_of_string_opt x with
-          | Some n -> n
-          | None ->
-            Printf.eprintf "ccp_sim: %s: %S is not an integer\n%!" flag x;
-            exit 1)
-        (split s)
-    in
-    let ns = match ints "--n" ns with [] -> [ 16; 64; 256 ] | l -> l in
-    let seeds = match ints "--seeds" seeds with [] -> [ 42 ] | l -> l in
+    let ns = int_list ~flag:"--n" ~default:[ 16; 64; 256 ] ns in
+    let seeds = int_list ~flag:"--seeds" ~default:[ 42 ] seeds in
     let sc =
       try
         Scenarios.Incast.run ~rate_bps:(rate_mbps *. 1e6)
           ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
           ~duration:(Time_ns.of_float_sec duration_s) ~ns
-          ~arrivals:(List.map Scenarios.Incast.arrival_of_string (split arrivals))
-          ?algos:(match split algos with [] -> None | l -> Some l)
-          ~seeds ~batching:(not no_batching)
+          ~arrivals:(List.map Scenarios.Incast.arrival_of_string (split_list arrivals))
+          ?algos:(opt_list algos) ~seeds ~batching:(not no_batching)
           ~with_telemetry:(timeline_file <> None) ()
-      with Invalid_argument e ->
-        Printf.eprintf "ccp_sim: %s\n%!" e;
-        exit 1
+      with Invalid_argument e -> fail "%s" e
     in
     Printf.printf
       "Incast: %.0f Mbit/s, %.1f ms base RTT, buffer BDP/4, report batching %s\n"
@@ -1290,23 +1139,15 @@ let incast_cmd =
           c.Scenarios.Incast.wire_messages c.Scenarios.Incast.batches
           c.Scenarios.Incast.pool_rejections)
       sc.Scenarios.Incast.cells;
-    (match scorecard_file with Some path -> write_incast_scorecard ~path sc | None -> ());
-    (match timeline_file with
-    | Some path -> (
-      match sc.Scenarios.Incast.cells with
-      | { Scenarios.Incast.telemetry = Some obs; _ } :: _ -> write_timeline ~path obs
-      | _ ->
-        Printf.eprintf "ccp_sim: --timeline: no telemetry bundle on the first cell\n%!";
-        exit 1)
-    | None -> ());
-    match bench_json with
-    | Some path -> (
-      match Ccp_obs.Metrics.merge_rows_file ~path (incast_rows sc) with
-      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
-      | Error e ->
-        Printf.eprintf "ccp_sim: --bench-json: %s\n%!" e;
-        exit 1)
-    | None -> ()
+    Option.iter
+      (write_scorecard ~validate:Scenarios.Incast.validate_scorecard
+         (Scenarios.Incast.to_json sc))
+      scorecard_file;
+    Option.iter
+      (write_timeline
+         (match sc.Scenarios.Incast.cells with c :: _ -> c.telemetry | [] -> None))
+      timeline_file;
+    merge_bench_json bench_json (incast_rows sc)
   in
   Cmd.v
     (Cmd.info "incast"

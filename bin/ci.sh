@@ -122,6 +122,13 @@ dune exec bin/ccp_sim.exe -- incast -n 64 --seeds 42 --duration 0.5 \
   --scorecard "$incast_tmp/scorecard.json" --bench-json BENCH.json > /dev/null
 test -s "$incast_tmp/scorecard.json"
 grep -q '"incast\.' BENCH.json
+# An artifact path that cannot be written is a one-line error and exit
+# 1, not an uncaught exception after the whole matrix has run.
+status=0
+dune exec bin/ccp_sim.exe -- incast -n 4 --duration 0.05 \
+  --scorecard "$incast_tmp/missing/sc.json" > /dev/null 2> "$incast_tmp/err" || status=$?
+test "$status" -eq 1
+test "$(wc -l < "$incast_tmp/err")" -eq 1
 rm -rf "$incast_tmp"
 
 echo "== scale bench smoke =="

@@ -49,6 +49,20 @@ let armed_obs ~with_obs config =
   if not with_obs then config
   else { config with Experiment.obs = Some (Ccp_obs.Obs.create ()) }
 
+(* Kinds and fields the scenario scorecards share. *)
+module Schema = Ccp_obs.Schema
+
+let utilization = Schema.number ~ge:0.0 ~le:1.5 ()
+let jain = Schema.number ~gt:0.0 ~le:(1.0 +. 1e-9) ()
+let fraction = Schema.number ~ge:0.0 ~le:1.0 ()
+let non_negative = Schema.number ~ge:0.0 ()
+
+(* Present only when the cell ran with telemetry armed, so plain
+   scorecards stay byte-identical to the goldens. *)
+let health_field telemetry =
+  Schema.optional "health" (Schema.obj Ccp_obs.Health.spec) (fun c ->
+      Option.bind (telemetry c) (fun (obs : Ccp_obs.Obs.t) -> obs.Ccp_obs.Obs.health))
+
 module Fig3 = struct
   let default_rate_bps = 1e9
   let rate_bps = default_rate_bps
@@ -593,7 +607,6 @@ end
    ever trip quarantine?" (it must not). *)
 module Robustness = struct
   module Plan = Ccp_perturb.Perturb_plan
-  module J = Ccp_obs.Json
 
   let default_rate_bps = 48e6
   let default_base_rtt = Time_ns.ms 20
@@ -811,134 +824,59 @@ module Robustness = struct
     in
     { rate_bps; base_rtt; duration; seeds; cells }
 
-  let stats_to_json (s : Ccp_perturb.Sampler.stats) =
-    let i n = J.Num (float_of_int n) in
-    J.Obj
-      [
-        ("rtt_samples", i s.Ccp_perturb.Sampler.rtt_samples);
-        ("burst_episodes", i s.Ccp_perturb.Sampler.burst_episodes);
-        ("rate_samples", i s.Ccp_perturb.Sampler.rate_samples);
-        ("rate_collapsed", i s.Ccp_perturb.Sampler.rate_collapsed);
-        ("policer_passed", i s.Ccp_perturb.Sampler.policer_passed);
-        ("policer_dropped", i s.Ccp_perturb.Sampler.policer_dropped);
-      ]
+  let stats_spec =
+    let open Ccp_perturb.Sampler in
+    Schema.(
+      doc
+        [
+          field "rtt_samples" count (fun s -> s.rtt_samples);
+          field "burst_episodes" count (fun s -> s.burst_episodes);
+          field "rate_samples" count (fun s -> s.rate_samples);
+          field "rate_collapsed" count (fun s -> s.rate_collapsed);
+          field "policer_passed" count (fun s -> s.policer_passed);
+          field "policer_dropped" count (fun s -> s.policer_dropped);
+        ])
 
-  let cell_to_json c =
-    let i n = J.Num (float_of_int n) in
-    J.Obj
-      ([
-        ("algo", J.Str c.algo);
-        ("perturb", J.Str c.perturb);
-        ("seed", i c.seed);
-        ("utilization", J.Num c.utilization);
-        ("jain", J.Num c.jain_index);
-        ("median_rtt_inflation", J.Num c.median_rtt_inflation);
-        ("p95_rtt_inflation", J.Num c.p95_rtt_inflation);
-        ("retransmit_rate", J.Num c.retransmit_rate);
-        ("timeouts", i c.timeouts);
-        ("quarantines", i c.quarantines);
-        ("installs_refused", i c.installs_refused);
-        ("fallbacks", i c.fallbacks);
-        ("guard_incidents", i c.guard_incidents);
-        ( "cwnd_rmse_vs_baseline",
-          match c.cwnd_rmse_vs_baseline with Some v -> J.Num v | None -> J.Null );
-        ( "perturb_stats",
-          match c.perturb_stats with Some s -> stats_to_json s | None -> J.Null );
-      ]
-      @
-      match c.telemetry with
-      | Some { Ccp_obs.Obs.health = Some h; _ } ->
-        [ ("health", Ccp_obs.Health.to_json h) ]
-      | _ -> [])
+  let cell_spec =
+    Schema.(
+      doc
+        ~check:(fun c ->
+          let m = get_num c "median_rtt_inflation" and p = get_num c "p95_rtt_inflation" in
+          require (p >= m -. 1e-9) "p95_rtt_inflation %g below median %g" p m)
+        [
+          field "algo" string (fun c -> c.algo);
+          field "perturb" string (fun c -> c.perturb);
+          field "seed" count (fun c -> c.seed);
+          field "utilization" utilization (fun c -> c.utilization);
+          field "jain" jain (fun c -> c.jain_index);
+          field "median_rtt_inflation" (number ~ge:0.9 ()) (fun c -> c.median_rtt_inflation);
+          field "p95_rtt_inflation" (number ()) (fun c -> c.p95_rtt_inflation);
+          field "retransmit_rate" fraction (fun c -> c.retransmit_rate);
+          field "timeouts" count (fun c -> c.timeouts);
+          field "quarantines" count (fun c -> c.quarantines);
+          field "installs_refused" count (fun c -> c.installs_refused);
+          field "fallbacks" count (fun c -> c.fallbacks);
+          field "guard_incidents" count (fun c -> c.guard_incidents);
+          field "cwnd_rmse_vs_baseline" (nullable non_negative) (fun c ->
+              c.cwnd_rmse_vs_baseline);
+          field "perturb_stats" (nullable (obj stats_spec)) (fun c -> c.perturb_stats);
+          health_field (fun c -> c.telemetry);
+        ])
 
-  let to_json sc =
-    J.Obj
-      [
-        ("schema", J.Str schema_tag);
-        ("rate_bps", J.Num sc.rate_bps);
-        ("base_rtt_ms", J.Num (Time_ns.to_float_ms sc.base_rtt));
-        ("duration_s", J.Num (Time_ns.to_float_sec sc.duration));
-        ("seeds", J.List (List.map (fun s -> J.Num (float_of_int s)) sc.seeds));
-        ("cells", J.List (List.map cell_to_json sc.cells));
-      ]
+  let spec =
+    Schema.(
+      doc
+        [
+          tag schema_tag;
+          field "rate_bps" (number ()) (fun sc -> sc.rate_bps);
+          field "base_rtt_ms" (number ()) (fun sc -> Time_ns.to_float_ms sc.base_rtt);
+          field "duration_s" (number ()) (fun sc -> Time_ns.to_float_sec sc.duration);
+          field "seeds" (list count) (fun sc -> sc.seeds);
+          field "cells" (list (obj cell_spec)) (fun sc -> sc.cells);
+        ])
 
-  let validate_scorecard json =
-    let ( let* ) = Result.bind in
-    let str name obj =
-      match J.member name obj with
-      | Some (J.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" name)
-    in
-    let num name obj =
-      match Option.bind (J.member name obj) J.to_float with
-      | Some v when Float.is_finite v -> Ok v
-      | _ -> Error (Printf.sprintf "missing or non-finite numeric field %S" name)
-    in
-    let counter name obj =
-      let* v = num name obj in
-      if v >= 0.0 && Float.is_integer v then Ok v
-      else Error (Printf.sprintf "field %S = %g is not a non-negative integer" name v)
-    in
-    let* schema = str "schema" json in
-    let* () =
-      if schema = schema_tag then Ok ()
-      else Error (Printf.sprintf "schema is %S, want %S" schema schema_tag)
-    in
-    let* _ = num "rate_bps" json in
-    let* _ = num "base_rtt_ms" json in
-    let* _ = num "duration_s" json in
-    let* cells =
-      match J.member "cells" json with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "missing \"cells\" array"
-    in
-    let check_cell i cell =
-      let ctx msg = Printf.sprintf "cell %d: %s" i msg in
-      let ( let* ) a b = Result.bind (Result.map_error ctx a) b in
-      let* _ = str "algo" cell in
-      let* _ = str "perturb" cell in
-      let* _ = counter "seed" cell in
-      let* u = num "utilization" cell in
-      let* () =
-        if u >= 0.0 && u <= 1.5 then Ok ()
-        else Error (ctx (Printf.sprintf "utilization %g out of range" u))
-      in
-      let* jain = num "jain" cell in
-      let* () =
-        if jain > 0.0 && jain <= 1.0 +. 1e-9 then Ok ()
-        else Error (ctx (Printf.sprintf "jain %g out of range" jain))
-      in
-      let* m = num "median_rtt_inflation" cell in
-      let* p = num "p95_rtt_inflation" cell in
-      let* () =
-        if m >= 0.9 && p >= m -. 1e-9 then Ok ()
-        else Error (ctx (Printf.sprintf "RTT inflation pair (%g, %g) inconsistent" m p))
-      in
-      let* rr = num "retransmit_rate" cell in
-      let* () =
-        if rr >= 0.0 && rr <= 1.0 then Ok ()
-        else Error (ctx (Printf.sprintf "retransmit_rate %g out of range" rr))
-      in
-      let* _ = counter "timeouts" cell in
-      let* _ = counter "quarantines" cell in
-      let* _ = counter "installs_refused" cell in
-      let* _ = counter "fallbacks" cell in
-      let* _ = counter "guard_incidents" cell in
-      let* () =
-        match J.member "cwnd_rmse_vs_baseline" cell with
-        | Some J.Null -> Ok ()
-        | Some (J.Num v) when Float.is_finite v && v >= 0.0 -> Ok ()
-        | _ -> Error (ctx "cwnd_rmse_vs_baseline must be null or a non-negative number")
-      in
-      match J.member "health" cell with
-      | None -> Ok ()
-      | Some h -> Result.map_error ctx (Ccp_obs.Timeline.validate_health h)
-    in
-    let rec check i = function
-      | [] -> Ok (List.length cells)
-      | c :: rest -> ( match check_cell i c with Ok () -> check (i + 1) rest | Error e -> Error e)
-    in
-    check 0 cells
+  let to_json = Schema.encode spec
+  let validate_scorecard = Schema.validate spec ~count:"cells"
 end
 
 (* Chaos: every resilience layer exercised at once. IPC faults (drops,
@@ -952,7 +890,6 @@ end
    pre-crash operating point, read off the cwnd trace. *)
 module Chaos = struct
   module Plan = Ccp_perturb.Perturb_plan
-  module J = Ccp_obs.Json
 
   let default_rate_bps = 96e6
   let default_base_rtt = Time_ns.ms 20
@@ -1185,167 +1122,59 @@ module Chaos = struct
     in
     { rate_bps; base_rtt; duration; seeds; crash_from; crash_until; cells }
 
-  let recovery_to_json rec_ =
-    J.Obj
-      [
-        ("flow", J.Num (float_of_int rec_.flow_id));
-        ("pre_crash_cwnd", J.Num rec_.pre_crash_cwnd);
-        ( "recovery_rtts",
-          match rec_.recovery_rtts with Some v -> J.Num v | None -> J.Null );
-      ]
+  let recovery_spec =
+    Schema.(
+      doc
+        [
+          field "flow" count (fun r -> r.flow_id);
+          field "pre_crash_cwnd" non_negative (fun r -> r.pre_crash_cwnd);
+          field "recovery_rtts" (nullable non_negative) (fun r -> r.recovery_rtts);
+        ])
 
-  let cell_to_json c =
-    let i n = J.Num (float_of_int n) in
-    (* The health section only exists when the cell ran with telemetry
-       armed, so plain scorecards stay byte-identical to the goldens. *)
-    let health =
-      match c.telemetry with
-      | Some { Ccp_obs.Obs.health = Some h; _ } ->
-        [ ("health", Ccp_obs.Health.to_json h) ]
-      | _ -> []
-    in
-    J.Obj
-      ([
-         ("mode", J.Str c.mode);
-         ("seed", i c.seed);
-         ("utilization", J.Num c.utilization);
-         ("jain", J.Num c.jain_index);
-         ("reports_shed", i c.reports_shed);
-         ("max_queue_wait_rtts", J.Num c.max_queue_wait_rtts);
-         ("degradations", i c.degradations);
-         ("decode_failures", i c.decode_failures);
-         ("checkpoints_taken", i c.checkpoints_taken);
-         ("warm_restores", i c.warm_restores);
-         ("fallbacks", i c.fallbacks);
-         ("recoveries", J.List (List.map recovery_to_json c.recoveries));
-         ( "mean_recovery_rtts",
-           match c.mean_recovery_rtts with Some v -> J.Num v | None -> J.Null );
-       ]
-      @ health)
+  let cell_spec =
+    Schema.(
+      doc
+        ~check:(fun c ->
+          require
+            (get_str c "mode" <> "cold"
+            || (get_num c "checkpoints_taken" = 0.0 && get_num c "warm_restores" = 0.0))
+            "cold cell reports checkpoints or warm restores")
+        [
+          field "mode" (one_of (List.map fst modes)) (fun c -> c.mode);
+          field "seed" count (fun c -> c.seed);
+          field "utilization" utilization (fun c -> c.utilization);
+          field "jain" jain (fun c -> c.jain_index);
+          field "reports_shed" count (fun c -> c.reports_shed);
+          field "max_queue_wait_rtts" non_negative (fun c -> c.max_queue_wait_rtts);
+          field "degradations" count (fun c -> c.degradations);
+          field "decode_failures" count (fun c -> c.decode_failures);
+          field "checkpoints_taken" count (fun c -> c.checkpoints_taken);
+          field "warm_restores" count (fun c -> c.warm_restores);
+          field "fallbacks" count (fun c -> c.fallbacks);
+          field "recoveries" (list (obj recovery_spec)) (fun c -> c.recoveries);
+          field "mean_recovery_rtts" (nullable non_negative) (fun c -> c.mean_recovery_rtts);
+          health_field (fun c -> c.telemetry);
+        ])
 
-  let to_json sc =
-    J.Obj
-      [
-        ("schema", J.Str schema_tag);
-        ("rate_bps", J.Num sc.rate_bps);
-        ("base_rtt_ms", J.Num (Time_ns.to_float_ms sc.base_rtt));
-        ("duration_s", J.Num (Time_ns.to_float_sec sc.duration));
-        ("crash_from_s", J.Num (Time_ns.to_float_sec sc.crash_from));
-        ("crash_until_s", J.Num (Time_ns.to_float_sec sc.crash_until));
-        ("seeds", J.List (List.map (fun s -> J.Num (float_of_int s)) sc.seeds));
-        ("cells", J.List (List.map cell_to_json sc.cells));
-      ]
+  let spec =
+    Schema.(
+      doc
+        ~check:(fun sc ->
+          let cf = get_num sc "crash_from_s" and cu = get_num sc "crash_until_s" in
+          require (cu > cf) "crash window (%g, %g) inconsistent" cf cu)
+        [
+          tag schema_tag;
+          field "rate_bps" (number ()) (fun sc -> sc.rate_bps);
+          field "base_rtt_ms" (number ()) (fun sc -> Time_ns.to_float_ms sc.base_rtt);
+          field "duration_s" (number ()) (fun sc -> Time_ns.to_float_sec sc.duration);
+          field "crash_from_s" non_negative (fun sc -> Time_ns.to_float_sec sc.crash_from);
+          field "crash_until_s" (number ()) (fun sc -> Time_ns.to_float_sec sc.crash_until);
+          field "seeds" (list count) (fun sc -> sc.seeds);
+          field "cells" (list (obj cell_spec)) (fun sc -> sc.cells);
+        ])
 
-  let validate_scorecard json =
-    let ( let* ) = Result.bind in
-    let str name obj =
-      match J.member name obj with
-      | Some (J.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" name)
-    in
-    let num name obj =
-      match Option.bind (J.member name obj) J.to_float with
-      | Some v when Float.is_finite v -> Ok v
-      | _ -> Error (Printf.sprintf "missing or non-finite numeric field %S" name)
-    in
-    let counter name obj =
-      let* v = num name obj in
-      if v >= 0.0 && Float.is_integer v then Ok v
-      else Error (Printf.sprintf "field %S = %g is not a non-negative integer" name v)
-    in
-    let* schema = str "schema" json in
-    let* () =
-      if schema = schema_tag then Ok ()
-      else Error (Printf.sprintf "schema is %S, want %S" schema schema_tag)
-    in
-    let* _ = num "rate_bps" json in
-    let* _ = num "base_rtt_ms" json in
-    let* _ = num "duration_s" json in
-    let* cf = num "crash_from_s" json in
-    let* cu = num "crash_until_s" json in
-    let* () =
-      if cf >= 0.0 && cu > cf then Ok ()
-      else Error (Printf.sprintf "crash window (%g, %g) inconsistent" cf cu)
-    in
-    let* cells =
-      match J.member "cells" json with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "missing \"cells\" array"
-    in
-    let check_cell i cell =
-      let ctx msg = Printf.sprintf "cell %d: %s" i msg in
-      let ( let* ) a b = Result.bind (Result.map_error ctx a) b in
-      let* mode = str "mode" cell in
-      let* () =
-        if mode = "cold" || mode = "warm" then Ok ()
-        else Error (ctx (Printf.sprintf "unknown mode %S" mode))
-      in
-      let* _ = counter "seed" cell in
-      let* u = num "utilization" cell in
-      let* () =
-        if u >= 0.0 && u <= 1.5 then Ok ()
-        else Error (ctx (Printf.sprintf "utilization %g out of range" u))
-      in
-      let* jain = num "jain" cell in
-      let* () =
-        if jain > 0.0 && jain <= 1.0 +. 1e-9 then Ok ()
-        else Error (ctx (Printf.sprintf "jain %g out of range" jain))
-      in
-      let* _ = counter "reports_shed" cell in
-      let* w = num "max_queue_wait_rtts" cell in
-      let* () =
-        if w >= 0.0 then Ok ()
-        else Error (ctx (Printf.sprintf "max_queue_wait_rtts %g negative" w))
-      in
-      let* _ = counter "degradations" cell in
-      let* _ = counter "decode_failures" cell in
-      let* ck = counter "checkpoints_taken" cell in
-      let* wr = counter "warm_restores" cell in
-      let* () =
-        if mode = "cold" && (ck > 0.0 || wr > 0.0) then
-          Error (ctx "cold cell reports checkpoints or warm restores")
-        else Ok ()
-      in
-      let* _ = counter "fallbacks" cell in
-      let* recoveries =
-        match J.member "recoveries" cell with
-        | Some (J.List l) -> Ok l
-        | _ -> Error (ctx "missing \"recoveries\" array")
-      in
-      let check_recovery r =
-        let* _ = counter "flow" r in
-        let* pre = num "pre_crash_cwnd" r in
-        let* () =
-          if pre >= 0.0 then Ok ()
-          else Error (ctx (Printf.sprintf "pre_crash_cwnd %g negative" pre))
-        in
-        match J.member "recovery_rtts" r with
-        | Some J.Null -> Ok ()
-        | Some (J.Num v) when Float.is_finite v && v >= 0.0 -> Ok ()
-        | _ -> Error (ctx "recovery_rtts must be null or a non-negative number")
-      in
-      let* () =
-        List.fold_left
-          (fun acc r -> match acc with Error _ -> acc | Ok () -> check_recovery r)
-          (Ok ()) recoveries
-      in
-      let* () =
-        match J.member "mean_recovery_rtts" cell with
-        | Some J.Null -> Ok ()
-        | Some (J.Num v) when Float.is_finite v && v >= 0.0 -> Ok ()
-        | _ -> Error (ctx "mean_recovery_rtts must be null or a non-negative number")
-      in
-      (* Optional: present only when the cell ran with telemetry armed. *)
-      match J.member "health" cell with
-      | None -> Ok ()
-      | Some h -> Result.map_error ctx (Ccp_obs.Timeline.validate_health h)
-    in
-    let rec check i = function
-      | [] -> Ok (List.length cells)
-      | c :: rest -> (
-        match check_cell i c with Ok () -> check (i + 1) rest | Error e -> Error e)
-    in
-    check 0 cells
+  let to_json = Schema.encode spec
+  let validate_scorecard = Schema.validate spec ~count:"cells"
 end
 
 (* Figure 2, measured end to end. {!Fig2} samples the latency model
@@ -1494,8 +1323,6 @@ end
    rejections). The "ccp-aggregate" algorithm rides the same topology
    with all N flows as members of one congestion-controlled aggregate. *)
 module Incast = struct
-  module J = Ccp_obs.Json
-
   let schema_tag = "ccp-incast-scorecard/v1"
   let default_rate_bps = 96e6
   let default_base_rtt = Time_ns.ms 10
@@ -1680,146 +1507,59 @@ module Incast = struct
     in
     { rate_bps; base_rtt; duration; batching; seeds; cells }
 
-  let cell_to_json c =
-    let i n = J.Num (float_of_int n) in
-    J.Obj
-      ([
-        ("n", i c.n);
-        ("arrival", J.Str (arrival_to_string c.arrival));
-        ("algo", J.Str c.algo);
-        ("seed", i c.seed);
-        ("utilization", J.Num c.utilization);
-        ("jain", J.Num c.jain_index);
-        ("p99_queue_delay_ms", J.Num c.p99_queue_delay_ms);
-        ("retransmit_rate", J.Num c.retransmit_rate);
-        ("timeouts", i c.timeouts);
-        ("reports", i c.reports);
-        ("reports_shed", i c.reports_shed);
-        ("decode_failures", i c.decode_failures);
-        ("wire_messages", i c.wire_messages);
-        ("batches", i c.batches);
-        ("pool_rejections", i c.pool_rejections);
-      ]
-      @
-      match c.telemetry with
-      | Some { Ccp_obs.Obs.health = Some h; _ } ->
-        [ ("health", Ccp_obs.Health.to_json h) ]
-      | _ -> [])
+  let cell_spec =
+    Schema.(
+      doc
+        ~check:(fun c ->
+          let batches = get_num c "batches" and wire = get_num c "wire_messages" in
+          if batches > wire then
+            Error (Printf.sprintf "batches %g > wire_messages %g" batches wire)
+          else
+            require (get_num c "reports" = 0.0 || wire > 0.0)
+              "reports arrived over zero wire frames")
+        [
+          field "n" positive (fun c -> c.n);
+          field "arrival"
+            (one_of (List.map arrival_to_string [ Synchronized; Staggered ]))
+            (fun c -> arrival_to_string c.arrival);
+          field "algo" (one_of algorithm_names) (fun c -> c.algo);
+          field "seed" count (fun c -> c.seed);
+          field "utilization" utilization (fun c -> c.utilization);
+          (* Unlike the robustness matrix, heavy fan-in can legitimately
+             starve flows to zero goodput, so 0 is admissible. *)
+          field "jain" (number ~ge:0.0 ~le:(1.0 +. 1e-9) ()) (fun c -> c.jain_index);
+          field "p99_queue_delay_ms" non_negative (fun c -> c.p99_queue_delay_ms);
+          field "retransmit_rate" fraction (fun c -> c.retransmit_rate);
+          field "timeouts" count (fun c -> c.timeouts);
+          field "reports" count (fun c -> c.reports);
+          field "reports_shed" count (fun c -> c.reports_shed);
+          field "decode_failures" count (fun c -> c.decode_failures);
+          field "wire_messages" count (fun c -> c.wire_messages);
+          field "batches" count (fun c -> c.batches);
+          field "pool_rejections" count (fun c -> c.pool_rejections);
+          health_field (fun c -> c.telemetry);
+        ])
 
-  let to_json sc =
-    J.Obj
-      [
-        ("schema", J.Str schema_tag);
-        ("rate_bps", J.Num sc.rate_bps);
-        ("base_rtt_ms", J.Num (Time_ns.to_float_ms sc.base_rtt));
-        ("duration_s", J.Num (Time_ns.to_float_sec sc.duration));
-        ("batching", J.Bool sc.batching);
-        ("seeds", J.List (List.map (fun s -> J.Num (float_of_int s)) sc.seeds));
-        ("cells", J.List (List.map cell_to_json sc.cells));
-      ]
+  let spec =
+    Schema.(
+      doc
+        ~check:(fun sc ->
+          if get_bool sc "batching" then Ok ()
+          else
+            each "cells"
+              (fun c ->
+                require (get_num c "batches" = 0.0) "batches nonzero in an unbatched scorecard")
+              sc)
+        [
+          tag schema_tag;
+          field "rate_bps" (number ()) (fun sc -> sc.rate_bps);
+          field "base_rtt_ms" (number ()) (fun sc -> Time_ns.to_float_ms sc.base_rtt);
+          field "duration_s" (number ()) (fun sc -> Time_ns.to_float_sec sc.duration);
+          field "batching" bool (fun sc -> sc.batching);
+          field "seeds" (list count) (fun sc -> sc.seeds);
+          field "cells" (list (obj cell_spec)) (fun sc -> sc.cells);
+        ])
 
-  let validate_scorecard json =
-    let ( let* ) = Result.bind in
-    let str name obj =
-      match J.member name obj with
-      | Some (J.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" name)
-    in
-    let num name obj =
-      match Option.bind (J.member name obj) J.to_float with
-      | Some v when Float.is_finite v -> Ok v
-      | _ -> Error (Printf.sprintf "missing or non-finite numeric field %S" name)
-    in
-    let counter name obj =
-      let* v = num name obj in
-      if v >= 0.0 && Float.is_integer v then Ok v
-      else Error (Printf.sprintf "field %S = %g is not a non-negative integer" name v)
-    in
-    let* schema = str "schema" json in
-    let* () =
-      if schema = schema_tag then Ok ()
-      else Error (Printf.sprintf "schema is %S, want %S" schema schema_tag)
-    in
-    let* _ = num "rate_bps" json in
-    let* _ = num "base_rtt_ms" json in
-    let* _ = num "duration_s" json in
-    let* batching =
-      match J.member "batching" json with
-      | Some (J.Bool b) -> Ok b
-      | _ -> Error "missing boolean field \"batching\""
-    in
-    let* cells =
-      match J.member "cells" json with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "missing \"cells\" array"
-    in
-    let check_cell i cell =
-      let ctx msg = Printf.sprintf "cell %d: %s" i msg in
-      let ( let* ) a b = Result.bind (Result.map_error ctx a) b in
-      let* n = counter "n" cell in
-      let* () =
-        if n >= 1.0 then Ok () else Error (ctx (Printf.sprintf "n %g < 1" n))
-      in
-      let* arrival = str "arrival" cell in
-      let* () =
-        if arrival = "synchronized" || arrival = "staggered" then Ok ()
-        else Error (ctx (Printf.sprintf "unknown arrival %S" arrival))
-      in
-      let* algo = str "algo" cell in
-      let* () =
-        if List.mem algo algorithm_names then Ok ()
-        else Error (ctx (Printf.sprintf "unknown algo %S" algo))
-      in
-      let* _ = counter "seed" cell in
-      let* u = num "utilization" cell in
-      let* () =
-        if u >= 0.0 && u <= 1.5 then Ok ()
-        else Error (ctx (Printf.sprintf "utilization %g out of range" u))
-      in
-      let* jain = num "jain" cell in
-      let* () =
-        (* Unlike the robustness matrix, heavy fan-in can legitimately
-           starve flows to zero goodput, so 0 is admissible. *)
-        if jain >= 0.0 && jain <= 1.0 +. 1e-9 then Ok ()
-        else Error (ctx (Printf.sprintf "jain %g out of range" jain))
-      in
-      let* q = num "p99_queue_delay_ms" cell in
-      let* () =
-        if q >= 0.0 then Ok ()
-        else Error (ctx (Printf.sprintf "p99_queue_delay_ms %g negative" q))
-      in
-      let* rr = num "retransmit_rate" cell in
-      let* () =
-        if rr >= 0.0 && rr <= 1.0 then Ok ()
-        else Error (ctx (Printf.sprintf "retransmit_rate %g out of range" rr))
-      in
-      let* _ = counter "timeouts" cell in
-      let* reports = counter "reports" cell in
-      let* _ = counter "reports_shed" cell in
-      let* _ = counter "decode_failures" cell in
-      let* wire = counter "wire_messages" cell in
-      let* batches = counter "batches" cell in
-      let* () =
-        if batches <= wire then Ok ()
-        else Error (ctx (Printf.sprintf "batches %g > wire_messages %g" batches wire))
-      in
-      let* () =
-        if batching || batches = 0.0 then Ok ()
-        else Error (ctx "batches nonzero in an unbatched scorecard")
-      in
-      let* () =
-        if reports = 0.0 || wire > 0.0 then Ok ()
-        else Error (ctx "reports arrived over zero wire frames")
-      in
-      let* _ = counter "pool_rejections" cell in
-      match J.member "health" cell with
-      | None -> Ok ()
-      | Some h -> Result.map_error ctx (Ccp_obs.Timeline.validate_health h)
-    in
-    let rec check i = function
-      | [] -> Ok (List.length cells)
-      | c :: rest -> (
-        match check_cell i c with Ok () -> check (i + 1) rest | Error e -> Error e)
-    in
-    check 0 cells
+  let to_json = Schema.encode spec
+  let validate_scorecard = Schema.validate spec ~count:"cells"
 end

@@ -342,14 +342,16 @@ module Robustness : sig
       bundle per cell, adding a [health] section to each cell's JSON. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
-  val cell_to_json : cell -> Ccp_obs.Json.t
 
   val validate_scorecard : Ccp_obs.Json.t -> (int, string) result
-  (** Schema check for emitted scorecards (CI re-parses what it writes):
-      verifies the schema tag, that every cell carries finite metrics in
-      range (utilization, Jain, RTT inflation, retransmit rate, integer
-      counters), and that RMSE is null or non-negative. [Ok n] = [n]
-      valid cells. *)
+  (** Schema check for emitted scorecards (CI re-parses what it writes).
+      [to_json] and this check derive from one {!Ccp_obs.Schema} spec:
+      the schema tag, [seeds] as non-negative integers, every cell's
+      finite metrics in range (utilization, Jain, RTT inflation with
+      p95 >= median, retransmit rate, integer counters), RMSE null or
+      non-negative, [perturb_stats] null or an object of integer
+      counters, and the optional [health] section. [Ok n] = [n] valid
+      cells. *)
 end
 
 (** Chaos: every resilience layer at once. IPC faults (1 % drops, 2 %
@@ -464,15 +466,14 @@ module Chaos : sig
       view; {!Health} has already consumed the window when it fires. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
-  val cell_to_json : cell -> Ccp_obs.Json.t
 
   val validate_scorecard : Ccp_obs.Json.t -> (int, string) result
-  (** Schema check for emitted scorecards: verifies the schema tag and
-      crash window, every cell's mode/metric ranges, that cold cells
-      report no checkpoints or warm restores, and that recovery entries
-      are null or non-negative; a cell's optional [health] section is
-      checked with {!Ccp_obs.Timeline.validate_health}. [Ok n] = [n]
-      valid cells. *)
+  (** Schema check for emitted scorecards, derived with [to_json] from
+      one {!Ccp_obs.Schema} spec: the schema tag, the crash window,
+      [seeds] as non-negative integers, every cell's mode and metric
+      ranges, that cold cells report no checkpoints or warm restores,
+      recovery entries null or non-negative, and the optional [health]
+      section shared with the timeline. [Ok n] = [n] valid cells. *)
 end
 
 (** Figure 2 measured end to end: full control-loop runs with the span
@@ -620,13 +621,14 @@ module Incast : sig
       from any RNG stream. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
-  val cell_to_json : cell -> Ccp_obs.Json.t
 
   val validate_scorecard : Ccp_obs.Json.t -> (int, string) result
   (** Schema check for emitted scorecards (CI re-parses what it
-      writes): schema tag, arrival/algo names, metric ranges
-      (utilization, Jain — zero admissible under starvation —, tail
-      delay, retransmit rate), counter integrality, [batches <=
-      wire_messages], no batches in an unbatched scorecard, and
-      reports implying wire frames. [Ok n] = [n] valid cells. *)
+      writes), derived with [to_json] from one {!Ccp_obs.Schema} spec:
+      schema tag, [seeds] as non-negative integers, [n >= 1],
+      arrival/algo names, metric ranges (utilization, Jain — zero
+      admissible under starvation —, tail delay, retransmit rate),
+      counter integrality, [batches <= wire_messages], no batches in an
+      unbatched scorecard, and reports implying wire frames. [Ok n] =
+      [n] valid cells. *)
 end

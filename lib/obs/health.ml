@@ -285,38 +285,43 @@ let alert_state t ~slo =
 
 (* ---- export ------------------------------------------------------------- *)
 
-let verdict_to_json v =
-  Json.Obj
-    [
-      ("slo", Json.Str v.v_slo);
-      ("objective", Json.Num v.v_objective);
-      ("bad", Json.Num v.v_bad);
-      ("total", Json.Num v.v_total);
-      ("bad_fraction", Json.Num v.v_bad_fraction);
-      ("breaches", Json.Num (float_of_int v.v_breaches));
-      ("fired", Json.Num (float_of_int v.v_fired));
-      ("worst_burn", Json.Num v.v_worst_burn);
-      ("final_state", Json.Str (state_to_string v.v_final_state));
-      ("pass", Json.Bool v.v_pass);
-    ]
+let state_kind = Schema.one_of [ "firing"; "ok" ]
 
-let transition_to_json tr =
-  Json.Obj
-    [
-      ("slo", Json.Str tr.tr_slo);
-      ("window", Json.Num (float_of_int tr.tr_window));
-      ("t_s", Json.Num (float_of_int tr.tr_at /. 1e9));
-      ("to", Json.Str (state_to_string tr.tr_to));
-      ("burn_short", Json.Num tr.tr_burn_short);
-      ("burn_long", Json.Num tr.tr_burn_long);
-    ]
+let verdict_spec =
+  Schema.(
+    doc
+      [
+        field "slo" string (fun v -> v.v_slo);
+        field "objective" (number ~gt:0.0 ~le:1.0 ()) (fun v -> v.v_objective);
+        field "bad" (number ()) (fun v -> v.v_bad);
+        field "total" (number ()) (fun v -> v.v_total);
+        field "bad_fraction" (number ~ge:0.0 ~le:(1.0 +. 1e-9) ()) (fun v -> v.v_bad_fraction);
+        field "breaches" count (fun v -> v.v_breaches);
+        field "fired" count (fun v -> v.v_fired);
+        field "worst_burn" (number ()) (fun v -> v.v_worst_burn);
+        field "final_state" state_kind (fun v -> state_to_string v.v_final_state);
+        field "pass" bool (fun v -> v.v_pass);
+      ])
 
-let to_json t =
-  Json.Obj
-    [
-      ("burn_threshold", Json.Num t.cfg.burn_threshold);
-      ("long_windows", Json.Num (float_of_int t.cfg.long_windows));
-      ("windows_evaluated", Json.Num (float_of_int t.windows_evaluated));
-      ("slos", Json.List (List.map verdict_to_json (verdicts t)));
-      ("transitions", Json.List (List.map transition_to_json (transitions t)));
-    ]
+let transition_spec =
+  Schema.(
+    doc
+      [
+        field "slo" string (fun tr -> tr.tr_slo);
+        field "window" count (fun tr -> tr.tr_window);
+        field "t_s" (number ()) (fun tr -> float_of_int tr.tr_at /. 1e9);
+        field "to" state_kind (fun tr -> state_to_string tr.tr_to);
+        field "burn_short" (number ()) (fun tr -> tr.tr_burn_short);
+        field "burn_long" (number ()) (fun tr -> tr.tr_burn_long);
+      ])
+
+let spec =
+  Schema.(
+    doc
+      [
+        field "burn_threshold" (number ()) (fun t -> t.cfg.burn_threshold);
+        field "long_windows" count (fun t -> t.cfg.long_windows);
+        field "windows_evaluated" count (fun t -> t.windows_evaluated);
+        field "slos" (list (obj verdict_spec)) verdicts;
+        field "transitions" (list (obj transition_spec)) transitions;
+      ])

@@ -89,9 +89,7 @@ type verdict = {
 val verdicts : t -> verdict list
 (** One per configured SLO, in configuration order. *)
 
-val verdict_to_json : verdict -> Json.t
-val transition_to_json : transition -> Json.t
-
-val to_json : t -> Json.t
-(** The ["health"] section of the [ccp-timeline/v1] document:
-    burn config, per-SLO verdicts, and the transition log. *)
+val spec : t Schema.t
+(** The ["health"] section of the [ccp-timeline/v1] document and of the
+    scenario scorecards' cells: burn config, per-SLO verdicts, and the
+    transition log. *)

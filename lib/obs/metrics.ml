@@ -294,6 +294,7 @@ let merge_rows_file ~path rows =
   let existing =
     if Sys.file_exists path then
       match Json.parse (read_file path) with
+      | exception Sys_error e -> Error ("cannot read " ^ e)
       | Error e -> Error (Printf.sprintf "%s: %s" path e)
       | Ok json -> (
         match rows_of_json json with
@@ -311,9 +312,11 @@ let merge_rows_file ~path rows =
     (* Self-check the schema before touching the file, like the bench writer. *)
     (match validate_rows_json json with
     | Error e -> Error e
-    | Ok _ ->
-      let oc = open_out path in
-      output_string oc (Json.to_string json);
-      output_string oc "\n";
-      close_out oc;
-      Ok (List.length merged))
+    | Ok _ -> (
+      match
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Json.to_string json);
+            output_string oc "\n")
+      with
+      | () -> Ok (List.length merged)
+      | exception Sys_error e -> Error ("cannot write " ^ e)))

@@ -112,6 +112,7 @@ val merge_rows_file : path:string -> row list -> (int, string) result
 (** Merge [rows] into the BENCH.json-schema file at [path]: existing rows
     with the same name are replaced, everything is re-sorted by name and
     schema-checked before writing. Creates the file when absent. [Ok n]
-    gives the merged row count. Used by [ipc_rtt --bench-json] and
+    gives the merged row count; an unreadable or unwritable [path] is an
+    [Error], never an exception. Used by [ipc_rtt --bench-json] and
     [ccp_sim latency --bench-json] so real-machine IPC RTTs and simulated
     reaction latencies land in one artifact. *)

@@ -1,203 +1,39 @@
 (* The ccp-timeline/v1 document: windowed time-series plus the optional
-   heavy-hitter and health sections, composed from one Obs bundle and
-   schema-validated the same way the scenario scorecards are — the
-   writer re-reads and re-validates the file it just produced, and the
-   byte-exact seed-42 chaos golden pins the format. *)
+   heavy-hitter and health sections, composed from one Obs bundle. Its
+   format is one Schema spec, so the writer and the validator the CLI
+   re-reads the file with share one statement of it; the byte-exact
+   seed-42 chaos golden pins the format. *)
 
 let schema_tag = "ccp-timeline/v1"
 
-let compose ~timeseries ?topk ?health () =
-  let base =
-    [
-      ("schema", Json.Str schema_tag);
-      ( "window_s",
-        Json.Num (float_of_int (Timeseries.window_ns timeseries) /. 1e9) );
-      ( "windows_total",
-        Json.Num (float_of_int (Timeseries.closed_windows timeseries)) );
-      ( "windows_dropped",
-        Json.Num (float_of_int (Timeseries.dropped_windows timeseries)) );
-      ("windows", Timeseries.windows_to_json timeseries);
-    ]
-  in
-  let with_topk =
-    match topk with None -> [] | Some tk -> [ ("topk", Topk.to_json tk) ]
-  in
-  let with_health =
-    match health with None -> [] | Some h -> [ ("health", Health.to_json h) ]
-  in
-  Json.Obj (base @ with_topk @ with_health)
+type parts = { timeseries : Timeseries.t; topk : Topk.t option; health : Health.t option }
+
+let spec =
+  Schema.(
+    doc
+      ~check:(fun d ->
+        let held = List.length (get_list d "windows") in
+        let dropped = get_num d "windows_dropped" and total = get_num d "windows_total" in
+        require
+          (float_of_int held +. dropped = total)
+          "held %d + dropped %g windows != total %g" held dropped total)
+      [
+        tag schema_tag;
+        field "window_s" (number ~gt:0.0 ()) (fun d ->
+            float_of_int (Timeseries.window_ns d.timeseries) /. 1e9);
+        field "windows_total" count (fun d -> Timeseries.closed_windows d.timeseries);
+        field "windows_dropped" count (fun d -> Timeseries.dropped_windows d.timeseries);
+        field "windows" (list (obj Timeseries.window_spec)) (fun d ->
+            Timeseries.windows d.timeseries);
+        optional "topk" (list (obj Topk.spec)) (fun d -> Option.map Topk.sketches d.topk);
+        optional "health" (obj Health.spec) (fun d -> d.health);
+      ])
+
+let compose ~timeseries ?topk ?health () = Schema.encode spec { timeseries; topk; health }
 
 let of_obs (obs : Obs.t) =
   match obs.Obs.timeseries with
   | None -> Error "Timeline.of_obs: bundle has no timeseries"
   | Some ts -> Ok (compose ~timeseries:ts ?topk:obs.Obs.topk ?health:obs.Obs.health ())
 
-(* ---- validation --------------------------------------------------------- *)
-
-let ( let* ) = Result.bind
-
-let str name obj =
-  match Json.member name obj with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
-let num name obj =
-  match Option.bind (Json.member name obj) Json.to_float with
-  | Some v when Float.is_finite v -> Ok v
-  | _ -> Error (Printf.sprintf "missing or non-finite numeric field %S" name)
-
-let counter name obj =
-  let* v = num name obj in
-  if v >= 0.0 && Float.is_integer v then Ok v
-  else Error (Printf.sprintf "field %S = %g is not a non-negative integer" name v)
-
-let arr name obj =
-  match Json.member name obj with
-  | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "missing array field %S" name)
-
-let fold_each ctx check l =
-  let rec go i = function
-    | [] -> Ok ()
-    | x :: rest -> (
-      match Result.map_error (fun e -> Printf.sprintf "%s %d: %s" ctx i e) (check x) with
-      | Ok () -> go (i + 1) rest
-      | Error _ as e -> e)
-  in
-  go 0 l
-
-let check_point p =
-  let* _ = str "name" p in
-  let* _ = str "unit" p in
-  let* kind = str "kind" p in
-  match kind with
-  | "counter" ->
-    let* _ = num "delta" p in
-    let* _ = num "rate" p in
-    Ok ()
-  | "gauge" ->
-    let* lo = num "min" p in
-    let* hi = num "max" p in
-    let* last = num "last" p in
-    if lo <= last && last <= hi then Ok ()
-    else Error (Printf.sprintf "gauge last %g outside [min %g, max %g]" last lo hi)
-  | "histogram" ->
-    let* _ = counter "count" p in
-    let* _ = num "mean" p in
-    let* p50 = num "p50" p in
-    let* p90 = num "p90" p in
-    let* p99 = num "p99" p in
-    if p50 <= p90 && p90 <= p99 then Ok ()
-    else Error (Printf.sprintf "quantiles not monotone (%g, %g, %g)" p50 p90 p99)
-  | k -> Error (Printf.sprintf "unknown point kind %S" k)
-
-let check_window w =
-  let* _ = counter "index" w in
-  let* t0 = num "t_start_s" w in
-  let* t1 = num "t_end_s" w in
-  let* () =
-    if t0 >= 0.0 && t1 > t0 then Ok ()
-    else Error (Printf.sprintf "window span (%g, %g) inconsistent" t0 t1)
-  in
-  let* points = arr "metrics" w in
-  fold_each "point" check_point points
-
-let check_sketch s =
-  let* _ = str "name" s in
-  let* k = counter "k" s in
-  let* total = counter "total" s in
-  let* entries = arr "entries" s in
-  let* () =
-    if float_of_int (List.length entries) <= k then Ok ()
-    else Error "more entries than k"
-  in
-  let bound = if List.length entries < int_of_float k then 0.0 else total /. k in
-  fold_each "entry" (fun e ->
-      let* _ = counter "key" e in
-      let* _ = counter "count" e in
-      let* err = counter "err" e in
-      if err <= bound then Ok ()
-      else Error (Printf.sprintf "err %g exceeds space-saving bound %g" err bound))
-    entries
-
-let check_transition tr =
-  let* _ = str "slo" tr in
-  let* _ = counter "window" tr in
-  let* _ = num "t_s" tr in
-  let* to_ = str "to" tr in
-  let* () =
-    if to_ = "firing" || to_ = "ok" then Ok ()
-    else Error (Printf.sprintf "unknown alert state %S" to_)
-  in
-  let* _ = num "burn_short" tr in
-  let* _ = num "burn_long" tr in
-  Ok ()
-
-let check_slo s =
-  let* _ = str "slo" s in
-  let* obj = num "objective" s in
-  let* () =
-    if obj > 0.0 && obj <= 1.0 then Ok ()
-    else Error (Printf.sprintf "objective %g out of (0, 1]" obj)
-  in
-  let* _ = num "bad" s in
-  let* _ = num "total" s in
-  let* frac = num "bad_fraction" s in
-  let* () =
-    if frac >= 0.0 && frac <= 1.0 +. 1e-9 then Ok ()
-    else Error (Printf.sprintf "bad_fraction %g out of range" frac)
-  in
-  let* _ = counter "breaches" s in
-  let* _ = counter "fired" s in
-  let* _ = num "worst_burn" s in
-  let* final = str "final_state" s in
-  let* () =
-    if final = "firing" || final = "ok" then Ok ()
-    else Error (Printf.sprintf "unknown final state %S" final)
-  in
-  match Json.member "pass" s with
-  | Some (Json.Bool _) -> Ok ()
-  | _ -> Error "missing boolean field \"pass\""
-
-let validate_health h =
-  let* _ = num "burn_threshold" h in
-  let* _ = counter "long_windows" h in
-  let* _ = counter "windows_evaluated" h in
-  let* slos = arr "slos" h in
-  let* () = fold_each "slo" check_slo slos in
-  let* transitions = arr "transitions" h in
-  fold_each "transition" check_transition transitions
-
-let validate json =
-  let* schema = str "schema" json in
-  let* () =
-    if schema = schema_tag then Ok ()
-    else Error (Printf.sprintf "schema is %S, want %S" schema schema_tag)
-  in
-  let* w = num "window_s" json in
-  let* () =
-    if w > 0.0 then Ok () else Error (Printf.sprintf "window_s %g not positive" w)
-  in
-  let* total = counter "windows_total" json in
-  let* dropped = counter "windows_dropped" json in
-  let* windows = arr "windows" json in
-  let held = List.length windows in
-  let* () =
-    if float_of_int held +. dropped = total then Ok ()
-    else
-      Error
-        (Printf.sprintf "held %d + dropped %g windows != total %g" held dropped total)
-  in
-  let* () = fold_each "window" check_window windows in
-  let* () =
-    match Json.member "topk" json with
-    | None -> Ok ()
-    | Some (Json.List sketches) -> fold_each "sketch" check_sketch sketches
-    | Some _ -> Error "\"topk\" is not an array"
-  in
-  let* () =
-    match Json.member "health" json with
-    | None -> Ok ()
-    | Some h -> validate_health h
-  in
-  Ok held
+let validate = Schema.validate spec ~count:"windows"

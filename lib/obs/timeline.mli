@@ -1,8 +1,9 @@
 (** The [ccp-timeline/v1] document: the {!Timeseries} windows plus the
     optional {!Topk} and {!Health} sections, composed from one {!Obs}
-    bundle. Like the scenario scorecards, the document carries a schema
-    tag and a structural validator so [ccp_sim --timeline] can
-    write-then-revalidate the file it just produced. *)
+    bundle. Like the scenario scorecards, its format is one {!Schema}
+    spec from which both the encoder and the validator are derived, so
+    [ccp_sim --timeline] can write-then-revalidate the file it just
+    produced. *)
 
 val schema_tag : string
 (** ["ccp-timeline/v1"] *)
@@ -14,14 +15,12 @@ val of_obs : Obs.t -> (Json.t, string) result
 (** Compose from a bundle; [Error] when the bundle was created without
     telemetry. *)
 
-val validate_health : Json.t -> (unit, string) result
-(** Validate just a ["health"] section ({!Health.to_json} output) —
-    shared with the scenario scorecard validators, which embed the same
-    section per cell when telemetry is armed. *)
-
 val validate : Json.t -> (int, string) result
-(** Structural validation: schema tag, window accounting
-    (held + dropped = total), per-point field presence and invariants
-    (monotone quantiles, gauge last within min/max), Top-K space-saving
-    error bounds, and health verdict/transition shapes. Returns the
-    number of held windows. *)
+(** Check a parsed document against the spec: schema tag, window
+    accounting (held + dropped = total), per-window spans
+    (t_end > t_start >= 0), per-point fields by kind with counter deltas
+    and histogram counts as non-negative integers, gauge last within
+    min/max and monotone quantiles, Top-K [k >= 1], at most [k] entries
+    and every err within the space-saving bound, and the health
+    section's verdicts and transitions. Returns the number of held
+    windows. *)

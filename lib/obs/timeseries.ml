@@ -18,10 +18,10 @@
    nothing from any RNG, so a seeded run yields a byte-stable
    timeline. *)
 
-type point =
-  | Counter_point of { delta : int; rate : float }
-  | Gauge_point of { last : float; min : float; max : float }
-  | Hist_point of { count : int; mean : float; p50 : float; p90 : float; p99 : float }
+type counter = { delta : int; rate : float }
+type gauge = { last : float; min : float; max : float }
+type hist = { count : int; mean : float; p50 : float; p90 : float; p99 : float }
+type point = Counter_point of counter | Gauge_point of gauge | Hist_point of hist
 
 type window = {
   index : int;  (* 0-based, counting every window ever closed *)
@@ -235,48 +235,62 @@ let point w name =
 
 let sec ns = float_of_int ns /. 1e9
 
-let point_fields = function
-  | Counter_point { delta; rate } ->
-    [
-      ("kind", Json.Str "counter");
-      ("delta", Json.Num (float_of_int delta));
-      ("rate", Json.Num rate);
-    ]
-  | Gauge_point { last; min; max } ->
-    [
-      ("kind", Json.Str "gauge");
-      ("last", Json.Num last);
-      ("min", Json.Num min);
-      ("max", Json.Num max);
-    ]
-  | Hist_point { count; mean; p50; p90; p99 } ->
-    [
-      ("kind", Json.Str "histogram");
-      ("count", Json.Num (float_of_int count));
-      ("mean", Json.Num mean);
-      ("p50", Json.Num p50);
-      ("p90", Json.Num p90);
-      ("p99", Json.Num p99);
-    ]
+let counter_spec =
+  Schema.(
+    doc [ field "delta" count (fun c -> c.delta); field "rate" (number ()) (fun c -> c.rate) ])
 
-let window_to_json w =
-  Json.Obj
-    [
-      ("index", Json.Num (float_of_int w.index));
-      ("t_start_s", Json.Num (sec w.t_start));
-      ("t_end_s", Json.Num (sec w.t_end));
-      ( "metrics",
-        Json.List
-          (List.map
-             (fun (name, unit_, p) ->
-               Json.Obj
-                 (("name", Json.Str name)
-                 :: ("unit", Json.Str unit_)
-                 :: point_fields p))
-             w.points) );
-    ]
+let gauge_spec =
+  Schema.(
+    doc
+      ~check:(fun g ->
+        let lo = get_num g "min" and hi = get_num g "max" and last = get_num g "last" in
+        require (lo <= last && last <= hi) "gauge last %g outside [min %g, max %g]" last lo hi)
+      [
+        field "last" (number ()) (fun g -> g.last);
+        field "min" (number ()) (fun g -> g.min);
+        field "max" (number ()) (fun g -> g.max);
+      ])
 
-let windows_to_json t = Json.List (List.map window_to_json (windows t))
+let hist_spec =
+  Schema.(
+    doc
+      ~check:(fun h ->
+        let p50 = get_num h "p50" and p90 = get_num h "p90" and p99 = get_num h "p99" in
+        require (p50 <= p90 && p90 <= p99) "quantiles not monotone (%g, %g, %g)" p50 p90 p99)
+      [
+        field "count" count (fun h -> h.count);
+        field "mean" (number ()) (fun h -> h.mean);
+        field "p50" (number ()) (fun h -> h.p50);
+        field "p90" (number ()) (fun h -> h.p90);
+        field "p99" (number ()) (fun h -> h.p99);
+      ])
+
+let point_spec =
+  Schema.(
+    doc
+      [
+        field "name" string (fun (name, _, _) -> name);
+        field "unit" string (fun (_, unit_, _) -> unit_);
+        variant "kind"
+          [
+            case "counter" (function _, _, Counter_point c -> Some c | _ -> None) counter_spec;
+            case "gauge" (function _, _, Gauge_point g -> Some g | _ -> None) gauge_spec;
+            case "histogram" (function _, _, Hist_point h -> Some h | _ -> None) hist_spec;
+          ];
+      ])
+
+let window_spec =
+  Schema.(
+    doc
+      ~check:(fun w ->
+        let t0 = get_num w "t_start_s" and t1 = get_num w "t_end_s" in
+        require (t1 > t0) "window span (%g, %g) inconsistent" t0 t1)
+      [
+        field "index" count (fun w -> w.index);
+        field "t_start_s" (number ~ge:0.0 ()) (fun w -> sec w.t_start);
+        field "t_end_s" (number ()) (fun w -> sec w.t_end);
+        field "metrics" (list (obj point_spec)) (fun w -> w.points);
+      ])
 
 let to_csv t =
   let buf = Buffer.create 4096 in

@@ -21,10 +21,10 @@
     still equals its cumulative value at the last close — the qcheck
     property in [test/test_telemetry.ml]. *)
 
-type point =
-  | Counter_point of { delta : int; rate : float  (** per second *) }
-  | Gauge_point of { last : float; min : float; max : float }
-  | Hist_point of { count : int; mean : float; p50 : float; p90 : float; p99 : float }
+type counter = { delta : int; rate : float  (** per second *) }
+type gauge = { last : float; min : float; max : float }
+type hist = { count : int; mean : float; p50 : float; p90 : float; p99 : float }
+type point = Counter_point of counter | Gauge_point of gauge | Hist_point of hist
 
 type window = {
   index : int;  (** 0-based, counting every window ever closed *)
@@ -75,10 +75,9 @@ val windows : t -> window list
 val last_window : t -> window option
 val point : window -> string -> point option
 
-val window_to_json : window -> Json.t
-val windows_to_json : t -> Json.t
-(** Array of per-window objects — the ["windows"] section of the
-    [ccp-timeline/v1] document (see {!Timeline}). *)
+val window_spec : window Schema.t
+(** One object of the ["windows"] array of the [ccp-timeline/v1]
+    document (see {!Timeline}); its points carry a ["kind"] tag. *)
 
 val to_csv : t -> string
 (** One row per (window, metric) point; kind-specific columns are left

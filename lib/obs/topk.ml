@@ -122,20 +122,36 @@ let sketches t =
     (fun n -> Hashtbl.find t.table n)
     (List.sort compare names)
 
-let sketch_to_json s =
-  let i n = Json.Num (float_of_int n) in
-  Json.Obj
-    [
-      ("name", Json.Str s.s_name);
-      ("k", i s.k);
-      ("total", i s.total);
-      ( "entries",
-        Json.List
-          (List.map
-             (fun e ->
-               Json.Obj
-                 [ ("key", i e.key); ("count", i e.count); ("err", i e.err) ])
-             (entries s)) );
-    ]
+let entry_spec =
+  Schema.(
+    doc
+      [
+        field "key" count (fun e -> e.key);
+        field "count" count (fun e -> e.count);
+        field "err" count (fun e -> e.err);
+      ])
 
-let to_json t = Json.List (List.map sketch_to_json (sketches t))
+(* The space-saving invariant, checked on the exported document: at most
+   k entries, and every entry's err within the bound [error_bound]
+   states. *)
+let check_bound s =
+  let k = Schema.get_num s "k" in
+  let held = float_of_int (List.length (Schema.get_list s "entries")) in
+  if held > k then Error (Printf.sprintf "%g entries exceed k %g" held k)
+  else
+    let bound = if held < k then 0.0 else Schema.get_num s "total" /. k in
+    Schema.each "entries"
+      (fun e ->
+        let err = Schema.get_num e "err" in
+        Schema.require (err <= bound) "err %g exceeds space-saving bound %g" err bound)
+      s
+
+let spec =
+  Schema.(
+    doc ~check:check_bound
+      [
+        field "name" string name;
+        field "k" positive k;
+        field "total" count total;
+        field "entries" (list (obj entry_spec)) entries;
+      ])

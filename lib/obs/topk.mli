@@ -60,6 +60,7 @@ val error_bound : sketch -> int
 val sketches : t -> sketch list
 (** All sketches, sorted by name. *)
 
-val sketch_to_json : sketch -> Json.t
-val to_json : t -> Json.t
-(** Sorted array of [{"name";"k";"total";"entries":[{"key";"count";"err"}]}]. *)
+val spec : sketch Schema.t
+(** One [{"name";"k";"total";"entries":[{"key";"count";"err"}]}] object
+    of the timeline's ["topk"] array, whose check also enforces the
+    space-saving bound. *)

@@ -7,4 +7,5 @@ let () =
    @ Test_core.suite @ Test_extensions.suite @ Test_props.suite @ Test_faults.suite
    @ Test_guard.suite @ Test_compile.suite @ Test_integration.suite
    @ Test_obs.suite @ Test_fidelity.suite @ Test_trace.suite @ Test_robustness.suite
-   @ Test_chaos.suite @ Test_scale.suite @ Test_incast.suite @ Test_telemetry.suite)
+   @ Test_chaos.suite @ Test_scale.suite @ Test_incast.suite @ Test_telemetry.suite
+   @ Test_schema.suite)

@@ -215,6 +215,16 @@ let test_rows_schema () =
       ("non-string name", "[{\"name\":3,\"value\":1,\"unit\":\"ns\"}]");
     ]
 
+(* A BENCH.json path that cannot be written is an [Error] for the CLI to
+   report on one line, not an exception. *)
+let test_merge_rows_unwritable () =
+  let dir = Filename.temp_file "ccp_missing" "" in
+  Sys.remove dir;
+  let row = { Metrics.name = "a.b"; value = 1.0; unit_ = "x" } in
+  match Metrics.merge_rows_file ~path:(Filename.concat dir "BENCH.json") [ row ] with
+  | Ok _ -> Alcotest.fail "merged into a missing directory"
+  | Error _ -> ()
+
 (* --- fidelity math --- *)
 
 let test_fidelity_math () =
@@ -454,6 +464,8 @@ let suite =
         Alcotest.test_case "JSONL sink parses back" `Quick test_jsonl_round_trip;
         Alcotest.test_case "flow-sample CSV shape" `Quick test_flow_samples_csv;
         Alcotest.test_case "BENCH.json rows schema" `Quick test_rows_schema;
+        Alcotest.test_case "BENCH.json merge into a missing directory" `Quick
+          test_merge_rows_unwritable;
         Alcotest.test_case "fidelity math" `Quick test_fidelity_math;
         Alcotest.test_case "per-ACK path allocation-free with obs off" `Quick
           test_on_ack_zero_alloc_when_disabled;
