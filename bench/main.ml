@@ -145,6 +145,35 @@ let write_bench_json () =
     close_out oc;
     Printf.printf "\nwrote BENCH.json (%d entries)\n" (List.length rows)
 
+(* The event queue at 1 k live events, about fig3-native's mean depth
+   once cancelled timers leave it. [schedule-step] schedules a no-op just
+   ahead and fires it; [rearm] moves one timer after another to a new
+   latest deadline, as every ACK that advances snd_una does to its
+   flow's RTO timer. *)
+let queue_depth = 1024
+let far_future = Time_ns.sec 1000
+
+let queue_at_depth () =
+  let sim = Ccp_eventsim.Sim.create () in
+  let timers =
+    Array.init queue_depth (fun i -> Ccp_eventsim.Sim.schedule sim ~at:(far_future + i) ignore)
+  in
+  (sim, timers)
+
+let schedule_step () =
+  let sim, _ = queue_at_depth () in
+  let noop () = () in
+  fun () ->
+    ignore (Ccp_eventsim.Sim.schedule_after sim ~delay:1 noop : Ccp_eventsim.Sim.timer);
+    ignore (Ccp_eventsim.Sim.step sim : bool)
+
+let rearm () =
+  let sim, timers = queue_at_depth () in
+  let k = ref queue_depth in
+  fun () ->
+    incr k;
+    Ccp_eventsim.Sim.reschedule sim timers.(!k land (queue_depth - 1)) ~at:(far_future + !k)
+
 let micro_tests () =
   let fold_state = Ccp_lang.Fold.create fold_def ~flow_env in
   let cubic_expr = Ccp_lang.Parser.parse_expr "max(0.0, cwnd + 0.4 * mss * srtt_us / 1000)" in
@@ -176,6 +205,8 @@ let micro_tests () =
         (Staged.stage (fun () -> Ccp_ipc.Codec.decode encoded_install));
       Test.make ~name:"table1/render"
         (Staged.stage (fun () -> Ccp_algorithms.Primitives_table.render ()));
+      Test.make ~name:"sim/schedule-step" (Staged.stage (schedule_step ()));
+      Test.make ~name:"sim/rearm" (Staged.stage (rearm ()));
     ]
 
 let run_micro () =

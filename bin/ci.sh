@@ -20,10 +20,11 @@ echo "== fuzz smoke (fixed seed) =="
 dune exec bin/fuzz_smoke.exe -- 500
 
 echo "== bench smoke =="
-# Exercises the bechamel sections (compiled-vs-interpreted per-ACK,
-# observability and tracing overhead) end to end; numbers land in
-# BENCH.json ({name,value,unit} rows, schema-checked by the writer
-# itself). Timings are not gated here — see docs/perf.md for the
+# Exercises the bechamel sections (the event queue's schedule-and-fire
+# and in-place re-arm at 1 k live events, the codec, compiled-vs-
+# interpreted per-ACK, observability and tracing overhead) end to end;
+# numbers land in BENCH.json ({name,value,unit} rows, schema-checked by
+# the writer itself). Timings are not gated here — see docs/perf.md for the
 # expected band — but the obs section Gc-asserts the obs-off per-ACK
 # path at 0 minor words and the tracing section bounds the span
 # lifecycle's float-boxing words.

@@ -76,6 +76,8 @@ type t = {
   mutable prr_out : int;
   mutable recover_fs : int;
   mutable recovery_quota : int;  (* bytes try_send may currently emit *)
+  (* One RTO timer and one pacing timer per flow, each created by its
+     first arming and re-armed in place after that. *)
   mutable rto_timer : Sim.timer option;
   mutable rto_backoff : int;
   mutable send_timer : Sim.timer option;
@@ -248,16 +250,19 @@ let unlink_unsacked seg =
 
 (* --- RTO management --- *)
 
-let cancel_rto t =
-  Option.iter Sim.cancel t.rto_timer;
-  t.rto_timer <- None
+let rto_pending t =
+  match t.rto_timer with Some timer -> Sim.is_pending timer | None -> false
 
+(* Restart the RTO clock while data is outstanding; stop it otherwise. *)
 let rec arm_rto t =
-  cancel_rto t;
   if t.snd_nxt > t.snd_una then begin
     let delay = Time_ns.scale (Rtt_estimator.rto t.rtt_est) (float_of_int t.rto_backoff) in
-    t.rto_timer <- Some (Sim.schedule_after t.sim ~delay (fun () -> on_rto t))
+    let at = Time_ns.add (now t) delay in
+    match t.rto_timer with
+    | Some timer -> Sim.reschedule t.sim timer ~at
+    | None -> t.rto_timer <- Some (Sim.schedule t.sim ~at (fun () -> on_rto t))
   end
+  else Option.iter Sim.cancel t.rto_timer
 
 (* --- transmission --- *)
 
@@ -281,7 +286,7 @@ and emit t seg ~retransmit =
   t.transmit
     (Packet.data ~flow:t.flow ~seq:seg.seq ~len:seg.len ~sent_at:at ~is_retransmit:retransmit
        ~ecn_capable:t.config.ecn_capable ());
-  if Option.is_none t.rto_timer then arm_rto t
+  if not (rto_pending t) then arm_rto t
 
 and send_new_segment t ~len =
   let seq = t.snd_nxt in
@@ -338,18 +343,17 @@ and pop_retransmit_candidate t =
 and try_send t =
   if t.started then begin
     Option.iter Sim.cancel t.send_timer;
-    t.send_timer <- None;
     let rec loop () =
       let quota_ok = t.recovery_point = None || t.recovery_quota >= t.config.mss in
       if quota_ok && t.pipe + t.config.mss <= t.cwnd then begin
         let at = now t in
         let wire = t.config.mss + Packet.header_bytes in
         let earliest = Pacer.earliest_send t.pacer ~now:at ~bytes:wire in
-        if Time_ns.compare earliest at > 0 then
-          t.send_timer <-
-            Some (Sim.schedule t.sim ~at:earliest (fun () ->
-                      t.send_timer <- None;
-                      try_send t))
+        if Time_ns.compare earliest at > 0 then begin
+          match t.send_timer with
+          | Some timer -> Sim.reschedule t.sim timer ~at:earliest
+          | None -> t.send_timer <- Some (Sim.schedule t.sim ~at:earliest (fun () -> try_send t))
+        end
         else begin
           (* Lost segments take priority over new data. *)
           let consume_quota len =
@@ -380,7 +384,6 @@ and try_send t =
 (* --- timeout --- *)
 
 and on_rto t =
-  t.rto_timer <- None;
   if t.snd_nxt > t.snd_una then begin
     t.timeout_count <- t.timeout_count + 1;
     (match t.obs_h with
@@ -718,7 +721,7 @@ let on_ack t (pkt : Packet.t) =
       in
       t.cc.on_ack c event;
       maybe_flow_sample t at;
-      if t.snd_nxt > t.snd_una then arm_rto t else cancel_rto t;
+      arm_rto t;
       try_send t
     end
     else begin

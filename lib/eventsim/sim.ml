@@ -1,69 +1,212 @@
 open Ccp_util
 
-type timer = { at : Time_ns.t; callback : unit -> unit; mutable cancelled : bool; mutable fired : bool }
+(* The event queue is an indexed binary min-heap in struct-of-arrays
+   form: entry [i] is the event keyed [(ats.(i), seqs.(i))] whose handle
+   is [timers.(i)], and every queued handle records its own index in
+   [slot]. Keys are unboxed ints, so comparisons need no closure call,
+   and the back-pointers let [cancel] and [reschedule] find an entry in
+   O(1). Only live events are queued: a cancelled one leaves at once. *)
 
-type t = {
+type timer = { mutable slot : int; callback : unit -> unit; sim : t }
+(* [slot] is the heap index, or -1 once the event has fired or been
+   cancelled. *)
+
+and t = {
   mutable clock : Time_ns.t;
-  queue : timer Heap.t;
+  mutable ats : int array;
+  mutable seqs : int array;
+  mutable timers : timer array;
+  mutable len : int;
+  mutable next_seq : int;
+  vacant : timer;
+      (* Fills every slot at or past [len], so a queue never keeps a
+         fired or cancelled callback reachable. *)
   root_rng : Rng.t;
 }
 
-let timer_compare a b = Time_ns.compare a.at b.at
-
 let create ?(seed = 42) () =
-  { clock = Time_ns.zero; queue = Heap.create ~compare:timer_compare; root_rng = Rng.create ~seed }
+  let root_rng = Rng.create ~seed in
+  let rec t =
+    {
+      clock = Time_ns.zero;
+      ats = [||];
+      seqs = [||];
+      timers = [||];
+      len = 0;
+      next_seq = 0;
+      vacant;
+      root_rng;
+    }
+  and vacant = { slot = -1; callback = ignore; sim = t } in
+  t
 
 let now t = t.clock
 let rng t = t.root_rng
 
-let schedule t ~at callback =
+(* --- heap primitives --- *)
+
+(* Whether key [(at, seq)] sorts strictly before entry [i]. Ties on [at]
+   break by [seq], the order of scheduling, so equal instants fire FIFO. *)
+let before t (at : int) (seq : int) i =
+  let at' = Array.unsafe_get t.ats i in
+  at < at' || (at = at' && seq < Array.unsafe_get t.seqs i)
+
+let place t i at seq timer =
+  Array.unsafe_set t.ats i at;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.timers i timer;
+  timer.slot <- i
+
+let move t ~src ~dst =
+  place t dst (Array.unsafe_get t.ats src) (Array.unsafe_get t.seqs src)
+    (Array.unsafe_get t.timers src)
+
+(* Fill the hole at [i] with the given entry, moving it towards the root
+   while it sorts before its parent. *)
+let rec sift_up t i at seq timer =
+  if i = 0 then place t 0 at seq timer
+  else begin
+    let parent = (i - 1) lsr 1 in
+    if before t at seq parent then begin
+      move t ~src:parent ~dst:i;
+      sift_up t parent at seq timer
+    end
+    else place t i at seq timer
+  end
+
+(* Fill the hole at [i] with the given entry, moving it towards the
+   leaves while a child sorts before it. *)
+let rec sift_down t i at seq timer =
+  let left = (2 * i) + 1 in
+  if left >= t.len then place t i at seq timer
+  else begin
+    let right = left + 1 in
+    let child =
+      if
+        right < t.len
+        && before t (Array.unsafe_get t.ats right) (Array.unsafe_get t.seqs right) left
+      then right
+      else left
+    in
+    if before t at seq child then place t i at seq timer
+    else begin
+      move t ~src:child ~dst:i;
+      sift_down t child at seq timer
+    end
+  end
+
+(* Re-key the hole at [i] with the given entry and restore heap order. *)
+let settle t i at seq timer =
+  if i > 0 && before t at seq ((i - 1) lsr 1) then sift_up t i at seq timer
+  else sift_down t i at seq timer
+
+let grow t =
+  let cap = Array.length t.ats in
+  let cap' = max 16 (2 * cap) in
+  let ats = Array.make cap' 0 and seqs = Array.make cap' 0 in
+  let timers = Array.make cap' t.vacant in
+  Array.blit t.ats 0 ats 0 t.len;
+  Array.blit t.seqs 0 seqs 0 t.len;
+  Array.blit t.timers 0 timers 0 t.len;
+  t.ats <- ats;
+  t.seqs <- seqs;
+  t.timers <- timers
+
+let draw_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let insert t at timer =
+  if t.len = Array.length t.ats then grow t;
+  let i = t.len in
+  t.len <- i + 1;
+  sift_up t i at (draw_seq t) timer
+
+(* Take entry [i] out of the queue: the last entry fills the hole, and
+   its old slot is handed back to [vacant]. *)
+let remove t i =
+  let timer = Array.unsafe_get t.timers i in
+  timer.slot <- -1;
+  let last = t.len - 1 in
+  t.len <- last;
+  let at = Array.unsafe_get t.ats last and seq = Array.unsafe_get t.seqs last in
+  let moved = Array.unsafe_get t.timers last in
+  Array.unsafe_set t.timers last t.vacant;
+  if i < last then settle t i at seq moved
+
+(* --- public interface --- *)
+
+let check_future t ~at what =
   if Time_ns.compare at t.clock < 0 then
     invalid_arg
-      (Printf.sprintf "Sim.schedule: time %s is before now %s" (Time_ns.to_string at)
-         (Time_ns.to_string t.clock));
-  let timer = { at; callback; cancelled = false; fired = false } in
-  Heap.push t.queue timer;
+      (Printf.sprintf "Sim.%s: time %s is before now %s" what (Time_ns.to_string at)
+         (Time_ns.to_string t.clock))
+
+let schedule t ~at callback =
+  check_future t ~at "schedule";
+  let timer = { slot = -1; callback; sim = t } in
+  insert t at timer;
   timer
 
 let schedule_after t ~delay callback =
   let delay = Time_ns.max delay Time_ns.zero in
   schedule t ~at:(Time_ns.add t.clock delay) callback
 
-let cancel timer = timer.cancelled <- true
-let is_pending timer = (not timer.cancelled) && not timer.fired
+let reschedule t timer ~at =
+  if timer.sim != t then invalid_arg "Sim.reschedule: timer belongs to another simulator";
+  check_future t ~at "reschedule";
+  let i = timer.slot in
+  if i < 0 then insert t at timer else settle t i at (draw_seq t) timer
 
-let pending_events t = Heap.length t.queue
+let cancel timer = if timer.slot >= 0 then remove timer.sim timer.slot
+let is_pending timer = timer.slot >= 0
+let pending_events t = t.len
 
-let fire t timer =
-  t.clock <- timer.at;
-  timer.fired <- true;
+(* Pop the earliest event, advance the clock to it and run it. The handle
+   is no longer pending while its callback runs, so the callback may
+   re-arm it. *)
+let fire_next t =
+  let timer = Array.unsafe_get t.timers 0 in
+  t.clock <- Array.unsafe_get t.ats 0;
+  remove t 0;
   timer.callback ()
 
 let step t =
-  let rec next () =
-    match Heap.pop t.queue with
-    | None -> false
-    | Some timer when timer.cancelled -> next ()
-    | Some timer ->
-      fire t timer;
-      true
-  in
-  next ()
+  if t.len = 0 then false
+  else begin
+    fire_next t;
+    true
+  end
 
 let run ?until ?(max_events = max_int) t =
-  let fired = ref 0 in
-  let continue = ref true in
-  while !continue && !fired < max_events do
-    match Heap.peek t.queue with
-    | None -> continue := false
-    | Some timer when timer.cancelled -> ignore (Heap.pop t.queue)
-    | Some timer ->
-      (match until with
-      | Some limit when Time_ns.compare timer.at limit > 0 ->
-        t.clock <- limit;
-        continue := false
-      | _ ->
-        ignore (Heap.pop t.queue);
-        fire t timer;
-        incr fired)
-  done
+  let rec loop fired =
+    if fired < max_events && t.len > 0 then
+      match until with
+      | Some limit when Array.unsafe_get t.ats 0 > limit -> t.clock <- limit
+      | Some _ | None ->
+        fire_next t;
+        loop (fired + 1)
+  in
+  loop 0
+
+let audit t =
+  let rec live i =
+    if i >= t.len then vacated i
+    else begin
+      let timer = t.timers.(i) and at = t.ats.(i) and seq = t.seqs.(i) in
+      if timer.slot <> i then
+        Error (Printf.sprintf "slot %d holds a timer that records slot %d" i timer.slot)
+      else if at < t.clock then
+        Error (Printf.sprintf "slot %d is due at %d, before now %d" i at t.clock)
+      else if i > 0 && before t at seq ((i - 1) lsr 1) then
+        Error (Printf.sprintf "slot %d sorts before its parent" i)
+      else live (i + 1)
+    end
+  and vacated i =
+    if i >= Array.length t.timers then Ok ()
+    else if t.timers.(i) != t.vacant then
+      Error (Printf.sprintf "vacated slot %d still holds a timer" i)
+    else vacated (i + 1)
+  in
+  live 0

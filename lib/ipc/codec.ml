@@ -282,7 +282,7 @@ let read_message r : Message.t =
     if ncols > 64 then fail "vector report with %d columns" ncols;
     let columns = Array.init ncols (fun _ -> Wire.Reader.string r) in
     let nrows = Wire.Reader.varint r in
-    if nrows * ncols > 1_000_000 then fail "vector report too large";
+    if nrows > 1_000_000 || nrows * ncols > 1_000_000 then fail "vector report too large";
     let rows = Array.init nrows (fun _ -> Array.init ncols (fun _ -> Wire.Reader.float r)) in
     Report_vector { flow; columns; rows }
   | 3 ->

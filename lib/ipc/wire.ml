@@ -54,7 +54,11 @@ module Reader = struct
       if shift > 62 then raise (Malformed "varint too long");
       let b = byte t in
       let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+      if b land 0x80 <> 0 then go (shift + 7) acc
+      else if acc < 0 then
+        (* A ninth byte can set the sign bit; the writer never does. *)
+        raise (Malformed "varint out of range")
+      else acc
     in
     go 0 0
 
@@ -71,7 +75,7 @@ module Reader = struct
 
   let string t =
     let len = varint t in
-    if t.pos + len > String.length t.data then raise Truncated;
+    if len > String.length t.data - t.pos then raise Truncated;
     let s = String.sub t.data t.pos len in
     t.pos <- t.pos + len;
     s

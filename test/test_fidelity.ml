@@ -130,27 +130,9 @@ let test_golden_trace () =
 
 (* --- determinism: Figure 3 at full rate --- *)
 
-(* CCP Cubic on the Figure 3 link at 1 Gbit/s for 0.25 s: the only golden
-   whose window runs into heavy loss with tens of thousands of segments
-   outstanding, so the scoreboard's SACKed-region handling (the lost
-   retransmission scan, the receiver's out-of-order set) is pinned here.
-   The file holds the run's counters plus an MD5 of every trace series,
-   floats in hex so the bytes are exact. *)
-let fig3_ccp_lines () =
-  let duration = Time_ns.ms 250 in
-  let config =
-    Experiment.default_config ~rate_bps:Scenarios.Fig3.rate_bps
-      ~base_rtt:Scenarios.Fig3.base_rtt ~duration
-  in
-  let r =
-    Experiment.run
-      {
-        config with
-        Experiment.seed = 42;
-        warmup = Time_ns.scale duration 0.1;
-        flows = [ Experiment.flow (Experiment.Ccp_cc (Ccp_algorithms.Ccp_cubic.create ())) ];
-      }
-  in
+(* A run's counters plus an MD5 of every trace series, floats in hex so
+   the bytes are exact. *)
+let result_lines (r : Experiment.result) =
   let run_line =
     Printf.sprintf "run utilization=%h drops=%d ecn_marks=%d median_rtt=%d p95_rtt=%d p99_rtt=%d"
       r.Experiment.utilization r.drops r.ecn_marks r.median_rtt r.p95_rtt r.p99_rtt
@@ -178,22 +160,72 @@ let fig3_ccp_lines () =
   @ agent_line
   @ List.map series_line (List.sort compare (Ccp_net.Trace.series_names r.trace))
 
-let fig3_golden_path () =
-  if Sys.file_exists "golden_fig3_ccp.expected" then "golden_fig3_ccp.expected"
-  else "test/golden_fig3_ccp.expected"
+(* Seed 42 with the CLI's 10 % warmup. *)
+let seeded_run config duration flows =
+  Experiment.run
+    { config with Experiment.seed = 42; warmup = Time_ns.scale duration 0.1; flows }
 
-let test_golden_fig3_ccp () =
-  let actual = fig3_ccp_lines () in
-  (* Regenerate with CCP_REGEN_FIG3=path/to/golden_fig3_ccp.expected after
-     an intentional change to the transport's dynamics. *)
-  match Sys.getenv_opt "CCP_REGEN_FIG3" with
+let fig3_config duration =
+  Experiment.default_config ~rate_bps:Scenarios.Fig3.rate_bps ~base_rtt:Scenarios.Fig3.base_rtt
+    ~duration
+
+(* CCP Cubic on the Figure 3 link at 1 Gbit/s for 0.25 s: the only golden
+   whose window runs into heavy loss with tens of thousands of segments
+   outstanding, so the scoreboard's SACKed-region handling (the lost
+   retransmission scan, the receiver's out-of-order set) is pinned here. *)
+let fig3_ccp_lines () =
+  let duration = Time_ns.ms 250 in
+  result_lines
+    (seeded_run (fig3_config duration) duration
+       [ Experiment.flow (Experiment.Ccp_cc (Ccp_algorithms.Ccp_cubic.create ())) ])
+
+(* Two runs that pin the event queue's order where timers are re-armed:
+   (a) native Cubic on the Figure 3 link for 0.5 s, which moves its RTO
+   deadline on every ACK that advances snd_una; (b) CCP Timely beside a
+   native Cubic flow at 100 Mbit/s, 20 ms and a 0.05-BDP buffer for 2 s,
+   where Timely's pacing timer is re-armed and the Cubic flow takes one
+   RTO. *)
+let fig3_native_lines () =
+  let fig3 =
+    let duration = Time_ns.ms 500 in
+    seeded_run (fig3_config duration) duration
+      [ Experiment.flow (Experiment.Native_cc Ccp_algorithms.Native_cubic.create) ]
+  in
+  let paced =
+    let duration = Time_ns.sec 2 and rate_bps = 100e6 and base_rtt = Time_ns.ms 20 in
+    let bdp = rate_bps *. Time_ns.to_float_sec base_rtt /. 8.0 in
+    let config = Experiment.default_config ~rate_bps ~base_rtt ~duration in
+    seeded_run
+      { config with Experiment.buffer_bytes = int_of_float (0.05 *. bdp) }
+      duration
+      [
+        Experiment.flow (Experiment.Ccp_cc (Ccp_algorithms.Ccp_timely.create ()));
+        Experiment.flow (Experiment.Native_cc Ccp_algorithms.Native_cubic.create);
+      ]
+  in
+  result_lines fig3 @ result_lines paced
+
+(* Compare against a checked-in golden, or rewrite it when [regen] names
+   an environment variable that is set (to the file's path), after an
+   intentional change to the transport's dynamics. *)
+let check_golden ~regen ~file ~what actual =
+  match Sys.getenv_opt regen with
   | Some path ->
     let oc = open_out path in
     List.iter (fun l -> output_string oc (l ^ "\n")) actual;
     close_out oc;
     Printf.printf "regenerated %s\n" path
   | None ->
-    Alcotest.(check (list string)) "fig3 ccp-cubic run" (read_lines (fig3_golden_path ())) actual
+    let path = if Sys.file_exists file then file else Filename.concat "test" file in
+    Alcotest.(check (list string)) what (read_lines path) actual
+
+let test_golden_fig3_ccp () =
+  check_golden ~regen:"CCP_REGEN_FIG3" ~file:"golden_fig3_ccp.expected"
+    ~what:"fig3 ccp-cubic run" (fig3_ccp_lines ())
+
+let test_golden_fig3_native () =
+  check_golden ~regen:"CCP_REGEN_FIG3_NATIVE" ~file:"golden_fig3_native.expected"
+    ~what:"native cubic and paced timely runs" (fig3_native_lines ())
 
 let suite =
   [
@@ -203,5 +235,6 @@ let suite =
         Alcotest.test_case "fig4 ccp-vs-native convergence fidelity" `Quick test_fig4_fidelity;
         Alcotest.test_case "golden trace is deterministic" `Quick test_golden_trace;
         Alcotest.test_case "golden fig3 ccp-cubic at 1 Gbit/s" `Quick test_golden_fig3_ccp;
+        Alcotest.test_case "golden native cubic and paced timely" `Quick test_golden_fig3_native;
       ] );
   ]

@@ -24,7 +24,10 @@ let test_varint_compact () =
 
 let test_varint_rejects_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Wire.Writer.varint: negative") (fun () ->
-      Wire.Writer.varint (Wire.Writer.create ()) (-1))
+      Wire.Writer.varint (Wire.Writer.create ()) (-1));
+  Alcotest.check_raises "decodes negative" (Wire.Reader.Malformed "varint out of range")
+    (fun () ->
+      ignore (Wire.Reader.varint (Wire.Reader.of_string "\128\128\128\128\128\128\128\128\064")))
 
 let test_zigzag_round_trip () =
   List.iter
@@ -105,6 +108,21 @@ let test_codec_rejects_garbage () =
   (match Codec.decode "\xff\x01\x02" with
   | _ -> Alcotest.fail "expected decode error"
   | exception Codec.Decode_error _ -> ());
+  (* Garbage that once escaped the documented exceptions: a nine-byte
+     column count that decodes negative (Invalid_argument from
+     [Array.init]); a vector report of no columns and ~2^36 rows (out of
+     memory); a field name whose length overflows the bounds check
+     (Invalid_argument from [String.sub]). *)
+  List.iter
+    (fun junk ->
+      match Codec.decode junk with
+      | _ -> Alcotest.failf "%S decoded" junk
+      | exception (Codec.Decode_error _ | Wire.Reader.Truncated | Wire.Reader.Malformed _) -> ())
+    [
+      "\002a\128\128\128\128\128\128\128\128aaa";
+      "\002R\000\203\205\191\141\222\002\004B";
+      "\001\000\001\255\255\255\255\255\255\255\255\063";
+    ];
   (* Trailing bytes after a valid message are an error too. *)
   let valid = Codec.encode (Message.Closed { flow = 1 }) in
   match Codec.decode (valid ^ "x") with

@@ -1,5 +1,5 @@
-(* Unit and property tests for Ccp_util: time arithmetic, the PRNG, the
-   statistics containers, and the binary heap. *)
+(* Unit and property tests for Ccp_util: time arithmetic, the PRNG and
+   the statistics containers. *)
 
 open Ccp_util
 
@@ -178,44 +178,6 @@ let test_jain () =
   (* One flow hogging: 1/n in the limit. *)
   Alcotest.(check (float 1e-6)) "starved" 0.5 (Stats.jain_fairness [| 10.0; 0.0 |])
 
-(* --- Heap --- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 5; 9; 2; 6 ];
-  check_int "length" 8 (Heap.length h);
-  let popped = List.init 8 (fun _ -> Option.get (Heap.pop h)) in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 4; 5; 5; 6; 9 ] popped;
-  check_bool "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_fifo_stability () =
-  (* Entries with equal keys come out in insertion order. *)
-  let h = Heap.create ~compare:(fun (a, _) (b, _) -> Int.compare a b) in
-  List.iter (Heap.push h) [ (1, "a"); (0, "x"); (1, "b"); (1, "c") ];
-  Alcotest.(check (option (pair int string))) "first" (Some (0, "x")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "fifo a" (Some (1, "a")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "fifo b" (Some (1, "b")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "fifo c" (Some (1, "c")) (Heap.pop h)
-
-let test_heap_peek_clear () =
-  let h = Heap.create ~compare:Int.compare in
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  check_int "peek keeps" 2 (Heap.length h);
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~compare:Int.compare in
-      List.iter (Heap.push h) xs;
-      let out = List.init (List.length xs) (fun _ -> Option.get (Heap.pop h)) in
-      out = List.sort compare xs)
-
 let prop_percentile_bounds =
   QCheck.Test.make ~name:"percentile within min..max" ~count:200
     QCheck.(pair (list_of_size (Gen.int_range 1 50) (float_bound_exclusive 1000.0))
@@ -254,13 +216,6 @@ let suite =
         Alcotest.test_case "ewma" `Quick test_ewma;
         Alcotest.test_case "windowed extrema" `Quick test_windowed_min_max;
         Alcotest.test_case "jain fairness" `Quick test_jain;
-      ] );
-    ( "util.heap",
-      [
-        Alcotest.test_case "ordering" `Quick test_heap_ordering;
-        Alcotest.test_case "fifo stability" `Quick test_heap_fifo_stability;
-        Alcotest.test_case "peek and clear" `Quick test_heap_peek_clear;
-        QCheck_alcotest.to_alcotest prop_heap_sorts;
         QCheck_alcotest.to_alcotest prop_percentile_bounds;
       ] );
   ]
