@@ -174,6 +174,103 @@ let rearm () =
     incr k;
     Ccp_eventsim.Sim.reschedule sim timers.(!k land (queue_depth - 1)) ~at:(far_future + !k)
 
+(* A fabricated ctl over plain refs (the test suite's trick), with every
+   option preallocated so the ctl itself contributes zero allocation —
+   what the Gc delta below then measures is the datapath's own path. *)
+let obs_ctl sim ~flow =
+  let cwnd = ref 140_000 and rate = ref 0.0 in
+  let srtt = Some (Time_ns.ms 10) and latest = Some (Time_ns.ms 11) in
+  let send_rate = Some 1e6 and delivery = Some 9e5 in
+  let ctl : Ccp_datapath.Congestion_iface.ctl =
+    {
+      flow;
+      mss = 1448;
+      now = (fun () -> Ccp_eventsim.Sim.now sim);
+      get_cwnd = (fun () -> !cwnd);
+      set_cwnd = (fun b -> cwnd := max 1448 b);
+      get_rate = (fun () -> !rate);
+      set_rate = (fun r -> rate := r);
+      srtt = (fun () -> srtt);
+      latest_rtt = (fun () -> latest);
+      min_rtt = (fun () -> srtt);
+      inflight = (fun () -> 5000);
+      send_rate_ewma = (fun () -> send_rate);
+      delivery_rate_ewma = (fun () -> delivery);
+    }
+  in
+  ctl
+
+(* Installs of Reno's window program on a registered flow. The datapath
+   rows deliver one encoded [Install] frame through the channel's
+   receive path ([Channel.deliver_raw]: decode, then the [Install]
+   handler), then run the simulator until the [Install_result] has gone
+   out. [install/first] alternates two programs one constant apart, so
+   every install is admitted and compiled; [install/repeat] re-delivers
+   the running program's frame, so every install reuses its compiled
+   program. [agent/install/repeat] is a handle's [install] of a freshly
+   built copy of the program it last sent, as Reno does per report. *)
+let install_program cwnd = Ccp_algorithms.Prog.window_program ~cwnd ()
+
+let install_channel () =
+  let sim = Ccp_eventsim.Sim.create () in
+  (sim, Ccp_ipc.Channel.create ~sim ~latency:(Ccp_ipc.Latency_model.Constant (Time_ns.us 20)) ())
+
+let drain sim =
+  Ccp_eventsim.Sim.run ~until:(Time_ns.add (Ccp_eventsim.Sim.now sim) (Time_ns.us 100)) sim
+
+let install_datapath () =
+  let sim, channel = install_channel () in
+  Ccp_ipc.Channel.on_receive channel Ccp_ipc.Channel.Agent_end ignore;
+  let ext = Ccp_datapath.Ccp_ext.create ~sim ~channel () in
+  (Ccp_datapath.Ccp_ext.congestion_control ext).Ccp_datapath.Congestion_iface.on_init
+    (obs_ctl sim ~flow:1);
+  Ccp_eventsim.Sim.run sim;
+  fun cwnd ->
+    let frame =
+      Ccp_ipc.Codec.encode
+        (Ccp_ipc.Message.Install { flow = 1; program = install_program cwnd })
+    in
+    fun () ->
+      Ccp_ipc.Channel.deliver_raw channel ~toward:Ccp_ipc.Channel.Datapath_end frame;
+      drain sim
+
+let install_first () =
+  let deliver = install_datapath () in
+  let a = deliver 20_000 and b = deliver 20_001 in
+  let flip = ref false in
+  fun () ->
+    flip := not !flip;
+    if !flip then a () else b ()
+
+let install_repeat () =
+  let deliver = install_datapath () 20_000 in
+  deliver ();
+  deliver
+
+let agent_install_repeat () =
+  let sim, channel = install_channel () in
+  Ccp_ipc.Channel.on_receive channel Ccp_ipc.Channel.Datapath_end ignore;
+  let handle = ref None in
+  let algorithm =
+    {
+      Ccp_agent.Algorithm.name = "bench";
+      make =
+        (fun h ->
+          handle := Some h;
+          Ccp_agent.Algorithm.no_op_handlers);
+    }
+  in
+  let (_ : Ccp_agent.Agent.t) =
+    Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> algorithm) ()
+  in
+  Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Datapath_end
+    (Ccp_ipc.Message.Ready { flow = 1; mss = 1448; init_cwnd = 14_480 });
+  Ccp_eventsim.Sim.run sim;
+  let h = Option.get !handle in
+  fun () ->
+    h.Ccp_agent.Algorithm.install (install_program 20_000);
+    drain sim
+
 let micro_tests () =
   let fold_state = Ccp_lang.Fold.create fold_def ~flow_env in
   let cubic_expr = Ccp_lang.Parser.parse_expr "max(0.0, cwnd + 0.4 * mss * srtt_us / 1000)" in
@@ -207,6 +304,9 @@ let micro_tests () =
         (Staged.stage (fun () -> Ccp_algorithms.Primitives_table.render ()));
       Test.make ~name:"sim/schedule-step" (Staged.stage (schedule_step ()));
       Test.make ~name:"sim/rearm" (Staged.stage (rearm ()));
+      Test.make ~name:"install/first" (Staged.stage (install_first ()));
+      Test.make ~name:"install/repeat" (Staged.stage (install_repeat ()));
+      Test.make ~name:"agent/install/repeat" (Staged.stage (agent_install_repeat ()));
     ]
 
 let run_micro () =
@@ -308,32 +408,6 @@ let run_perack () =
     (Printf.sprintf "perack/tick-x%d/compiled" batch)
 
 (* --- observability overhead: the per-ACK path with obs off vs on --- *)
-
-(* A fabricated ctl over plain refs (the test suite's trick), with every
-   option preallocated so the ctl itself contributes zero allocation —
-   what the Gc delta below then measures is the datapath's own path. *)
-let obs_ctl sim ~flow =
-  let cwnd = ref 140_000 and rate = ref 0.0 in
-  let srtt = Some (Time_ns.ms 10) and latest = Some (Time_ns.ms 11) in
-  let send_rate = Some 1e6 and delivery = Some 9e5 in
-  let ctl : Ccp_datapath.Congestion_iface.ctl =
-    {
-      flow;
-      mss = 1448;
-      now = (fun () -> Ccp_eventsim.Sim.now sim);
-      get_cwnd = (fun () -> !cwnd);
-      set_cwnd = (fun b -> cwnd := max 1448 b);
-      get_rate = (fun () -> !rate);
-      set_rate = (fun r -> rate := r);
-      srtt = (fun () -> srtt);
-      latest_rtt = (fun () -> latest);
-      min_rtt = (fun () -> srtt);
-      inflight = (fun () -> 5000);
-      send_rate_ewma = (fun () -> send_rate);
-      delivery_rate_ewma = (fun () -> delivery);
-    }
-  in
-  ctl
 
 let obs_fold_program =
   Ccp_lang.Parser.parse_program

@@ -21,8 +21,11 @@ dune exec bin/fuzz_smoke.exe -- 500
 
 echo "== bench smoke =="
 # Exercises the bechamel sections (the event queue's schedule-and-fire
-# and in-place re-arm at 1 k live events, the codec, compiled-vs-
-# interpreted per-ACK, observability and tracing overhead) end to end;
+# and in-place re-arm at 1 k live events, the codec, first and repeat
+# installs through the datapath's Install handler and a repeat agent
+# install (micro rows ccp/install/first, ccp/install/repeat,
+# ccp/agent/install/repeat), compiled-vs-interpreted per-ACK,
+# observability and tracing overhead) end to end;
 # numbers land in BENCH.json ({name,value,unit} rows, schema-checked by
 # the writer itself). Timings are not gated here — see docs/perf.md for the
 # expected band — but the obs section Gc-asserts the obs-off per-ACK

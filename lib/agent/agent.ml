@@ -315,13 +315,22 @@ and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
       | None -> ())
   in
   let no_update = ignore in
+  (* The last program that passed the typecheck on this handle. Algorithms
+     re-install the same program on nearly every report, and a
+     bit-identical one ({!Ccp_lang.Ast.identical_program}) cannot fail
+     where it passed. Invalid programs are never remembered. *)
+  let checked = ref None in
   let install program =
-    (match Ccp_lang.Typecheck.check program with
-    | Ok _ -> ()
-    | Error (first :: _) ->
-      invalid_arg
-        (Format.asprintf "Agent.install: invalid program: %a" Ccp_lang.Typecheck.pp_error first)
-    | Error [] -> assert false);
+    (match !checked with
+    | Some ok when Ccp_lang.Ast.identical_program ok program -> ()
+    | Some _ | None -> (
+      match Ccp_lang.Typecheck.check program with
+      | Ok _ -> checked := Some program
+      | Error (first :: _) ->
+        invalid_arg
+          (Format.asprintf "Agent.install: invalid program: %a" Ccp_lang.Typecheck.pp_error
+             first)
+      | Error [] -> assert false));
     let program = Policy.apply_program policy program in
     action ~update:no_update (fun () ->
         t.installs_sent <- t.installs_sent + 1;

@@ -15,7 +15,10 @@ type handle = {
   info : flow_info;
   install : Ccp_lang.Ast.program -> unit;
       (** Validate (raising [Invalid_argument] on a static error), apply
-          the agent's policy, and send to the datapath. *)
+          the agent's policy, and send to the datapath. Every program
+          sent has passed the typecheck; a program bit-identical
+          ({!Ccp_lang.Ast.identical_program}) to the last one that passed
+          on this handle reuses that verdict. *)
   install_text : string -> unit;
       (** Parse surface syntax, then as [install]. *)
   set_cwnd : int -> unit;

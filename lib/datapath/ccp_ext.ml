@@ -620,53 +620,70 @@ let send_install_result t fs verdict =
     (Message.Install_result { flow = fs.ctl.Congestion_iface.flow; verdict })
 
 (* Admission control (§2.4): the datapath trusts neither the agent nor the
-   channel, so every [Install] re-runs the static checks and the resource
-   limits and answers with an [Install_result] either way. An accepted
-   install atomically wins the flow back from quarantine. *)
-let install_program t fs program =
+   channel, so an [Install] runs the static checks and the resource limits.
+   Compilation is part of admission: a program that names unknown
+   variables, fields or builtins is refused here — even with
+   [validate_installs = false], since the datapath cannot execute what it
+   cannot compile — instead of limping along emitting unknown-name
+   incidents per packet like the old interpreter. *)
+let admit t program =
   let verdict =
     if not t.config.validate_installs then Ok ()
     else Limits.admit ~limits:t.config.limits program
   in
   match verdict with
+  | Error _ as rejected -> rejected
   | Ok () -> (
-    (* Compilation is part of admission: a program that names unknown
-       variables, fields or builtins is refused here — even with
-       [validate_installs = false], since the datapath cannot execute
-       what it cannot compile — instead of limping along emitting
-       unknown-name incidents per packet like the old interpreter. *)
     match Compile.compile program with
-    | Error detail ->
-      t.installs_rejected <- t.installs_rejected + 1;
-      (match t.obs with
-      | Some h -> Ccp_obs.Metrics.incr h.o_installs_rejected
-      | None -> ());
-      obs_record t
-        (Ccp_obs.Recorder.Install
-           { flow = fs.ctl.Congestion_iface.flow; accepted = false; detail });
-      send_install_result t fs (Message.Rejected { reason = Limits.Invalid_program; detail });
-      false
-    | Ok cp ->
-      t.installs_accepted <- t.installs_accepted + 1;
-      (match t.obs with
-      | Some h -> Ccp_obs.Metrics.incr h.o_installs_accepted
-      | None -> ());
-      obs_record t
-        (Ccp_obs.Recorder.Install
-           { flow = fs.ctl.Congestion_iface.flow; accepted = true; detail = "" });
-      if fs.quarantined then begin
-        fs.quarantined <- false;
-        fs.quarantine_cc <- None
-      end;
-      reset_guard_window t fs;
-      cancel_wait fs;
+    | Ok cp -> Ok cp
+    | Error detail -> Error (Limits.Invalid_program, detail))
+
+(* Every [Install] is answered with an [Install_result] either way, and an
+   accepted one atomically wins the flow back from quarantine.
+
+   Agents re-install on nearly every report, and almost always the program
+   the flow already runs. A bit-identical re-install ({!Ast.identical_program}:
+   [0.0] and [-0.0] differ) cannot change the verdict or the compiled code,
+   since [t.config] is fixed, so it keeps the flow's admitted AST, compiled
+   program and machine, and drops the decoded copy (storing the fresh AST
+   would promote it at the next minor GC). Everything else an accepted
+   install does happens as on a miss. Reusing the machine is safe because
+   nothing reads a stale slot: [refresh_flow] fills the flow slots in a
+   code's [flow_mask] before it runs, [refresh_pkt] writes every packet slot
+   before a fold step or vector row, and [Compile.exec] writes every stack
+   slot before reading it. A quarantine or fallback clears [fs.program], so
+   the next install is a miss and is admitted afresh. *)
+let install_program t fs program =
+  let admitted =
+    match (fs.program, fs.exec) with
+    | Some running, Some _ when Ast.identical_program running program -> Ok None
+    | _ -> Result.map (fun cp -> Some (cp, Compile.machine_for cp)) (admit t program)
+  in
+  match admitted with
+  | Ok fresh ->
+    t.installs_accepted <- t.installs_accepted + 1;
+    (match t.obs with
+    | Some h -> Ccp_obs.Metrics.incr h.o_installs_accepted
+    | None -> ());
+    obs_record t
+      (Ccp_obs.Recorder.Install
+         { flow = fs.ctl.Congestion_iface.flow; accepted = true; detail = "" });
+    if fs.quarantined then begin
+      fs.quarantined <- false;
+      fs.quarantine_cc <- None
+    end;
+    reset_guard_window t fs;
+    cancel_wait fs;
+    (match fresh with
+    | Some exec ->
       fs.program <- Some program;
-      fs.exec <- Some (cp, Compile.machine_for cp);
-      fs.pc <- 0;
-      fs.measurement <- No_measurement;
-      send_install_result t fs Message.Accepted;
-      advance t fs;
-      true)
+      fs.exec <- Some exec
+    | None -> ());
+    fs.pc <- 0;
+    fs.measurement <- No_measurement;
+    send_install_result t fs Message.Accepted;
+    advance t fs;
+    true
   | Error (reason, detail) ->
     t.installs_rejected <- t.installs_rejected + 1;
     (match t.obs with

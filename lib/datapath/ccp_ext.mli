@@ -110,7 +110,11 @@ type config = {
   urgent_on_loss : bool;
   urgent_on_ecn : bool;
   validate_installs : bool;
-      (** run admission ({!Ccp_lang.Limits.admit}) on every [Install] *)
+      (** run admission ({!Ccp_lang.Limits.admit}) before a program
+          runs. Every program a flow runs has passed admission and
+          compilation; a re-install bit-identical
+          ({!Ccp_lang.Ast.identical_program}) to the program the flow is
+          running reuses that verdict and the compiled code. *)
   default_wait : Time_ns.t;  (** WaitRtts fallback before the first RTT sample *)
   max_vector_rows : int;  (** vector-mode memory bound; overflow rows are dropped and counted *)
   flow_capacity : int;

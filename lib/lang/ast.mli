@@ -50,6 +50,13 @@ val program : ?repeat:bool -> prim list -> program
 
 val equal_expr : expr -> expr -> bool
 val equal_program : program -> program -> bool
+(** Structural equality with constants compared as numbers
+    ([Float.equal]: [0.0] equals [-0.0], NaN equals NaN). *)
+
+val identical_program : program -> program -> bool
+(** {!equal_program} with constants compared by IEEE bit pattern, so
+    [0.0] and [-0.0] differ, and so do two NaN payloads. Two identical
+    programs admit, compile and run to bitwise-equal results. *)
 
 (** Canonical variable and function names shared between the language, the
     datapath, and the agent. *)

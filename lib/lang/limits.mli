@@ -2,10 +2,11 @@
 
     {!Typecheck} answers "is this program well-formed?"; this module
     answers "is it cheap enough to run in the datapath?". The datapath
-    enforces both on every [Install] — it cannot trust the agent, let
-    alone the channel — and answers with an [Install_result] carrying one
-    of the structured {!reason} codes below, so a rejection is observable
-    end to end instead of a silent drop.
+    enforces both on every program it runs — it cannot trust the agent,
+    let alone the channel — and answers each [Install] with an
+    [Install_result] carrying one of the structured {!reason} codes
+    below, so a rejection is observable end to end instead of a silent
+    drop.
 
     The wait floors only bind on {e constant} arguments; a computed wait
     that evaluates too low is caught at runtime by the datapath's guard

@@ -9,7 +9,8 @@ type t = {
   on_window_extra : (Timeseries.t -> Timeseries.window -> unit) option ref;
 }
 
-let default_clock () = Sys.time () *. 1e9
+(* CLOCK_MONOTONIC in nanoseconds: a wall clock that never steps back. *)
+let default_clock () = Int64.to_float (Monotonic_clock.now ())
 
 let create ?recorder_capacity ?(recorder = true) ?(tracer = false) ?tracer_capacity
     ?(telemetry = false) ?window_ns ?windows ?subticks ?topk_k ?slo ?budget_us

@@ -17,7 +17,7 @@ type t = {
   timeseries : Timeseries.t option;
   topk : Topk.t option;
   health : Health.t option;
-  clock : unit -> float; (** monotonic-ish nanoseconds, for self-timing *)
+  clock : unit -> float; (** monotonic wall-clock nanoseconds, for self-timing *)
   on_window_extra : (Timeseries.t -> Timeseries.window -> unit) option ref;
       (** internal — use {!set_window_hook} *)
 }
@@ -53,8 +53,10 @@ val create :
     the recorder. With [telemetry] off all three fields are [None] and
     nothing new runs anywhere.
 
-    [clock] defaults to [Sys.time]-based nanoseconds — coarse, but
-    dependency-free; benches measure precise overhead externally. *)
+    [clock] defaults to the monotonic wall clock
+    ([bechamel.monotonic_clock], [CLOCK_MONOTONIC]) in nanoseconds, so
+    [trace.*_ns] stage costs are elapsed time, not process CPU time.
+    Tests that freeze output pass a constant clock. *)
 
 val set_window_hook : t -> (Timeseries.t -> Timeseries.window -> unit) -> unit
 (** Register a live-view hook called after each window close, after the

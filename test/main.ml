@@ -8,4 +8,4 @@ let () =
    @ Test_guard.suite @ Test_compile.suite @ Test_integration.suite
    @ Test_obs.suite @ Test_fidelity.suite @ Test_trace.suite @ Test_robustness.suite
    @ Test_chaos.suite @ Test_scale.suite @ Test_incast.suite @ Test_telemetry.suite
-   @ Test_schema.suite)
+   @ Test_schema.suite @ Test_reinstall.suite)

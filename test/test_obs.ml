@@ -335,6 +335,16 @@ let test_on_ack_counts_when_enabled () =
   in
   Alcotest.(check int) "install recorded" 1 (List.length installs)
 
+(* The default self-timing clock is a wall clock: it keeps running while
+   the process sleeps, which process CPU time does not. *)
+let test_default_clock_is_wall_clock () =
+  let obs = Obs.create ~recorder:false () in
+  let t0 = obs.Obs.clock () in
+  Unix.sleepf 0.05;
+  let elapsed_ms = (obs.Obs.clock () -. t0) /. 1e6 in
+  if elapsed_ms < 40.0 then
+    Alcotest.failf "default clock advanced %.3f ms across a 50 ms sleep" elapsed_ms
+
 (* --- tracer: span pool, lifecycle accounting, staleness --- *)
 
 let fresh_tracer ?(capacity = 8) ?recorder () =
@@ -470,6 +480,8 @@ let suite =
         Alcotest.test_case "per-ACK path allocation-free with obs off" `Quick
           test_on_ack_zero_alloc_when_disabled;
         Alcotest.test_case "per-ACK metrics with obs on" `Quick test_on_ack_counts_when_enabled;
+        Alcotest.test_case "default clock is a wall clock" `Quick
+          test_default_clock_is_wall_clock;
         Alcotest.test_case "tracer lifecycle lands in the recorder" `Quick
           test_tracer_lifecycle;
         Alcotest.test_case "tracer stale tokens counted, not corrupting" `Quick

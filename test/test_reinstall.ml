@@ -1,0 +1,592 @@
+(* Re-installing the program a flow already runs. For a bit-identical
+   program ({!Ast.identical_program}) the datapath keeps the flow's
+   admitted, compiled program and its machine, and the agent's handle
+   keeps its typecheck verdict. These tests pin that contract:
+
+   - the sign of zero survives a re-install, bit for bit;
+   - identical programs get the same admission verdict and bitwise-equal
+     compiled code;
+   - compiled code on a machine full of garbage, after the datapath's
+     usual refreshes, computes what it computes on a fresh machine;
+   - over random install sequences, every verdict, count and installed
+     program matches direct admission and compilation;
+   - a repeat really skips the work, measured with [Gc.minor_words]. *)
+
+open Ccp_util
+open Ccp_eventsim
+open Ccp_ipc
+open Ccp_datapath
+open Ccp_lang
+
+let bits = Int64.bits_of_float
+
+(* --- a datapath with one registered flow --- *)
+
+let fake_ctl sim ~flow : Congestion_iface.ctl =
+  let cwnd = ref 14_480 and rate = ref 0.0 in
+  {
+    flow;
+    mss = 1448;
+    now = (fun () -> Sim.now sim);
+    get_cwnd = (fun () -> !cwnd);
+    set_cwnd = (fun b -> cwnd := b);
+    get_rate = (fun () -> !rate);
+    set_rate = (fun r -> rate := r);
+    srtt = (fun () -> Some (Time_ns.ms 10));
+    latest_rtt = (fun () -> Some (Time_ns.ms 11));
+    min_rtt = (fun () -> Some (Time_ns.ms 10));
+    inflight = (fun () -> 5000);
+    send_rate_ewma = (fun () -> Some 1e6);
+    delivery_rate_ewma = (fun () -> Some 9e5);
+  }
+
+type env = {
+  sim : Sim.t;
+  channel : Channel.t;
+  ext : Ccp_ext.t;
+  to_agent : Message.t list ref;  (* newest first *)
+}
+
+let flow = 1
+
+let make_env ?(config = Ccp_ext.default_config) () =
+  let sim = Sim.create () in
+  let channel = Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) () in
+  let to_agent = ref [] in
+  Channel.on_receive channel Channel.Agent_end (fun m -> to_agent := m :: !to_agent);
+  let ext = Ccp_ext.create ~sim ~channel ~config () in
+  (Ccp_ext.congestion_control ext).Congestion_iface.on_init (fake_ctl sim ~flow);
+  Sim.run sim;
+  to_agent := [];
+  { sim; channel; ext; to_agent }
+
+let run_for env d = Sim.run ~until:(Time_ns.add (Sim.now env.sim) d) env.sim
+
+let install env program =
+  Channel.send env.channel ~from:Channel.Agent_end (Message.Install { flow; program })
+
+let last_report env =
+  List.find_map (function Message.Report r -> Some r | _ -> None) !(env.to_agent)
+
+let report_field (r : Message.report) name =
+  Array.find_map (fun (n, v) -> if String.equal n name then Some v else None) r.Message.fields
+
+(* --- (a) the sign of zero survives a re-install --- *)
+
+let zero_fold z =
+  Ast.program
+    [
+      Ast.Measure (Ast.Fold { Ast.init = [ ("z", Ast.Const z) ]; update = [ ("z", Ast.Var "z") ] });
+      Ast.Wait_rtts (Ast.Const 1.0);
+      Ast.Report;
+    ]
+
+let test_sign_of_zero () =
+  let env = make_env () in
+  let reported () =
+    match Option.bind (last_report env) (fun r -> report_field r "z") with
+    | Some v -> bits v
+    | None -> Alcotest.fail "no report carrying z"
+  in
+  install env (zero_fold 0.0);
+  run_for env (Time_ns.ms 15);
+  Alcotest.(check int64) "0.0 reported" (bits 0.0) (reported ());
+  (* [equal_program] calls these two programs equal; the datapath must
+     not, or it keeps running the 0.0 fold. *)
+  install env (zero_fold (-0.0));
+  run_for env (Time_ns.ms 15);
+  Alcotest.(check int64) "-0.0 reported bit for bit" (bits (-0.0)) (reported ());
+  Alcotest.(check int) "both accepted" 2 (Ccp_ext.installs_accepted env.ext);
+  match Ccp_ext.installed_program env.ext ~flow with
+  | Some p ->
+    Alcotest.(check bool) "the -0.0 program is installed" true
+      (Ast.identical_program p (zero_fold (-0.0)))
+  | None -> Alcotest.fail "nothing installed"
+
+(* --- rebuilding programs constant by constant --- *)
+
+(* Rebuild [p] with every constant passed through [f], which also gets
+   the constant's index in traversal order. The result shares no float
+   box with [p]. *)
+let map_consts f (p : Ast.program) =
+  let i = ref (-1) in
+  let rec expr = function
+    | Ast.Const x ->
+      incr i;
+      Ast.Const (f !i x)
+    | (Ast.Var _ | Ast.Pkt _) as e -> e
+    | Ast.Bin (op, l, r) ->
+      let l = expr l in
+      Ast.Bin (op, l, expr r)
+    | Ast.Neg e -> Ast.Neg (expr e)
+    | Ast.Call (name, args) -> Ast.Call (name, List.map expr args)
+  in
+  let bindings = List.map (fun (n, e) -> (n, expr e)) in
+  let prim = function
+    | Ast.Measure (Ast.Fold d) ->
+      let init = bindings d.Ast.init in
+      Ast.Measure (Ast.Fold { Ast.init; update = bindings d.Ast.update })
+    | Ast.Measure (Ast.Vector _) as m -> m
+    | Ast.Rate e -> Ast.Rate (expr e)
+    | Ast.Cwnd e -> Ast.Cwnd (expr e)
+    | Ast.Wait e -> Ast.Wait (expr e)
+    | Ast.Wait_rtts e -> Ast.Wait_rtts (expr e)
+    | Ast.Report -> Ast.Report
+  in
+  Ast.program ~repeat:p.Ast.repeat (List.map prim p.Ast.prims)
+
+let consts p =
+  let acc = ref [] in
+  ignore
+    (map_consts
+       (fun _ x ->
+         acc := x :: !acc;
+         x)
+       p);
+  Array.of_list (List.rev !acc)
+
+let set_const p k x = map_consts (fun i c -> if i = k then x else c) p
+
+let nan_a = Int64.float_of_bits 0x7FF8000000000001L
+let nan_b = Int64.float_of_bits 0x7FF8000000000002L
+
+(* Two values for one constant: bit-identical, or equal as numbers but
+   not as bits, or one ulp apart. *)
+let const_pair rng v =
+  match Rng.int rng 8 with
+  | 0 -> (0.0, -0.0)
+  | 1 -> (-0.0, -0.0)
+  | 2 -> (nan_a, nan_b)
+  | 3 -> (nan_b, nan_b)
+  | 4 -> (v, Float.succ v)
+  | 5 -> (infinity, infinity)
+  | _ -> (v, v)
+
+(* --- (b) identical programs admit and compile alike --- *)
+
+type pair = { a : Ast.program; b : Ast.program; x : float; y : float }
+
+let show_pair d =
+  Printf.sprintf "a = %s\nb = %s\nconstant %h / %h" (Pretty.program_to_string d.a)
+    (Pretty.program_to_string d.b) d.x d.y
+
+let gen_pair rng =
+  let base = if Rng.bool rng then Ast_gen.program rng else Ast_gen.well_typed_program rng in
+  let cs = consts base in
+  if Array.length cs = 0 then { a = base; b = map_consts (fun _ c -> c) base; x = 0.0; y = 0.0 }
+  else begin
+    let k = Rng.int rng (Array.length cs) in
+    let x, y = const_pair rng cs.(k) in
+    { a = set_const base k x; b = set_const base k y; x; y }
+  end
+
+(* The compiled program holds only ints, floats, strings and arrays of
+   them; marshalling without sharing compares it bit for bit. *)
+let compiled_bits cp = Marshal.to_string (cp : Compile.program) [ Marshal.No_sharing ]
+
+let prop_identical_admits_and_compiles_alike =
+  Prop.test_case ~cases:500 ~name:"identical programs admit and compile alike" ~gen:gen_pair
+    ~show:show_pair (fun d ->
+      Prop.require "identical_program = constants equal as bits"
+        (Ast.identical_program d.a d.b = (bits d.x = bits d.y));
+      Prop.require "equal_program = constants equal as numbers"
+        (Ast.equal_program d.a d.b = Float.equal d.x d.y);
+      Prop.require "identical_program is reflexive on a rebuilt copy"
+        (Ast.identical_program d.a (map_consts (fun _ c -> c) d.a));
+      if Ast.identical_program d.a d.b then begin
+        if Limits.admit d.a <> Limits.admit d.b then Prop.fail "admission verdicts differ";
+        match (Compile.compile d.a, Compile.compile d.b) with
+        | Ok ca, Ok cb ->
+          Prop.require "compiled code bitwise equal" (compiled_bits ca = compiled_bits cb)
+        | Error ea, Error eb -> Prop.check_eq ~what:"compile error" Fun.id ea eb
+        | Ok _, Error e | Error e, Ok _ -> Prop.fail "only one compiles: %s" e
+      end)
+
+(* --- (c) a reused machine computes what a fresh one does --- *)
+
+type machine_case = {
+  program : Ast.program;
+  flows : float array array;  (* one flow table per refresh, cycled *)
+  pkts : float array array;
+  garbage : float array;
+}
+
+let nasty = [| nan; nan_a; infinity; neg_infinity; -0.0; 1e308; -1e308; 4.9e-324 |]
+
+let gen_cell rng =
+  match Rng.int rng 4 with
+  | 0 -> nasty.(Rng.int rng (Array.length nasty))
+  | 1 -> -.Rng.float rng 1e6
+  | _ -> Rng.float rng 1e7
+
+let gen_machine_case rng =
+  let program = Ast_gen.well_typed_program rng in
+  let table n = Array.init n (fun _ -> gen_cell rng) in
+  {
+    program;
+    flows = Array.init (1 + Rng.int rng 4) (fun _ -> table Compile.flow_var_count);
+    pkts = Array.init (Rng.int rng 12) (fun _ -> table Compile.pkt_field_count);
+    garbage = table 64;
+  }
+
+let show_machine_case c =
+  Printf.sprintf "%s\n%d flow tables, %d packets" (Pretty.program_to_string c.program)
+    (Array.length c.flows) (Array.length c.pkts)
+
+(* Drive every primitive of [cp] once on [m] the way [Ccp_ext] does:
+   flow slots refreshed by mask before code that reads them (from the
+   next flow table each time), every packet slot written before a fold
+   step or vector row. Returns every observable value as bits, and the
+   incident counts. *)
+let drive (c : machine_case) cp (m : Compile.machine) =
+  let incidents = Eval.fresh_counter () in
+  let out = ref [] in
+  let emit v = out := bits v :: !out in
+  let next_table = ref 0 in
+  let refresh_flow mask =
+    let table = c.flows.(!next_table mod Array.length c.flows) in
+    incr next_table;
+    Array.iteri (fun i v -> if mask land (1 lsl i) <> 0 then m.Compile.flow.(i) <- v) table
+  in
+  let refresh_pkt pkt = Array.blit pkt 0 m.Compile.pkt 0 Compile.pkt_field_count in
+  let emit_fold fold = Array.iter (fun (_, v) -> emit v) (Compile.Fold.fields fold) in
+  Array.iter
+    (function
+      | Compile.Rate code | Compile.Cwnd code | Compile.Wait code | Compile.Wait_rtts code ->
+        refresh_flow code.Compile.flow_mask;
+        Compile.exec code ~m ~slots:Compile.no_slots ~incidents;
+        emit m.Compile.stack.(0)
+      | Compile.Report -> ()
+      | Compile.Measure_vector { col_idx; _ } ->
+        Array.iter
+          (fun pkt ->
+            refresh_pkt pkt;
+            Array.iter (fun i -> emit m.Compile.pkt.(i)) col_idx)
+          c.pkts
+      | Compile.Measure_fold plan ->
+        refresh_flow (Compile.Fold.init_flow_mask plan);
+        let fold = Compile.Fold.create plan ~m in
+        emit_fold fold;
+        Array.iter
+          (fun pkt ->
+            refresh_flow (Compile.Fold.step_flow_mask plan);
+            refresh_pkt pkt;
+            Compile.Fold.step fold ~m ~incidents;
+            emit_fold fold)
+          c.pkts;
+        refresh_flow (Compile.Fold.init_flow_mask plan);
+        Compile.Fold.reset fold ~m;
+        emit_fold fold)
+    cp.Compile.prims;
+  (List.rev !out, (incidents.Eval.div_by_zero, incidents.Eval.non_finite))
+
+let prop_reused_machine_matches_fresh =
+  Prop.test_case ~cases:500 ~name:"garbage-filled machine = fresh machine"
+    ~gen:gen_machine_case ~show:show_machine_case (fun c ->
+      match Compile.compile c.program with
+      | Error msg -> Prop.fail "admitted program failed to compile: %s" msg
+      | Ok cp ->
+        let fresh = Compile.machine_for cp in
+        let used = Compile.machine_for cp in
+        let fill a =
+          Array.iteri (fun i _ -> a.(i) <- c.garbage.(i mod Array.length c.garbage)) a
+        in
+        fill used.Compile.stack;
+        fill used.Compile.flow;
+        fill used.Compile.pkt;
+        let values_fresh, incidents_fresh = drive c cp fresh in
+        let values_used, incidents_used = drive c cp used in
+        Prop.require "same values, bit for bit" (values_fresh = values_used);
+        Prop.require "same incident counts" (incidents_fresh = incidents_used))
+
+(* --- (d) install sequences against direct admission --- *)
+
+(* A benign fold program with three constant slots. [z] is reported
+   as initialised (a NaN init is clamped to 0.0 uncounted, like any
+   init-time incident); the window and wait stay inside the guard
+   envelope, so it never scores an incident. *)
+let benign ~z ~cwnd ~rtts =
+  Ast.program
+    [
+      Ast.Measure
+        (Ast.Fold
+           {
+             Ast.init = [ ("z", Ast.Const z); ("acked", Ast.Const 0.0) ];
+             update =
+               [
+                 ("acked", Ast.Bin (Ast.Add, Ast.Var "acked", Ast.Pkt "bytes_acked"));
+                 ("z", Ast.Var "z");
+               ];
+           });
+      Ast.Cwnd (Ast.Const cwnd);
+      Ast.Wait_rtts (Ast.Const rtts);
+      Ast.Report;
+    ]
+
+type step_kind = Benign | Repeat | Flip_zero | Swap_nan | One_constant | Invalid | Hostile
+
+type step = { kind : step_kind; program : Ast.program; run_ms : int }
+
+type sequence = { validate : bool; steps : step list }
+
+let rec deep n e = if n = 0 then e else deep (n - 1) (Ast.Neg e)
+
+(* Each is rejected with validation on. With it off, the first two are
+   still rejected (they do not compile), the others run harmlessly. *)
+let invalid_programs =
+  [|
+    Ast.program [ Ast.Cwnd (Ast.Var "bogus"); Ast.Wait_rtts (Ast.Const 1.0); Ast.Report ];
+    Ast.program
+      [
+        Ast.Measure
+          (Ast.Fold
+             { Ast.init = [ ("x", Ast.Const 0.0); ("x", Ast.Const 1.0) ]; update = [] });
+        Ast.Wait_rtts (Ast.Const 1.0);
+        Ast.Report;
+      ];
+    Ast.program [ Ast.Cwnd (Ast.Const 20_000.0); Ast.Wait (Ast.Const 50.0); Ast.Report ];
+    Ast.program
+      [ Ast.Cwnd (deep 40 (Ast.Const 20_000.0)); Ast.Wait_rtts (Ast.Const 1.0); Ast.Report ];
+  |]
+
+(* Computes a window below the 1-segment floor on every pass: one
+   incident per RTT, quarantined at the second. *)
+let hostile = Ast.program [ Ast.Cwnd (Ast.Const 0.0); Ast.Wait_rtts (Ast.Const 1.0); Ast.Report ]
+
+let gen_sequence rng =
+  let z () = [| 0.0; -0.0; nan_a; nan_b; 1.5 |].(Rng.int rng 5) in
+  let fresh_benign () =
+    benign ~z:(z ())
+      ~cwnd:(20_000.0 +. float_of_int (Rng.int rng 2))
+      ~rtts:(Prop.choose rng [ 1.0; 0.5 ])
+  in
+  let rec steps n prev acc =
+    if n = 0 then List.rev acc
+    else
+      let kind =
+        Prop.choose rng
+          [
+            Benign; Repeat; Repeat; Repeat; Flip_zero; Swap_nan; One_constant; Invalid; Hostile;
+          ]
+      in
+      let with_first_const f = set_const prev 0 (f (consts prev).(0)) in
+      let program =
+        match kind with
+        | Benign -> fresh_benign ()
+        | Repeat -> map_consts (fun _ c -> c) prev
+        | Flip_zero -> with_first_const (fun z -> if bits z = bits 0.0 then -0.0 else 0.0)
+        | Swap_nan -> with_first_const (fun z -> if bits z = bits nan_a then nan_b else nan_a)
+        | One_constant ->
+          let k = Rng.int rng (Array.length (consts prev)) in
+          set_const prev k (Float.succ (consts prev).(k))
+        | Invalid -> invalid_programs.(Rng.int rng (Array.length invalid_programs))
+        | Hostile -> hostile
+      in
+      (* Mutations apply to the last benign program, so a sequence keeps
+         revisiting near-identical variants of it. *)
+      let prev = match kind with Invalid | Hostile -> prev | _ -> program in
+      let step = { kind; program; run_ms = Prop.choose rng [ 1; 12; 25 ] } in
+      steps (n - 1) prev (step :: acc)
+  in
+  let first = fresh_benign () in
+  { validate = Rng.bool rng; steps = steps (4 + Rng.int rng 16) first [] }
+
+let show_kind = function
+  | Benign -> "benign"
+  | Repeat -> "repeat"
+  | Flip_zero -> "flip-zero"
+  | Swap_nan -> "swap-nan"
+  | One_constant -> "one-constant"
+  | Invalid -> "invalid"
+  | Hostile -> "hostile"
+
+let show_sequence s =
+  Printf.sprintf "validate_installs=%b\n%s" s.validate
+    (String.concat "\n"
+       (List.map
+          (fun st ->
+            Printf.sprintf "%-12s %2d ms  %s" (show_kind st.kind) st.run_ms
+              (Pretty.program_to_string st.program))
+          s.steps))
+
+let reinstall_config ~validate =
+  {
+    Ccp_ext.default_config with
+    Ccp_ext.validate_installs = validate;
+    guard =
+      {
+        Ccp_ext.default_guard with
+        Ccp_ext.quarantine_after = 2;
+        quarantine_mode = Some (Ccp_ext.Clamp { cwnd_segments = 2 });
+      };
+  }
+
+(* What the datapath must answer, computed without it. *)
+let expected_verdict ~validate program =
+  let admitted = if validate then Limits.admit program else Ok () in
+  match admitted with
+  | Error (reason, detail) -> Message.Rejected { reason; detail }
+  | Ok () -> (
+    match Compile.compile program with
+    | Ok _ -> Message.Accepted
+    | Error detail -> Message.Rejected { reason = Limits.Invalid_program; detail })
+
+let show_verdict = function
+  | Message.Accepted -> "accepted"
+  | Message.Rejected { reason; detail } ->
+    Printf.sprintf "rejected %s: %s" (Limits.reason_to_string reason) detail
+
+(* The fold's reported [z]: a NaN init is clamped to 0.0. *)
+let reported_z program =
+  match program.Ast.prims with
+  | Ast.Measure (Ast.Fold { Ast.init = ("z", Ast.Const z) :: _; _ }) :: _ ->
+    Some (if Float.is_nan z then 0.0 else z)
+  | _ -> None
+
+let prop_install_sequences_match_direct_admission =
+  Prop.test_case ~cases:150 ~name:"install sequences = direct admission" ~gen:gen_sequence
+    ~show:show_sequence (fun s ->
+      let env = make_env ~config:(reinstall_config ~validate:s.validate) () in
+      let accepted = ref 0 and rejected = ref 0 in
+      let running = ref None in
+      List.iteri
+        (fun i st ->
+          let what fmt = Printf.sprintf ("step %d: " ^^ fmt) i in
+          env.to_agent := [];
+          install env st.program;
+          run_for env (Time_ns.ms st.run_ms);
+          let verdicts =
+            List.filter_map
+              (function Message.Install_result r -> Some r.Message.verdict | _ -> None)
+              !(env.to_agent)
+          in
+          let expected = expected_verdict ~validate:s.validate st.program in
+          (match verdicts with
+          | [ v ] -> Prop.check_eq ~what:(what "verdict") show_verdict expected v
+          | vs -> Prop.fail "step %d: %d Install_results" i (List.length vs));
+          (match expected with
+          | Message.Accepted ->
+            incr accepted;
+            running := Some st.program
+          | Message.Rejected _ -> incr rejected);
+          if Ccp_ext.in_quarantine env.ext ~flow then running := None;
+          Prop.check_eq ~what:(what "installs_accepted") string_of_int !accepted
+            (Ccp_ext.installs_accepted env.ext);
+          Prop.check_eq ~what:(what "installs_rejected") string_of_int !rejected
+            (Ccp_ext.installs_rejected env.ext);
+          (match (!running, Ccp_ext.installed_program env.ext ~flow) with
+          | Some want, Some have ->
+            Prop.require (what "installed program is bit-identical to the last accepted")
+              (Ast.identical_program want have)
+          | None, None -> ()
+          | Some _, None -> Prop.fail "step %d: nothing installed" i
+          | None, Some _ -> Prop.fail "step %d: a program survived quarantine" i);
+          Prop.require (what "compiled program agrees with installed_program")
+            (Ccp_ext.has_compiled_program env.ext ~flow
+            = (Ccp_ext.installed_program env.ext ~flow <> None));
+          (* A report one RTT after the install comes from the running
+             program, whether this install hit, missed or was refused. *)
+          match Option.bind !running reported_z with
+          | Some z when st.run_ms >= 12 -> (
+            match Option.bind (last_report env) (fun r -> report_field r "z") with
+            | Some v ->
+              Prop.check_eq ~what:(what "reported z bits") (Printf.sprintf "%Lx") (bits z)
+                (bits v)
+            | None -> Prop.fail "step %d: no report from the running program" i)
+          | _ -> ())
+        s.steps)
+
+(* --- repeats skip the work --- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let reno = Ccp_algorithms.Prog.window_program ~cwnd:20_000 ()
+
+let test_repeat_frame_skips_admission () =
+  let env = make_env () in
+  let frame program = Codec.encode (Message.Install { flow; program }) in
+  let deliver frame =
+    minor_words (fun () -> Channel.deliver_raw env.channel ~toward:Channel.Datapath_end frame)
+  in
+  (* Warm the channel and the flow on a different program, so the
+     measured pair differs only in hit versus miss. *)
+  ignore (deliver (frame (Ccp_algorithms.Prog.window_program ~cwnd:30_000 ())) : float);
+  run_for env (Time_ns.us 100);
+  let reno_frame = frame reno in
+  let first = deliver reno_frame in
+  run_for env (Time_ns.us 100);
+  let repeat = deliver reno_frame in
+  run_for env (Time_ns.us 100);
+  Alcotest.(check int) "all accepted" 3 (Ccp_ext.installs_accepted env.ext);
+  if first -. repeat < 2000.0 then
+    Alcotest.failf
+      "repeat Install allocated %.0f minor words against %.0f for the first: admission and \
+       compile were not skipped"
+      repeat first
+
+(* An algorithm that hands its handle out. *)
+let capture_handle () =
+  let handle = ref None in
+  let algorithm =
+    {
+      Ccp_agent.Algorithm.name = "capture";
+      make =
+        (fun h ->
+          handle := Some h;
+          Ccp_agent.Algorithm.no_op_handlers);
+    }
+  in
+  let sim = Sim.create () in
+  let channel = Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) () in
+  Channel.on_receive channel Channel.Datapath_end ignore;
+  let agent = Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> algorithm) () in
+  Channel.send channel ~from:Channel.Datapath_end
+    (Message.Ready { flow; mss = 1448; init_cwnd = 14_480 });
+  Sim.run sim;
+  match !handle with
+  | Some h -> (sim, agent, h)
+  | None -> Alcotest.fail "algorithm never instantiated"
+
+let test_repeat_handle_install_skips_typecheck () =
+  let sim, agent, h = capture_handle () in
+  let install p =
+    let words = minor_words (fun () -> h.Ccp_agent.Algorithm.install p) in
+    Sim.run sim;
+    words
+  in
+  ignore (install (Ccp_algorithms.Prog.window_program ~cwnd:30_000 ()) : float);
+  let first = install reno in
+  let repeat = install (map_consts (fun _ c -> c) reno) in
+  Alcotest.(check int) "every install sent" 3 (Ccp_agent.Agent.installs_sent agent);
+  if first -. repeat < 600.0 then
+    Alcotest.failf
+      "repeat install allocated %.0f minor words against %.0f for the first: the typecheck \
+       was not skipped"
+      repeat first;
+  let invalid = Ast.program [ Ast.Cwnd (Ast.Const 20_000.0) ] in
+  let raises () =
+    match h.Ccp_agent.Algorithm.install invalid with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "invalid program raises" true (raises ());
+  Alcotest.(check bool) "and raises again" true (raises ());
+  Alcotest.(check int) "nothing invalid sent" 3 (Ccp_agent.Agent.installs_sent agent)
+
+let suite =
+  [
+    ( "reinstall",
+      [
+        Alcotest.test_case "sign of zero survives a re-install" `Quick test_sign_of_zero;
+        Alcotest.test_case "repeat Install frame skips admission" `Quick
+          test_repeat_frame_skips_admission;
+        Alcotest.test_case "repeat handle install skips the typecheck" `Quick
+          test_repeat_handle_install_skips_typecheck;
+        prop_identical_admits_and_compiles_alike;
+        prop_reused_machine_matches_fresh;
+        prop_install_sequences_match_direct_admission;
+      ] );
+  ]

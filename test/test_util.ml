@@ -91,6 +91,56 @@ let test_rng_split_independent () =
   let c = Array.init 20 (fun _ -> Rng.bits64 child) in
   check_bool "split independent" true (p <> c)
 
+(* The first draws of a fixed seed and of its first split child, recorded
+   from the record-of-four-[mutable int64] implementation: the state
+   layout may change, the stream may not. *)
+let test_rng_known_answers () =
+  let draws rng = List.init 8 (fun _ -> Rng.bits64 rng) in
+  Alcotest.(check (list int64)) "seed 42"
+    [
+      0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L;
+      0xFDE6DC7FE2EC5E64L; 0xC50DA53101795238L; 0xB82154855A65DDB2L; 0xD99A2743EBE60087L;
+    ]
+    (draws (Rng.create ~seed:42));
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  Alcotest.(check (list int64)) "split child of seed 42"
+    [
+      0x8EE445D14631C453L; 0x106FA1A13296FE62L; 0x729A768806244CE5L; 0x91D83A17B20E6585L;
+      0x38C33DF442FC70FDL; 0xE33CD1B92E2E42F1L; 0x3162280B9DCFA5EFL; 0xB4F9F0541228B854L;
+    ]
+    (draws child);
+  Alcotest.(check int64) "split advanced the parent by one draw" 0x6104D9866D113A7EL
+    (Rng.bits64 parent);
+  let a = Rng.create ~seed:42 in
+  ignore (Rng.bits64 a : int64);
+  let b = Rng.copy a in
+  Alcotest.(check int64) "copy continues the stream" (Rng.bits64 a) (Rng.bits64 b)
+
+(* Every IPC latency draw and fault decision goes through [Rng]: a draw
+   must not box the generator state. *)
+let test_rng_draws_allocation_free () =
+  let rng = Rng.create ~seed:3 in
+  let sink = ref 0 in
+  for _ = 1 to 100 do
+    sink := !sink + Rng.int rng 1000
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink + Rng.int rng 1000
+  done;
+  let int_words = (Gc.minor_words () -. before) /. 10_000.0 in
+  if int_words > 0.0 then Alcotest.failf "Rng.int allocated %.2f words per draw" int_words;
+  let model = Ccp_ipc.Latency_model.unix_idle in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink + Ccp_ipc.Latency_model.one_way model rng
+  done;
+  let one_way_words = (Gc.minor_words () -. before) /. 10_000.0 in
+  if one_way_words > 8.0 then
+    Alcotest.failf "Latency_model.one_way allocated %.2f words per draw (limit 8)" one_way_words;
+  check_bool "draws consumed" true (!sink > 0)
+
 let test_rng_shuffle () =
   let rng = Rng.create ~seed:5 in
   let arr = Array.init 50 Fun.id in
@@ -207,6 +257,8 @@ let suite =
         Alcotest.test_case "distribution sanity" `Slow test_rng_distributions;
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
         Alcotest.test_case "shuffle" `Quick test_rng_shuffle;
+        Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+        Alcotest.test_case "draws allocation-free" `Quick test_rng_draws_allocation_free;
       ] );
     ( "util.stats",
       [
