@@ -174,6 +174,50 @@ let rearm () =
     incr k;
     Ccp_eventsim.Sim.reschedule sim timers.(!k land (queue_depth - 1)) ~at:(far_future + !k)
 
+(* [link_hop] sends one packet through a 1 Gbit/s, 10 ms link that holds
+   ~830 others in propagation, and fires events until the oldest of them
+   arrives: an enqueue, a serialization and a delivery per call. *)
+let link_hop () =
+  let open Ccp_net in
+  let sim = Ccp_eventsim.Sim.create () in
+  let link =
+    Link.create ~sim ~rate_bps:1e9 ~delay:(Time_ns.ms 10)
+      ~qdisc:(Queue_disc.Droptail { capacity_bytes = 100_000_000; ecn_threshold_bytes = None })
+      ()
+  in
+  let arrived = ref 0 in
+  Link.connect link (fun _ -> incr arrived);
+  let pkt =
+    Packet.data ~flow:0 ~seq:0 ~len:1460 ~sent_at:Time_ns.zero ~is_retransmit:false
+      ~ecn_capable:false
+  in
+  let until_arrival () =
+    let before = !arrived in
+    while !arrived = before do
+      ignore (Ccp_eventsim.Sim.step sim : bool)
+    done
+  in
+  for _ = 1 to 840 do
+    Link.send link pkt
+  done;
+  until_arrival ();
+  fun () ->
+    Link.send link pkt;
+    until_arrival ()
+
+(* [percentile] adds one sample to 250 k and reads the p99, so every
+   call sorts them all again. *)
+let percentile () =
+  let rng = Rng.create ~seed:1 in
+  let s = Stats.Samples.create () in
+  for _ = 1 to 250_000 do
+    Stats.Samples.add s (Rng.float rng 1e6)
+  done;
+  let x = Sys.opaque_identity 5e5 in
+  fun () ->
+    Stats.Samples.add s x;
+    Stats.Samples.percentile s 99.0
+
 (* A fabricated ctl over plain refs (the test suite's trick), with every
    option preallocated so the ctl itself contributes zero allocation —
    what the Gc delta below then measures is the datapath's own path. *)
@@ -304,6 +348,8 @@ let micro_tests () =
         (Staged.stage (fun () -> Ccp_algorithms.Primitives_table.render ()));
       Test.make ~name:"sim/schedule-step" (Staged.stage (schedule_step ()));
       Test.make ~name:"sim/rearm" (Staged.stage (rearm ()));
+      Test.make ~name:"net/link-hop" (Staged.stage (link_hop ()));
+      Test.make ~name:"stats/percentile" (Staged.stage (percentile ()));
       Test.make ~name:"install/first" (Staged.stage (install_first ()));
       Test.make ~name:"install/repeat" (Staged.stage (install_repeat ()));
       Test.make ~name:"agent/install/repeat" (Staged.stage (agent_install_repeat ()));

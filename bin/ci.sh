@@ -21,7 +21,9 @@ dune exec bin/fuzz_smoke.exe -- 500
 
 echo "== bench smoke =="
 # Exercises the bechamel sections (the event queue's schedule-and-fire
-# and in-place re-arm at 1 k live events, the codec, first and repeat
+# and in-place re-arm at 1 k live events, one packet through a link
+# with ~800 others in propagation (micro row ccp/net/link-hop), the p99
+# of 250 k samples (ccp/stats/percentile), the codec, first and repeat
 # installs through the datapath's Install handler and a repeat agent
 # install (micro rows ccp/install/first, ccp/install/repeat,
 # ccp/agent/install/repeat), compiled-vs-interpreted per-ACK,
@@ -134,6 +136,20 @@ dune exec bin/ccp_sim.exe -- incast -n 4 --duration 0.05 \
 test "$status" -eq 1
 test "$(wc -l < "$incast_tmp/err")" -eq 1
 rm -rf "$incast_tmp"
+
+echo "== bad rate smoke =="
+# A link rate that is zero or not finite is a one-line error and exit
+# 124, before anything is simulated, not a run at zero serialization
+# time that prints "utilization nan%".
+rate_tmp="$(mktemp -d)"
+for rate in 0 nan; do
+  status=0
+  dune exec bin/ccp_sim.exe -- run --rate "$rate" --duration 0.1 \
+    > /dev/null 2> "$rate_tmp/err" || status=$?
+  test "$status" -eq 124
+  test "$(wc -l < "$rate_tmp/err")" -eq 1
+done
+rm -rf "$rate_tmp"
 
 echo "== scale bench smoke =="
 # The slot-pool churn and batched-report amortization benchmarks: the

@@ -343,14 +343,14 @@ let run (config : config) =
     in
     Topology.Dumbbell.register dumbbell ~flow:id ~data_sink ~ack_sink;
     let rtt_samples = Stats.Samples.create () in
-    let cwnd_series = Printf.sprintf "cwnd.%d" id in
+    let cwnd_series = Trace.handle trace (Printf.sprintf "cwnd.%d" id) in
     Tcp_flow.set_cwnd_listener sender (fun _at cwnd ->
-        Trace.add trace ~series:cwnd_series (float_of_int cwnd));
-    let rtt_series = Printf.sprintf "rtt_ms.%d" id in
+        Trace.push cwnd_series (float_of_int cwnd));
+    let rtt_series = Trace.handle trace (Printf.sprintf "rtt_ms.%d" id) in
     Tcp_flow.set_rtt_listener sender (fun at rtt ->
         if Time_ns.compare at config.warmup >= 0 then
           Stats.Samples.add rtt_samples (Time_ns.to_float_us rtt);
-        Trace.add trace ~series:rtt_series (Time_ns.to_float_ms rtt));
+        Trace.push rtt_series (Time_ns.to_float_ms rtt));
     ignore (Sim.schedule sim ~at:spec.start_at (fun () -> Tcp_flow.start sender));
     ({ spec; id; sender; receiver; rtt_samples; sampler; delivered_at_warmup = 0 },
      sender_path, receiver_path)
@@ -442,10 +442,7 @@ let run (config : config) =
       flows_only
   in
   let all_rtts = Stats.Samples.create () in
-  List.iter
-    (fun inst ->
-      Array.iter (Stats.Samples.add all_rtts) (Stats.Samples.to_array inst.rtt_samples))
-    flows_only;
+  List.iter (fun inst -> Stats.Samples.append all_rtts ~from:inst.rtt_samples) flows_only;
   let median_rtt, p95_rtt, p99_rtt =
     if Stats.Samples.count all_rtts = 0 then (Time_ns.zero, Time_ns.zero, Time_ns.zero)
     else

@@ -45,6 +45,13 @@ type seg = {
   mutable u_next : seg;
 }
 
+module Segs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   sim : Sim.t;
   flow : Packet.flow_id;
@@ -58,7 +65,9 @@ type t = {
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable cwnd : int;
-  segs : (int, seg) Hashtbl.t;  (* keyed by seq *)
+  segs : seg Segs.t;
+      (* keyed by seq; starts small, since most flows of a large incast
+         never have many segments outstanding *)
   head : seg;
       (* Sentinel of both scoreboard lists: [head.next] is the oldest
          outstanding segment, [head.u_next] the oldest unSACKed one. *)
@@ -162,7 +171,7 @@ let create ~sim ~flow ~config ~cc ~transmit ?obs ?(obs_sample_interval = Time_ns
     snd_una = 0;
     snd_nxt = 0;
     cwnd = config.initial_cwnd_segments * config.mss;
-    segs = Hashtbl.create 1024;
+    segs = Segs.create 16;
     head;
     tail = head;
     retx_queue = Queue.create ();
@@ -233,7 +242,7 @@ let notify_cwnd t =
   match t.cwnd_listener with Some f -> f (now t) t.cwnd | None -> ()
 
 let set_cwnd_internal t bytes =
-  let clamped = max t.config.mss bytes in
+  let clamped = Int.max t.config.mss bytes in
   if clamped <> t.cwnd then begin
     t.cwnd <- clamped;
     (match t.obs_h with
@@ -241,6 +250,11 @@ let set_cwnd_internal t bytes =
     | None -> ());
     notify_cwnd t
   end
+
+let in_recovery t = match t.recovery_point with Some _ -> true | None -> false
+
+(* The outstanding segment that starts at [seq], or the sentinel. *)
+let find_seg t seq = match Segs.find t.segs seq with seg -> seg | exception Not_found -> t.head
 
 let unlink_unsacked seg =
   seg.u_prev.u_next <- seg.u_next;
@@ -256,7 +270,11 @@ let rto_pending t =
 (* Restart the RTO clock while data is outstanding; stop it otherwise. *)
 let rec arm_rto t =
   if t.snd_nxt > t.snd_una then begin
-    let delay = Time_ns.scale (Rtt_estimator.rto t.rtt_est) (float_of_int t.rto_backoff) in
+    let rto = Rtt_estimator.rto t.rtt_est in
+    (* Scaling by 1 is the identity, and skipping it boxes no float. *)
+    let delay =
+      if t.rto_backoff = 1 then rto else Time_ns.scale rto (float_of_int t.rto_backoff)
+    in
     let at = Time_ns.add (now t) delay in
     match t.rto_timer with
     | Some timer -> Sim.reschedule t.sim timer ~at
@@ -285,7 +303,7 @@ and emit t seg ~retransmit =
   Pacer.note_sent t.pacer ~now:at ~bytes:(seg.len + Packet.header_bytes);
   t.transmit
     (Packet.data ~flow:t.flow ~seq:seg.seq ~len:seg.len ~sent_at:at ~is_retransmit:retransmit
-       ~ecn_capable:t.config.ecn_capable ());
+       ~ecn_capable:t.config.ecn_capable);
   if not (rto_pending t) then arm_rto t
 
 and send_new_segment t ~len =
@@ -305,7 +323,7 @@ and send_new_segment t ~len =
       u_next = t.head;
     }
   in
-  Hashtbl.replace t.segs seq seg;
+  Segs.replace t.segs seq seg;
   (* The newest segment goes at the end of both lists. *)
   t.tail.next <- seg;
   t.tail <- seg;
@@ -314,71 +332,71 @@ and send_new_segment t ~len =
   t.snd_nxt <- t.snd_nxt + len;
   emit t seg ~retransmit:false
 
+(* Bytes the next new segment may carry; none if not positive. *)
 and next_payload_len t =
-  let len =
-    match t.config.app_limit_bytes with
-    | None -> t.config.mss
-    | Some limit -> min t.config.mss (limit - t.snd_nxt)
-  in
-  if len <= 0 then None else Some len
+  match t.config.app_limit_bytes with
+  | None -> t.config.mss
+  | Some limit -> Int.min t.config.mss (limit - t.snd_nxt)
 
-(* Next lost segment that still needs retransmission. The hole at snd_una
-   has absolute priority: only it can advance the window. A segment
-   returned from the head may still sit in the retransmit queue; it is
-   skipped there later because retransmission clears its [lost] flag. *)
+(* Next lost segment that still needs retransmission, or the sentinel.
+   The hole at snd_una has absolute priority: only it can advance the
+   window. A segment returned from the head may still sit in the
+   retransmit queue; it is skipped there later because retransmission
+   clears its [lost] flag. *)
 and pop_retransmit_candidate t =
   let oldest = t.head.next in
-  if oldest != t.head && oldest.lost && (not oldest.sacked) && oldest.copies = 0 then Some oldest
-  else
-    let rec pop () =
-      match Queue.take_opt t.retx_queue with
-      | None -> None
-      | Some seg ->
-        if seg.lost && (not seg.sacked) && seg.copies = 0 && seg.seq + seg.len > t.snd_una then
-          Some seg
-        else pop ()
-    in
-    pop ()
+  if oldest != t.head && oldest.lost && (not oldest.sacked) && oldest.copies = 0 then oldest
+  else pop_retx_queue t
+
+and pop_retx_queue t =
+  if Queue.is_empty t.retx_queue then t.head
+  else begin
+    let seg = Queue.take t.retx_queue in
+    if seg.lost && (not seg.sacked) && seg.copies = 0 && seg.seq + seg.len > t.snd_una then seg
+    else pop_retx_queue t
+  end
 
 and try_send t =
   if t.started then begin
     Option.iter Sim.cancel t.send_timer;
-    let rec loop () =
-      let quota_ok = t.recovery_point = None || t.recovery_quota >= t.config.mss in
-      if quota_ok && t.pipe + t.config.mss <= t.cwnd then begin
-        let at = now t in
-        let wire = t.config.mss + Packet.header_bytes in
-        let earliest = Pacer.earliest_send t.pacer ~now:at ~bytes:wire in
-        if Time_ns.compare earliest at > 0 then begin
-          match t.send_timer with
-          | Some timer -> Sim.reschedule t.sim timer ~at:earliest
-          | None -> t.send_timer <- Some (Sim.schedule t.sim ~at:earliest (fun () -> try_send t))
-        end
-        else begin
-          (* Lost segments take priority over new data. *)
-          let consume_quota len =
-            if t.recovery_point <> None then begin
-              t.recovery_quota <- t.recovery_quota - len;
-              t.prr_out <- t.prr_out + len
-            end
-          in
-          match pop_retransmit_candidate t with
-          | Some seg ->
-            seg.lost <- false;
-            consume_quota seg.len;
-            emit t seg ~retransmit:true;
-            loop ()
-          | None -> (
-            match next_payload_len t with
-            | Some len ->
-              consume_quota len;
-              send_new_segment t ~len;
-              loop ()
-            | None -> ())
+    send_loop t
+  end
+
+and consume_quota t len =
+  if in_recovery t then begin
+    t.recovery_quota <- t.recovery_quota - len;
+    t.prr_out <- t.prr_out + len
+  end
+
+and send_loop t =
+  let quota_ok = (not (in_recovery t)) || t.recovery_quota >= t.config.mss in
+  if quota_ok && t.pipe + t.config.mss <= t.cwnd then begin
+    let at = now t in
+    let wire = t.config.mss + Packet.header_bytes in
+    let earliest = Pacer.earliest_send t.pacer ~now:at ~bytes:wire in
+    if Time_ns.compare earliest at > 0 then begin
+      match t.send_timer with
+      | Some timer -> Sim.reschedule t.sim timer ~at:earliest
+      | None -> t.send_timer <- Some (Sim.schedule t.sim ~at:earliest (fun () -> try_send t))
+    end
+    else begin
+      (* Lost segments take priority over new data. *)
+      let seg = pop_retransmit_candidate t in
+      if seg != t.head then begin
+        seg.lost <- false;
+        consume_quota t seg.len;
+        emit t seg ~retransmit:true;
+        send_loop t
+      end
+      else begin
+        let len = next_payload_len t in
+        if len > 0 then begin
+          consume_quota t len;
+          send_new_segment t ~len;
+          send_loop t
         end
       end
-    in
-    loop ()
+    end
   end
 
 (* --- timeout --- *)
@@ -389,7 +407,7 @@ and on_rto t =
     (match t.obs_h with
     | Some h -> Ccp_obs.Metrics.incr h.o_timeouts
     | None -> ());
-    t.rto_backoff <- min 64 (t.rto_backoff * 2);
+    t.rto_backoff <- Int.min 64 (t.rto_backoff * 2);
     (* RFC 6675 style: keep the SACK scoreboard, declare every unSACKed
        outstanding segment lost, and let the (collapsed) window slow-start
        the retransmissions. Re-sending SACKed data would be pure waste.
@@ -415,7 +433,7 @@ and on_rto t =
     t.prr_delivered <- 0;
     t.prr_out <- 0;
     let ctl = Option.get t.ctl in
-    t.cc.on_loss ctl { kind = Rto; at = now t; bytes_lost_estimate = max lost t.config.mss };
+    t.cc.on_loss ctl { kind = Rto; at = now t; bytes_lost_estimate = Int.max lost t.config.mss };
     try_send t;
     arm_rto t
   end
@@ -425,15 +443,15 @@ and on_rto t =
 (* Mark [start, stop) delivered out of order; returns bytes newly marked.
    Ranges above snd_nxt are stale echoes of data sent before an RTO's
    go-back-N and must be ignored or they poison the scoreboard. *)
-let mark_sacked t (start, stop) =
-  let stop = min stop t.snd_nxt in
-  let newly = ref 0 in
-  let rec walk seq =
-    if seq < stop then
-      match Hashtbl.find_opt t.segs seq with
-      | None -> () (* already cumulatively acknowledged *)
-      | Some seg ->
-        if not seg.sacked then begin
+let rec sack_from t seq ~stop newly =
+  if seq >= stop then newly
+  else begin
+    let seg = find_seg t seq in
+    if seg == t.head then newly (* already cumulatively acknowledged *)
+    else begin
+      let newly =
+        if seg.sacked then newly
+        else begin
           t.pipe <- t.pipe - (seg.len * seg.copies);
           seg.copies <- 0;
           seg.sacked <- true;
@@ -441,13 +459,25 @@ let mark_sacked t (start, stop) =
           seg.lost <- false;
           if Time_ns.compare seg.sent_at t.newest_sacked_sent_at > 0 then
             t.newest_sacked_sent_at <- seg.sent_at;
-          newly := !newly + seg.len
-        end;
-        walk (seq + seg.len)
-  in
-  walk start;
+          newly + seg.len
+        end
+      in
+      sack_from t (seq + seg.len) ~stop newly
+    end
+  end
+
+let mark_sacked t ~start ~stop =
+  let stop = Int.min stop t.snd_nxt in
+  let newly = sack_from t start ~stop 0 in
   if stop > t.highest_sacked then t.highest_sacked <- stop;
-  !newly
+  newly
+
+(* Every range of an ACK's SACK delta, in order; returns bytes newly
+   marked. *)
+let rec mark_ranges t ranges newly =
+  match ranges with
+  | [] -> newly
+  | (start, stop) :: rest -> mark_ranges t rest (newly + mark_sacked t ~start ~stop)
 
 (* FACK loss inference with a RACK-style reorder window: a segment is
    deemed lost once (a) bytes equivalent to three segments were SACKed
@@ -458,59 +488,64 @@ let mark_sacked t (start, stop) =
    scan stops at the first not-yet-judgeable segment (later segments were
    sent later still) without advancing the scan pointer, so it is
    re-examined on the next ACK. Returns bytes newly marked. *)
+let rec loss_scan t seq ~threshold ~reorder_window newly_lost =
+  if seq < t.snd_nxt && seq + threshold < t.highest_sacked then begin
+    let seg = find_seg t seq in
+    if seg == t.head then
+      loss_scan t (Int.max (seq + t.config.mss) t.snd_una) ~threshold ~reorder_window newly_lost
+    else begin
+      let markable = (not seg.sacked) && (not seg.lost) && not seg.retransmitted in
+      let rack_ok =
+        Time_ns.compare (Time_ns.sub t.newest_sacked_sent_at seg.sent_at) reorder_window >= 0
+      in
+      if markable && not rack_ok then
+        (* Not judgeable yet: revisit from here on the next ACK. *)
+        newly_lost
+      else begin
+        let newly_lost =
+          if markable then begin
+            t.pipe <- t.pipe - (seg.len * seg.copies);
+            seg.copies <- 0;
+            seg.lost <- true;
+            Queue.add seg t.retx_queue;
+            newly_lost + seg.len
+          end
+          else newly_lost
+        in
+        t.loss_scan_seq <- seq + seg.len;
+        loss_scan t (seq + seg.len) ~threshold ~reorder_window newly_lost
+      end
+    end
+  end
+  else newly_lost
+
 let scan_losses t =
-  let threshold = 3 * t.config.mss in
   let reorder_window =
     match Rtt_estimator.srtt t.rtt_est with
     | Some srtt -> Time_ns.scale srtt 0.25
     | None -> Time_ns.zero
   in
-  let newly_lost = ref 0 in
-  let rec walk seq =
-    if seq < t.snd_nxt && seq + threshold < t.highest_sacked then begin
-      match Hashtbl.find_opt t.segs seq with
-      | None -> walk (max (seq + t.config.mss) t.snd_una)
-      | Some seg ->
-        let markable = (not seg.sacked) && (not seg.lost) && not seg.retransmitted in
-        let rack_ok =
-          Time_ns.compare (Time_ns.sub t.newest_sacked_sent_at seg.sent_at) reorder_window >= 0
-        in
-        if markable && not rack_ok then
-          (* Not judgeable yet: revisit from here on the next ACK. *)
-          ()
-        else begin
-          if markable then begin
-            t.pipe <- t.pipe - (seg.len * seg.copies);
-            seg.copies <- 0;
-            seg.lost <- true;
-            newly_lost := !newly_lost + seg.len;
-            Queue.add seg t.retx_queue
-          end;
-          t.loss_scan_seq <- seq + seg.len;
-          walk (seq + seg.len)
-        end
-    end
-  in
-  walk (max t.loss_scan_seq t.snd_una);
-  !newly_lost
+  loss_scan t
+    (Int.max t.loss_scan_seq t.snd_una)
+    ~threshold:(3 * t.config.mss) ~reorder_window 0
 
 (* RFC 6937 proportional rate reduction: compute how much try_send may
    emit, given the bytes this ACK newly delivered (cum-acked + SACKed).
    While the pipe exceeds the post-cut window, send proportionally to
    deliveries; once below, slow-start back up to the window. *)
 let prr_update t ~delivered =
-  if t.recovery_point <> None && delivered > 0 then begin
+  if in_recovery t && delivered > 0 then begin
     t.prr_delivered <- t.prr_delivered + delivered;
     let ssthresh = t.cwnd in
     let sndcnt =
       if t.pipe > ssthresh then
         (((t.prr_delivered * ssthresh) + t.recover_fs - 1) / t.recover_fs) - t.prr_out
       else begin
-        let limit = max (t.prr_delivered - t.prr_out) delivered + t.config.mss in
-        min (ssthresh - t.pipe) limit
+        let limit = Int.max (t.prr_delivered - t.prr_out) delivered + t.config.mss in
+        Int.min (ssthresh - t.pipe) limit
       end
     in
-    t.recovery_quota <- max 0 sndcnt
+    t.recovery_quota <- Int.max 0 sndcnt
   end
 
 (* RACK-style lost-retransmission detection: a retransmitted, still
@@ -542,24 +577,23 @@ let check_retransmit_timeouts t =
   | Some srtt ->
     scan_retransmits t ~at:(now t) ~deadline:(Time_ns.scale srtt 2.0) t.head.u_next 0
 
-let pop_acked t cum_ack =
-  let rec pop newest =
-    let seg = t.head.next in
-    if seg != t.head && seg.seq + seg.len <= cum_ack then begin
-      t.head.next <- seg.next;
-      if t.tail == seg then t.tail <- t.head;
-      seg.next <- seg;
-      if not seg.sacked then unlink_unsacked seg;
-      Hashtbl.remove t.segs seg.seq;
-      t.pipe <- t.pipe - (seg.len * seg.copies);
-      seg.copies <- 0;
-      (* Prefer an RTT/rate sample from a never-retransmitted segment. *)
-      let newest = if seg.retransmitted then newest else Some seg in
-      pop newest
-    end
-    else newest
-  in
-  pop None
+(* Retire every segment wholly below [cum_ack]. Returns the newest
+   never-retransmitted one, which gives the cleanest RTT and rate
+   sample, or [newest] (the sentinel, at the first call) if there is
+   none. *)
+let rec pop_acked t cum_ack newest =
+  let seg = t.head.next in
+  if seg != t.head && seg.seq + seg.len <= cum_ack then begin
+    t.head.next <- seg.next;
+    if t.tail == seg then t.tail <- t.head;
+    seg.next <- seg;
+    if not seg.sacked then unlink_unsacked seg;
+    Segs.remove t.segs seg.seq;
+    t.pipe <- t.pipe - (seg.len * seg.copies);
+    seg.copies <- 0;
+    pop_acked t cum_ack (if seg.retransmitted then newest else seg)
+  end
+  else newest
 
 (* Scoreboard invariants, for tests: [pipe] is the sum of [len * copies]
    over outstanding segments; the outstanding list is contiguous from
@@ -581,9 +615,7 @@ let audit t =
         if stop <> t.snd_nxt then fail "scoreboard ends at %d, snd_nxt is %d" stop t.snd_nxt
       end
       else if seg.next.seq <> stop then fail "gap after segment %d" seg.seq;
-      (match Hashtbl.find_opt t.segs seg.seq with
-      | Some s when s == seg -> ()
-      | Some _ | None -> fail "segment %d not in the table" seg.seq);
+      if find_seg t seg.seq != seg then fail "segment %d not in the table" seg.seq;
       let unsacked =
         if seg.sacked then unsacked
         else if unsacked != seg then fail "unSACKed segment %d is off the unSACKed list" seg.seq
@@ -597,8 +629,8 @@ let audit t =
   | exception Failure msg -> Error msg
   | _ when t.head.u_next.u_prev != t.head -> Error "broken back link at the sentinel"
   | _ when t.head.next == t.head && t.tail != t.head -> Error "tail set on an empty scoreboard"
-  | count, _ when count <> Hashtbl.length t.segs ->
-    Error (Printf.sprintf "%d outstanding segments, %d in the table" count (Hashtbl.length t.segs))
+  | count, _ when count <> Segs.length t.segs ->
+    Error (Printf.sprintf "%d outstanding segments, %d in the table" count (Segs.length t.segs))
   | _, pipe when pipe <> t.pipe -> Error (Printf.sprintf "pipe is %d, segments hold %d" t.pipe pipe)
   | _ -> Ok ()
 
@@ -642,6 +674,8 @@ let start t =
     try_send t
   end
 
+let no_rates = { Rate_estimator.send_rate = None; delivery_rate = None }
+
 let on_ack t (pkt : Packet.t) =
   match pkt.payload with
   | Data _ -> invalid_arg "Tcp_flow.on_ack: got a data packet"
@@ -657,24 +691,22 @@ let on_ack t (pkt : Packet.t) =
        sinks and the rtt listener keep the true network RTT, so a
        robustness scorecard measures real queueing, not injected noise. *)
     let rtt_sample =
-      match t.perturb with
-      | Some s -> Option.map (fun r -> Ccp_perturb.Sampler.rtt s r) true_rtt
-      | None -> true_rtt
+      match (t.perturb, true_rtt) with
+      | Some s, Some r -> Some (Ccp_perturb.Sampler.rtt s r)
+      | Some _, None | None, _ -> true_rtt
     in
-    Option.iter (fun r -> Rtt_estimator.on_sample t.rtt_est r) rtt_sample;
-    Option.iter
-      (fun r ->
-        (match t.obs_h with
-        | Some h -> Ccp_obs.Metrics.observe h.o_rtt_us (Time_ns.to_float_us r)
-        | None -> ());
-        match t.rtt_listener with Some f -> f at r | None -> ())
-      true_rtt;
-    let sacked_bytes =
-      List.fold_left (fun acc range -> acc + mark_sacked t range) 0 a.newly_sacked
-    in
+    (match rtt_sample with Some r -> Rtt_estimator.on_sample t.rtt_est r | None -> ());
+    (match true_rtt with
+    | Some r -> (
+      (match t.obs_h with
+      | Some h -> Ccp_obs.Metrics.observe h.o_rtt_us (Time_ns.to_float_us r)
+      | None -> ());
+      match t.rtt_listener with Some f -> f at r | None -> ())
+    | None -> ());
+    let sacked_bytes = mark_ranges t a.newly_sacked 0 in
     let newly_lost = scan_losses t in
     (* One multiplicative decrease per window of loss, as TCP requires. *)
-    if newly_lost > 0 && t.recovery_point = None then begin
+    if newly_lost > 0 && not (in_recovery t) then begin
       t.recovery_point <- Some t.snd_nxt;
       t.recovery_count <- t.recovery_count + 1;
       (match t.obs_h with
@@ -682,23 +714,22 @@ let on_ack t (pkt : Packet.t) =
       | None -> ());
       t.prr_delivered <- 0;
       t.prr_out <- 0;
-      t.recover_fs <- max (t.pipe + newly_lost) t.config.mss;
+      t.recover_fs <- Int.max (t.pipe + newly_lost) t.config.mss;
       t.recovery_quota <- 0;
       t.cc.on_loss c { kind = Dup_acks; at; bytes_lost_estimate = newly_lost }
     end;
     check_retransmit_timeouts t;
-    let cum = min a.cum_ack t.snd_nxt in
+    let cum = Int.min a.cum_ack t.snd_nxt in
     if cum > t.snd_una then begin
       let newly = cum - t.snd_una in
       t.snd_una <- cum;
       if t.loss_scan_seq < cum then t.loss_scan_seq <- cum;
       if t.highest_sacked < cum then t.highest_sacked <- cum;
-      let newest_seg = pop_acked t cum in
+      let newest_seg = pop_acked t cum t.head in
       let rates =
-        match newest_seg with
-        | Some seg -> Rate_estimator.on_ack t.rate_est ~now:at ~bytes_newly_acked:newly seg.snapshot
-        | None ->
-          { Rate_estimator.send_rate = None; delivery_rate = None }
+        if newest_seg == t.head then no_rates
+        else
+          Rate_estimator.on_ack t.rate_est ~now:at ~bytes_newly_acked:newly newest_seg.snapshot
       in
       t.rto_backoff <- 1;
       prr_update t ~delivered:(newly + sacked_bytes);
@@ -747,7 +778,6 @@ let cwnd t = t.cwnd
 let pacing_rate t = Pacer.rate t.pacer
 let snd_nxt t = t.snd_nxt
 let snd_una t = t.snd_una
-let in_recovery t = t.recovery_point <> None
 let srtt t = Rtt_estimator.srtt t.rtt_est
 let min_rtt t = Rtt_estimator.min_rtt t.rtt_est
 let rtt_estimator t = t.rtt_est

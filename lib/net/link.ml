@@ -10,86 +10,99 @@ type t = {
   jitter : Time_ns.t;
   rng : Rng.t;
   schedule : (Time_ns.t * float) array;  (* ascending step times *)
-  mutable receive : (Packet.t -> unit) option;
-  mutable busy : bool;
+  receive : (Packet.t -> unit) ref;
+  mutable connected : bool;
+  mutable in_service : Packet.t;  (* [Packet.placeholder] while idle *)
+  mutable serializer : Sim.timer;  (* fires when [in_service] is on the wire *)
+  propagation : Packet.t Sim.line;  (* packets on the wire, by arrival *)
   mutable delivered_bytes : int;
   mutable delivered_packets : int;
 }
 
+let positive_finite rate = Float.is_finite rate && rate > 0.0
+
+(* Rate in force at [at]: the last schedule step not after it. The
+   rates stay boxed in the schedule, so the answer is never re-boxed. *)
+let rec find_rate schedule ~at i best =
+  if i >= Array.length schedule then best
+  else begin
+    let step_at, rate = schedule.(i) in
+    if Time_ns.compare step_at at <= 0 then find_rate schedule ~at (i + 1) rate else best
+  end
+
+let rate_at t ~at = find_rate t.schedule ~at 0 t.rate_bps
+
+let current_rate_bps t = rate_at t ~at:(Sim.now t.sim)
+
+(* The transmitter: take the head packet and hold the line for its
+   serialization time at the current rate. *)
+let transmit_next t =
+  if Queue_disc.backlog_packets t.qdisc = 0 then t.in_service <- Packet.placeholder
+  else begin
+    let pkt = Queue_disc.dequeue t.qdisc in
+    t.in_service <- pkt;
+    let now = Sim.now t.sim in
+    let serialization =
+      Time_ns.bytes_time ~bytes:pkt.Packet.wire_size ~rate_bps:(rate_at t ~at:now)
+    in
+    Sim.reschedule t.sim t.serializer ~at:(Time_ns.add now (Time_ns.max serialization 0))
+  end
+
+(* The last bit is out: the packet arrives one (possibly jittered)
+   propagation delay later, and the next one starts. *)
+let serialized t =
+  let pkt = t.in_service in
+  t.delivered_bytes <- t.delivered_bytes + pkt.Packet.wire_size;
+  t.delivered_packets <- t.delivered_packets + 1;
+  let extra = if Time_ns.is_positive t.jitter then Rng.int t.rng (t.jitter + 1) else 0 in
+  let delay = Time_ns.max (Time_ns.add t.delay extra) Time_ns.zero in
+  Sim.push t.propagation ~at:(Time_ns.add (Sim.now t.sim) delay) pkt;
+  transmit_next t
+
 let create ~sim ~rate_bps ~delay ~qdisc ?(name = "link") ?(jitter = Time_ns.zero)
     ?(rate_schedule = []) () =
-  if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
+  if not (positive_finite rate_bps) then invalid_arg "Link.create: rate must be positive and finite";
   List.iter
     (fun (at, rate) ->
-      if Time_ns.compare at Time_ns.zero < 0 || rate <= 0.0 then
-        invalid_arg "Link.create: schedule entries need time >= 0 and rate > 0")
+      if Time_ns.compare at Time_ns.zero < 0 || not (positive_finite rate) then
+        invalid_arg "Link.create: schedule entries need time >= 0 and a positive, finite rate")
     rate_schedule;
   let schedule =
     Array.of_list (List.sort (fun (a, _) (b, _) -> Time_ns.compare a b) rate_schedule)
   in
   let qdisc = Queue_disc.create qdisc ~rng:(Rng.split (Sim.rng sim)) in
-  {
-    sim;
-    rate_bps;
-    delay;
-    qdisc;
-    name;
-    jitter;
-    rng = Rng.split (Sim.rng sim);
-    schedule;
-    receive = None;
-    busy = false;
-    delivered_bytes = 0;
-    delivered_packets = 0;
-  }
-
-let connect t receive = t.receive <- Some receive
-
-(* Rate in force at [at]: the last schedule step not after it. *)
-let rate_at t ~at =
-  let rec find i best =
-    if i >= Array.length t.schedule then best
-    else begin
-      let step_at, rate = t.schedule.(i) in
-      if Time_ns.compare step_at at <= 0 then find (i + 1) rate else best
-    end
+  let receive = ref (fun (_ : Packet.t) -> invalid_arg (name ^ ": send before connect")) in
+  let t =
+    {
+      sim;
+      rate_bps;
+      delay;
+      qdisc;
+      name;
+      jitter;
+      rng = Rng.split (Sim.rng sim);
+      schedule;
+      receive;
+      connected = false;
+      in_service = Packet.placeholder;
+      serializer = Sim.timer sim ignore (* replaced below: its callback needs [t] *);
+      propagation = Sim.line sim ~filler:Packet.placeholder (fun pkt -> !receive pkt);
+      delivered_bytes = 0;
+      delivered_packets = 0;
+    }
   in
-  find 0 t.rate_bps
+  t.serializer <- Sim.timer sim (fun () -> serialized t);
+  t
 
-let current_rate_bps t = rate_at t ~at:(Sim.now t.sim)
-
-let deliver t pkt =
-  match t.receive with
-  | None -> invalid_arg (t.name ^ ": send before connect")
-  | Some receive -> receive pkt
-
-(* The transmitter loop: take the head packet, hold the line for its
-   serialization time at the current rate, then schedule its arrival one
-   (possibly jittered) propagation delay later and start the next. *)
-let rec transmit_next t =
-  match Queue_disc.dequeue t.qdisc with
-  | None -> t.busy <- false
-  | Some pkt ->
-    t.busy <- true;
-    let rate = rate_at t ~at:(Sim.now t.sim) in
-    let serialization = Time_ns.bytes_time ~bytes:pkt.Packet.wire_size ~rate_bps:rate in
-    ignore
-      (Sim.schedule_after t.sim ~delay:serialization (fun () ->
-           t.delivered_bytes <- t.delivered_bytes + pkt.Packet.wire_size;
-           t.delivered_packets <- t.delivered_packets + 1;
-           let extra =
-             if Time_ns.is_positive t.jitter then Rng.int t.rng (t.jitter + 1) else 0
-           in
-           ignore
-             (Sim.schedule_after t.sim ~delay:(Time_ns.add t.delay extra) (fun () ->
-                  deliver t pkt));
-           transmit_next t))
+let connect t receive =
+  t.receive := receive;
+  t.connected <- true
 
 let send t pkt =
-  if t.receive = None then invalid_arg (t.name ^ ": send before connect");
+  if not t.connected then invalid_arg (t.name ^ ": send before connect");
   match Queue_disc.enqueue t.qdisc pkt with
   | Dropped -> ()
-  | Enqueued -> if not t.busy then transmit_next t
+  | Enqueued -> if t.in_service == Packet.placeholder then transmit_next t
 
 let rate_bps t = t.rate_bps
 let delay t = t.delay

@@ -14,7 +14,17 @@
       receiver's out-of-order buffering and the sender's SACK scoreboard.
     - [rate_schedule]: a piecewise-constant capacity profile — (time,
       bits/s) steps, as on a cellular link. The rate in force when a
-      packet starts transmitting determines its serialization time. *)
+      packet starts transmitting determines its serialization time.
+
+    A link allocates nothing per packet once its rings have grown. The
+    packet being serialized sits in one field under one timer, re-armed
+    with {!Ccp_eventsim.Sim.reschedule} for each packet. The packets in
+    propagation sit in one {!Ccp_eventsim.Sim.line}, in arrival order,
+    so the simulator's heap holds one entry for all of them. Each
+    arrival keeps the key a scheduled event would have had, which keeps
+    runs byte-identical to scheduling one closure per packet; under
+    jitter a packet that overtakes others is inserted in arrival
+    order. *)
 
 open Ccp_util
 open Ccp_eventsim
@@ -31,8 +41,10 @@ val create :
   ?rate_schedule:(Time_ns.t * float) list ->
   unit ->
   t
-(** [rate_schedule] entries must have non-negative times and positive
-    rates; the initial rate is [rate_bps] until the first step. *)
+(** [rate_bps] and every [rate_schedule] rate must be positive and
+    finite, and schedule times non-negative; otherwise
+    [Invalid_argument]. The initial rate is [rate_bps] until the first
+    step. *)
 
 val connect : t -> (Packet.t -> unit) -> unit
 (** Set the receive callback. Must be called before the first [send]. *)

@@ -31,7 +31,7 @@ type t = {
 let header_bytes = 40
 let ack_wire_size = header_bytes
 
-let data ~flow ~seq ~len ~sent_at ?(is_retransmit = false) ?(ecn_capable = false) () =
+let data ~flow ~seq ~len ~sent_at ~is_retransmit ~ecn_capable =
   {
     flow;
     wire_size = len + header_bytes;
@@ -48,6 +48,24 @@ let ack ~flow ~cum_ack ~echo_sent_at ~ecn_echo ?(acked_segments = 1) ?(newly_sac
     ecn_capable = false;
     ecn_marked = false;
     payload = Ack { cum_ack; echo_sent_at; ecn_echo; acked_segments; recv_bytes; newly_sacked };
+  }
+
+let placeholder =
+  {
+    flow = -1;
+    wire_size = 0;
+    ecn_capable = false;
+    ecn_marked = false;
+    payload =
+      Ack
+        {
+          cum_ack = 0;
+          echo_sent_at = Time_ns.zero;
+          ecn_echo = false;
+          acked_segments = 0;
+          recv_bytes = 0;
+          newly_sacked = [];
+        };
   }
 
 let is_data t = match t.payload with Data _ -> true | Ack _ -> false

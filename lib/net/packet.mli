@@ -47,11 +47,18 @@ val header_bytes : int
 
 val ack_wire_size : int
 
-val data : flow:flow_id -> seq:int -> len:int -> sent_at:Time_ns.t -> ?is_retransmit:bool ->
-  ?ecn_capable:bool -> unit -> t
+val data :
+  flow:flow_id -> seq:int -> len:int -> sent_at:Time_ns.t -> is_retransmit:bool ->
+  ecn_capable:bool -> t
+(** Every argument is required, so a sender building one segment per
+    transmission allocates no option for it. *)
 
 val ack : flow:flow_id -> cum_ack:int -> echo_sent_at:Time_ns.t -> ecn_echo:bool ->
   ?acked_segments:int -> ?newly_sacked:(int * int) list -> recv_bytes:int -> unit -> t
+
+val placeholder : t
+(** A packet that is never sent. It fills the vacant slots of queue
+    rings and delay lines, so they keep no departed packet reachable. *)
 
 val is_data : t -> bool
 val is_ack : t -> bool

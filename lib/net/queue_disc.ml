@@ -12,10 +12,15 @@ type config =
 
 type verdict = Enqueued | Dropped
 
+(* The queue is a ring of [count] packets from [first]; its capacity is
+   a power of two (or 0 before the first packet), and its vacant slots
+   hold [Packet.placeholder]. *)
 type t = {
   config : config;
   rng : Rng.t;
-  queue : Packet.t Queue.t;
+  mutable ring : Packet.t array;
+  mutable first : int;
+  mutable count : int;
   mutable backlog : int;
   mutable avg_backlog : float;  (* RED's EWMA of the queue size *)
   mutable enqueued : int;
@@ -37,7 +42,9 @@ let create config ~rng =
   {
     config;
     rng;
-    queue = Queue.create ();
+    ring = [||];
+    first = 0;
+    count = 0;
     backlog = 0;
     avg_backlog = 0.0;
     enqueued = 0;
@@ -46,8 +53,19 @@ let create config ~rng =
     dequeued_bytes = 0;
   }
 
+let grow t =
+  let cap = Array.length t.ring in
+  let ring = Array.make (max 16 (2 * cap)) Packet.placeholder in
+  for k = 0 to t.count - 1 do
+    ring.(k) <- t.ring.((t.first + k) land (cap - 1))
+  done;
+  t.ring <- ring;
+  t.first <- 0
+
 let admit t (pkt : Packet.t) =
-  Queue.add pkt t.queue;
+  if t.count = Array.length t.ring then grow t;
+  t.ring.((t.first + t.count) land (Array.length t.ring - 1)) <- pkt;
+  t.count <- t.count + 1;
   t.backlog <- t.backlog + pkt.wire_size;
   t.enqueued <- t.enqueued + 1;
   Enqueued
@@ -114,16 +132,17 @@ let enqueue t pkt =
       ~max_mark_probability ~ecn pkt
 
 let dequeue t =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some pkt ->
-    t.backlog <- t.backlog - pkt.wire_size;
-    t.dequeued_bytes <- t.dequeued_bytes + pkt.wire_size;
-    Some pkt
+  if t.count = 0 then invalid_arg "Queue_disc.dequeue: empty queue";
+  let pkt = t.ring.(t.first) in
+  t.ring.(t.first) <- Packet.placeholder;
+  t.first <- (t.first + 1) land (Array.length t.ring - 1);
+  t.count <- t.count - 1;
+  t.backlog <- t.backlog - pkt.wire_size;
+  t.dequeued_bytes <- t.dequeued_bytes + pkt.wire_size;
+  pkt
 
-let peek t = Queue.peek_opt t.queue
 let backlog_bytes t = t.backlog
-let backlog_packets t = Queue.length t.queue
+let backlog_packets t = t.count
 let enqueued_packets t = t.enqueued
 let dropped_packets t = t.dropped
 let marked_packets t = t.marked

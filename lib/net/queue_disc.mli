@@ -26,8 +26,9 @@ val create : config -> rng:Ccp_util.Rng.t -> t
 val enqueue : t -> Packet.t -> verdict
 (** May set the packet's [ecn_marked] flag as a side effect. *)
 
-val dequeue : t -> Packet.t option
-val peek : t -> Packet.t option
+val dequeue : t -> Packet.t
+(** The oldest queued packet. Raises [Invalid_argument] on an empty
+    queue; check {!backlog_packets} first. *)
 
 val backlog_bytes : t -> int
 val backlog_packets : t -> int

@@ -39,7 +39,9 @@ module Dumbbell : sig
     t -> flow:Packet.flow_id -> data_sink:(Packet.t -> unit) -> ack_sink:(Packet.t -> unit) -> unit
   (** Attach a flow: data packets arriving at the right-hand side go to
       [data_sink] (the flow's receiver); ACKs arriving back on the left go
-      to [ack_sink] (the flow's sender). *)
+      to [ack_sink] (the flow's sender). Flow ids index an array, so
+      they must be non-negative and should be small; packets of an
+      unattached flow are dropped on arrival. *)
 
   val send_data : t -> Packet.t -> unit
   (** Sender-side entry onto the forward link. *)

@@ -1,41 +1,68 @@
 open Ccp_util
 open Ccp_eventsim
 
-type t = { sim : Sim.t; tbl : (string, (Time_ns.t * float) list ref) Hashtbl.t }
+(* A series is two growable columns, unboxed times and unboxed values,
+   filled up to [len]. A column starts empty and doubles from 4 slots,
+   so the thousands of series of a large incast stay small, and a point
+   costs two words once the columns have grown. *)
+type handle = {
+  sim : Sim.t;
+  mutable times : int array;
+  mutable values : float array;
+  mutable len : int;
+}
 
-let create sim = { sim; tbl = Hashtbl.create 16 }
+type t = { trace_sim : Sim.t; tbl : (string, handle) Hashtbl.t }
 
-let points t series =
-  match Hashtbl.find_opt t.tbl series with
-  | Some cell -> cell
+let create sim = { trace_sim = sim; tbl = Hashtbl.create 16 }
+
+let handle t name =
+  match Hashtbl.find_opt t.tbl name with
+  | Some h -> h
   | None ->
-    let cell = ref [] in
-    Hashtbl.add t.tbl series cell;
-    cell
+    let h = { sim = t.trace_sim; times = [||]; values = [||]; len = 0 } in
+    Hashtbl.add t.tbl name h;
+    h
 
-let add t ~series value =
-  let cell = points t series in
-  cell := (Sim.now t.sim, value) :: !cell
+let grow h =
+  let cap = max 4 (2 * h.len) in
+  let times = Array.make cap 0 and values = Array.make cap 0.0 in
+  Array.blit h.times 0 times 0 h.len;
+  Array.blit h.values 0 values 0 h.len;
+  h.times <- times;
+  h.values <- values
+
+let[@inline] push h value =
+  if h.len = Array.length h.times then grow h;
+  Array.unsafe_set h.times h.len (Sim.now h.sim);
+  Array.unsafe_set h.values h.len value;
+  h.len <- h.len + 1
+
+let add t ~series value = push (handle t series) value
 
 let sample_every t ~series ~every ?until probe =
   if not (Time_ns.is_positive every) then invalid_arg "Trace.sample_every: period must be positive";
+  let h = handle t series in
   let rec tick () =
-    let due = Time_ns.add (Sim.now t.sim) every in
+    let due = Time_ns.add (Sim.now t.trace_sim) every in
     match until with
     | Some limit when Time_ns.compare due limit > 0 -> ()
     | Some _ | None ->
       ignore
-        (Sim.schedule t.sim ~at:due (fun () ->
-             add t ~series (probe ());
+        (Sim.schedule t.trace_sim ~at:due (fun () ->
+             push h (probe ());
              tick ()))
   in
   tick ()
 
 let series t name =
-  match Hashtbl.find_opt t.tbl name with None -> [] | Some cell -> List.rev !cell
+  match Hashtbl.find_opt t.tbl name with
+  | None -> []
+  | Some h -> List.init h.len (fun i -> (h.times.(i), h.values.(i)))
 
 let series_names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.tbl [] |> List.sort String.compare
+  Hashtbl.fold (fun name h acc -> if h.len > 0 then name :: acc else acc) t.tbl []
+  |> List.sort String.compare
 
 let to_csv t ~name =
   let buf = Buffer.create 1024 in

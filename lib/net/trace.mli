@@ -2,7 +2,12 @@
 
     A trace holds named series of (simulation time, value) points. Series
     are either pushed explicitly (e.g., cwnd on every update) or sampled
-    periodically by a registered probe (e.g., queue depth every 10 ms). *)
+    periodically by a registered probe (e.g., queue depth every 10 ms).
+
+    Each series is stored as two growable columns, unboxed times and
+    unboxed values, which start empty and double from 4 slots. A hot
+    writer resolves its series once with {!handle} and appends with
+    {!push}, which allocates nothing unless a column grows. *)
 
 open Ccp_util
 open Ccp_eventsim
@@ -11,8 +16,19 @@ type t
 
 val create : Sim.t -> t
 
+type handle
+(** A resolved series. *)
+
+val handle : t -> string -> handle
+(** The series named so, created empty if unknown. A series appears in
+    {!series_names} only once it holds a point. *)
+
+val push : handle -> float -> unit
+(** Record a point on the series at the current simulation time. *)
+
 val add : t -> series:string -> float -> unit
-(** Record a point on [series] at the current simulation time. *)
+(** [add t ~series v] is [push (handle t series) v]: a name lookup per
+    point. *)
 
 val sample_every :
   t -> series:string -> every:Time_ns.t -> ?until:Time_ns.t -> (unit -> float) -> unit

@@ -39,23 +39,98 @@ module Samples = struct
 
   let create () = { data = Array.make 64 0.0; len = 0; sorted = true }
 
-  let add t x =
-    if t.len = Array.length t.data then begin
-      let bigger = Array.make (2 * t.len) 0.0 in
+  let reserve t n =
+    if t.len + n > Array.length t.data then begin
+      let bigger = Array.make (max (t.len + n) (2 * t.len)) 0.0 in
       Array.blit t.data 0 bigger 0 t.len;
       t.data <- bigger
-    end;
+    end
+
+  let add t x =
+    reserve t 1;
     t.data.(t.len) <- x;
     t.len <- t.len + 1;
     t.sorted <- false
 
+  let append t ~from =
+    reserve t from.len;
+    Array.blit from.data 0 t.data t.len from.len;
+    t.len <- t.len + from.len;
+    t.sorted <- false
+
   let count t = t.len
+
+  (* [Float.compare x y < 0]: NaN sorts below every other float and
+     equal to itself, and the zeros are equal. *)
+  let[@inline] less (x : float) y = x < y || (x <> x && y = y)
+
+  (* A port of the stdlib's [Array.sort] (a ternary heap sort) to the
+     first [l] floats of [a], with [Float.compare] inlined, so it
+     produces the same permutation without boxing an element or
+     allocating. [maxson] returns -1 where the stdlib raises [Bottom]. *)
+  let maxson (a : float array) l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if less a.(i31) a.(i31 + 1) then i31 + 1 else i31 in
+      if less a.(x) a.(i31 + 2) then i31 + 2 else x
+    end
+    else if i31 + 1 < l && less a.(i31) a.(i31 + 1) then i31 + 1
+    else if i31 < l then i31
+    else -1
+
+  let sort_prefix (a : float array) l =
+    for start = ((l + 1) / 3) - 1 downto 0 do
+      (* trickle l start a.(start) *)
+      let e = a.(start) in
+      let i = ref start and sinking = ref true in
+      while !sinking do
+        let j = maxson a l !i in
+        if j >= 0 && less e a.(j) then begin
+          a.(!i) <- a.(j);
+          i := j
+        end
+        else begin
+          a.(!i) <- e;
+          sinking := false
+        end
+      done
+    done;
+    for n = l - 1 downto 2 do
+      let e = a.(n) in
+      a.(n) <- a.(0);
+      (* trickleup (bubble n 0) e *)
+      let i = ref 0 and j = ref (maxson a n 0) in
+      while !j >= 0 do
+        a.(!i) <- a.(!j);
+        i := !j;
+        j := maxson a n !i
+      done;
+      let rising = ref true in
+      while !rising do
+        let father = (!i - 1) / 3 in
+        if less a.(father) e then begin
+          a.(!i) <- a.(father);
+          if father > 0 then i := father
+          else begin
+            a.(0) <- e;
+            rising := false
+          end
+        end
+        else begin
+          a.(!i) <- e;
+          rising := false
+        end
+      done
+    done;
+    if l > 1 then begin
+      let e = a.(1) in
+      a.(1) <- a.(0);
+      a.(0) <- e
+    end
 
   let ensure_sorted t =
     if not t.sorted then begin
-      let slice = Array.sub t.data 0 t.len in
-      Array.sort Float.compare slice;
-      Array.blit slice 0 t.data 0 t.len;
+      sort_prefix t.data t.len;
       t.sorted <- true
     end
 

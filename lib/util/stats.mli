@@ -28,10 +28,18 @@ module Samples : sig
 
   val create : unit -> t
   val add : t -> float -> unit
+
+  val append : t -> from:t -> unit
+  (** Add every sample of [from], in the order [from] holds them. *)
+
   val count : t -> int
+
   val percentile : t -> float -> float
   (** [percentile t p] for [p] in \[0,100\]; linear interpolation between
-      order statistics. Raises [Invalid_argument] on an empty set. *)
+      order statistics. Raises [Invalid_argument] on an empty set. The
+      first call after an [add] sorts the samples in place, with the
+      permutation [Array.sort Float.compare] would give and without
+      allocating; later calls only read. *)
 
   val median : t -> float
   val mean : t -> float
@@ -41,7 +49,8 @@ module Samples : sig
       [points] evenly spaced fractions, suitable for plotting a CDF. *)
 
   val to_array : t -> float array
-  (** Sorted copy of the samples. *)
+  (** Sorted copy of the samples: bitwise what [Array.sort Float.compare]
+      makes of them, NaNs first. *)
 end
 
 (** {1 EWMA} *)

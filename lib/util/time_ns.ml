@@ -15,8 +15,8 @@ let add = ( + )
 let sub = ( - )
 let diff a b = abs (a - b)
 let scale t f = int_of_float (Float.round (float_of_int t *. f))
-let min = Stdlib.min
-let max = Stdlib.max
+let min = Int.min
+let max = Int.max
 let compare = Int.compare
 let equal = Int.equal
 let is_positive t = t > 0

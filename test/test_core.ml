@@ -231,7 +231,8 @@ let prop_receiver_reassembles_any_order =
       List.iteri
         (fun k i ->
           Tcp_receiver.on_data receiver
-            (Packet.data ~flow:1 ~seq:(i * 1000) ~len:1000 ~sent_at:Time_ns.zero ());
+            (Packet.data ~flow:1 ~seq:(i * 1000) ~len:1000 ~sent_at:Time_ns.zero
+               ~is_retransmit:false ~ecn_capable:false);
           model := model_arrive !model ((i * 1000), (i * 1000) + 1000);
           let expected, ooo = !model in
           let ooo_bytes = List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 ooo in

@@ -97,7 +97,10 @@ let collect_acks () =
   (acks, send_ack)
 
 let data ~seq ?(len = 1000) ?(marked = false) () =
-  let p = Packet.data ~flow:1 ~seq ~len ~sent_at:(Time_ns.us seq) () in
+  let p =
+    Packet.data ~flow:1 ~seq ~len ~sent_at:(Time_ns.us seq) ~is_retransmit:false
+      ~ecn_capable:false
+  in
   p.Packet.ecn_marked <- marked;
   p
 

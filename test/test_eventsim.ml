@@ -191,6 +191,14 @@ let[@inline never] schedule_and_cancel sim ~at =
   Alcotest.(check int) "cancel lowers pending_events" (before - 1) (Sim.pending_events sim);
   weak
 
+(* The same for an item pushed onto a line. *)
+let[@inline never] push_holding line ~at =
+  let block = Bytes.create 64 in
+  let weak = Weak.create 1 in
+  Weak.set weak 0 (Some block);
+  Sim.push line ~at block;
+  weak
+
 let collected weak =
   Gc.full_major ();
   not (Weak.check weak 0)
@@ -206,6 +214,15 @@ let test_dead_events_release_callbacks () =
   let cancelled = schedule_and_cancel sim ~at:(Time_ns.ms 100) in
   Alcotest.(check bool) "cancelled callback collected" true (collected cancelled);
   Alcotest.(check int) "one live event left" 1 (Sim.pending_events sim);
+  check_audit sim;
+  let line = Sim.line sim ~filler:Bytes.empty (fun b -> ignore (Sys.opaque_identity b)) in
+  let delivered = push_holding line ~at:(Time_ns.ms 20) in
+  let queued = push_holding line ~at:(Time_ns.ms 30) in
+  Alcotest.(check int) "line events counted" 3 (Sim.pending_events sim);
+  Alcotest.(check bool) "line delivers" true (Sim.step sim);
+  Alcotest.(check bool) "delivered item collected" true (collected delivered);
+  Alcotest.(check bool) "queued item kept" false (collected queued);
+  Alcotest.(check int) "one line event left" 1 (Sim.line_length line);
   check_audit sim
 
 (* Minor words [f] allocates over [n] calls. *)
@@ -245,11 +262,14 @@ let test_queue_hot_ops_allocation () =
 
 (* --- differential property: the queue against a sorted-list model --- *)
 
-(* What an event does the first time it fires. *)
-type action = Nothing | Spawn of int | Rearm of int
+(* What an event does the first time it fires. A timer may re-arm
+   itself; any event may schedule a new one or push one onto a line,
+   the line it is delivered from included. *)
+type action = Nothing | Spawn of int | Rearm of int | Push_to of { line : int; delay : int }
 
 type op =
   | Schedule of { delay : int; action : action }
+  | Push of { line : int; delay : int; action : action }
   | Cancel of int
   | Reschedule of { timer : int; delay : int }
   | Step
@@ -260,9 +280,12 @@ let show_action = function
   | Nothing -> "-"
   | Spawn d -> Printf.sprintf "spawn+%d" d
   | Rearm d -> Printf.sprintf "rearm+%d" d
+  | Push_to { line; delay } -> Printf.sprintf "push%d+%d" line delay
 
 let show_op = function
   | Schedule { delay; action } -> Printf.sprintf "schedule+%d(%s)" delay (show_action action)
+  | Push { line; delay; action } ->
+    Printf.sprintf "push%d+%d(%s)" line delay (show_action action)
   | Cancel k -> Printf.sprintf "cancel#%d" k
   | Reschedule { timer; delay } -> Printf.sprintf "reschedule#%d+%d" timer delay
   | Step -> "step"
@@ -274,17 +297,33 @@ let show_op = function
    which [reschedule] must reject. *)
 let gen_delay rng = 10 * Prop.int_range rng (-1) 4
 
+(* Two lines, so a callback can push onto its own line or the other. *)
+let lines = 2
+
+let gen_push_to rng = Push_to { line = Rng.int rng lines; delay = max 0 (gen_delay rng) }
+
+(* Pushes may be due before the line's queued events, so out-of-order
+   inserts are common; a negative delay must be rejected. *)
 let gen_op rng =
-  match Prop.int_range rng 0 9 with
+  match Prop.int_range rng 0 11 with
   | 0 | 1 | 2 ->
     let delay = max 0 (gen_delay rng) in
     let action =
-      match Prop.int_range rng 0 3 with
+      match Prop.int_range rng 0 4 with
       | 0 -> Spawn (max 0 (gen_delay rng))
       | 1 -> Rearm (max 0 (gen_delay rng))
+      | 2 -> gen_push_to rng
       | _ -> Nothing
     in
     Schedule { delay; action }
+  | 10 | 11 ->
+    let action =
+      match Prop.int_range rng 0 3 with
+      | 0 -> Spawn (max 0 (gen_delay rng))
+      | 1 -> gen_push_to rng
+      | _ -> Nothing
+    in
+    Push { line = Rng.int rng lines; delay = gen_delay rng; action }
   | 3 -> Cancel (Rng.int rng 1000)
   | 4 | 5 -> Reschedule { timer = Rng.int rng 1000; delay = gen_delay rng }
   | 6 | 7 -> Step
@@ -292,9 +331,11 @@ let gen_op rng =
   | _ -> Run_max (Prop.int_range rng 0 4)
 
 (* The reference: entries sorted by (at, seq), one seq drawn per
-   schedule or reschedule. Both sides number events in creation order,
-   and each side keeps its own copy of every event's action and whether
-   it has fired, so they only agree if they fire in the same order. *)
+   schedule, reschedule or push. A line event is just an entry that no
+   op can cancel or move: the model knows nothing of lines. Both sides
+   number events (timers and line items alike) in creation order, and
+   each side keeps its own copy of every event's action and whether it
+   has fired, so they only agree if they fire in the same order. *)
 type entry = { at : int; seq : int; id : int }
 
 type model = {
@@ -302,6 +343,7 @@ type model = {
   mutable queue : entry list;
   mutable next_seq : int;
   mutable m_ids : int;
+  m_timer_ids : (int, int) Hashtbl.t;  (* n-th timer created -> its id *)
   m_actions : (int, action) Hashtbl.t;
   m_fired : (int, unit) Hashtbl.t;
   mutable m_log : (int * int) list;
@@ -314,11 +356,18 @@ let model_insert m id at =
 
 let model_remove m id = m.queue <- List.filter (fun e -> e.id <> id) m.queue
 
-let model_schedule m at action =
+let model_event m at action =
   let id = m.m_ids in
   m.m_ids <- id + 1;
   Hashtbl.replace m.m_actions id action;
-  model_insert m id at
+  model_insert m id at;
+  id
+
+let model_schedule m at action =
+  let id = model_event m at action in
+  Hashtbl.replace m.m_timer_ids (Hashtbl.length m.m_timer_ids) id
+
+let model_push m at action = ignore (model_event m at action : int)
 
 let model_fire m =
   match m.queue with
@@ -333,44 +382,91 @@ let model_fire m =
       | Nothing -> ()
       | Spawn d -> model_schedule m (m.clock + d) Nothing
       | Rearm d -> model_insert m e.id (m.clock + d)
+      | Push_to { delay; _ } -> model_push m (m.clock + delay) Nothing
     end
 
 type real = {
   sim : Sim.t;
+  mutable lines : int Sim.line array;  (* items are event ids *)
   timers : (int, Sim.timer) Hashtbl.t;
+  r_actions : (int, action) Hashtbl.t;  (* of line items *)
   r_fired : (int, unit) Hashtbl.t;
   mutable r_log : (int * int) list;
+  mutable r_ids : int;
 }
 
+let real_id r =
+  let id = r.r_ids in
+  r.r_ids <- id + 1;
+  id
+
 let rec real_schedule r at action =
-  let id = Hashtbl.length r.timers in
+  let id = real_id r in
   Hashtbl.replace r.timers id (Sim.schedule r.sim ~at (fun () -> real_fire r id action))
+
+and real_push r ~line at action =
+  let id = real_id r in
+  Hashtbl.replace r.r_actions id action;
+  Sim.push r.lines.(line) ~at id
 
 and real_fire r id action =
   let now = Sim.now r.sim in
   r.r_log <- (id, now) :: r.r_log;
-  let timer = Hashtbl.find r.timers id in
-  Prop.require "not pending inside its own callback" (not (Sim.is_pending timer));
+  let timer = Hashtbl.find_opt r.timers id in
+  Option.iter
+    (fun timer ->
+      Prop.require "not pending inside its own callback" (not (Sim.is_pending timer)))
+    timer;
   if not (Hashtbl.mem r.r_fired id) then begin
     Hashtbl.replace r.r_fired id ();
     match action with
     | Nothing -> ()
     | Spawn d -> real_schedule r (now + d) Nothing
-    | Rearm d -> Sim.reschedule r.sim timer ~at:(now + d)
+    | Rearm d -> Sim.reschedule r.sim (Option.get timer) ~at:(now + d)
+    | Push_to { line; delay } -> real_push r ~line (now + delay) Nothing
   end;
   match Sim.audit r.sim with Ok () -> () | Error msg -> Prop.fail "audit in a callback: %s" msg
 
+let real_create () =
+  let r =
+    {
+      sim = Sim.create ();
+      lines = [||];
+      timers = Hashtbl.create 16;
+      r_actions = Hashtbl.create 16;
+      r_fired = Hashtbl.create 16;
+      r_log = [];
+      r_ids = 0;
+    }
+  in
+  r.lines <-
+    Array.init lines (fun _ ->
+        Sim.line r.sim ~filler:(-1) (fun id -> real_fire r id (Hashtbl.find r.r_actions id)));
+  r
+
 let apply m r op =
-  let ids = m.m_ids in
+  let timers = Hashtbl.length m.m_timer_ids in
   match op with
   | Schedule { delay; action } ->
     model_schedule m (m.clock + delay) action;
     real_schedule r (Sim.now r.sim + delay) action
-  | Cancel k when ids > 0 ->
-    model_remove m (k mod ids);
-    Sim.cancel (Hashtbl.find r.timers (k mod ids))
-  | Reschedule { timer; delay } when ids > 0 ->
-    let id = timer mod ids and at = m.clock + delay in
+  | Push { line; delay; action } -> (
+    let at = m.clock + delay in
+    let past = at < m.clock in
+    if not past then model_push m at action;
+    match real_push r ~line at action with
+    | () -> Prop.require "push into the past accepted" (not past)
+    | exception Invalid_argument _ ->
+      Prop.require "push rejected a future time" past;
+      (* The rejected push drew an id but queued nothing; keep the two
+         numberings in step. *)
+      m.m_ids <- m.m_ids + 1)
+  | Cancel k when timers > 0 ->
+    let id = Hashtbl.find m.m_timer_ids (k mod timers) in
+    model_remove m id;
+    Sim.cancel (Hashtbl.find r.timers id)
+  | Reschedule { timer; delay } when timers > 0 ->
+    let id = Hashtbl.find m.m_timer_ids (timer mod timers) and at = m.clock + delay in
     let past = at < m.clock in
     if not past then begin
       model_remove m id;
@@ -416,14 +512,13 @@ let prop_queue_matches_model =
           queue = [];
           next_seq = 0;
           m_ids = 0;
+          m_timer_ids = Hashtbl.create 16;
           m_actions = Hashtbl.create 16;
           m_fired = Hashtbl.create 16;
           m_log = [];
         }
       in
-      let r =
-        { sim = Sim.create (); timers = Hashtbl.create 16; r_fired = Hashtbl.create 16; r_log = [] }
-      in
+      let r = real_create () in
       List.iteri
         (fun i op ->
           apply m r op;
@@ -442,7 +537,10 @@ let prop_queue_matches_model =
                 string_of_bool
                 (List.exists (fun e -> e.id = id) m.queue)
                 (Sim.is_pending timer))
-            r.timers)
+            r.timers;
+          Prop.check_eq ~what:(what "line events") string_of_int
+            (List.length (List.filter (fun e -> not (Hashtbl.mem r.timers e.id)) m.queue))
+            (Array.fold_left (fun acc l -> acc + Sim.line_length l) 0 r.lines))
         ops)
 
 let suite =

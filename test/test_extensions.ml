@@ -256,7 +256,9 @@ let test_link_jitter_bounds () =
       | Packet.Data d -> arrival_seqs := d.Packet.seq :: !arrival_seqs
       | Packet.Ack _ -> ());
   for i = 0 to 99 do
-    Link.send link (Packet.data ~flow:1 ~seq:(i * 1448) ~len:1448 ~sent_at:Time_ns.zero ())
+    Link.send link
+      (Packet.data ~flow:1 ~seq:(i * 1448) ~len:1448 ~sent_at:Time_ns.zero ~is_retransmit:false
+         ~ecn_capable:false)
   done;
   Sim.run sim;
   Alcotest.(check int) "all arrived" 100 (List.length !arrivals);

@@ -205,6 +205,21 @@ let fig3_native_lines () =
   in
   result_lines fig3 @ result_lines paced
 
+(* Native Reno beside CCP Reno for 2 s at 48 Mbit/s and 20 ms, with 2 ms
+   of jitter on the bottleneck: a segment serializes in ~0.25 ms, so
+   packets overtake each other in propagation. The only golden whose
+   deliveries arrive out of order, it pins the order in which a jittered
+   link hands them over. *)
+let jitter_lines () =
+  let duration = Time_ns.sec 2 in
+  let config = Experiment.default_config ~rate_bps:48e6 ~base_rtt:(Time_ns.ms 20) ~duration in
+  result_lines
+    (seeded_run { config with Experiment.jitter = Time_ns.ms 2 } duration
+       [
+         Experiment.flow (Experiment.Native_cc Ccp_algorithms.Native_reno.create);
+         Experiment.flow (Experiment.Ccp_cc (Ccp_algorithms.Ccp_reno.create ()));
+       ])
+
 (* Compare against a checked-in golden, or rewrite it when [regen] names
    an environment variable that is set (to the file's path), after an
    intentional change to the transport's dynamics. *)
@@ -227,6 +242,10 @@ let test_golden_fig3_native () =
   check_golden ~regen:"CCP_REGEN_FIG3_NATIVE" ~file:"golden_fig3_native.expected"
     ~what:"native cubic and paced timely runs" (fig3_native_lines ())
 
+let test_golden_jitter () =
+  check_golden ~regen:"CCP_REGEN_JITTER" ~file:"golden_jitter.expected"
+    ~what:"reno and ccp-reno over a jittered link" (jitter_lines ())
+
 let suite =
   [
     ( "fidelity",
@@ -236,5 +255,6 @@ let suite =
         Alcotest.test_case "golden trace is deterministic" `Quick test_golden_trace;
         Alcotest.test_case "golden fig3 ccp-cubic at 1 Gbit/s" `Quick test_golden_fig3_ccp;
         Alcotest.test_case "golden native cubic and paced timely" `Quick test_golden_fig3_native;
+        Alcotest.test_case "golden reno pair over a jittered link" `Quick test_golden_jitter;
       ] );
   ]

@@ -6,7 +6,7 @@ open Ccp_eventsim
 open Ccp_net
 
 let mk_data ?(flow = 1) ?(seq = 0) ?(len = 1448) ?(ecn = false) () =
-  Packet.data ~flow ~seq ~len ~sent_at:Time_ns.zero ~ecn_capable:ecn ()
+  Packet.data ~flow ~seq ~len ~sent_at:Time_ns.zero ~is_retransmit:false ~ecn_capable:ecn
 
 (* --- Packet --- *)
 
@@ -38,10 +38,29 @@ let test_droptail_fifo () =
   Alcotest.(check int) "backlog packets" 2 (Queue_disc.backlog_packets q);
   Alcotest.(check int) "backlog bytes" (2 * (1448 + Packet.header_bytes))
     (Queue_disc.backlog_bytes q);
-  (match Queue_disc.dequeue q with
-  | Some p -> Alcotest.(check bool) "fifo order" true (p == p1)
-  | None -> Alcotest.fail "expected packet");
+  Alcotest.(check bool) "fifo order" true (Queue_disc.dequeue q == p1);
   Alcotest.(check int) "backlog after dequeue" 1 (Queue_disc.backlog_packets q)
+
+(* The ring keeps no departed packet reachable. The helpers keep the
+   packet itself out of this function's frame. *)
+let[@inline never] enqueue_watched q =
+  let p = mk_data () in
+  let weak = Weak.create 1 in
+  Weak.set weak 0 (Some p);
+  ignore (Queue_disc.enqueue q p : Queue_disc.verdict);
+  weak
+
+let[@inline never] dequeue_one q = ignore (Sys.opaque_identity (Queue_disc.dequeue q))
+
+let test_dequeue_releases_packet () =
+  let q = droptail () in
+  let weak = enqueue_watched q in
+  dequeue_one q;
+  Gc.full_major ();
+  Alcotest.(check bool) "dequeued packet collected" false (Weak.check weak 0);
+  Alcotest.(check int) "queue empty" 0 (Queue_disc.backlog_packets q);
+  Alcotest.check_raises "dequeue on empty" (Invalid_argument "Queue_disc.dequeue: empty queue")
+    (fun () -> dequeue_one q)
 
 let test_droptail_capacity () =
   let q = droptail ~capacity:3_000 () in
@@ -160,7 +179,7 @@ let test_link_utilization () =
   Link.connect link (fun _ -> ());
   (* 125 bytes at 1 Mbit/s = 1 ms of the link's time. *)
   Link.send link (Packet.data ~flow:0 ~seq:0 ~len:(125 - Packet.header_bytes)
-                    ~sent_at:Time_ns.zero ());
+                    ~sent_at:Time_ns.zero ~is_retransmit:false ~ecn_capable:false);
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "10% over 10ms" 0.1 (Link.utilization link ~over:(Time_ns.ms 10))
 
@@ -173,6 +192,78 @@ let test_link_requires_connect () =
   in
   Alcotest.check_raises "send before connect" (Invalid_argument "l1: send before connect")
     (fun () -> Link.send link (mk_data ()))
+
+let test_link_rejects_non_finite_rate () =
+  let sim = Sim.create () in
+  List.iter
+    (fun rate_bps ->
+      match
+        Link.create ~sim ~rate_bps ~delay:Time_ns.zero
+          ~qdisc:(Queue_disc.Droptail { capacity_bytes = 1000; ecn_threshold_bytes = None })
+          ()
+      with
+      | _ -> Alcotest.failf "rate %g accepted" rate_bps
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_link_rejects_non_finite_schedule_rate () =
+  let sim = Sim.create () in
+  List.iter
+    (fun rate ->
+      match
+        Link.create ~sim ~rate_bps:1e9 ~delay:Time_ns.zero
+          ~qdisc:(Queue_disc.Droptail { capacity_bytes = 1000; ecn_threshold_bytes = None })
+          ~rate_schedule:[ (Time_ns.ms 1, 2e9); (Time_ns.ms 2, rate) ]
+          ()
+      with
+      | _ -> Alcotest.failf "schedule rate %g accepted" rate
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* A steady-state hop, enqueue, serialization and delivery, allocates
+   nothing: a second burst of 1024 packets through a 1 Gbit/s, 5 ms link
+   (about 400 of them in propagation at once) finds the queue ring, the
+   delay line and the event heap already grown. With jitter, arrivals
+   overtake each other, so the line inserts out of order. *)
+let test_link_hop_allocation_free () =
+  List.iter
+    (fun jitter ->
+      let sim = Sim.create () in
+      let link =
+        Link.create ~sim ~rate_bps:1e9 ~delay:(Time_ns.ms 5) ~jitter
+          ~qdisc:(Queue_disc.Droptail { capacity_bytes = 10_000_000; ecn_threshold_bytes = None })
+          ()
+      in
+      let arrived = ref 0 and last_seq = ref (-1) and reordered = ref false in
+      Link.connect link (fun pkt ->
+          incr arrived;
+          match pkt.Packet.payload with
+          | Packet.Data d ->
+            if d.Packet.seq < !last_seq then reordered := true;
+            last_seq := d.Packet.seq
+          | Packet.Ack _ -> ());
+      let n = 1024 in
+      let pkts = Array.init n (fun i -> mk_data ~seq:(i * 1448) ()) in
+      let burst () =
+        last_seq := -1;
+        for i = 0 to n - 1 do
+          Link.send link pkts.(i)
+        done;
+        while Sim.step sim do
+          ()
+        done
+      in
+      burst ();
+      let before = Gc.minor_words () in
+      burst ();
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) "every packet arrives" (2 * n) !arrived;
+      Alcotest.(check bool) "reordered exactly when jittered" (Time_ns.is_positive jitter)
+        !reordered;
+      if words > 0.0 then
+        Alcotest.failf "%.0f minor words over %d hops (jitter %d ns)" words n jitter;
+      match Sim.audit sim with Ok () -> () | Error msg -> Alcotest.failf "Sim.audit: %s" msg)
+    [ Time_ns.zero; Time_ns.us 500 ]
 
 (* --- Offload --- *)
 
@@ -292,6 +383,29 @@ let test_trace_downsample () =
   Alcotest.(check int) "short series untouched" 3
     (List.length (Trace.downsample [ (0, 0.0); (1, 1.0); (2, 2.0) ] ~max_points:10))
 
+(* A handle resolves its series once; appending then allocates nothing
+   until a column is full. A series with no point stays unlisted. *)
+let test_trace_push_allocation_free () =
+  let sim = Sim.create () in
+  let trace = Trace.create sim in
+  let h = Trace.handle trace "x" in
+  Alcotest.(check (list string)) "empty series unlisted" [] (Trace.series_names trace);
+  let v = Sys.opaque_identity 2.5 in
+  (* 1025 points grow the columns to 2048 slots. *)
+  for _ = 1 to 1025 do
+    Trace.push h v
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Trace.push h v
+  done;
+  Alcotest.(check (float 0.0)) "no words per point" 0.0 (Gc.minor_words () -. before);
+  Alcotest.(check (list string)) "listed after a point" [ "x" ] (Trace.series_names trace);
+  Alcotest.(check int) "points kept" 2025 (List.length (Trace.series trace "x"));
+  Alcotest.(check bool) "handle and name share the series" true
+    (Trace.add trace ~series:"x" 1.0;
+     List.length (Trace.series trace "x") = 2026)
+
 let test_trace_csv () =
   let sim = Sim.create () in
   let trace = Trace.create sim in
@@ -346,6 +460,7 @@ let suite =
     ( "net.queue_disc",
       [
         Alcotest.test_case "droptail fifo" `Quick test_droptail_fifo;
+        Alcotest.test_case "dequeue releases the packet" `Quick test_dequeue_releases_packet;
         Alcotest.test_case "droptail capacity" `Quick test_droptail_capacity;
         Alcotest.test_case "ecn threshold marking" `Quick test_droptail_ecn_marking;
         Alcotest.test_case "red marks" `Quick test_red_marks_and_drops;
@@ -357,6 +472,10 @@ let suite =
         Alcotest.test_case "serialization back-to-back" `Quick test_link_serializes_back_to_back;
         Alcotest.test_case "utilization" `Quick test_link_utilization;
         Alcotest.test_case "connect required" `Quick test_link_requires_connect;
+        Alcotest.test_case "non-finite rate rejected" `Quick test_link_rejects_non_finite_rate;
+        Alcotest.test_case "non-finite schedule rate rejected" `Quick
+          test_link_rejects_non_finite_schedule_rate;
+        Alcotest.test_case "hop allocation-free" `Quick test_link_hop_allocation_free;
       ] );
     ( "net.offload",
       [
@@ -372,6 +491,7 @@ let suite =
         Alcotest.test_case "periodic sampling" `Quick test_trace_sampling;
         Alcotest.test_case "downsample" `Quick test_trace_downsample;
         Alcotest.test_case "csv" `Quick test_trace_csv;
+        Alcotest.test_case "push allocation-free" `Quick test_trace_push_allocation_free;
       ] );
     ( "net.topology",
       [

@@ -240,6 +240,76 @@ let prop_percentile_bounds =
       let hi = List.fold_left Float.max neg_infinity xs in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
+(* Words [f] allocates, minor and directly in the major heap. *)
+let words_allocated f =
+  Gc.minor ();
+  let major = (Gc.quick_stat ()).Gc.major_words in
+  let minor = Gc.minor_words () in
+  f ();
+  let minor = Gc.minor_words () -. minor in
+  minor +. ((Gc.quick_stat ()).Gc.major_words -. major)
+
+(* The first percentile of 250 k unsorted samples sorts them in place:
+   it allocates no more than its boxed result, where a sort through
+   [Array.sort Float.compare] boxes two floats per comparison. *)
+let test_percentile_allocation () =
+  let rng = Rng.create ~seed:7 in
+  let n = 250_000 in
+  let raw = Array.init n (fun _ -> Rng.float rng 1e6) in
+  let s = Stats.Samples.create () in
+  Array.iter (Stats.Samples.add s) raw;
+  let result = ref 0.0 in
+  let words = words_allocated (fun () -> result := Stats.Samples.percentile s 99.0) in
+  let boxed_float = float_of_int (Obj.size (Obj.repr 1.0) + 1) in
+  if words > boxed_float then
+    Alcotest.failf "percentile allocated %.0f words; its boxed result is %.0f" words boxed_float;
+  Array.sort Float.compare raw;
+  let rank = 99.0 /. 100.0 *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+  Alcotest.(check (float 0.0)) "p99 of the sorted samples"
+    (raw.(lo) +. ((rank -. float_of_int lo) *. (raw.(hi) -. raw.(lo))))
+    !result
+
+(* The in-place sort yields bitwise what [Array.sort Float.compare] does,
+   on inputs rich in the values a comparison can get wrong: NaNs of
+   both signs and two payloads, both zeros, both infinities and
+   duplicates. *)
+let special_floats =
+  [|
+    Float.nan;
+    Float.neg Float.nan;
+    Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+    0.0;
+    -0.0;
+    Float.infinity;
+    Float.neg_infinity;
+    1.0;
+    -1.0;
+    Float.max_float;
+    Float.min_float;
+  |]
+
+let gen_sample rng =
+  match Prop.int_range rng 0 3 with
+  | 0 -> special_floats.(Rng.int rng (Array.length special_floats))
+  | 1 -> float_of_int (Prop.int_range rng (-3) 3)
+  | _ -> Rng.float rng 2.0 -. 1.0
+
+let prop_sort_matches_stdlib =
+  Prop.test_case ~cases:500 ~name:"in-place sort = Array.sort Float.compare"
+    ~gen:(fun rng ->
+      let n = if Rng.int rng 10 = 0 then Prop.int_range rng 0 2000 else Prop.int_range rng 0 40 in
+      Array.init n (fun _ -> gen_sample rng))
+    ~show:(fun xs -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") xs)))
+    (fun xs ->
+      let expected = Array.copy xs in
+      Array.sort Float.compare expected;
+      let s = Stats.Samples.create () in
+      Array.iter (Stats.Samples.add s) xs;
+      let bits a = Array.to_list (Array.map (fun x -> Printf.sprintf "%Lx" (Int64.bits_of_float x)) a) in
+      Prop.check_eq ~what:"sorted bits" (String.concat " ") (bits expected)
+        (bits (Stats.Samples.to_array s)))
+
 let suite =
   [
     ( "util.time",
@@ -269,5 +339,7 @@ let suite =
         Alcotest.test_case "windowed extrema" `Quick test_windowed_min_max;
         Alcotest.test_case "jain fairness" `Quick test_jain;
         QCheck_alcotest.to_alcotest prop_percentile_bounds;
+        Alcotest.test_case "percentile sorts in place" `Quick test_percentile_allocation;
+        prop_sort_matches_stdlib;
       ] );
   ]
