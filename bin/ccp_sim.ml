@@ -44,6 +44,27 @@ let fail fmt =
       exit 1)
     fmt
 
+(* Malformed user input: a one-line error on stderr, then the CLI-error
+   exit (124), before anything is simulated. *)
+let bad_input fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "ccp_sim: %s\n%!" msg;
+      exit Cmd.Exit.cli_error)
+    fmt
+
+let positive ~flag v =
+  if not (Float.is_finite v && v > 0.0) then
+    bad_input "%s: %g is not a positive finite number" flag v;
+  v
+
+(* The shared link options, validated where they are consumed. *)
+let link ~rate_mbps ~rtt_ms ~duration_s =
+  let rate_bps = positive ~flag:"--rate" rate_mbps *. 1e6 in
+  let base_rtt = Time_ns.of_float_sec (positive ~flag:"--rtt" rtt_ms /. 1e3) in
+  let duration = Time_ns.of_float_sec (positive ~flag:"--duration" duration_s) in
+  (rate_bps, base_rtt, duration)
+
 let split_list s =
   List.filter (fun x -> x <> "") (List.map String.trim (String.split_on_char ',' s))
 
@@ -316,25 +337,36 @@ let parse_flows spec =
   String.split_on_char ',' spec
   |> List.map (fun entry ->
          let entry = String.trim entry in
-         let name, start_s =
+         let name, start =
            match String.index_opt entry '@' with
            | Some i ->
-             ( String.sub entry 0 i,
-               float_of_string (String.sub entry (i + 1) (String.length entry - i - 1)) )
-           | None -> (entry, 0.0)
+             (String.sub entry 0 i, Some (String.sub entry (i + 1) (String.length entry - i - 1)))
+           | None -> (entry, None)
          in
-         match List.assoc_opt name algorithms with
-         | Some make -> Experiment.flow ~start_at:(Time_ns.of_float_sec start_s) (make ())
-         | None -> failwith (Printf.sprintf "unknown algorithm %S (try: %s)" name algorithm_names))
+         let make =
+           match List.assoc_opt name algorithms with
+           | Some make -> make
+           | None when name = "" -> bad_input "--flows: empty algorithm in %S" spec
+           | None -> bad_input "--flows: unknown algorithm %S (try: %s)" name algorithm_names
+         in
+         let start_s =
+           match start with
+           | None -> 0.0
+           | Some s -> (
+             match float_of_string_opt s with
+             | Some v when Float.is_finite v && v >= 0.0 -> v
+             | _ -> bad_input "--flows: start %S of %S is not a finite number >= 0" s entry)
+         in
+         Experiment.flow ~start_at:(Time_ns.of_float_sec start_s) (make ()))
 
 let build_config ~rate_mbps ~rtt_ms ~duration_s ~buffer_bdp ~seed ~flows ~ecn_bdp =
-  let rate_bps = rate_mbps *. 1e6 in
-  let base_rtt = Time_ns.of_float_sec (rtt_ms /. 1e3) in
+  let rate_bps, base_rtt, duration = link ~rate_mbps ~rtt_ms ~duration_s in
+  if not (Float.is_finite buffer_bdp && buffer_bdp >= 0.0) then
+    bad_input "--buffer-bdp: %g is not a finite number >= 0" buffer_bdp;
+  let flows = parse_flows flows in
   let bdp = rate_bps *. Time_ns.to_float_sec base_rtt /. 8.0 in
   let buffer_bytes = max 3000 (int_of_float (buffer_bdp *. bdp)) in
-  let base =
-    Experiment.default_config ~rate_bps ~base_rtt ~duration:(Time_ns.of_float_sec duration_s)
-  in
+  let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
   {
     base with
     Experiment.seed;
@@ -343,7 +375,7 @@ let build_config ~rate_mbps ~rtt_ms ~duration_s ~buffer_bdp ~seed ~flows ~ecn_bd
     ecn_threshold_bytes =
       (if ecn_bdp > 0.0 then Some (int_of_float (ecn_bdp *. float_of_int buffer_bytes))
        else None);
-    flows = parse_flows flows;
+    flows;
   }
 
 let print_result (r : Experiment.result) =
@@ -455,9 +487,7 @@ let run_cmd =
     in
     let faults =
       try build_faults ~ipc_drop ~ipc_dup ~ipc_spike ~ipc_reorder ~agent_crash
-      with Invalid_argument msg | Failure msg ->
-        Printf.eprintf "ccp_sim: %s\n%!" msg;
-        exit Cmd.Exit.cli_error
+      with Invalid_argument msg | Failure msg -> bad_input "%s" msg
     in
     let datapath =
       {
@@ -490,9 +520,7 @@ let run_cmd =
               agent_overload;
               checkpoint_interval;
             })
-     with Invalid_argument msg ->
-       Printf.eprintf "ccp_sim: %s\n%!" msg;
-       exit Cmd.Exit.cli_error);
+     with Invalid_argument msg -> bad_input "%s" msg);
     (match (trace, obs) with
     | Some path, Some obs -> write_trace ~path obs
     | _ -> ())
@@ -692,9 +720,8 @@ let latency_cmd =
   in
   let bench_json = bench_json "$(b,reaction.*) percentile and span-count rows" in
   let action duration_s seed trace bench_json =
-    let series =
-      Scenarios.Reaction.run ~duration:(Time_ns.of_float_sec duration_s) ~seed ()
-    in
+    let duration = Time_ns.of_float_sec (positive ~flag:"--duration" duration_s) in
+    let series = Scenarios.Reaction.run ~duration ~seed () in
     print_string (Report.render_reaction series);
     print_newline ();
     let failures = check_reaction_consistency series in
@@ -783,12 +810,11 @@ let robustness_cmd =
   in
   let action algos perturbs seeds rate_mbps rtt_ms duration_s scorecard_file bench_json =
     let seeds = int_list ~flag:"--seeds" ~default:[ 42 ] seeds in
+    let rate_bps, base_rtt, duration = link ~rate_mbps ~rtt_ms ~duration_s in
     let sc =
       try
-        Scenarios.Robustness.run ~rate_bps:(rate_mbps *. 1e6)
-          ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
-          ~duration:(Time_ns.of_float_sec duration_s) ~seeds ?algos:(opt_list algos)
-          ?perturbs:(opt_list perturbs) ()
+        Scenarios.Robustness.run ~rate_bps ~base_rtt ~duration ~seeds
+          ?algos:(opt_list algos) ?perturbs:(opt_list perturbs) ()
       with Invalid_argument e -> fail "%s" e
     in
     print_string (Report.render_robustness sc);
@@ -863,10 +889,9 @@ let chaos_cmd =
   in
   let action seeds rate_mbps rtt_ms duration_s scorecard_file bench_json timeline_file =
     let seeds = int_list ~flag:"--seeds" ~default:[ 42 ] seeds in
+    let rate_bps, base_rtt, duration = link ~rate_mbps ~rtt_ms ~duration_s in
     let sc =
-      Scenarios.Chaos.run ~rate_bps:(rate_mbps *. 1e6)
-        ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
-        ~duration:(Time_ns.of_float_sec duration_s) ~seeds
+      Scenarios.Chaos.run ~rate_bps ~base_rtt ~duration ~seeds
         ~with_telemetry:(timeline_file <> None) ()
     in
     Printf.printf
@@ -929,6 +954,7 @@ let top_cmd =
     Arg.(value & opt float 12.0 & info [ "duration" ] ~docv:"S" ~doc)
   in
   let action seed rate_mbps rtt_ms duration_s =
+    let rate_bps, base_rtt, duration = link ~rate_mbps ~rtt_ms ~duration_s in
     let delta name w =
       match Ccp_obs.Timeseries.point w name with
       | Some (Ccp_obs.Timeseries.Counter_point { delta; _ }) -> delta
@@ -979,9 +1005,7 @@ let top_cmd =
         alerts
     in
     let sc =
-      Scenarios.Chaos.run ~rate_bps:(rate_mbps *. 1e6)
-        ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
-        ~duration:(Time_ns.of_float_sec duration_s) ~seeds:[ seed ]
+      Scenarios.Chaos.run ~rate_bps ~base_rtt ~duration ~seeds:[ seed ]
         ~with_telemetry:true ~window_hook:hook ()
     in
     (* End-of-run rollup per cell: heavy hitters and SLO verdicts. *)
@@ -1111,11 +1135,10 @@ let incast_cmd =
       bench_json timeline_file =
     let ns = int_list ~flag:"--n" ~default:[ 16; 64; 256 ] ns in
     let seeds = int_list ~flag:"--seeds" ~default:[ 42 ] seeds in
+    let rate_bps, base_rtt, duration = link ~rate_mbps ~rtt_ms ~duration_s in
     let sc =
       try
-        Scenarios.Incast.run ~rate_bps:(rate_mbps *. 1e6)
-          ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
-          ~duration:(Time_ns.of_float_sec duration_s) ~ns
+        Scenarios.Incast.run ~rate_bps ~base_rtt ~duration ~ns
           ~arrivals:(List.map Scenarios.Incast.arrival_of_string (split_list arrivals))
           ?algos:(opt_list algos) ~seeds ~batching:(not no_batching)
           ~with_telemetry:(timeline_file <> None) ()

@@ -137,19 +137,28 @@ test "$status" -eq 1
 test "$(wc -l < "$incast_tmp/err")" -eq 1
 rm -rf "$incast_tmp"
 
-echo "== bad rate smoke =="
-# A link rate that is zero or not finite is a one-line error and exit
-# 124, before anything is simulated, not a run at zero serialization
-# time that prints "utilization nan%".
-rate_tmp="$(mktemp -d)"
-for rate in 0 nan; do
+echo "== bad input smoke =="
+# A link rate, RTT or duration that is not a positive finite number, and
+# a --flows entry with an unknown algorithm or a bad start time, is a
+# one-line error and exit 124 before anything is simulated: not a crash,
+# and not a run at zero serialization time that prints "utilization
+# nan%".
+bad_tmp="$(mktemp -d)"
+bad_input() {
   status=0
-  dune exec bin/ccp_sim.exe -- run --rate "$rate" --duration 0.1 \
-    > /dev/null 2> "$rate_tmp/err" || status=$?
+  dune exec bin/ccp_sim.exe -- "$@" > /dev/null 2> "$bad_tmp/err" || status=$?
   test "$status" -eq 124
-  test "$(wc -l < "$rate_tmp/err")" -eq 1
+  test "$(wc -l < "$bad_tmp/err")" -eq 1
+}
+for rate in 0 nan; do
+  bad_input run --rate "$rate" --duration 0.1
 done
-rm -rf "$rate_tmp"
+bad_input run --flows bogus --duration 0.1
+bad_input run --flows reno,reno@nan --duration 0.1
+bad_input run --duration nan
+bad_input csv --rate 0 --duration 0.1
+bad_input chaos --duration nan
+rm -rf "$bad_tmp"
 
 echo "== scale bench smoke =="
 # The slot-pool churn and batched-report amortization benchmarks: the

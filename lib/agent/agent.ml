@@ -44,22 +44,16 @@ type flow_entry = {
    how long reports sat waiting — the scenario-level starvation metric. *)
 type flow_queue = { fq : (Message.t * int * Time_ns.t) Queue.t; mutable in_rr : bool }
 
-(* Where per-flow entries live. [Hashed] is the original open-ended
-   hashtable; [Pooled] (the [flow_pool] knob) preallocates a
-   generation-checked slot pool so registering/tearing down thousands of
-   flows is allocation-bounded, capacity overrun is a structured
-   rejection, and a handle that outlives its flow is detected (counted
-   stale) instead of steering the slot's next occupant. *)
-type registry =
-  | Hashed of (int, flow_entry) Hashtbl.t
-  | Pooled of flow_entry Flow_table.t
-
 type t = {
   sim : Sim.t;
   channel : Channel.t;
   choose : Algorithm.flow_info -> Algorithm.t;
   policy : Algorithm.flow_info -> Policy.t;
-  flows : registry;
+  (* The per-flow registry: a generation-checked slot table, so a handle
+     that outlives its flow is detected (counted stale) instead of
+     steering the slot's next occupant. Capped by [flow_pool], it
+     refuses registrations past the cap; uncapped, it grows. *)
+  flows : flow_entry Flow_table.t;
   overload : overload option;
   degrade : degrade option;
   queues : (int, flow_queue) Hashtbl.t;
@@ -67,38 +61,27 @@ type t = {
   mutable queued_total : int;
   mutable round_scheduled : bool;
   pending_restore : (int, Checkpoint.flow_snapshot) Hashtbl.t;
-  mutable reports_received : int;
-  mutable urgents_received : int;
-  mutable installs_sent : int;
-  mutable handler_errors : int;
-  mutable install_results_received : int;
-  mutable install_rejects : int;
-  mutable quarantines_seen : int;
-  mutable reports_shed : int;
   mutable max_queue_wait : Time_ns.t;
-  mutable dispatch_rounds : int;
-  mutable degradations : int;
-  mutable degraded_drops : int;
-  mutable warm_restores : int;
-  mutable registrations_rejected : int;
+  (* One store per counted fact: a counter in the obs bundle's registry,
+     or a private one without a bundle ({!Ccp_obs.Obs.counter}). *)
+  reports_received : Ccp_obs.Metrics.counter;
+  urgents_received : Ccp_obs.Metrics.counter;
+  installs_sent : Ccp_obs.Metrics.counter;
+  handler_errors : Ccp_obs.Metrics.counter;
+  install_rejects : Ccp_obs.Metrics.counter;
+  quarantines_seen : Ccp_obs.Metrics.counter;
+  reports_shed : Ccp_obs.Metrics.counter;
+  dispatch_rounds : Ccp_obs.Metrics.counter;
+  degradations : Ccp_obs.Metrics.counter;
+  degraded_drops : Ccp_obs.Metrics.counter;
+  warm_restores : Ccp_obs.Metrics.counter;
+  registrations_rejected : Ccp_obs.Metrics.counter;
   obs : agent_obs option;
   tracer : Ccp_obs.Tracer.t option;
 }
 
 and agent_obs = {
-  o_reports : Ccp_obs.Metrics.counter;
-  o_urgents : Ccp_obs.Metrics.counter;
-  o_installs : Ccp_obs.Metrics.counter;
-  o_handler_errors : Ccp_obs.Metrics.counter;
-  o_rejects : Ccp_obs.Metrics.counter;
-  o_quarantines : Ccp_obs.Metrics.counter;
-  o_shed : Ccp_obs.Metrics.counter;
-  o_rounds : Ccp_obs.Metrics.counter;
-  o_degradations : Ccp_obs.Metrics.counter;
-  o_degraded_drops : Ccp_obs.Metrics.counter;
-  o_warm_restores : Ccp_obs.Metrics.counter;
   o_queue_depth : Ccp_obs.Metrics.gauge;
-  o_regs_rejected : Ccp_obs.Metrics.counter;
   o_pool_occupancy : Ccp_obs.Metrics.gauge;
   o_pool_stale : Ccp_obs.Metrics.gauge;
   (* Per-flow heavy-hitter sketches; [None] when telemetry is off. *)
@@ -110,27 +93,12 @@ let make_agent_obs obs =
   let open Ccp_obs in
   let m = obs.Obs.metrics in
   {
-    o_reports = Metrics.counter m ~unit_:"msgs" "agent.reports_received";
-    o_urgents = Metrics.counter m ~unit_:"msgs" "agent.urgents_received";
-    o_installs = Metrics.counter m ~unit_:"msgs" "agent.installs_sent";
-    o_handler_errors = Metrics.counter m ~unit_:"errors" "agent.handler_errors";
-    o_rejects = Metrics.counter m ~unit_:"msgs" "agent.install_rejects";
-    o_quarantines = Metrics.counter m ~unit_:"msgs" "agent.quarantines_seen";
-    o_shed = Metrics.counter m ~unit_:"msgs" "agent.reports_shed";
-    o_rounds = Metrics.counter m ~unit_:"rounds" "agent.dispatch_rounds";
-    o_degradations = Metrics.counter m ~unit_:"events" "agent.degradations";
-    o_degraded_drops = Metrics.counter m ~unit_:"msgs" "agent.degraded_drops";
-    o_warm_restores = Metrics.counter m ~unit_:"events" "agent.warm_restores";
     o_queue_depth = Metrics.gauge m ~unit_:"msgs" "agent.queue_depth";
-    o_regs_rejected = Metrics.counter m ~unit_:"flows" "agent.registrations_rejected";
     o_pool_occupancy = Metrics.gauge m ~unit_:"flows" "agent.pool.occupancy";
     o_pool_stale = Metrics.gauge m ~unit_:"refs" "agent.pool.stale_derefs";
     tk_sheds = Obs.flow_sketch obs "flow.sheds";
     tk_queue_wait = Obs.flow_sketch obs "flow.queue_wait_us";
   }
-
-let obs_incr t pick =
-  match t.obs with Some h -> Ccp_obs.Metrics.incr (pick h) | None -> ()
 
 let note_queue_depth t =
   match t.obs with
@@ -140,36 +108,14 @@ let note_queue_depth t =
 (* Republish the flow pool's occupancy and stale-deref totals as gauges
    after any registry mutation, so the windowed sampler can see them. *)
 let note_pool t =
-  match (t.obs, t.flows) with
-  | Some h, Pooled pool ->
-    let s = Flow_table.stats pool in
+  match t.obs with
+  | Some h ->
+    let s = Flow_table.stats t.flows in
     Ccp_obs.Metrics.set h.o_pool_occupancy (float_of_int s.Flow_table.live);
     Ccp_obs.Metrics.set h.o_pool_stale (float_of_int s.Flow_table.stale_refs)
-  | _ -> ()
+  | None -> ()
 
 let is_degraded entry = match entry.state with Degraded _ -> true | Active -> false
-
-(* ---- flow registry ------------------------------------------------------- *)
-
-let reg_find t flow =
-  match t.flows with
-  | Hashed flows -> Hashtbl.find_opt flows flow
-  | Pooled pool -> Flow_table.find pool ~flow
-
-let reg_remove t flow =
-  match t.flows with
-  | Hashed flows -> Hashtbl.remove flows flow
-  | Pooled pool -> ignore (Flow_table.release pool ~flow : bool)
-
-let reg_length t =
-  match t.flows with
-  | Hashed flows -> Hashtbl.length flows
-  | Pooled pool -> Flow_table.live pool
-
-let reg_fold t f init =
-  match t.flows with
-  | Hashed flows -> Hashtbl.fold f flows init
-  | Pooled pool -> Flow_table.fold pool ~init ~f
 
 (* ---- overload queue ----------------------------------------------------- *)
 
@@ -179,14 +125,10 @@ let shed_span t span =
   | _ -> ()
 
 let count_shed t ~flow span =
-  t.reports_shed <- t.reports_shed + 1;
+  Ccp_obs.Metrics.incr t.reports_shed;
   (match t.obs with
-  | Some h -> (
-    Ccp_obs.Metrics.incr h.o_shed;
-    match h.tk_sheds with
-    | Some s -> Ccp_obs.Topk.touch s flow
-    | None -> ())
-  | None -> ());
+  | Some { tk_sheds = Some s; _ } -> Ccp_obs.Topk.touch s flow
+  | _ -> ());
   shed_span t span
 
 (* Shed the oldest report of the deepest-backlog flow (ties to the lowest
@@ -241,8 +183,7 @@ let rec guard_flow t entry f =
       | None -> ()
     end
   | exception exn ->
-    t.handler_errors <- t.handler_errors + 1;
-    obs_incr t (fun h -> h.o_handler_errors);
+    Ccp_obs.Metrics.incr t.handler_errors;
     entry.consec_errors <- entry.consec_errors + 1;
     Logs.warn (fun m ->
         m "agent: flow %d handler raised %s" entry.info.Algorithm.flow
@@ -257,8 +198,7 @@ and trip_degrade t entry =
       let flow = entry.info.Algorithm.flow in
       let until = Time_ns.add (Sim.now t.sim) entry.backoff in
       entry.state <- Degraded { until };
-      t.degradations <- t.degradations + 1;
-      obs_incr t (fun h -> h.o_degradations);
+      Ccp_obs.Metrics.incr t.degradations;
       Logs.warn (fun m ->
           m "agent: flow %d degraded after %d consecutive errors; re-admission at %s"
             flow entry.consec_errors (Time_ns.to_string until));
@@ -274,17 +214,11 @@ and trip_degrade t entry =
    doubled backoff. The physical-equality check drops stale timers left
    behind by [reset]/restart or a [Closed]. *)
 and readmit t entry flow =
-  match reg_find t flow with
+  match Flow_table.find t.flows ~flow with
   | Some e when e == entry && is_degraded entry ->
     let algorithm = t.choose entry.info in
     let policy = t.policy entry.info in
-    let tok =
-      ref
-        (match t.flows with
-        | Hashed _ -> Flow_table.no_token
-        | Pooled pool ->
-          Option.value ~default:Flow_table.no_token (Flow_table.token_of pool ~flow))
-    in
+    let tok = Option.value ~default:Flow_table.no_token (Flow_table.token_of t.flows ~flow) in
     let handle = make_handle t entry.info policy ~tok in
     entry.handlers <- algorithm.Algorithm.make handle;
     entry.algorithm_name <- algorithm.Algorithm.name;
@@ -296,23 +230,16 @@ and readmit t entry flow =
 
 and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
   let flow = info.Algorithm.flow in
-  (* Hashed mode keeps the original semantics: best-effort entry update
-     by flow id, and the command always goes out. Pooled mode routes
-     every action through one generation-checked deref of [tok]: a handle
-     captured by a closure that outlives its flow fails the check (the
-     pool counts it stale) and the action is dropped — never applied to,
-     or sent on behalf of, whatever flow reused the slot. *)
+  (* Every action goes through one generation-checked deref of [tok]: a
+     handle captured by a closure that outlives its flow fails the check
+     (the table counts it stale) and the action is dropped — never
+     applied to, or sent on behalf of, whatever flow reused the slot. *)
   let action ~update go =
-    match t.flows with
-    | Hashed flows ->
-      (match Hashtbl.find_opt flows flow with Some entry -> update entry | None -> ());
+    match Flow_table.get t.flows tok with
+    | Some entry ->
+      update entry;
       go ()
-    | Pooled pool -> (
-      match Flow_table.get pool !tok with
-      | Some entry ->
-        update entry;
-        go ()
-      | None -> ())
+    | None -> ()
   in
   let no_update = ignore in
   (* The last program that passed the typecheck on this handle. Algorithms
@@ -333,8 +260,7 @@ and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
       | Error [] -> assert false));
     let program = Policy.apply_program policy program in
     action ~update:no_update (fun () ->
-        t.installs_sent <- t.installs_sent + 1;
-        obs_incr t (fun h -> h.o_installs);
+        Ccp_obs.Metrics.incr t.installs_sent;
         Channel.send t.channel ~from:Channel.Agent_end
           (Message.Install { flow; program }))
   in
@@ -362,7 +288,7 @@ and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
   }
 
 let on_ready t ~flow ~mss ~init_cwnd =
-  match reg_find t flow with
+  match Flow_table.find t.flows ~flow with
   | Some entry when is_degraded entry ->
     (* The watchdog's Ready probes keep arriving while the flow is
        quarantined agent-side; re-admission is owned by the backoff
@@ -387,125 +313,102 @@ let on_ready t ~flow ~mss ~init_cwnd =
         last_rate = 0.0;
       }
     in
-    let tok = ref Flow_table.no_token in
-    let registered =
-      match t.flows with
-      | Hashed flows ->
-        Hashtbl.replace flows flow entry;
-        true
-      | Pooled pool -> (
-        (* The slot is taken before the algorithm instance is built so
-           the handle's token is live during [make] — aggregates install
-           to sibling members from there. *)
-        match Flow_table.register pool ~flow entry with
-        | Ok token ->
-          tok := token;
-          true
-        | Error `Pool_exhausted ->
-          (* Structured rejection: the flow simply stays unserved (its
-             datapath watchdog keeps native CC) and the refusal is
-             counted, instead of an unbounded table quietly growing. *)
-          t.registrations_rejected <- t.registrations_rejected + 1;
-          obs_incr t (fun h -> h.o_regs_rejected);
-          Logs.warn (fun m ->
-              m "agent: flow %d registration rejected: flow pool exhausted (capacity %d)"
-                flow (Flow_table.capacity pool));
-          false)
-    in
+    (* The slot is taken before the algorithm instance is built so the
+       handle's token is live during [make] — aggregates install to
+       sibling members from there. *)
+    let registered = Flow_table.register t.flows ~flow entry in
     note_pool t;
-    if registered then begin
-    let handle = make_handle t info policy ~tok in
-    entry.handlers <- algorithm.Algorithm.make handle;
-    (* Warm restart: replay the checkpointed registers into the fresh
-       instance before [on_ready] runs, so the program it installs starts
-       from the pre-crash operating point. Register-less algorithms get a
-       generic nudge to the last commanded cwnd/rate instead. *)
-    (match Hashtbl.find_opt t.pending_restore flow with
-    | Some snap when String.equal snap.Checkpoint.algorithm algorithm.Algorithm.name ->
-      Hashtbl.remove t.pending_restore flow;
-      t.warm_restores <- t.warm_restores + 1;
-      obs_incr t (fun h -> h.o_warm_restores);
-      if Array.length snap.Checkpoint.registers > 0 then
-        guard_flow t entry (fun () ->
-            entry.handlers.Algorithm.on_restore snap.Checkpoint.registers);
-      guard_flow t entry entry.handlers.Algorithm.on_ready;
-      if Array.length snap.Checkpoint.registers = 0 then begin
-        if snap.Checkpoint.cwnd > 0 then handle.Algorithm.set_cwnd snap.Checkpoint.cwnd;
-        if snap.Checkpoint.rate > 0.0 then handle.Algorithm.set_rate snap.Checkpoint.rate
-      end
-    | Some _ ->
-      (* A snapshot from a different algorithm is stale, not restorable. *)
-      Hashtbl.remove t.pending_restore flow;
-      guard_flow t entry entry.handlers.Algorithm.on_ready
-    | None -> guard_flow t entry entry.handlers.Algorithm.on_ready)
-    end
+    match registered with
+    | Error `Pool_exhausted ->
+      (* Structured rejection: the flow simply stays unserved (its
+         datapath watchdog keeps native CC) and the refusal is counted,
+         instead of a capped table quietly growing. *)
+      Ccp_obs.Metrics.incr t.registrations_rejected;
+      Logs.warn (fun m ->
+          m "agent: flow %d registration rejected: flow pool exhausted (capacity %d)" flow
+            (Flow_table.capacity t.flows))
+    | Ok tok ->
+      let handle = make_handle t info policy ~tok in
+      entry.handlers <- algorithm.Algorithm.make handle;
+      (* Warm restart: replay the checkpointed registers into the fresh
+         instance before [on_ready] runs, so the program it installs starts
+         from the pre-crash operating point. Register-less algorithms get a
+         generic nudge to the last commanded cwnd/rate instead. *)
+      (match Hashtbl.find_opt t.pending_restore flow with
+      | Some snap when String.equal snap.Checkpoint.algorithm algorithm.Algorithm.name ->
+        Hashtbl.remove t.pending_restore flow;
+        Ccp_obs.Metrics.incr t.warm_restores;
+        if Array.length snap.Checkpoint.registers > 0 then
+          guard_flow t entry (fun () ->
+              entry.handlers.Algorithm.on_restore snap.Checkpoint.registers);
+        guard_flow t entry entry.handlers.Algorithm.on_ready;
+        if Array.length snap.Checkpoint.registers = 0 then begin
+          if snap.Checkpoint.cwnd > 0 then handle.Algorithm.set_cwnd snap.Checkpoint.cwnd;
+          if snap.Checkpoint.rate > 0.0 then handle.Algorithm.set_rate snap.Checkpoint.rate
+        end
+      | Some _ ->
+        (* A snapshot from a different algorithm is stale, not restorable. *)
+        Hashtbl.remove t.pending_restore flow;
+        guard_flow t entry entry.handlers.Algorithm.on_ready
+      | None -> guard_flow t entry entry.handlers.Algorithm.on_ready)
 
 let drop_if_degraded t entry =
   let degraded = is_degraded entry in
-  if degraded then begin
-    t.degraded_drops <- t.degraded_drops + 1;
-    obs_incr t (fun h -> h.o_degraded_drops)
-  end;
+  if degraded then Ccp_obs.Metrics.incr t.degraded_drops;
   degraded
 
 let dispatch t (msg : Message.t) =
   match msg with
   | Message.Ready { flow; mss; init_cwnd } -> on_ready t ~flow ~mss ~init_cwnd
   | Message.Report report -> (
-    t.reports_received <- t.reports_received + 1;
-    obs_incr t (fun h -> h.o_reports);
-    match reg_find t report.Message.flow with
+    Ccp_obs.Metrics.incr t.reports_received;
+    match Flow_table.find t.flows ~flow:report.Message.flow with
     | Some entry when drop_if_degraded t entry -> ()
     | Some entry ->
       guard_flow t entry (fun () -> entry.handlers.Algorithm.on_report report)
     | None -> ())
   | Message.Report_vector report -> (
-    t.reports_received <- t.reports_received + 1;
-    obs_incr t (fun h -> h.o_reports);
-    match reg_find t report.Message.flow with
+    Ccp_obs.Metrics.incr t.reports_received;
+    match Flow_table.find t.flows ~flow:report.Message.flow with
     | Some entry when drop_if_degraded t entry -> ()
     | Some entry ->
       guard_flow t entry (fun () -> entry.handlers.Algorithm.on_report_vector report)
     | None -> ())
   | Message.Urgent urgent -> (
-    t.urgents_received <- t.urgents_received + 1;
-    obs_incr t (fun h -> h.o_urgents);
-    match reg_find t urgent.Message.flow with
+    Ccp_obs.Metrics.incr t.urgents_received;
+    match Flow_table.find t.flows ~flow:urgent.Message.flow with
     | Some entry when drop_if_degraded t entry -> ()
     | Some entry ->
       guard_flow t entry (fun () -> entry.handlers.Algorithm.on_urgent urgent)
     | None -> ())
   | Message.Install_result result -> (
-    t.install_results_received <- t.install_results_received + 1;
     (match result.Message.verdict with
     | Message.Accepted -> ()
     | Message.Rejected { reason; detail } ->
-      t.install_rejects <- t.install_rejects + 1;
-      obs_incr t (fun h -> h.o_rejects);
+      Ccp_obs.Metrics.incr t.install_rejects;
       Logs.warn (fun m ->
           m "agent: datapath rejected install for flow %d: %s (%s)" result.Message.flow
             (Ccp_lang.Limits.reason_to_string reason)
             detail));
-    match reg_find t result.Message.flow with
+    match Flow_table.find t.flows ~flow:result.Message.flow with
     | Some entry when drop_if_degraded t entry -> ()
     | Some entry ->
       guard_flow t entry (fun () -> entry.handlers.Algorithm.on_install_result result)
     | None -> ())
   | Message.Quarantined q -> (
-    t.quarantines_seen <- t.quarantines_seen + 1;
-    obs_incr t (fun h -> h.o_quarantines);
+    Ccp_obs.Metrics.incr t.quarantines_seen;
     Logs.warn (fun m ->
         m "agent: flow %d quarantined after %d incidents (dominant %s)" q.Message.flow
           q.Message.incidents
           (Message.incident_kind_to_string q.Message.dominant));
-    match reg_find t q.Message.flow with
+    match Flow_table.find t.flows ~flow:q.Message.flow with
     | Some entry when drop_if_degraded t entry -> ()
     | Some entry ->
       guard_flow t entry (fun () -> entry.handlers.Algorithm.on_quarantine q)
     | None -> ())
   | Message.Closed { flow } ->
     purge_queue t flow;
-    reg_remove t flow;
+    ignore (Flow_table.release t.flows ~flow : bool);
     note_pool t
   | Message.Install _ | Message.Set_cwnd _ | Message.Set_rate _ ->
     (* Datapath-bound traffic is never delivered to the agent end. *)
@@ -532,8 +435,7 @@ let rec schedule_round t ov =
 
 and run_round t ov =
   t.round_scheduled <- false;
-  t.dispatch_rounds <- t.dispatch_rounds + 1;
-  obs_incr t (fun h -> h.o_rounds);
+  Ccp_obs.Metrics.incr t.dispatch_rounds;
   let budget = ref ov.dispatch_budget in
   while !budget > 0 && not (Queue.is_empty t.rr) do
     let flow = Queue.pop t.rr in
@@ -583,7 +485,7 @@ let enqueue t ov ~flow msg =
   if not t.round_scheduled then schedule_round t ov
 
 let queueable t flow =
-  match reg_find t flow with
+  match Flow_table.find t.flows ~flow with
   | Some entry -> not (is_degraded entry)
   | None -> false
 
@@ -603,8 +505,8 @@ let on_message t (msg : Message.t) =
 
 let checkpoint t =
   let flows =
-    reg_fold t
-      (fun flow entry acc ->
+    Flow_table.fold t.flows ~init:[]
+      ~f:(fun flow entry acc ->
         let registers =
           try entry.handlers.Algorithm.on_checkpoint () with _ -> [||]
         in
@@ -616,7 +518,6 @@ let checkpoint t =
           registers;
         }
         :: acc)
-      []
     |> List.sort (fun a b -> compare a.Checkpoint.flow b.Checkpoint.flow)
   in
   { Checkpoint.taken_at = Sim.now t.sim; flows }
@@ -628,10 +529,7 @@ let restore t (ckpt : Checkpoint.t) =
 
 let create ~sim ~channel ~choose ?(policy = fun _ -> Policy.unrestricted) ?overload
     ?degrade ?flow_pool ?obs () =
-  Option.iter
-    (fun capacity ->
-      if capacity <= 0 then invalid_arg "Agent: flow_pool capacity must be > 0")
-    flow_pool;
+  let counter unit_ name = Ccp_obs.Obs.counter obs ~unit_ name in
   Option.iter
     (fun ov ->
       if ov.queue_capacity <= 0 then invalid_arg "Agent: queue_capacity must be > 0";
@@ -655,10 +553,7 @@ let create ~sim ~channel ~choose ?(policy = fun _ -> Policy.unrestricted) ?overl
       channel;
       choose;
       policy;
-      flows =
-        (match flow_pool with
-        | None -> Hashed (Hashtbl.create 8)
-        | Some capacity -> Pooled (Flow_table.create ~capacity ()));
+      flows = Flow_table.create ?capacity:flow_pool ();
       overload;
       degrade;
       queues = Hashtbl.create 8;
@@ -666,20 +561,19 @@ let create ~sim ~channel ~choose ?(policy = fun _ -> Policy.unrestricted) ?overl
       queued_total = 0;
       round_scheduled = false;
       pending_restore = Hashtbl.create 4;
-      reports_received = 0;
-      urgents_received = 0;
-      installs_sent = 0;
-      handler_errors = 0;
-      install_results_received = 0;
-      install_rejects = 0;
-      quarantines_seen = 0;
-      reports_shed = 0;
       max_queue_wait = Time_ns.zero;
-      dispatch_rounds = 0;
-      degradations = 0;
-      degraded_drops = 0;
-      warm_restores = 0;
-      registrations_rejected = 0;
+      reports_received = counter "msgs" "agent.reports_received";
+      urgents_received = counter "msgs" "agent.urgents_received";
+      installs_sent = counter "msgs" "agent.installs_sent";
+      handler_errors = counter "errors" "agent.handler_errors";
+      install_rejects = counter "msgs" "agent.install_rejects";
+      quarantines_seen = counter "msgs" "agent.quarantines_seen";
+      reports_shed = counter "msgs" "agent.reports_shed";
+      dispatch_rounds = counter "rounds" "agent.dispatch_rounds";
+      degradations = counter "events" "agent.degradations";
+      degraded_drops = counter "msgs" "agent.degraded_drops";
+      warm_restores = counter "events" "agent.warm_restores";
+      registrations_rejected = counter "flows" "agent.registrations_rejected";
       obs = Option.map make_agent_obs obs;
       tracer = (match obs with Some o -> o.Ccp_obs.Obs.tracer | None -> None);
     }
@@ -687,14 +581,10 @@ let create ~sim ~channel ~choose ?(policy = fun _ -> Policy.unrestricted) ?overl
   Channel.on_receive channel Channel.Agent_end (on_message t);
   t
 
-let with_algorithm ~sim ~channel algorithm = create ~sim ~channel ~choose:(fun _ -> algorithm) ()
-
 let reset t =
-  (* Pooled mode bumps every slot's generation, so handles and timers
-     from before the crash come back stale, not aimed at new tenants. *)
-  (match t.flows with
-  | Hashed flows -> Hashtbl.reset flows
-  | Pooled pool -> Flow_table.clear pool);
+  (* Clearing bumps every slot's generation, so handles and timers from
+     before the crash come back stale, not aimed at new tenants. *)
+  Flow_table.clear t.flows;
   (* A crashed process loses its report queues too; the spans parked
      there are finalized as shed so the tracer pool cannot leak across a
      restart. *)
@@ -713,33 +603,27 @@ let reset t =
   note_pool t;
   Hashtbl.reset t.pending_restore
 
-let flow_count t = reg_length t
+let flow_count t = Flow_table.live t.flows
 
 let algorithm_name t ~flow =
-  Option.map (fun e -> e.algorithm_name) (reg_find t flow)
+  Option.map (fun e -> e.algorithm_name) (Flow_table.find t.flows ~flow)
 
 let flow_degraded t ~flow =
-  match reg_find t flow with
+  match Flow_table.find t.flows ~flow with
   | Some entry -> is_degraded entry
   | None -> false
 
-let reports_received t = t.reports_received
-let urgents_received t = t.urgents_received
-let installs_sent t = t.installs_sent
-let handler_errors t = t.handler_errors
-let install_results_received t = t.install_results_received
-let install_rejects t = t.install_rejects
-let quarantines_seen t = t.quarantines_seen
-let reports_shed t = t.reports_shed
+let value = Ccp_obs.Metrics.counter_value
+let reports_received t = value t.reports_received
+let urgents_received t = value t.urgents_received
+let installs_sent t = value t.installs_sent
+let handler_errors t = value t.handler_errors
+let reports_shed t = value t.reports_shed
 let reports_queued t = t.queued_total
 let max_queue_wait t = t.max_queue_wait
-let dispatch_rounds t = t.dispatch_rounds
-let degradations t = t.degradations
-let degraded_drops t = t.degraded_drops
-let warm_restores t = t.warm_restores
-let registrations_rejected t = t.registrations_rejected
-
-let pool_stats t =
-  match t.flows with
-  | Pooled pool -> Some (Flow_table.stats pool)
-  | Hashed _ -> None
+let dispatch_rounds t = value t.dispatch_rounds
+let degradations t = value t.degradations
+let degraded_drops t = value t.degraded_drops
+let warm_restores t = value t.warm_restores
+let registrations_rejected t = value t.registrations_rejected
+let pool_stats t = Flow_table.stats t.flows

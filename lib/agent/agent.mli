@@ -1,7 +1,7 @@
 (** The CCP agent: the user-space process between algorithms and datapaths.
 
-    The agent owns the agent end of the IPC {!Ccp_ipc.Channel}, keeps a
-    per-flow registry, picks an algorithm for each new flow (different
+    The agent owns the agent end of the IPC {!Ccp_ipc.Channel}, keeps one
+    per-flow registry (a generation-checked {!Flow_table}), picks an algorithm for each new flow (different
     flows on one host may run different algorithms — the paper's file
     download vs. video call example), builds each algorithm instance's
     {!Algorithm.handle} with policy enforcement baked in, and dispatches
@@ -63,27 +63,25 @@ val create :
   t
 (** [choose] selects the algorithm for each new flow; [policy] (default
     unrestricted) selects its policy. Registers the agent as the channel's
-    agent-side endpoint. With [obs] the agent publishes
-    reports/urgents/installs/handler-error counters plus the resilience
-    metrics ([agent.reports_shed], [agent.queue_depth],
-    [agent.dispatch_rounds], [agent.degradations], [agent.degraded_drops],
-    [agent.warm_restores]). Raises [Invalid_argument] on a nonsensical
+    agent-side endpoint. The agent's counters (reports, urgents,
+    installs, handler errors, and the resilience counters such as
+    [agent.reports_shed] and [agent.warm_restores]) live in [obs]'s
+    metrics registry when it is given, and in private counters otherwise
+    ({!Ccp_obs.Obs.counter}); the accessors below read them either way.
+    With [obs] the agent also publishes the [agent.queue_depth] and
+    [agent.pool.*] gauges. Raises [Invalid_argument] on a nonsensical
     [overload]/[degrade] (non-positive sizes or times, watermark above
     capacity, [backoff_max < backoff_initial]) or non-positive
     [flow_pool].
 
-    [flow_pool] (default off) moves the per-flow registry into a
-    preallocated {!Flow_table} of that capacity (rounded up to a power of
-    two). Registration and teardown then touch only preallocated slots; a
-    [Ready] arriving with every slot occupied is refused — counted in
-    {!registrations_rejected}, the flow left to its datapath watchdog —
-    and every handle action is generation-checked, so a closure or timer
-    holding a handle to a torn-down flow is counted stale and dropped
-    instead of acting on whichever flow reused the slot. Off means the
-    original open-ended hashtable with identical behavior. *)
-
-val with_algorithm : sim:Sim.t -> channel:Channel.t -> Algorithm.t -> t
-(** Convenience: every flow runs the same algorithm, no policy. *)
+    Every handle action is generation-checked against the registry, so a
+    closure or timer holding a handle to a torn-down flow is counted
+    stale and dropped instead of acting on whichever flow reused the
+    slot. Without [flow_pool] the registry grows as flows register.
+    [flow_pool] caps it at that many slots (rounded up to a power of
+    two): a [Ready] arriving with every slot occupied is refused —
+    counted in {!registrations_rejected}, the flow left to its datapath
+    watchdog. *)
 
 val reset : t -> unit
 (** Drop every per-flow algorithm instance, as a crashed-and-restarted
@@ -129,13 +127,6 @@ val handler_errors : t -> int
 (** Exceptions raised by algorithm handlers; the agent isolates them so a
     buggy algorithm cannot take down other flows (§5 safety). *)
 
-val install_results_received : t -> int
-val install_rejects : t -> int
-(** Installs the datapath's admission control refused. *)
-
-val quarantines_seen : t -> int
-(** Quarantine events received from the datapath. *)
-
 val reports_shed : t -> int
 (** Reports dropped by overload control (watermark/capacity sheds, purges
     on degrade/close, and queue loss at [reset]). *)
@@ -163,6 +154,6 @@ val registrations_rejected : t -> int
 (** [Ready] registrations refused because the [flow_pool] was exhausted.
     Always 0 without [flow_pool]. *)
 
-val pool_stats : t -> Flow_table.stats option
-(** Slot-pool accounting (live flows, lifetime churn, stale handle
-    references, rejections) when [flow_pool] is armed; [None] otherwise. *)
+val pool_stats : t -> Flow_table.stats
+(** Registry accounting: capacity, live flows, lifetime churn, stale
+    handle references and rejections. *)

@@ -1,15 +1,19 @@
 (* Generation-checked slot pool for per-flow agent state.
 
    This is the Ccp_obs.Tracer pool idiom lifted to hold arbitrary
-   per-flow values: a fixed, preallocated array of slots, a free stack,
-   and a generation counter per slot folded into every handed-out token.
-   Registration and teardown of thousands of flows then touch only the
-   preallocated arrays (plus one bounded flow-id index entry), and a
-   reference that outlives its flow — an algorithm closure still holding
-   a handle after Closed, a quarantine timer firing late — fails the
-   generation check and is *counted* as stale instead of silently
-   mutating whichever flow reused the slot. Exhaustion is a structured
-   [Error `Pool_exhausted], never an exception on the dispatch path. *)
+   per-flow values: an array of slots, a free stack, and a generation
+   counter per slot folded into every handed-out token. Registration and
+   teardown then touch only the slot arrays (plus one flow-id index
+   entry), and a reference that outlives its flow — an algorithm closure
+   still holding a handle after Closed, a quarantine timer firing late —
+   fails the generation check and is *counted* as stale instead of
+   silently mutating whichever flow reused the slot.
+
+   A capped table never grows: exhaustion is a structured
+   [Error `Pool_exhausted], never an exception on the dispatch path. An
+   uncapped one starts small and doubles when full. The slot field of a
+   token has a fixed width, so tokens minted before a growth stay valid
+   after it. *)
 
 type token = int
 
@@ -24,15 +28,18 @@ type stats = {
   rejected : int;
 }
 
+(* token = slot lor (generation lsl slot_bits) *)
+let slot_bits = 30
+let slot_mask = (1 lsl slot_bits) - 1
+let initial_capacity = 16
+
 type 'a t = {
-  cap : int;
-  mask : int;
-  bits : int;  (* token = slot lor (generation lsl bits) *)
-  gen : int array;
-  busy : bool array;
-  slot_flow : int array;  (* flow id occupying the slot; -1 when free *)
-  slots : 'a option array;
-  free : int array;  (* stack of free slot indices *)
+  capped : bool;
+  mutable cap : int;
+  mutable gen : int array;
+  mutable slot_flow : int array;  (* flow id occupying the slot; -1 when free *)
+  mutable slots : 'a option array;  (* [None] when free *)
+  mutable free : int array;  (* stack of free slot indices *)
   mutable free_top : int;
   index : (int, token) Hashtbl.t;  (* flow id -> live token *)
   mutable registered : int;
@@ -43,30 +50,55 @@ type 'a t = {
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
-let create ?(capacity = 1024) () =
-  if capacity <= 0 then invalid_arg "Flow_table.create: capacity must be positive";
-  let cap = pow2_at_least capacity 1 in
-  let bits =
-    let rec go b = if 1 lsl b >= cap then b else go (b + 1) in
-    go 0
+(* Low slots pop first, matching the tracer pool's fill order. *)
+let push_free_range t ~from ~upto =
+  for slot = upto - 1 downto from do
+    t.free.(t.free_top) <- slot;
+    t.free_top <- t.free_top + 1
+  done
+
+let create ?capacity () =
+  let cap =
+    match capacity with
+    | None -> initial_capacity
+    | Some c ->
+      if c <= 0 || c > slot_mask + 1 then
+        invalid_arg "Flow_table.create: capacity must be in [1, 2^30]";
+      pow2_at_least c 1
   in
-  {
-    cap;
-    mask = cap - 1;
-    bits;
-    gen = Array.make cap 0;
-    busy = Array.make cap false;
-    slot_flow = Array.make cap (-1);
-    slots = Array.make cap None;
-    (* Low slots pop first, matching the tracer pool's fill order. *)
-    free = Array.init cap (fun i -> cap - 1 - i);
-    free_top = cap;
-    index = Hashtbl.create cap;
-    registered = 0;
-    released = 0;
-    stale_refs = 0;
-    rejected = 0;
-  }
+  let t =
+    {
+      capped = capacity <> None;
+      cap;
+      gen = Array.make cap 0;
+      slot_flow = Array.make cap (-1);
+      slots = Array.make cap None;
+      free = Array.make cap 0;
+      free_top = 0;
+      index = Hashtbl.create cap;
+      registered = 0;
+      released = 0;
+      stale_refs = 0;
+      rejected = 0;
+    }
+  in
+  push_free_range t ~from:0 ~upto:cap;
+  t
+
+let grow t =
+  let old = t.cap in
+  let cap = 2 * old in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 old;
+    b
+  in
+  t.gen <- extend t.gen 0;
+  t.slot_flow <- extend t.slot_flow (-1);
+  t.slots <- extend t.slots None;
+  t.free <- extend t.free 0;
+  t.cap <- cap;
+  push_free_range t ~from:old ~upto:cap
 
 let capacity t = t.cap
 let live t = t.registered - t.released
@@ -74,7 +106,6 @@ let live t = t.registered - t.released
 let token_of t ~flow = Hashtbl.find_opt t.index flow
 
 let release_slot t slot =
-  t.busy.(slot) <- false;
   (* Bumping the generation is what invalidates every outstanding token
      for this slot; the new occupant mints tokens under the new one. *)
   t.gen.(slot) <- t.gen.(slot) + 1;
@@ -89,13 +120,14 @@ let release t ~flow =
   match Hashtbl.find_opt t.index flow with
   | None -> false
   | Some token ->
-    release_slot t (token land t.mask);
+    release_slot t (token land slot_mask);
     true
 
 let register t ~flow value =
   (* Re-registration replaces (Hashtbl.replace semantics): the previous
      slot is released first, so its outstanding tokens go stale. *)
   ignore (release t ~flow : bool);
+  if t.free_top = 0 && not t.capped then grow t;
   if t.free_top = 0 then begin
     t.rejected <- t.rejected + 1;
     Error `Pool_exhausted
@@ -103,8 +135,7 @@ let register t ~flow value =
   else begin
     t.free_top <- t.free_top - 1;
     let slot = t.free.(t.free_top) in
-    let token = slot lor (t.gen.(slot) lsl t.bits) in
-    t.busy.(slot) <- true;
+    let token = slot lor (t.gen.(slot) lsl slot_bits) in
     t.slot_flow.(slot) <- flow;
     t.slots.(slot) <- Some value;
     Hashtbl.replace t.index flow token;
@@ -115,11 +146,11 @@ let register t ~flow value =
 let is_live t token =
   token >= 0
   &&
-  let slot = token land t.mask in
-  t.busy.(slot) && t.gen.(slot) = token lsr t.bits
+  let slot = token land slot_mask in
+  slot < t.cap && Option.is_some t.slots.(slot) && t.gen.(slot) = token lsr slot_bits
 
 let get t token =
-  if is_live t token then t.slots.(token land t.mask)
+  if is_live t token then t.slots.(token land slot_mask)
   else begin
     if token >= 0 then t.stale_refs <- t.stale_refs + 1;
     None
@@ -128,14 +159,13 @@ let get t token =
 let find t ~flow =
   match Hashtbl.find_opt t.index flow with
   | None -> None
-  | Some token -> t.slots.(token land t.mask)
+  | Some token -> t.slots.(token land slot_mask)
 
 let iter t f =
   for slot = 0 to t.cap - 1 do
-    if t.busy.(slot) then
-      match t.slots.(slot) with
-      | Some v -> f t.slot_flow.(slot) v
-      | None -> ()
+    match t.slots.(slot) with
+    | Some v -> f t.slot_flow.(slot) v
+    | None -> ()
   done
 
 let fold t ~init ~f =
@@ -145,7 +175,7 @@ let fold t ~init ~f =
 
 let clear t =
   for slot = 0 to t.cap - 1 do
-    if t.busy.(slot) then release_slot t slot
+    if Option.is_some t.slots.(slot) then release_slot t slot
   done
 
 let stats t =

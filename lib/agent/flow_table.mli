@@ -1,44 +1,53 @@
 (** Generation-checked slot pool for per-flow agent state.
 
-    The {!Ccp_obs.Tracer} pool idiom, generalized: values live in a
-    fixed preallocated slot array, and every registration mints a token
-    that folds the slot's generation counter in with its index. Lookups
-    through a token re-check the generation, so a reference that
-    outlives its flow (a closure captured by an algorithm, a timer
-    firing after teardown) is detected and counted — never resolved to
-    whichever flow reused the slot. Register/release of thousands of
-    flows touches only the preallocated arrays plus one bounded
-    flow-id index entry, keeping churn allocation-bounded.
+    The {!Ccp_obs.Tracer} pool idiom, generalized: values live in a slot
+    array, and every registration mints a token that folds the slot's
+    generation counter in with its index. Lookups through a token
+    re-check the generation, so a reference that outlives its flow (a
+    closure captured by an algorithm, a timer firing after teardown) is
+    detected and counted — never resolved to whichever flow reused the
+    slot. Register/release touches only the slot arrays plus one
+    flow-id index entry.
 
-    Capacity is fixed at creation (rounded up to a power of two);
+    Capacity is either fixed or growing. A table created with
+    [~capacity] keeps that many slots (rounded up to a power of two), and
     exhaustion is a structured [Error `Pool_exhausted] the caller turns
-    into an explicit rejection, not an exception mid-dispatch. *)
+    into an explicit rejection, not an exception mid-dispatch. A table
+    created without it starts at 16 slots and doubles whenever a
+    registration finds it full, so it never refuses. A token's slot
+    field has a fixed width, so tokens minted before a growth stay valid
+    after it. *)
 
 type 'a t
 
 type token = int
-(** Slot index | (generation << bits). Only meaningful to the pool that
+(** Slot index | (generation << 30). Only meaningful to the pool that
     minted it. *)
 
 val no_token : token
 (** Sentinel (-1): never live, and {!get} on it counts nothing. *)
 
 type stats = {
-  capacity : int;  (** slot count (power of two) *)
+  capacity : int;  (** current slot count (power of two) *)
   live : int;  (** currently registered flows *)
   registered : int;  (** lifetime successful registrations *)
   released : int;  (** lifetime releases (incl. replacements) *)
   stale_refs : int;  (** token lookups that failed the generation check *)
-  rejected : int;  (** registrations refused with [`Pool_exhausted] *)
+  rejected : int;
+      (** registrations refused with [`Pool_exhausted]; always 0 when
+          uncapped *)
 }
 
 val create : ?capacity:int -> unit -> 'a t
-(** Default capacity 1024; raises [Invalid_argument] when not positive. *)
+(** [capacity] caps the table at that many slots; without it the table
+    grows. Raises [Invalid_argument] when [capacity] is not in
+    \[1, 2{^30}\]. *)
 
 val register : 'a t -> flow:int -> 'a -> (token, [ `Pool_exhausted ]) result
-(** Bind [flow] to a fresh slot and return its token. An existing
-    binding for [flow] is released first (its tokens go stale), matching
-    [Hashtbl.replace] semantics. *)
+(** Bind [flow] to a fresh slot and return its token, doubling an
+    uncapped table that is full. An existing binding for [flow] is
+    released first (its tokens go stale), matching [Hashtbl.replace]
+    semantics. *)
 
 val release : 'a t -> flow:int -> bool
 (** Free [flow]'s slot, bumping its generation so every outstanding

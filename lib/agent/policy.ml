@@ -8,7 +8,6 @@ type t = {
 
 let unrestricted = { max_rate_bps = None; max_cwnd_bytes = None; min_cwnd_bytes = None }
 let with_max_rate cap = { unrestricted with max_rate_bps = Some cap }
-let with_max_cwnd cap = { unrestricted with max_cwnd_bytes = Some cap }
 
 let clamp_rate t rate =
   match t.max_rate_bps with Some cap -> Float.min cap rate | None -> rate

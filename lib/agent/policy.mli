@@ -15,7 +15,6 @@ type t = {
 
 val unrestricted : t
 val with_max_rate : float -> t
-val with_max_cwnd : int -> t
 
 val clamp_rate : t -> float -> float
 val clamp_cwnd : t -> int -> int

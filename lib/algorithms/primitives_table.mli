@@ -31,9 +31,6 @@ type row = {
 val rows : row list
 (** The eleven rows of Table 1, in the paper's order. *)
 
-val measurement_to_string : measurement -> string
-val control_to_string : control -> string
-
 val render : unit -> string
 (** The table as aligned text, one protocol per line. *)
 

@@ -45,7 +45,6 @@ type config = {
       (* cross-flow report batching watermarks on the IPC channel;
          None = one wire frame per message, the original framing *)
   datapath : Ccp_ext.config;
-  tcp : Tcp_flow.config;
   sample_interval : Time_ns.t;
   offloads : offload_spec option;
   policy : (Ccp_agent.Algorithm.flow_info -> Ccp_agent.Policy.t) option;
@@ -58,15 +57,12 @@ type config = {
   agent_overload : Ccp_agent.Agent.overload option;
   agent_degrade : Ccp_agent.Agent.degrade option;
   agent_flow_pool : int option;
-      (* slot-pool capacity for the agent's per-flow registry;
-         None = open-ended hashtable *)
+      (* hard cap on the agent's per-flow registry; None = it grows *)
   checkpoint_interval : Time_ns.t option;
       (* snapshot agent state this often and replay the latest snapshot
          after each agent-outage restart; None = cold restarts *)
   inspect : (handles -> unit) option;
   obs : Ccp_obs.Obs.t option;
-  obs_flow_sample_interval : Time_ns.t;
-      (* throttle for per-flow Flow_sample trace events; zero = every ACK *)
 }
 
 let default_config ~rate_bps ~base_rtt ~duration =
@@ -83,7 +79,6 @@ let default_config ~rate_bps ~base_rtt ~duration =
     ipc = Ccp_ipc.Latency_model.netlink_idle;
     ipc_batching = None;
     datapath = Ccp_ext.default_config;
-    tcp = Tcp_flow.default_config;
     sample_interval = Time_ns.ms 100;
     offloads = None;
     policy = None;
@@ -97,7 +92,6 @@ let default_config ~rate_bps ~base_rtt ~duration =
     checkpoint_interval = None;
     inspect = None;
     obs = None;
-    obs_flow_sample_interval = Time_ns.ms 10;
   }
 
 type flow_result = {
@@ -260,9 +254,9 @@ let run (config : config) =
     in
     let tcp_config =
       {
-        config.tcp with
+        Tcp_flow.default_config with
         app_limit_bytes = spec.app_limit_bytes;
-        ecn_capable = config.ecn_threshold_bytes <> None || config.tcp.ecn_capable;
+        ecn_capable = config.ecn_threshold_bytes <> None;
       }
     in
     (* Per-flow measurement-noise sampler. Seeded from the experiment
@@ -333,7 +327,7 @@ let run (config : config) =
     in
     let sender =
       Tcp_flow.create ~sim ~flow:id ~config:tcp_config ~cc ~transmit ?obs:config.obs
-        ~obs_sample_interval:config.obs_flow_sample_interval ?perturb:sampler ()
+        ~obs_sample_interval:(Time_ns.ms 10) ?perturb:sampler ()
     in
     sender_ref := Some sender;
     let ack_sink =

@@ -56,7 +56,6 @@ type config = {
           [None] (the default) sends one wire frame per message — the
           original framing, byte-identical to a build without batching *)
   datapath : Ccp_ext.config;
-  tcp : Tcp_flow.config;
   sample_interval : Time_ns.t;  (** throughput/queue series resolution *)
   offloads : offload_spec option;  (** Figure 5's host CPU model, off by default *)
   policy : (Ccp_agent.Algorithm.flow_info -> Ccp_agent.Policy.t) option;
@@ -80,9 +79,9 @@ type config = {
       (** per-flow agent-side quarantine of repeatedly failing handlers
           with back-off re-admission; [None] = never degrade *)
   agent_flow_pool : int option;
-      (** capacity of the agent's preallocated per-flow slot pool
-          ({!Ccp_agent.Flow_table}); [None] (the default) keeps the
-          open-ended hashtable registry *)
+      (** hard cap on the agent's per-flow registry
+          ({!Ccp_agent.Flow_table}): registrations past it are refused
+          and counted; [None] (the default) lets the registry grow *)
   checkpoint_interval : Time_ns.t option;
       (** snapshot the agent's per-flow state ({!Ccp_ipc.Checkpoint})
           this often, and replay the latest snapshot after each
@@ -94,10 +93,8 @@ type config = {
   obs : Ccp_obs.Obs.t option;
       (** observability bundle threaded through the channel, datapath
           extension, agent, and every TCP flow; [None] (the default)
-          keeps all of them on their zero-cost paths *)
-  obs_flow_sample_interval : Time_ns.t;
-      (** minimum spacing of per-flow [Flow_sample] trace events
-          (default 10 ms); zero records one per ACK *)
+          keeps all of them on their zero-cost paths. Per-flow
+          [Flow_sample] trace events are spaced at least 10 ms apart. *)
 }
 
 val default_config : rate_bps:float -> base_rtt:Time_ns.t -> duration:Time_ns.t -> config

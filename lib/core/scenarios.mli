@@ -215,10 +215,6 @@ module Hostile : sig
   val div_storm : Ccp_lang.Ast.program
   (** Divides by zero on every tick. *)
 
-  val diverging_fold : Ccp_lang.Ast.program
-  (** Fold state multiplied by 1e6 per packet; trips divergence
-      detection. *)
-
   val spin : Ccp_lang.Ast.program
   (** Computed zero-length wait; runs into the runtime wait floor. *)
 
@@ -284,9 +280,6 @@ module Robustness : sig
 
   val algorithm_names : string list
   val perturbation_names : string list
-
-  val second_flow_at : Time_ns.t -> Time_ns.t
-  (** When the second flow of a cell joins: 25 % into the run. *)
 
   type cell = {
     algo : string;
@@ -370,10 +363,6 @@ module Chaos : sig
   val flow_count : int
   (** Four same-algorithm CCP-Reno flows. *)
 
-  val report_interval_rtts : float
-  (** Reno report cadence (0.25 RTTs) — ×{!flow_count} flows against a
-      one-per-round budget, the ~4× overload. *)
-
   val overload : base_rtt:Time_ns.t -> Ccp_agent.Agent.overload
   val degrade : Ccp_agent.Agent.degrade
   val fallback : base_rtt:Time_ns.t -> Ccp_datapath.Ccp_ext.fallback
@@ -382,18 +371,8 @@ module Chaos : sig
   val checkpoint_interval : Time_ns.t
   (** Warm cells checkpoint every 100 ms. *)
 
-  val slo_config : Ccp_obs.Health.config
-  (** The SLO config telemetry-armed cells run under: the stock six
-      SLOs with the orphan objective tightened to 1 % and the long burn
-      window shortened to 2, so the agent-crash orphan burst fires the
-      [orphan_rate] alert and the first healthy window after restart
-      clears it (see docs/observability.md). *)
-
   val crash_from : duration:Time_ns.t -> Time_ns.t
   (** Outage start: 45 % into the run. *)
-
-  val crash_length : base_rtt:Time_ns.t -> Time_ns.t
-  (** Outage length: 10 RTTs. *)
 
   type recovery = {
     flow_id : int;

@@ -160,13 +160,7 @@ type flow_state = {
    and with [obs = None] it must not allocate at all. *)
 type obs_handles = {
   obs : Ccp_obs.Obs.t;
-  o_reports : Ccp_obs.Metrics.counter;
-  o_urgents : Ccp_obs.Metrics.counter;
-  o_installs_accepted : Ccp_obs.Metrics.counter;
-  o_installs_rejected : Ccp_obs.Metrics.counter;
   o_guard_incidents : Ccp_obs.Metrics.counter;
-  o_quarantines : Ccp_obs.Metrics.counter;
-  o_fallbacks : Ccp_obs.Metrics.counter;
   o_acks : Ccp_obs.Metrics.counter;
   o_fold_ns : Ccp_obs.Metrics.histogram;
   (* Per-flow heavy-hitter sketches; [None] when telemetry is off. *)
@@ -179,13 +173,7 @@ let make_obs_handles obs =
   let m = obs.Obs.metrics in
   {
     obs;
-    o_reports = Metrics.counter m ~unit_:"msgs" "datapath.reports_sent";
-    o_urgents = Metrics.counter m ~unit_:"msgs" "datapath.urgents_sent";
-    o_installs_accepted = Metrics.counter m ~unit_:"msgs" "datapath.installs_accepted";
-    o_installs_rejected = Metrics.counter m ~unit_:"msgs" "datapath.installs_rejected";
     o_guard_incidents = Metrics.counter m ~unit_:"events" "datapath.guard_incidents";
-    o_quarantines = Metrics.counter m ~unit_:"events" "datapath.quarantines";
-    o_fallbacks = Metrics.counter m ~unit_:"events" "datapath.fallbacks";
     o_acks = Metrics.counter m ~unit_:"acks" "datapath.acks_processed";
     o_fold_ns = Metrics.histogram m ~unit_:"ns" "datapath.fold_step_ns";
     tk_reports = Obs.flow_sketch obs "flow.reports";
@@ -197,14 +185,15 @@ type t = {
   channel : Channel.t;
   config : config;
   flows : (int, flow_state) Hashtbl.t;
-  mutable reports_sent : int;
-  mutable urgents_sent : int;
-  mutable installs_accepted : int;
-  mutable installs_rejected : int;
-  mutable vector_rows_dropped : int;
-  mutable fallbacks_triggered : int;
+  (* One store per counted fact: a counter in the obs bundle's registry,
+     or a private one without a bundle ({!Ccp_obs.Obs.counter}). *)
+  reports_sent : Ccp_obs.Metrics.counter;
+  urgents_sent : Ccp_obs.Metrics.counter;
+  installs_accepted : Ccp_obs.Metrics.counter;
+  installs_rejected : Ccp_obs.Metrics.counter;
+  fallbacks_triggered : Ccp_obs.Metrics.counter;
+  quarantines : Ccp_obs.Metrics.counter;
   mutable fallback_probes_sent : int;
-  mutable quarantines : int;
   mutable quarantine_probes_sent : int;
   retired_guard : guard_incidents;
       (* incidents from guard windows closed by an accepted re-install *)
@@ -333,26 +322,18 @@ let send_report t fs =
     v.count <- 0;
     Channel.send t.channel ~from:Channel.Datapath_end ~span
       (Message.Report_vector { flow; columns = v.columns; rows }));
-  t.reports_sent <- t.reports_sent + 1;
+  Ccp_obs.Metrics.incr t.reports_sent;
   (match t.obs with
-  | Some h -> (
-    Ccp_obs.Metrics.incr h.o_reports;
-    match h.tk_reports with
-    | Some s -> Ccp_obs.Topk.touch s flow
-    | None -> ())
-  | None -> ());
+  | Some { tk_reports = Some s; _ } -> Ccp_obs.Topk.touch s flow
+  | _ -> ());
   obs_record t (Ccp_obs.Recorder.Report_sent { flow; urgent = false })
 
 let send_urgent t fs kind =
   let ctl = fs.ctl in
-  t.urgents_sent <- t.urgents_sent + 1;
+  Ccp_obs.Metrics.incr t.urgents_sent;
   (match t.obs with
-  | Some h -> (
-    Ccp_obs.Metrics.incr h.o_urgents;
-    match h.tk_reports with
-    | Some s -> Ccp_obs.Topk.touch s ctl.Congestion_iface.flow
-    | None -> ())
-  | None -> ());
+  | Some { tk_reports = Some s; _ } -> Ccp_obs.Topk.touch s ctl.Congestion_iface.flow
+  | _ -> ());
   obs_record t
     (Ccp_obs.Recorder.Report_sent { flow = ctl.Congestion_iface.flow; urgent = true });
   let span =
@@ -419,7 +400,7 @@ let rec quarantine_probe t fs ~delay =
 let quarantine t fs =
   let g = t.config.guard in
   fs.quarantined <- true;
-  t.quarantines <- t.quarantines + 1;
+  Ccp_obs.Metrics.incr t.quarantines;
   (* The offending program is cancelled outright; only an accepted
      re-install brings CCP control back. *)
   cancel_wait fs;
@@ -435,7 +416,6 @@ let quarantine t fs =
     fs.quarantine_cc <- Some cc;
     cc.Congestion_iface.on_init fs.ctl
   | None -> assert false (* only called when a mode is armed *));
-  (match t.obs with Some h -> Ccp_obs.Metrics.incr h.o_quarantines | None -> ());
   obs_record t
     (Ccp_obs.Recorder.Quarantine
        {
@@ -661,10 +641,7 @@ let install_program t fs program =
   in
   match admitted with
   | Ok fresh ->
-    t.installs_accepted <- t.installs_accepted + 1;
-    (match t.obs with
-    | Some h -> Ccp_obs.Metrics.incr h.o_installs_accepted
-    | None -> ());
+    Ccp_obs.Metrics.incr t.installs_accepted;
     obs_record t
       (Ccp_obs.Recorder.Install
          { flow = fs.ctl.Congestion_iface.flow; accepted = true; detail = "" });
@@ -685,10 +662,7 @@ let install_program t fs program =
     advance t fs;
     true
   | Error (reason, detail) ->
-    t.installs_rejected <- t.installs_rejected + 1;
-    (match t.obs with
-    | Some h -> Ccp_obs.Metrics.incr h.o_installs_rejected
-    | None -> ());
+    Ccp_obs.Metrics.incr t.installs_rejected;
     obs_record t
       (Ccp_obs.Recorder.Install
          { flow = fs.ctl.Congestion_iface.flow; accepted = false; detail });
@@ -781,20 +755,20 @@ let on_message t (msg : Message.t) =
     ()
 
 let create ~sim ~channel ?(config = default_config) ?obs () =
+  let counter unit_ name = Ccp_obs.Obs.counter obs ~unit_ name in
   let t =
     {
       sim;
       channel;
       config;
       flows = Hashtbl.create (max 8 config.flow_capacity);
-      reports_sent = 0;
-      urgents_sent = 0;
-      installs_accepted = 0;
-      installs_rejected = 0;
-      vector_rows_dropped = 0;
-      fallbacks_triggered = 0;
+      reports_sent = counter "msgs" "datapath.reports_sent";
+      urgents_sent = counter "msgs" "datapath.urgents_sent";
+      installs_accepted = counter "msgs" "datapath.installs_accepted";
+      installs_rejected = counter "msgs" "datapath.installs_rejected";
+      fallbacks_triggered = counter "events" "datapath.fallbacks";
+      quarantines = counter "events" "datapath.quarantines";
       fallback_probes_sent = 0;
-      quarantines = 0;
       quarantine_probes_sent = 0;
       retired_guard = fresh_guard_incidents ();
       obs = Option.map make_obs_handles obs;
@@ -837,8 +811,7 @@ let rec watchdog_tick t fs (fb : fallback) =
   if Time_ns.compare silence fb.after >= 0 then begin
     if not fs.fallback_active then begin
       fs.fallback_active <- true;
-      t.fallbacks_triggered <- t.fallbacks_triggered + 1;
-      (match t.obs with Some h -> Ccp_obs.Metrics.incr h.o_fallbacks | None -> ());
+      Ccp_obs.Metrics.incr t.fallbacks_triggered;
       obs_record t
         (Ccp_obs.Recorder.Fallback
            { flow = fs.ctl.Congestion_iface.flow; entered = true });
@@ -925,9 +898,7 @@ let record_measurement t fs (ev : Congestion_iface.ack_event) ~bytes_lost =
     end;
     guard_note t fs
   | Vector v, Some (_, m) ->
-    if v.count >= t.config.max_vector_rows then
-      t.vector_rows_dropped <- t.vector_rows_dropped + 1
-    else begin
+    if v.count < t.config.max_vector_rows then begin
       refresh_pkt m ev ~bytes_lost;
       let row = Array.map (fun i -> m.Compile.pkt.(i)) v.col_idx in
       v.rows <- row :: v.rows;
@@ -1026,16 +997,12 @@ let congestion_control t : Congestion_iface.t =
 let installed_program t ~flow =
   Option.bind (Hashtbl.find_opt t.flows flow) (fun fs -> fs.program)
 
-let reports_sent t = t.reports_sent
-let urgents_sent t = t.urgents_sent
-let installs_accepted t = t.installs_accepted
-let installs_rejected t = t.installs_rejected
-let vector_rows_dropped t = t.vector_rows_dropped
+let reports_sent t = Ccp_obs.Metrics.counter_value t.reports_sent
+let urgents_sent t = Ccp_obs.Metrics.counter_value t.urgents_sent
+let installs_accepted t = Ccp_obs.Metrics.counter_value t.installs_accepted
+let installs_rejected t = Ccp_obs.Metrics.counter_value t.installs_rejected
 
-let eval_incidents t ~flow =
-  Option.map (fun fs -> fs.incidents) (Hashtbl.find_opt t.flows flow)
-
-let fallbacks_triggered t = t.fallbacks_triggered
+let fallbacks_triggered t = Ccp_obs.Metrics.counter_value t.fallbacks_triggered
 let fallback_probes_sent t = t.fallback_probes_sent
 
 let in_fallback t ~flow =
@@ -1043,7 +1010,7 @@ let in_fallback t ~flow =
   | Some fs -> fs.fallback_active
   | None -> false
 
-let quarantines_triggered t = t.quarantines
+let quarantines_triggered t = Ccp_obs.Metrics.counter_value t.quarantines
 let quarantine_probes_sent t = t.quarantine_probes_sent
 
 let has_compiled_program t ~flow =

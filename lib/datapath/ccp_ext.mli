@@ -103,9 +103,6 @@ type guard_incidents = {
   mutable eval_budget : int;
 }
 
-val guard_total : guard_incidents -> int
-(** The flow's incident score: the plain sum of the counters. *)
-
 type config = {
   urgent_on_loss : bool;
   urgent_on_ecn : bool;
@@ -116,7 +113,7 @@ type config = {
           ({!Ccp_lang.Ast.identical_program}) to the program the flow is
           running reuses that verdict and the compiled code. *)
   default_wait : Time_ns.t;  (** WaitRtts fallback before the first RTT sample *)
-  max_vector_rows : int;  (** vector-mode memory bound; overflow rows are dropped and counted *)
+  max_vector_rows : int;  (** vector-mode memory bound; overflow rows are dropped *)
   flow_capacity : int;
       (** expected concurrent flows — sizes the flow table up front so an
           incast of thousands of registrations does not rehash its way up
@@ -154,8 +151,6 @@ val reports_sent : t -> int
 val urgents_sent : t -> int
 val installs_accepted : t -> int
 val installs_rejected : t -> int
-val vector_rows_dropped : t -> int
-val eval_incidents : t -> flow:int -> Ccp_lang.Eval.incident_counter option
 
 val fallbacks_triggered : t -> int
 

@@ -775,13 +775,9 @@ let on_ack t (pkt : Packet.t) =
     end
 
 let cwnd t = t.cwnd
-let pacing_rate t = Pacer.rate t.pacer
-let snd_nxt t = t.snd_nxt
 let snd_una t = t.snd_una
 let srtt t = Rtt_estimator.srtt t.rtt_est
 let min_rtt t = Rtt_estimator.min_rtt t.rtt_est
-let rtt_estimator t = t.rtt_est
-let rate_estimator t = t.rate_est
 let segments_sent t = t.segments_sent
 let retransmits t = t.retransmit_count
 let timeouts t = t.timeout_count

@@ -66,15 +66,11 @@ val ctl : t -> Congestion_iface.ctl
 (** {1 Observers} *)
 
 val cwnd : t -> int
-val pacing_rate : t -> float
 val inflight : t -> int
-val snd_nxt : t -> int
 val snd_una : t -> int
 val in_recovery : t -> bool
 val srtt : t -> Time_ns.t option
 val min_rtt : t -> Time_ns.t option
-val rtt_estimator : t -> Rtt_estimator.t
-val rate_estimator : t -> Rate_estimator.t
 
 (** {1 Counters} *)
 

@@ -13,8 +13,6 @@ type t = {
   mutable lo : int;
   mutable hi : int;
   mutable unacked_segments : int;  (* in-order segments since the last ACK *)
-  mutable acks_sent : int;
-  mutable segments_received : int;
 }
 
 let create ~flow ~send_ack ?(delayed_ack_every = 1) () =
@@ -29,8 +27,6 @@ let create ~flow ~send_ack ?(delayed_ack_every = 1) () =
     lo = 0;
     hi = 0;
     unacked_segments = 0;
-    acks_sent = 0;
-    segments_received = 0;
   }
 
 let initial_capacity = 16
@@ -109,7 +105,6 @@ let advance t =
   end
 
 let emit_ack t ~(trigger : Packet.data) ~ecn_echo ~acked_segments ~newly_sacked =
-  t.acks_sent <- t.acks_sent + 1;
   t.unacked_segments <- 0;
   t.send_ack
     (Packet.ack ~flow:t.flow ~cum_ack:t.expected ~echo_sent_at:trigger.Packet.sent_at ~ecn_echo
@@ -121,7 +116,6 @@ let ingest t (pkt : Packet.t) =
   match pkt.payload with
   | Ack _ -> invalid_arg "Tcp_receiver: got an ACK"
   | Data d ->
-    t.segments_received <- t.segments_received + 1;
     let stop = Packet.seq_end d in
     if stop <= t.expected then `Duplicate
     else if d.seq <= t.expected then begin
@@ -181,5 +175,3 @@ let out_of_order_bytes t =
   let rec sum i acc = if i >= t.hi then acc else sum (i + 1) (acc + (t.stops.(i) - t.starts.(i))) in
   sum t.lo 0
 
-let acks_sent t = t.acks_sent
-let segments_received t = t.segments_received

@@ -37,5 +37,3 @@ val delivered_bytes : t -> int
 (** In-order bytes received so far (the throughput numerator). *)
 
 val out_of_order_bytes : t -> int
-val acks_sent : t -> int
-val segments_received : t -> int

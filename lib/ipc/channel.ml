@@ -33,8 +33,6 @@ type batch_state = {
   mutable count : int;
   mutable pending_bytes : int;
   mutable flush_serial : int;  (* bumped per flush; stale deadline timers no-op *)
-  mutable batches : int;
-  mutable batched : int;
 }
 
 (* Pre-registered handles so the send path never does a name lookup. *)
@@ -46,9 +44,6 @@ type obs_handles = {
   bytes_to_datapath : Ccp_obs.Metrics.counter;
   oneway_us : Ccp_obs.Metrics.histogram;
   faults_injected : Ccp_obs.Metrics.counter;
-  decode_failures : Ccp_obs.Metrics.counter;
-  batches_sent : Ccp_obs.Metrics.counter;
-  reports_batched : Ccp_obs.Metrics.counter;
   pending_reports : Ccp_obs.Metrics.gauge;
 }
 
@@ -64,9 +59,6 @@ let make_handles obs =
       Metrics.counter obs.Obs.metrics ~unit_:"bytes" "ipc.to_datapath.bytes";
     oneway_us = Metrics.histogram obs.Obs.metrics ~unit_:"us" "ipc.oneway_latency_us";
     faults_injected = Metrics.counter obs.Obs.metrics ~unit_:"events" "ipc.faults_injected";
-    decode_failures = Metrics.counter obs.Obs.metrics ~unit_:"errors" "ipc.decode_failures";
-    batches_sent = Metrics.counter obs.Obs.metrics ~unit_:"frames" "ipc.batches_sent";
-    reports_batched = Metrics.counter obs.Obs.metrics ~unit_:"reports" "ipc.reports_batched";
     pending_reports = Metrics.gauge obs.Obs.metrics ~unit_:"reports" "ipc.pending_reports";
   }
 
@@ -84,7 +76,11 @@ type t = {
      send on the one-frame-per-message path, byte-identical to a build
      without batching. *)
   batch : batch_state option;
-  mutable decode_failures : int;
+  (* One store per counted fact: a counter in the obs bundle's registry,
+     or a private one without a bundle ({!Ccp_obs.Obs.counter}). *)
+  decode_failures : Ccp_obs.Metrics.counter;
+  batches_sent : Ccp_obs.Metrics.counter;
+  reports_batched : Ccp_obs.Metrics.counter;
   mutable fault_stats : fault_stats;
   handles : obs_handles option;
   tracer : Ccp_obs.Tracer.t option;
@@ -116,10 +112,9 @@ let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
           count = 0;
           pending_bytes = 0;
           flush_serial = 0;
-          batches = 0;
-          batched = 0;
         }
   in
+  let counter unit_ name = Ccp_obs.Obs.counter obs ~unit_ name in
   {
     sim;
     latency;
@@ -129,7 +124,9 @@ let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
     to_agent = fresh_direction ();
     to_datapath = fresh_direction ();
     batch;
-    decode_failures = 0;
+    decode_failures = counter "errors" "ipc.decode_failures";
+    batches_sent = counter "frames" "ipc.batches_sent";
+    reports_batched = counter "reports" "ipc.reports_batched";
     fault_stats = no_faults_yet;
     handles = Option.map make_handles obs;
     tracer = (match obs with Some o -> o.Ccp_obs.Obs.tracer | None -> None);
@@ -175,11 +172,7 @@ let orphan_span t span =
 
 let orphan_spans t spans = List.iter (orphan_span t) spans
 
-let note_decode_failure t =
-  t.decode_failures <- t.decode_failures + 1;
-  match t.handles with
-  | Some h -> Ccp_obs.Metrics.incr h.decode_failures
-  | None -> ()
+let note_decode_failure t = Ccp_obs.Metrics.incr t.decode_failures
 
 let deliver_one t handler ~toward decoded span =
   match t.tracer with
@@ -319,11 +312,9 @@ let flush t =
     b.count <- 0;
     b.pending_bytes <- 0;
     b.flush_serial <- b.flush_serial + 1;
-    b.batches <- b.batches + 1;
+    Ccp_obs.Metrics.incr t.batches_sent;
     (match t.handles with
-    | Some h ->
-      Ccp_obs.Metrics.incr h.batches_sent;
-      Ccp_obs.Metrics.set h.pending_reports 0.0
+    | Some h -> Ccp_obs.Metrics.set h.pending_reports 0.0
     | None -> ());
     let frame = Codec.frame_batch entries in
     (* Batched datapath spans are stamped as sent when the frame actually
@@ -337,11 +328,9 @@ let enqueue_report t b ~span msg =
   b.spans <- span :: b.spans;
   b.count <- b.count + 1;
   b.pending_bytes <- b.pending_bytes + String.length entry;
-  b.batched <- b.batched + 1;
+  Ccp_obs.Metrics.incr t.reports_batched;
   (match t.handles with
-  | Some h ->
-    Ccp_obs.Metrics.incr h.reports_batched;
-    Ccp_obs.Metrics.set h.pending_reports (float_of_int b.count)
+  | Some h -> Ccp_obs.Metrics.set h.pending_reports (float_of_int b.count)
   | None -> ());
   if b.count >= b.cfg.max_count || b.pending_bytes >= b.cfg.max_bytes then flush t
   else if b.count = 1 then begin
@@ -405,9 +394,9 @@ let bytes_sent t = function
   | Datapath_end -> t.to_agent.bytes
   | Agent_end -> t.to_datapath.bytes
 
-let decode_failures t = t.decode_failures
+let decode_failures t = Ccp_obs.Metrics.counter_value t.decode_failures
 let pending_reports t = match t.batch with Some b -> b.count | None -> 0
-let batches_sent t = match t.batch with Some b -> b.batches | None -> 0
-let reports_batched t = match t.batch with Some b -> b.batched | None -> 0
+let batches_sent t = Ccp_obs.Metrics.counter_value t.batches_sent
+let reports_batched t = Ccp_obs.Metrics.counter_value t.reports_batched
 let fault_plan t = t.faults
 let fault_stats t = t.fault_stats

@@ -91,7 +91,17 @@ val deliver_raw : t -> toward:endpoint -> string -> unit
     draw, no fault plan. Malformed bytes count a decode failure and are
     dropped without disturbing the channel. Test/fuzzing hook. *)
 
-(** {1 Statistics} *)
+(** {1 Statistics}
+
+    [decode_failures], [batches_sent] and [reports_batched] read the
+    [ipc.decode_failures], [ipc.batches_sent] and [ipc.reports_batched]
+    counters, kept in the [obs] bundle's registry when there is one and
+    as private counters otherwise ({!Ccp_obs.Obs.counter}). [messages_sent], [bytes_sent] and
+    [fault_stats] are the channel's own: they count every frame put on
+    the wire, including frames that a random drop or a partition
+    destroys before any latency draw. The [ipc.to_agent.*] and
+    [ipc.to_datapath.*] rows count only frames that got a latency draw,
+    so under those faults they read lower. *)
 
 val messages_sent : t -> endpoint -> int
 (** Wire frames sent {e from} the given endpoint — with batching on, a
@@ -100,10 +110,8 @@ val messages_sent : t -> endpoint -> int
 val bytes_sent : t -> endpoint -> int
 
 val decode_failures : t -> int
-(** Deliveries whose bytes failed to decode; also published as the
-    [ipc.decode_failures] counter when the channel carries an [obs]
-    bundle. A corrupt batch frame counts once, atomically: none of its
-    entries are delivered. *)
+(** Deliveries whose bytes failed to decode. A corrupt batch frame
+    counts once, atomically: none of its entries are delivered. *)
 
 val pending_reports : t -> int
 (** Reports parked in the not-yet-flushed batch frame (0 with batching

@@ -1,7 +1,6 @@
 type trace_context = int
 
 let no_trace = -1
-let has_trace span = span >= 0
 
 type urgent_kind = Dup_ack_loss | Timeout | Ecn
 

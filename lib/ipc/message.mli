@@ -15,8 +15,6 @@ type trace_context = int
 val no_trace : trace_context
 (** [-1]. *)
 
-val has_trace : trace_context -> bool
-
 type urgent_kind =
   | Dup_ack_loss  (** triple duplicate ACK (fast-retransmit trigger) *)
   | Timeout  (** retransmission timeout *)
@@ -80,7 +78,6 @@ type t =
 
 val flow : t -> int
 val describe : t -> string
-val urgent_kind_to_string : urgent_kind -> string
 val incident_kind_to_string : incident_kind -> string
 val all_incident_kinds : incident_kind list
 val equal : t -> t -> bool

@@ -31,9 +31,6 @@
 val flow_var_count : int
 val pkt_field_count : int
 
-val flow_index : string -> int option
-val pkt_index : string -> int option
-
 val flow_index_exn : string -> int
 (** Raises [Invalid_argument] on unknown names; for datapath wiring
     that hardcodes the slot layout once at module initialisation. *)

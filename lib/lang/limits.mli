@@ -39,8 +39,6 @@ val reason_to_string : reason -> string
 val equal_reason : reason -> reason -> bool
 val pp_reason : Format.formatter -> reason -> unit
 
-val expr_depth : Ast.expr -> int
-
 val check : ?limits:t -> Ast.program -> (unit, reason * string) result
 (** Resource limits only; never raises. *)
 

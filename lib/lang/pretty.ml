@@ -46,11 +46,6 @@ let rec expr_buf buf ~prec = function
       args;
     Buffer.add_char buf ')'
 
-let expr_to_string e =
-  let buf = Buffer.create 64 in
-  expr_buf buf ~prec:0 e;
-  Buffer.contents buf
-
 let bindings_buf buf bindings =
   List.iteri
     (fun i (name, e) ->
@@ -101,6 +96,3 @@ let program_to_string program =
     program.prims;
   if not program.repeat then Buffer.add_string buf ".Once()";
   Buffer.contents buf
-
-let pp_expr fmt e = Format.pp_print_string fmt (expr_to_string e)
-let pp_program fmt p = Format.pp_print_string fmt (program_to_string p)

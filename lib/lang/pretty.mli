@@ -3,8 +3,4 @@
     [parse (print p)] yields a program equal to [p] (round-trip property,
     tested with qcheck). *)
 
-val expr_to_string : Ast.expr -> string
 val program_to_string : Ast.program -> string
-
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_program : Format.formatter -> Ast.program -> unit

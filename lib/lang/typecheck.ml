@@ -96,11 +96,4 @@ let check program =
   | [] -> Ok (List.rev ctx.warnings)
   | errors -> Error (List.rev errors)
 
-let check_exn program =
-  match check program with
-  | Ok warnings -> warnings
-  | Error ({ message } :: _) -> invalid_arg ("Typecheck: " ^ message)
-  | Error [] -> assert false
-
 let pp_error fmt ({ message } : error) = Format.pp_print_string fmt message
-let pp_warning fmt ({ message } : warning) = Format.pp_print_string fmt message

@@ -20,8 +20,4 @@ type warning = { message : string }
 
 val check : Ast.program -> (warning list, error list) result
 
-val check_exn : Ast.program -> warning list
-(** Raises [Invalid_argument] with the first error's message. *)
-
 val pp_error : Format.formatter -> error -> unit
-val pp_warning : Format.formatter -> warning -> unit

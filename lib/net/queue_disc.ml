@@ -26,7 +26,6 @@ type t = {
   mutable enqueued : int;
   mutable dropped : int;
   mutable marked : int;
-  mutable dequeued_bytes : int;
 }
 
 let create config ~rng =
@@ -50,7 +49,6 @@ let create config ~rng =
     enqueued = 0;
     dropped = 0;
     marked = 0;
-    dequeued_bytes = 0;
   }
 
 let grow t =
@@ -138,7 +136,6 @@ let dequeue t =
   t.first <- (t.first + 1) land (Array.length t.ring - 1);
   t.count <- t.count - 1;
   t.backlog <- t.backlog - pkt.wire_size;
-  t.dequeued_bytes <- t.dequeued_bytes + pkt.wire_size;
   pkt
 
 let backlog_bytes t = t.backlog
@@ -146,4 +143,3 @@ let backlog_packets t = t.count
 let enqueued_packets t = t.enqueued
 let dropped_packets t = t.dropped
 let marked_packets t = t.marked
-let dequeued_bytes t = t.dequeued_bytes

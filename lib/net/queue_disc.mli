@@ -38,4 +38,3 @@ val backlog_packets : t -> int
 val enqueued_packets : t -> int
 val dropped_packets : t -> int
 val marked_packets : t -> int
-val dequeued_bytes : t -> int

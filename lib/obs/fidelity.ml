@@ -69,11 +69,3 @@ let compare_runs ?(samples = 512) ~ccp ~native () =
     median_rtt_delta_ms = ccp.median_rtt_ms -. native.median_rtt_ms;
     samples;
   }
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "cwnd RMSE %.4f (normalized) | utilization delta %+.2f pts | median RTT \
-     delta %+.2f ms | %d samples"
-    r.cwnd_rmse
-    (r.utilization_delta *. 100.0)
-    r.median_rtt_delta_ms r.samples

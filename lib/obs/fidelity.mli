@@ -22,11 +22,6 @@ type report = {
   samples : int; (** grid points actually compared *)
 }
 
-val resample : (float * float) array -> t0:float -> t1:float -> n:int -> float array
-(** Step-interpolate a series onto [n] evenly spaced points in
-    [\[t0, t1\]]: each grid point takes the last value at-or-before it
-    (the first value before the series starts). Empty series -> zeros. *)
-
 val rmse : float array -> float array -> float
 (** Plain RMSE of two equal-length vectors. *)
 
@@ -34,5 +29,3 @@ val compare_runs : ?samples:int -> ccp:run -> native:run -> unit -> report
 (** Compare over the overlapping time range of the two series.
     [samples] defaults to 512. Raises [Invalid_argument] if either
     series is empty or the ranges do not overlap. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -43,6 +43,8 @@ let counter t ?(unit_ = "") name =
     Hashtbl.replace t.table name (Counter c);
     c
 
+let private_counter ?(unit_ = "") name = { c_name = name; c_unit = unit_; count = 0 }
+
 let gauge t ?(unit_ = "") name =
   match Hashtbl.find_opt t.table name with
   | Some (Gauge g) -> g
@@ -135,25 +137,6 @@ let quantile_of_counts ~bounds ~counts ~observations q =
 let quantile h q =
   quantile_of_counts ~bounds:h.bounds ~counts:h.counts
     ~observations:h.observations q
-
-let fraction_above ~bounds ~counts ~observations threshold =
-  if observations = 0 then 0.0
-  else begin
-    let nb = Array.length bounds in
-    let above = ref 0.0 in
-    for i = 0 to nb do
-      if counts.(i) > 0 then begin
-        let lo = if i = 0 then 0.0 else bounds.(i - 1) in
-        let hi = if i = nb then Float.max threshold bounds.(nb - 1) else bounds.(i) in
-        let c = float_of_int counts.(i) in
-        if threshold <= lo then above := !above +. c
-        else if threshold < hi then
-          (* linear interpolation inside the bucket, matching [quantile] *)
-          above := !above +. (c *. ((hi -. threshold) /. (hi -. lo)))
-      end
-    done;
-    !above /. float_of_int observations
-  end
 
 (* ---- snapshots --------------------------------------------------------- *)
 
@@ -261,12 +244,6 @@ let validate_rows_json json =
     in
     check 0 rows
   | _ -> Error "top level is not an array"
-
-let pp_rows fmt rows =
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-48s %14.2f %s@." r.name r.value r.unit_)
-    rows
 
 let rows_of_json json =
   match validate_rows_json json with

@@ -4,7 +4,8 @@
     ["datapath.reports_sent"] repeatedly and always share one counter.
     Registration allocates; the hot operations ([incr], [set], [observe])
     do not — the datapath calls them from the per-ACK path when
-    observability is enabled, and the disabled path never touches them.
+    observability is enabled. Counters that a component also reads back
+    are kept with observability off too, as {!private_counter}s.
 
     Snapshots flatten everything into (name, value, unit) rows — the same
     schema [bench/main.exe] writes to BENCH.json — and histograms expand
@@ -21,6 +22,10 @@ val create : unit -> t
 val counter : t -> ?unit_:string -> string -> counter
 (** Get or create. Raises [Invalid_argument] if the name is already
     registered as a different metric kind. *)
+
+val private_counter : ?unit_:string -> string -> counter
+(** A counter that no registry holds: it counts, and {!counter_value}
+    reads it, but no snapshot sees it. Creating one hashes nothing. *)
 
 val gauge : t -> ?unit_:string -> string -> gauge
 
@@ -58,14 +63,6 @@ val quantile_of_counts :
     interpolation applied to a per-window count {e delta}, which is how
     {!Timeseries} reports per-window histogram quantiles. *)
 
-val fraction_above :
-  bounds:float array -> counts:int array -> observations:int -> float -> float
-(** Estimated fraction of observations strictly above a threshold,
-    interpolating linearly inside the bucket the threshold falls in.
-    Observations in the overflow bucket count as above any threshold up
-    to the last finite edge and as below thresholds beyond it
-    (conservative). 0. when empty. *)
-
 (* Snapshots. *)
 
 type row = { name : string; value : float; unit_ : string }
@@ -102,8 +99,6 @@ val rows_to_json : row list -> Json.t
 val validate_rows_json : Json.t -> (int, string) result
 (** Check a parsed value against the rows schema; [Ok n] gives the row
     count. Shared by the bench-schema test and CI smoke. *)
-
-val pp_rows : Format.formatter -> row list -> unit
 
 val rows_of_json : Json.t -> (row list, string) result
 (** Inverse of {!rows_to_json}, after schema validation. *)

@@ -69,5 +69,10 @@ let tracer_exn t =
   | Some tr -> tr
   | None -> invalid_arg "Obs.tracer_exn: bundle has no tracer"
 
+let counter obs ?unit_ name =
+  match obs with
+  | Some t -> Metrics.counter t.metrics ?unit_ name
+  | None -> Metrics.private_counter ?unit_ name
+
 let flow_sketch t name =
   match t.topk with None -> None | Some tk -> Some (Topk.sketch tk name)

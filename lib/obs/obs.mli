@@ -8,7 +8,9 @@
     self-timing. Every instrumented call site takes [Obs.t option] and
     does nothing on [None] — the disabled path is a single pattern match,
     which is how the per-ACK path stays allocation-free with
-    observability off. *)
+    observability off. The exception is a counter the component also
+    reads back ({!counter}): it counts either way, and only a bundle
+    exports it. *)
 
 type t = {
   metrics : Metrics.t;
@@ -72,6 +74,12 @@ val recorder_exn : t -> Recorder.t
 
 val tracer_exn : t -> Tracer.t
 (** Raises [Invalid_argument] when the bundle has no tracer. *)
+
+val counter : t option -> ?unit_:string -> string -> Metrics.counter
+(** The named counter in the bundle's registry, or without a bundle a
+    {!Metrics.private_counter}. A component keeps each counted fact in
+    one such counter, reads it back through its accessors, and exports
+    it as a row only when it has a bundle. *)
 
 val flow_sketch : t -> string -> Topk.sketch option
 (** Get-or-create a named heavy-hitter sketch, [None] when telemetry is

@@ -70,8 +70,6 @@ val dropped : t -> int
 val to_list : t -> (int * event) list
 (** Held events, oldest first. *)
 
-val event_to_json : at:int -> event -> Json.t
-
 val to_jsonl : t -> string
 (** One JSON object per line, oldest first, trailing newline. *)
 

@@ -222,10 +222,6 @@ let windows t =
       | Some w -> w
       | None -> assert false)
 
-let last_window t =
-  if t.closed = 0 then None
-  else t.ring.((t.next + t.cap - 1) mod t.cap)
-
 let point w name =
   List.find_map
     (fun (n, _, p) -> if String.equal n name then Some p else None)

@@ -72,7 +72,6 @@ val dropped_windows : t -> int
 val windows : t -> window list
 (** Held windows, oldest first. *)
 
-val last_window : t -> window option
 val point : window -> string -> point option
 
 val window_spec : window Schema.t

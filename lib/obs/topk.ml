@@ -35,8 +35,6 @@ let create ?(k = 64) () =
   if k <= 0 then invalid_arg "Topk.create: k must be > 0";
   { table = Hashtbl.create 8; default_k = k }
 
-let default_k t = t.default_k
-
 let sketch t ?k name =
   match Hashtbl.find_opt t.table name with
   | Some s -> s

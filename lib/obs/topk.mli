@@ -27,8 +27,6 @@ val create : ?k:int -> unit -> t
 (** [k] is the default capacity for sketches created through this
     registry (64 when omitted). *)
 
-val default_k : t -> int
-
 val sketch : t -> ?k:int -> string -> sketch
 (** Get or create by name. [k] applies only on creation. *)
 

@@ -19,11 +19,7 @@ type t
 
 type disposition = Actuated | No_action | Rejected | Orphaned | Shed
 
-val disposition_to_string : disposition -> string
-
 type span_kind = Report_span | Urgent_span
-
-val span_kind_to_string : span_kind -> string
 
 val create :
   ?capacity:int ->

@@ -15,7 +15,6 @@ module Summary : sig
   val count : t -> int
   val mean : t -> float
   val variance : t -> float
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
   val sum : t -> float

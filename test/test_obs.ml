@@ -460,6 +460,117 @@ let test_tracer_first_arrival_wins () =
     Alcotest.(check int) "first arrival kept" 500 sp.Recorder.agent_at
   | _ -> Alcotest.fail "expected one Span event"
 
+(* --- one store per counted fact ------------------------------------------ *)
+
+(* Every agent, datapath and channel counter that a metric row also
+   publishes must read the same number through its accessor. One obs-on
+   run arms IPC faults, overload shedding, degradation, a crash with warm
+   restart, report batching, the guard envelope and a pool smaller than
+   the fleet, so every pair moves. The agent's install-reject and
+   quarantine counters have no accessor; their rows must still move. *)
+let test_accessors_equal_rows () =
+  let module E = Ccp_core.Experiment in
+  let module Agent = Ccp_agent.Agent in
+  let module Ext = Ccp_datapath.Ccp_ext in
+  let module Channel = Ccp_ipc.Channel in
+  let module S = Ccp_core.Scenarios in
+  let base_rtt = Time_ns.ms 20 in
+  let obs = Obs.create () in
+  let reno () = Ccp_algorithms.Ccp_reno.create_with ~interval_rtts:0.25 () in
+  let faulty : Ccp_agent.Algorithm.t =
+    let inner = reno () in
+    {
+      Ccp_agent.Algorithm.name = "faulty";
+      make =
+        (fun h ->
+          { (inner.Ccp_agent.Algorithm.make h) with
+            Ccp_agent.Algorithm.on_report = (fun _ -> failwith "faulty handler") });
+    }
+  in
+  let handles = ref None in
+  let crash_from = Time_ns.ms 1500 in
+  let config =
+    {
+      (E.default_config ~rate_bps:24e6 ~base_rtt ~duration:(Time_ns.sec 3)) with
+      E.obs = Some obs;
+      faults =
+        Ccp_ipc.Fault_plan.make ~drop_probability:0.02 ~duplicate_probability:0.02
+          ~agent_outages:
+            [ { Ccp_ipc.Fault_plan.from_ = crash_from; until = Time_ns.ms 1700 } ]
+          ();
+      ipc_batching = Some S.Incast.default_batching;
+      agent_overload = Some (S.Chaos.overload ~base_rtt);
+      agent_degrade = Some S.Chaos.degrade;
+      agent_flow_pool = Some 4;
+      checkpoint_interval = Some (Time_ns.ms 100);
+      datapath =
+        {
+          Ext.default_config with
+          Ext.fallback = Some (S.Chaos.fallback ~base_rtt);
+          guard = S.Hostile.armed_guard ~threshold:5 ();
+        };
+      flows =
+        [
+          E.flow
+            (E.Ccp_cc
+               (S.Hostile.attacker "fold" (List.assoc "diverging-fold" S.Hostile.all)));
+          E.flow (E.Ccp_cc (S.Hostile.attacker "wait" S.Hostile.wait_too_short));
+          E.flow (E.Ccp_cc faulty);
+          E.flow (E.Ccp_cc (reno ()));
+          (* Past the 4-slot pool: refused at every registration. *)
+          E.flow (E.Ccp_cc (reno ()));
+        ];
+      inspect =
+        Some
+          (fun h ->
+            handles := Some h;
+            (* A corrupt frame at the agent end: one decode failure. *)
+            ignore
+              (Ccp_eventsim.Sim.schedule h.E.h_sim ~at:(Time_ns.ms 500) (fun () ->
+                   Channel.deliver_raw h.E.h_channel ~toward:Channel.Agent_end "\xff\x00")));
+    }
+  in
+  ignore (E.run config : E.result);
+  let h = match !handles with Some h -> h | None -> Alcotest.fail "no CCP plumbing" in
+  let agent = h.E.h_agent and ext = h.E.h_datapath and channel = h.E.h_channel in
+  let rows = Metrics.snapshot obs.Obs.metrics in
+  let row name =
+    match List.find_opt (fun (r : Metrics.row) -> r.Metrics.name = name) rows with
+    | Some r -> int_of_float r.Metrics.value
+    | None -> Alcotest.failf "no %s row" name
+  in
+  let pairs =
+    [
+      ("agent.reports_received", Agent.reports_received agent);
+      ("agent.urgents_received", Agent.urgents_received agent);
+      ("agent.installs_sent", Agent.installs_sent agent);
+      ("agent.handler_errors", Agent.handler_errors agent);
+      ("agent.reports_shed", Agent.reports_shed agent);
+      ("agent.dispatch_rounds", Agent.dispatch_rounds agent);
+      ("agent.degradations", Agent.degradations agent);
+      ("agent.degraded_drops", Agent.degraded_drops agent);
+      ("agent.warm_restores", Agent.warm_restores agent);
+      ("agent.registrations_rejected", Agent.registrations_rejected agent);
+      ("datapath.reports_sent", Ext.reports_sent ext);
+      ("datapath.urgents_sent", Ext.urgents_sent ext);
+      ("datapath.installs_accepted", Ext.installs_accepted ext);
+      ("datapath.installs_rejected", Ext.installs_rejected ext);
+      ("datapath.fallbacks", Ext.fallbacks_triggered ext);
+      ("datapath.quarantines", Ext.quarantines_triggered ext);
+      ("ipc.decode_failures", Channel.decode_failures channel);
+      ("ipc.batches_sent", Channel.batches_sent channel);
+      ("ipc.reports_batched", Channel.reports_batched channel);
+    ]
+  in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) (name ^ " moved") true (v > 0);
+      Alcotest.(check int) (name ^ ": accessor = row") (row name) v)
+    pairs;
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " moved") true (row name > 0))
+    [ "agent.install_rejects"; "agent.quarantines_seen" ]
+
 let suite =
   [
     ( "obs",
@@ -492,5 +603,7 @@ let suite =
           test_tracer_handler_end_finalizes_unconsumed;
         Alcotest.test_case "tracer first arrival wins under duplication" `Quick
           test_tracer_first_arrival_wins;
+        Alcotest.test_case "accessors equal their metric rows" `Quick
+          test_accessors_equal_rows;
       ] );
   ]

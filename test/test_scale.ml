@@ -1,8 +1,8 @@
 (* The flow-multiplexed control plane: the generation-checked slot pool
-   (unit + churn property), the agent's pooled registry (stale handles
-   dropped, exhaustion counted), open-loop batching determinism (same
-   commands, fewer frames), and the N-member aggregate splitting one
-   window across an incast fleet. *)
+   (unit + churn property), the agent's registry (stale handles dropped,
+   exhaustion counted, uncapped growth), open-loop batching determinism
+   (same commands, fewer frames), and the N-member aggregate splitting
+   one window across an incast fleet. *)
 
 open Ccp_util
 open Ccp_eventsim
@@ -96,18 +96,31 @@ let gen_churn rng =
       | 2 -> Op_release flow
       | _ -> Op_deref flow)
 
+let slot_of (tok : Flow_table.token) = tok land ((1 lsl 30) - 1)
+
 (* Invariants, against a hashtable model: a live slot is never handed
    out twice; stale tokens are counted, never honored; exhaustion is a
-   structured rejection exactly when the pool is full of other flows;
-   and the stats ledger balances. *)
-let prop_pool_churn ops =
-  let capacity = 4 in
-  let pool = Flow_table.create ~capacity () in
+   structured rejection exactly when a capped pool is full of other
+   flows, and never happens uncapped; live tokens still dereference at
+   the end, however many times the table grew since they were minted;
+   iteration visits slots in order; and the stats ledger balances.
+   [grow_by] extra flows (ids from 1000, never released) join before
+   every op. *)
+let churn_against_model ?capacity ~grow_by ops =
+  let pool = Flow_table.create ?capacity () in
   let model : (int, Flow_table.token * int) Hashtbl.t = Hashtbl.create 8 in
   let dead = ref [] in
   let stale_derefs = ref 0 in
+  let next_extra = ref 1000 in
   List.iteri
     (fun i op ->
+      for _ = 1 to grow_by do
+        let flow = !next_extra in
+        incr next_extra;
+        match Flow_table.register pool ~flow flow with
+        | Ok tok -> Hashtbl.replace model flow (tok, flow)
+        | Error `Pool_exhausted -> Prop.fail "uncapped table refused a registration"
+      done;
       match op with
       | Op_register flow -> (
         let was = Hashtbl.find_opt model flow in
@@ -128,7 +141,7 @@ let prop_pool_churn ops =
           (* Replacement releases first, so only a genuinely new flow
              can see a full pool. *)
           Prop.require "exhaustion only when full of other flows"
-            (was = None && Hashtbl.length model = capacity))
+            (was = None && Some (Hashtbl.length model) = capacity))
       | Op_release flow ->
         let was = Hashtbl.find_opt model flow in
         let released = Flow_table.release pool ~flow in
@@ -154,15 +167,38 @@ let prop_pool_churn ops =
           | Some _ -> Prop.fail "stale token honored")
         | [] -> ()))
     ops;
+  Hashtbl.iter
+    (fun _ (tok, v) ->
+      match Flow_table.get pool tok with
+      | Some v' -> Prop.check_eq ~what:"token survives growth" string_of_int v v'
+      | None -> Prop.fail "live token failed the generation check at the end")
+    model;
+  let slots =
+    List.rev
+      (Flow_table.fold pool ~init:[] ~f:(fun flow _ acc ->
+           slot_of (fst (Hashtbl.find model flow)) :: acc))
+  in
+  Prop.require "iteration visits every live flow once"
+    (List.length slots = Hashtbl.length model);
+  Prop.require "iteration in slot order" (slots = List.sort_uniq compare slots);
   let s = Flow_table.stats pool in
   Prop.check_eq ~what:"live count" string_of_int (Hashtbl.length model) s.Flow_table.live;
   Prop.check_eq ~what:"ledger: registered - released = live" string_of_int
     s.Flow_table.live
     (s.Flow_table.registered - s.Flow_table.released);
   Prop.check_eq ~what:"stale refs counted exactly" string_of_int !stale_derefs
-    s.Flow_table.stale_refs
+    s.Flow_table.stale_refs;
+  s
 
-(* --- the agent's pooled registry --- *)
+(* Capped at 4 slots, then uncapped with enough extra flows mixed into
+   the churn to take the table from 16 slots through three doublings. *)
+let prop_pool_churn ops =
+  ignore (churn_against_model ~capacity:4 ~grow_by:0 ops : Flow_table.stats);
+  let s = churn_against_model ~grow_by:(1 + (64 / List.length ops)) ops in
+  Prop.require "uncapped table doubled at least three times" (s.Flow_table.capacity >= 128);
+  Prop.check_eq ~what:"uncapped rejections" string_of_int 0 s.Flow_table.rejected
+
+(* --- the agent's registry --- *)
 
 let recorded_handles : Algorithm.handle list ref = ref []
 
@@ -205,42 +241,53 @@ let test_agent_pool_exhaustion () =
   Alcotest.(check int) "slot recycled" 2 (Agent.flow_count agent);
   Alcotest.(check (option string)) "late flow served after churn" (Some "test-sink")
     (Agent.algorithm_name agent ~flow:3);
-  match Agent.pool_stats agent with
-  | None -> Alcotest.fail "pooled agent reports no pool stats"
-  | Some s -> Alcotest.(check int) "pool ledger" 1 s.Flow_table.rejected
+  Alcotest.(check int) "pool ledger" 1 (Agent.pool_stats agent).Flow_table.rejected
 
+(* Capped and uncapped alike: the algorithm closure outlived its flow, so
+   its actions must be dropped and counted, not applied to whoever
+   reuses the slot. *)
 let test_agent_stale_handle_dropped () =
-  let sim, channel, agent, to_datapath = make_agent ~flow_pool:4 () in
-  Channel.send channel ~from:Channel.Datapath_end (ready 1);
+  List.iter
+    (fun flow_pool ->
+      let sim, channel, agent, to_datapath = make_agent ?flow_pool () in
+      Channel.send channel ~from:Channel.Datapath_end (ready 1);
+      Sim.run sim;
+      let handle =
+        match !recorded_handles with [ h ] -> h | _ -> Alcotest.fail "no handle"
+      in
+      handle.Algorithm.set_cwnd 20_000;
+      Sim.run sim;
+      Alcotest.(check int) "live handle acts" 1 (List.length !to_datapath);
+      Channel.send channel ~from:Channel.Datapath_end (Message.Closed { flow = 1 });
+      Sim.run sim;
+      Channel.send channel ~from:Channel.Datapath_end (ready 2);
+      Sim.run sim;
+      handle.Algorithm.set_cwnd 99_999;
+      handle.Algorithm.set_rate 1e6;
+      Sim.run sim;
+      Alcotest.(check int) "stale actions dropped" 1 (List.length !to_datapath);
+      Alcotest.(check bool) "stale refs counted" true
+        ((Agent.pool_stats agent).Flow_table.stale_refs >= 2))
+    [ Some 4; None ]
+
+let test_agent_uncapped_growth () =
+  let sim, channel, agent, _ = make_agent () in
+  Alcotest.(check int) "16-slot start" 16 (Agent.pool_stats agent).Flow_table.capacity;
+  for f = 1 to 5_000 do
+    Channel.send channel ~from:Channel.Datapath_end (ready f)
+  done;
   Sim.run sim;
-  let handle = match !recorded_handles with [ h ] -> h | _ -> Alcotest.fail "no handle" in
-  handle.Algorithm.set_cwnd 20_000;
-  Sim.run sim;
-  Alcotest.(check int) "live handle acts" 1 (List.length !to_datapath);
-  Channel.send channel ~from:Channel.Datapath_end (Message.Closed { flow = 1 });
-  Sim.run sim;
-  (* The algorithm closure outlived its flow: its actions must be
-     dropped and counted, not applied to whoever reuses the slot. *)
-  Channel.send channel ~from:Channel.Datapath_end (ready 2);
-  Sim.run sim;
-  handle.Algorithm.set_cwnd 99_999;
-  handle.Algorithm.set_rate 1e6;
-  Sim.run sim;
-  Alcotest.(check int) "stale actions dropped" 1 (List.length !to_datapath);
-  (match Agent.pool_stats agent with
-  | Some s -> Alcotest.(check bool) "stale refs counted" true (s.Flow_table.stale_refs >= 2)
-  | None -> Alcotest.fail "no pool stats");
-  (* The unpooled agent is the permissive original: same sequence, the
-     stale handle still sends (flow 2's datapath state absorbs it). *)
-  let sim, channel, _, to_datapath = make_agent () in
-  Channel.send channel ~from:Channel.Datapath_end (ready 1);
-  Sim.run sim;
-  let handle = match !recorded_handles with [ h ] -> h | _ -> Alcotest.fail "no handle" in
-  Channel.send channel ~from:Channel.Datapath_end (Message.Closed { flow = 1 });
-  Sim.run sim;
-  handle.Algorithm.set_cwnd 99_999;
-  Sim.run sim;
-  Alcotest.(check int) "hashed registry stays permissive" 1 (List.length !to_datapath)
+  Alcotest.(check int) "every flow registered" 5_000 (Agent.flow_count agent);
+  Alcotest.(check int) "none rejected" 0 (Agent.registrations_rejected agent);
+  let s = Agent.pool_stats agent in
+  Alcotest.(check int) "grown by doubling" 8192 s.Flow_table.capacity;
+  Alcotest.(check int) "ledger" 5_000 s.Flow_table.registered;
+  List.iter
+    (fun flow ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "flow %d served" flow)
+        (Some "test-sink") (Agent.algorithm_name agent ~flow))
+    [ 1; 16; 17; 4_096; 5_000 ]
 
 let test_agent_reset_clears_pool () =
   let sim, channel, agent, _ = make_agent ~flow_pool:2 () in
@@ -455,6 +502,8 @@ let suite =
         Alcotest.test_case "stale handle dropped and counted" `Quick
           test_agent_stale_handle_dropped;
         Alcotest.test_case "reset clears the pool" `Quick test_agent_reset_clears_pool;
+        Alcotest.test_case "uncapped registry grows to 5000 flows" `Quick
+          test_agent_uncapped_growth;
       ] );
     ( "scale.batching",
       [
