@@ -163,8 +163,11 @@ rm -rf "$bad_tmp"
 echo "== scale bench smoke =="
 # The slot-pool churn and batched-report amortization benchmarks: the
 # driver itself exits non-zero if registration churn allocates per-flow
-# Gc garbage that grows with N, or if the batched agent-side cost per
-# report fails to beat the unbatched path.
+# Gc garbage that grows with N, if the batched agent-side cost per
+# report fails to beat the unbatched path, or if the minor words per
+# dispatched report (batched or unbatched) exceed twice the value
+# measured when the ceiling was set or grow with N. It emits
+# scale.agent_words_per_report.* rows beside the timing rows.
 QUICK=1 dune exec bench/main.exe -- scale
 grep -q '"scale\.' BENCH.json
 

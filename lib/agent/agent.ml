@@ -241,28 +241,36 @@ and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
       go ()
     | None -> ()
   in
-  let no_update = ignore in
-  (* The last program that passed the typecheck on this handle. Algorithms
+  (* The last program that passed the typecheck on this handle, with the
+     [Install] frame that carries it (the policy applied). Algorithms
      re-install the same program on nearly every report, and a
      bit-identical one ({!Ccp_lang.Ast.identical_program}) cannot fail
-     where it passed. Invalid programs are never remembered. *)
+     where it passed, nor encode differently: the policy is fixed per
+     handle. Invalid programs are never remembered. *)
   let checked = ref None in
   let install program =
-    (match !checked with
-    | Some ok when Ccp_lang.Ast.identical_program ok program -> ()
-    | Some _ | None -> (
-      match Ccp_lang.Typecheck.check program with
-      | Ok _ -> checked := Some program
-      | Error (first :: _) ->
-        invalid_arg
-          (Format.asprintf "Agent.install: invalid program: %a" Ccp_lang.Typecheck.pp_error
-             first)
-      | Error [] -> assert false));
-    let program = Policy.apply_program policy program in
-    action ~update:no_update (fun () ->
-        Ccp_obs.Metrics.incr t.installs_sent;
-        Channel.send t.channel ~from:Channel.Agent_end
-          (Message.Install { flow; program }))
+    let frame =
+      match !checked with
+      | Some (ok, frame) when Ccp_lang.Ast.identical_program ok program -> frame
+      | Some _ | None -> (
+        match Ccp_lang.Typecheck.check program with
+        | Ok _ ->
+          let frame =
+            Codec.encode (Message.Install { flow; program = Policy.apply_program policy program })
+          in
+          checked := Some (program, frame);
+          frame
+        | Error (first :: _) ->
+          invalid_arg
+            (Format.asprintf "Agent.install: invalid program: %a" Ccp_lang.Typecheck.pp_error
+               first)
+        | Error [] -> assert false)
+    in
+    match Flow_table.get t.flows tok with
+    | Some _ ->
+      Ccp_obs.Metrics.incr t.installs_sent;
+      Channel.send_install_frame t.channel frame
+    | None -> ()
   in
   {
     info;

@@ -39,17 +39,22 @@ let no_op_handlers =
     on_restore = (fun _ -> ());
   }
 
+(* The first index of [name] in [names], or -1: a plain loop, so a
+   lookup allocates nothing before its result. *)
+let rec index_of names name i =
+  if i >= Array.length names then -1
+  else if String.equal (Array.unsafe_get names i) name then i
+  else index_of names name (i + 1)
+
 let field (report : Message.report) name =
-  let found = ref None in
-  Array.iter (fun (n, v) -> if n = name && !found = None then found := Some v) report.fields;
-  !found
+  let i = index_of report.names name 0 in
+  if i < 0 then None else Some report.values.(i)
 
 exception Missing_field of string
 
-let field_exn report name =
-  match field report name with
-  | Some v -> v
-  | None -> raise (Missing_field name)
+let field_exn (report : Message.report) name =
+  let i = index_of report.names name 0 in
+  if i < 0 then raise (Missing_field name) else report.values.(i)
 
 let column (report : Message.vector_report) name =
   let found = ref None in

@@ -18,7 +18,9 @@ type handle = {
           the agent's policy, and send to the datapath. Every program
           sent has passed the typecheck; a program bit-identical
           ({!Ccp_lang.Ast.identical_program}) to the last one that passed
-          on this handle reuses that verdict. *)
+          on this handle reuses that verdict and that install's frame
+          ({!Ccp_ipc.Channel.send_install_frame}), so a repeat neither
+          typechecks nor encodes. *)
   install_text : string -> unit;
       (** Parse surface syntax, then as [install]. *)
   set_cwnd : int -> unit;
@@ -60,8 +62,12 @@ val no_op_handlers : handlers
 exception Missing_field of string
 
 val field : Message.report -> string -> float option
+(** The value of the report's first field called [name]: a search of
+    [names] by index, then [values] at that index. *)
+
 val field_exn : Message.report -> string -> float
-(** Raises {!Missing_field} if the report lacks the field. *)
+(** As {!field}, with no option on the way. Raises {!Missing_field} if
+    the report lacks the field. *)
 
 val column : Message.vector_report -> string -> int option
 (** Index of a column in a vector report. *)

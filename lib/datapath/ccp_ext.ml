@@ -119,7 +119,9 @@ let default_config =
 
 type measurement =
   | No_measurement
-  | Fold_state of Compile.Fold.t
+  | Fold_state of { fold : Compile.Fold.t; names : string array }
+      (* [names]: the fold's fields, then [Message.reserved_names]. Built
+         once per plan; every report of the plan shares it. *)
   | Vector of {
       columns : string array;
       col_idx : int array;
@@ -129,14 +131,21 @@ type measurement =
 
 type flow_state = {
   ctl : Congestion_iface.ctl;
-  mutable program : Ast.program option;
-      (* the source AST, kept for introspection ([installed_program]) *)
+  mutable running : Codec.running option;
+      (* the admitted source AST and its wire bytes: what
+         [installed_program] shows, and what the channel matches an
+         incoming [Install] against *)
   mutable exec : (Compile.program * Compile.machine) option;
       (* the compiled form actually run, with its preallocated machine;
-         set and cleared together with [program] *)
+         set and cleared together with [running] *)
   mutable pc : int;
-  mutable wait_timer : Sim.timer option;
+  mutable wait_timer : Sim.timer;
+      (* the flow's one wait timer, calling [advance]: every wait, and
+         the eval-budget retry, re-arms it *)
   mutable measurement : measurement;
+  mutable kept_fold : measurement;
+      (* the last [Fold_state] the flow built: a restart on the same
+         plan resets it instead of building another *)
   last_rtt_us : float array;
       (* 1-element cell: a [mutable float] in this mixed record would box
          on every store, and this is written on every ACK *)
@@ -199,6 +208,7 @@ type t = {
       (* incidents from guard windows closed by an accepted re-install *)
   obs : obs_handles option;
   tracer : Ccp_obs.Tracer.t option;
+  idle_timer : Sim.timer;  (* never armed: a flow's [wait_timer] until it has its own *)
 }
 
 let obs_record t event =
@@ -277,21 +287,23 @@ let refresh_pkt (m : Compile.machine) (ev : Congestion_iface.ack_event) ~bytes_l
 
 (* --- reporting --- *)
 
-let reserved_fields fs ~packets =
+let reserved_count = Array.length Message.reserved_names
+
+(* The reserved block, in [Message.reserved_names] order, written into a
+   report's [values] from index [k]. *)
+let write_reserved fs values k ~packets =
   let ctl = fs.ctl in
-  [|
-    ("_cwnd", float_of_int (ctl.Congestion_iface.get_cwnd ()));
-    ("_rate", ctl.Congestion_iface.get_rate ());
-    ("_mss", float_of_int ctl.Congestion_iface.mss);
-    ("_srtt_us", us_of_opt (ctl.Congestion_iface.srtt ()));
-    ("_rtt_us", fs.last_rtt_us.(0));
-    ("_minrtt_us", us_of_opt (ctl.Congestion_iface.min_rtt ()));
-    ("_inflight_bytes", float_of_int (ctl.Congestion_iface.inflight ()));
-    ("_send_rate", Option.value (ctl.Congestion_iface.send_rate_ewma ()) ~default:0.0);
-    ("_recv_rate", Option.value (ctl.Congestion_iface.delivery_rate_ewma ()) ~default:0.0);
-    ("_now_us", Time_ns.to_float_us (ctl.Congestion_iface.now ()));
-    ("_packets", float_of_int packets);
-  |]
+  values.(k) <- float_of_int (ctl.Congestion_iface.get_cwnd ());
+  values.(k + 1) <- ctl.Congestion_iface.get_rate ();
+  values.(k + 2) <- float_of_int ctl.Congestion_iface.mss;
+  values.(k + 3) <- us_of_opt (ctl.Congestion_iface.srtt ());
+  values.(k + 4) <- fs.last_rtt_us.(0);
+  values.(k + 5) <- us_of_opt (ctl.Congestion_iface.min_rtt ());
+  values.(k + 6) <- float_of_int (ctl.Congestion_iface.inflight ());
+  values.(k + 7) <- Option.value (ctl.Congestion_iface.send_rate_ewma ()) ~default:0.0;
+  values.(k + 8) <- Option.value (ctl.Congestion_iface.delivery_rate_ewma ()) ~default:0.0;
+  values.(k + 9) <- us_of_ns (ctl.Congestion_iface.now ());
+  values.(k + 10) <- float_of_int packets
 
 let send_report t fs =
   let flow = fs.ctl.Congestion_iface.flow in
@@ -305,12 +317,17 @@ let send_report t fs =
   in
   (match fs.measurement with
   | No_measurement ->
-    let fields = reserved_fields fs ~packets:0 in
-    Channel.send t.channel ~from:Channel.Datapath_end ~span (Message.Report { flow; fields })
-  | Fold_state fold ->
-    let packets = Compile.Fold.packet_count fold in
-    let fields = Array.append (Compile.Fold.fields fold) (reserved_fields fs ~packets) in
-    Channel.send t.channel ~from:Channel.Datapath_end ~span (Message.Report { flow; fields });
+    let values = Array.make reserved_count 0.0 in
+    write_reserved fs values 0 ~packets:0;
+    Channel.send t.channel ~from:Channel.Datapath_end ~span
+      (Message.Report { flow; names = Message.reserved_names; values })
+  | Fold_state { fold; names } ->
+    let state = Compile.Fold.values fold in
+    let values = Array.make (Array.length names) 0.0 in
+    Array.blit state 0 values 0 (Array.length state);
+    write_reserved fs values (Array.length state) ~packets:(Compile.Fold.packet_count fold);
+    Channel.send t.channel ~from:Channel.Datapath_end ~span
+      (Message.Report { flow; names; values });
     (match fs.exec with
     | Some (_, m) ->
       refresh_flow fs m (Compile.Fold.init_flow_mask (Compile.Fold.plan fold));
@@ -354,9 +371,16 @@ let send_urgent t fs kind =
 
 (* --- program execution --- *)
 
-let cancel_wait fs =
-  Option.iter Sim.cancel fs.wait_timer;
-  fs.wait_timer <- None
+let cancel_wait fs = Sim.cancel fs.wait_timer
+
+(* Cancel the flow's program outright; the next install is a miss and is
+   admitted afresh. *)
+let stop_program fs =
+  cancel_wait fs;
+  fs.running <- None;
+  fs.exec <- None;
+  fs.measurement <- No_measurement;
+  fs.kept_fold <- No_measurement
 
 let eval_flow fs (m : Compile.machine) (code : Compile.code) =
   refresh_flow fs m code.Compile.flow_mask;
@@ -403,10 +427,7 @@ let quarantine t fs =
   Ccp_obs.Metrics.incr t.quarantines;
   (* The offending program is cancelled outright; only an accepted
      re-install brings CCP control back. *)
-  cancel_wait fs;
-  fs.program <- None;
-  fs.exec <- None;
-  fs.measurement <- No_measurement;
+  stop_program fs;
   fs.ctl.Congestion_iface.set_rate 0.0;
   (match g.quarantine_mode with
   | Some (Clamp { cwnd_segments }) ->
@@ -450,112 +471,54 @@ let guard_note t fs =
   absorb_eval_incidents t fs;
   maybe_quarantine t fs
 
-(* Execute primitives from [fs.pc] until the program blocks on a wait or
-   finishes. The step budget guards against zero-length waits in repeating
-   programs (typecheck rejects wait-free loops, but the datapath cannot
-   trust the agent); every [Cwnd]/[Rate]/[Wait] result passes through the
-   guard envelope before it touches the flow. *)
-let rec advance t fs =
+(* The guard envelope's window and rate bounds, for a program's [Cwnd]
+   and [Rate] results and the agent's [Set_cwnd] and [Set_rate] alike:
+   the value is clamped into the envelope, and a clamp counts as an
+   incident. A non-finite rate becomes 0. *)
+let apply_cwnd t fs raw =
   let g = t.config.guard in
-  let budget = ref (max 1 g.max_eval_steps) in
-  let rec step () =
-    decr budget;
-    if !budget <= 0 then begin
-      fs.guard.eval_budget <- fs.guard.eval_budget + 1;
-      obs_guard_incident t fs;
-      maybe_quarantine t fs;
-      if not fs.quarantined then
-        fs.wait_timer <-
-          Some (Sim.schedule_after t.sim ~delay:(Time_ns.us 1) (fun () ->
-                    fs.wait_timer <- None;
-                    advance t fs))
-    end
-    else
-      match fs.exec with
-      | None -> ()
-      | Some (cp, m) ->
-        let prims = cp.Compile.prims in
-        if fs.pc >= Array.length prims then begin
-          if cp.Compile.repeat then begin
-            fs.pc <- 0;
-            step ()
-          end
-        end
-        else begin
-          let prim = prims.(fs.pc) in
-          fs.pc <- fs.pc + 1;
-          match prim with
-          | Compile.Measure_vector { columns; col_idx } ->
-            fs.measurement <- Vector { columns; col_idx; rows = []; count = 0 };
-            step ()
-          | Compile.Measure_fold plan ->
-            refresh_flow fs m (Compile.Fold.init_flow_mask plan);
-            fs.measurement <- Fold_state (Compile.Fold.create plan ~m);
-            step ()
-          | Compile.Rate code ->
-            let raw = eval_flow fs m code in
-            let rate = Float.min (Float.max 0.0 raw) g.max_rate_bytes_per_sec in
-            if rate <> raw then begin
-              fs.guard.rate_clamped <- fs.guard.rate_clamped + 1;
-              obs_guard_incident t fs
-            end;
-            fs.ctl.Congestion_iface.set_rate rate;
-            guard_note t fs;
-            step ()
-          | Compile.Cwnd code ->
-            let raw = eval_flow fs m code in
-            let lo = float_of_int (g.min_cwnd_segments * fs.ctl.Congestion_iface.mss) in
-            let hi = float_of_int g.max_cwnd_bytes in
-            let cwnd = Float.min (Float.max lo raw) hi in
-            if cwnd <> raw then begin
-              fs.guard.cwnd_clamped <- fs.guard.cwnd_clamped + 1;
-              obs_guard_incident t fs
-            end;
-            fs.ctl.Congestion_iface.set_cwnd (int_of_float cwnd);
-            guard_note t fs;
-            step ()
-          | Compile.Wait code ->
-            let us = Float.max 0.0 (eval_flow fs m code) in
-            guard_note t fs;
-            let duration = guarded_wait t fs (Time_ns.of_float_sec (us *. 1e-6)) in
-            if not fs.quarantined then block_for t fs duration
-          | Compile.Wait_rtts code ->
-            let rtts = Float.max 0.0 (eval_flow fs m code) in
-            let base =
-              match fs.ctl.Congestion_iface.srtt () with
-              | Some srtt -> srtt
-              | None -> t.config.default_wait
-            in
-            guard_note t fs;
-            let duration = guarded_wait t fs (Time_ns.scale base rtts) in
-            if not fs.quarantined then block_for t fs duration
-          | Compile.Report ->
-            let now = Sim.now t.sim in
-            let throttled =
-              match fs.last_report_at with
-              | Some last ->
-                Time_ns.compare (Time_ns.sub now last) t.config.guard.min_report_interval < 0
-              | None -> false
-            in
-            if throttled then begin
-              (* Skip the send but keep aggregating: the pending state goes
-                 out with the next unthrottled report. *)
-              fs.guard.report_throttled <- fs.guard.report_throttled + 1;
-              obs_guard_incident t fs;
-              maybe_quarantine t fs
-            end
-            else begin
-              fs.last_report_at <- Some now;
-              send_report t fs
-            end;
-            if not fs.quarantined then step ()
-        end
+  let lo = float_of_int (g.min_cwnd_segments * fs.ctl.Congestion_iface.mss) in
+  let hi = float_of_int g.max_cwnd_bytes in
+  let cwnd = Float.min (Float.max lo raw) hi in
+  if cwnd <> raw then begin
+    fs.guard.cwnd_clamped <- fs.guard.cwnd_clamped + 1;
+    obs_guard_incident t fs
+  end;
+  fs.ctl.Congestion_iface.set_cwnd (int_of_float cwnd)
+
+let apply_rate t fs raw =
+  let rate =
+    if Float.is_finite raw then
+      Float.min (Float.max 0.0 raw) t.config.guard.max_rate_bytes_per_sec
+    else 0.0
   in
-  step ()
+  if rate <> raw then begin
+    fs.guard.rate_clamped <- fs.guard.rate_clamped + 1;
+    obs_guard_incident t fs
+  end;
+  fs.ctl.Congestion_iface.set_rate rate
+
+(* A restart on the plan the flow last measured with resets that fold in
+   place; only a new plan builds one, with its report names. *)
+let start_fold fs m plan =
+  refresh_flow fs m (Compile.Fold.init_flow_mask plan);
+  (match fs.kept_fold with
+  | Fold_state { fold; _ } when Compile.Fold.plan fold == plan -> Compile.Fold.reset fold ~m
+  | No_measurement | Fold_state _ | Vector _ ->
+    let fold = Compile.Fold.create plan ~m in
+    let names = Array.append (Array.map fst (Compile.Fold.fields fold)) Message.reserved_names in
+    fs.kept_fold <- Fold_state { fold; names });
+  fs.measurement <- fs.kept_fold
+
+(* Arm the flow's wait timer [duration] from now. Re-arming sorts exactly
+   where a cancel and a fresh schedule would. *)
+let block_for t fs duration =
+  Sim.reschedule t.sim fs.wait_timer
+    ~at:(Time_ns.add (Sim.now t.sim) (Time_ns.max duration Time_ns.zero))
 
 (* A computed wait below the envelope floor would spin the simulator (or a
    real datapath's CPU) at one timestamp; floor it and count the clamp. *)
-and guarded_wait t fs duration =
+let guarded_wait t fs duration =
   if Time_ns.compare duration t.config.guard.min_wait < 0 then begin
     fs.guard.wait_clamped <- fs.guard.wait_clamped + 1;
     obs_guard_incident t fs;
@@ -564,12 +527,86 @@ and guarded_wait t fs duration =
   end
   else duration
 
-and block_for t fs duration =
-  cancel_wait fs;
-  fs.wait_timer <-
-    Some (Sim.schedule_after t.sim ~delay:duration (fun () ->
-              fs.wait_timer <- None;
-              advance t fs))
+(* Execute primitives from [fs.pc] until the program blocks on a wait or
+   finishes. The step budget guards against zero-length waits in repeating
+   programs (typecheck rejects wait-free loops, but the datapath cannot
+   trust the agent); every [Cwnd]/[Rate]/[Wait] result passes through the
+   guard envelope before it touches the flow. *)
+let rec advance t fs = step t fs (max 1 t.config.guard.max_eval_steps)
+
+and step t fs budget =
+  let budget = budget - 1 in
+  if budget <= 0 then begin
+    fs.guard.eval_budget <- fs.guard.eval_budget + 1;
+    obs_guard_incident t fs;
+    maybe_quarantine t fs;
+    if not fs.quarantined then block_for t fs (Time_ns.us 1)
+  end
+  else
+    match fs.exec with
+    | None -> ()
+    | Some (cp, m) ->
+      let prims = cp.Compile.prims in
+      if fs.pc >= Array.length prims then begin
+        if cp.Compile.repeat then begin
+          fs.pc <- 0;
+          step t fs budget
+        end
+      end
+      else begin
+        let prim = prims.(fs.pc) in
+        fs.pc <- fs.pc + 1;
+        match prim with
+        | Compile.Measure_vector { columns; col_idx } ->
+          fs.measurement <- Vector { columns; col_idx; rows = []; count = 0 };
+          step t fs budget
+        | Compile.Measure_fold plan ->
+          start_fold fs m plan;
+          step t fs budget
+        | Compile.Rate code ->
+          apply_rate t fs (eval_flow fs m code);
+          guard_note t fs;
+          step t fs budget
+        | Compile.Cwnd code ->
+          apply_cwnd t fs (eval_flow fs m code);
+          guard_note t fs;
+          step t fs budget
+        | Compile.Wait code ->
+          let us = Float.max 0.0 (eval_flow fs m code) in
+          guard_note t fs;
+          let duration = guarded_wait t fs (Time_ns.of_float_sec (us *. 1e-6)) in
+          if not fs.quarantined then block_for t fs duration
+        | Compile.Wait_rtts code ->
+          let rtts = Float.max 0.0 (eval_flow fs m code) in
+          let base =
+            match fs.ctl.Congestion_iface.srtt () with
+            | Some srtt -> srtt
+            | None -> t.config.default_wait
+          in
+          guard_note t fs;
+          let duration = guarded_wait t fs (Time_ns.scale base rtts) in
+          if not fs.quarantined then block_for t fs duration
+        | Compile.Report ->
+          let now = Sim.now t.sim in
+          let throttled =
+            match fs.last_report_at with
+            | Some last ->
+              Time_ns.compare (Time_ns.sub now last) t.config.guard.min_report_interval < 0
+            | None -> false
+          in
+          if throttled then begin
+            (* Skip the send but keep aggregating: the pending state goes
+               out with the next unthrottled report. *)
+            fs.guard.report_throttled <- fs.guard.report_throttled + 1;
+            obs_guard_incident t fs;
+            maybe_quarantine t fs
+          end
+          else begin
+            fs.last_report_at <- Some now;
+            send_report t fs
+          end;
+          if not fs.quarantined then step t fs budget
+      end
 
 (* Close the current guard window: bank its incidents in the datapath-wide
    accumulator and start the new program with a clean slate (otherwise a
@@ -622,21 +659,26 @@ let admit t program =
    accepted one atomically wins the flow back from quarantine.
 
    Agents re-install on nearly every report, and almost always the program
-   the flow already runs. A bit-identical re-install ({!Ast.identical_program}:
-   [0.0] and [-0.0] differ) cannot change the verdict or the compiled code,
-   since [t.config] is fixed, so it keeps the flow's admitted AST, compiled
-   program and machine, and drops the decoded copy (storing the fresh AST
-   would promote it at the next minor GC). Everything else an accepted
-   install does happens as on a miss. Reusing the machine is safe because
-   nothing reads a stale slot: [refresh_flow] fills the flow slots in a
-   code's [flow_mask] before it runs, [refresh_pkt] writes every packet slot
+   the flow already runs. The channel matches each [Install]'s program
+   bytes against the flow's running bytes ([Channel.match_installs]) and,
+   on a match, delivers the running AST itself, so a re-install is a hit
+   exactly when [program] is physically the running one. Encoding is
+   canonical, so equal bytes mean a bit-identical program
+   ({!Ast.identical_program}: [0.0] and [-0.0] differ), which cannot
+   change the verdict or the compiled code since [t.config] is fixed: a
+   hit keeps the flow's admitted AST, compiled program and machine. An
+   identical program that arrives in other bytes is admitted as a miss,
+   which is observably the same. Everything else an accepted install does
+   happens as on a miss. Reusing the machine is safe because nothing reads
+   a stale slot: [refresh_flow] fills the flow slots in a code's
+   [flow_mask] before it runs, [refresh_pkt] writes every packet slot
    before a fold step or vector row, and [Compile.exec] writes every stack
-   slot before reading it. A quarantine or fallback clears [fs.program], so
-   the next install is a miss and is admitted afresh. *)
+   slot before reading it. A quarantine or fallback clears [fs.running],
+   so the next install is a miss and is admitted afresh. *)
 let install_program t fs program =
   let admitted =
-    match (fs.program, fs.exec) with
-    | Some running, Some _ when Ast.identical_program running program -> Ok None
+    match (fs.running, fs.exec) with
+    | Some running, Some _ when running.Codec.program == program -> Ok None
     | _ -> Result.map (fun cp -> Some (cp, Compile.machine_for cp)) (admit t program)
   in
   match admitted with
@@ -653,7 +695,7 @@ let install_program t fs program =
     cancel_wait fs;
     (match fresh with
     | Some exec ->
-      fs.program <- Some program;
+      fs.running <- Some { Codec.bytes = Codec.encode_program program; program };
       fs.exec <- Some exec
     | None -> ());
     fs.pc <- 0;
@@ -735,9 +777,12 @@ let on_message t (msg : Message.t) =
     | Some fs ->
       note_agent_contact t fs;
       (* Direct knob commands cannot release a quarantine — only an
-         accepted [Install] proves the agent has a corrected program. *)
+         accepted [Install] proves the agent has a corrected program.
+         They pass the guard envelope as a program's results do. *)
       if not fs.quarantined then
-        rx_actuate t (fun () -> fs.ctl.Congestion_iface.set_cwnd bytes)
+        rx_actuate t (fun () ->
+            apply_cwnd t fs (float_of_int bytes);
+            maybe_quarantine t fs)
       else rx_finish t ~disposition:Ccp_obs.Tracer.No_action
     | None -> rx_finish t ~disposition:Ccp_obs.Tracer.No_action)
   | Message.Set_rate { flow; bytes_per_sec } -> (
@@ -746,7 +791,8 @@ let on_message t (msg : Message.t) =
       note_agent_contact t fs;
       if not fs.quarantined then
         rx_actuate t (fun () ->
-            fs.ctl.Congestion_iface.set_rate (Float.max 0.0 bytes_per_sec))
+            apply_rate t fs bytes_per_sec;
+            maybe_quarantine t fs)
       else rx_finish t ~disposition:Ccp_obs.Tracer.No_action
     | None -> rx_finish t ~disposition:Ccp_obs.Tracer.No_action)
   | Message.Ready _ | Message.Report _ | Message.Report_vector _ | Message.Urgent _
@@ -773,9 +819,14 @@ let create ~sim ~channel ?(config = default_config) ?obs () =
       retired_guard = fresh_guard_incidents ();
       obs = Option.map make_obs_handles obs;
       tracer = (match obs with Some o -> o.Ccp_obs.Obs.tracer | None -> None);
+      idle_timer = Sim.timer sim ignore;
     }
   in
   Channel.on_receive channel Channel.Datapath_end (on_message t);
+  Channel.match_installs channel (fun flow ->
+      match Hashtbl.find t.flows flow with
+      | fs -> fs.running
+      | exception Not_found -> None);
   t
 
 (* --- the Congestion_iface implementation --- *)
@@ -816,10 +867,7 @@ let rec watchdog_tick t fs (fb : fallback) =
         (Ccp_obs.Recorder.Fallback
            { flow = fs.ctl.Congestion_iface.flow; entered = true });
       (* Stop executing the orphaned program. *)
-      cancel_wait fs;
-      fs.program <- None;
-      fs.exec <- None;
-      fs.measurement <- No_measurement;
+      stop_program fs;
       fs.ctl.Congestion_iface.set_rate 0.0;
       match fb.mode with
       | Clamp _ -> ()
@@ -850,11 +898,12 @@ let on_init t ctl =
   let fs =
     {
       ctl;
-      program = None;
+      running = None;
       exec = None;
       pc = 0;
-      wait_timer = None;
+      wait_timer = t.idle_timer;
       measurement = No_measurement;
+      kept_fold = No_measurement;
       last_rtt_us = [| 0.0 |];
       last_ecn_urgent = Time_ns.zero;
       last_agent_contact = Sim.now t.sim;
@@ -869,6 +918,7 @@ let on_init t ctl =
       guard = fresh_guard_incidents ();
     }
   in
+  fs.wait_timer <- Sim.timer t.sim (fun () -> advance t fs);
   Hashtbl.replace t.flows ctl.Congestion_iface.flow fs;
   (match t.config.fallback with
   | Some fb -> ignore (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
@@ -887,7 +937,7 @@ let on_init t ctl =
 let record_measurement t fs (ev : Congestion_iface.ack_event) ~bytes_lost =
   match (fs.measurement, fs.exec) with
   | No_measurement, _ | _, None -> ()
-  | Fold_state fold, Some (_, m) ->
+  | Fold_state { fold; _ }, Some (_, m) ->
     let plan = Compile.Fold.plan fold in
     refresh_flow fs m (Compile.Fold.step_flow_mask plan);
     refresh_pkt m ev ~bytes_lost;
@@ -995,7 +1045,9 @@ let congestion_control t : Congestion_iface.t =
   }
 
 let installed_program t ~flow =
-  Option.bind (Hashtbl.find_opt t.flows flow) (fun fs -> fs.program)
+  match Hashtbl.find_opt t.flows flow with
+  | Some { running = Some running; _ } -> Some running.Codec.program
+  | Some { running = None; _ } | None -> None
 
 let reports_sent t = Ccp_obs.Metrics.counter_value t.reports_sent
 let urgents_sent t = Ccp_obs.Metrics.counter_value t.urgents_sent
@@ -1035,6 +1087,6 @@ let controller t ~flow =
     (fun fs ->
       if fs.quarantined then Quarantined
       else if fs.fallback_active then Native_fallback
-      else if fs.program <> None then Agent_program
+      else if Option.is_some fs.running then Agent_program
       else Awaiting_agent)
     (Hashtbl.find_opt t.flows flow)

@@ -17,11 +17,14 @@
       asynchronously from the agent, validating programs before running
       them (a misbehaving agent must not break the datapath, §5).
 
-    Reports always carry the reserved fields [_cwnd], [_rate], [_mss],
+    Reports always carry the reserved fields
+    ({!Ccp_ipc.Message.reserved_names}: [_cwnd], [_rate], [_mss],
     [_srtt_us], [_rtt_us], [_minrtt_us], [_inflight_bytes], [_send_rate],
-    [_recv_rate], [_now_us] and [_packets] alongside the program's own
-    fold fields — mirroring the prototype datapath of §3, which reports the
-    most recent ACK and EWMA-filtered rates. *)
+    [_recv_rate], [_now_us] and [_packets]) after the program's own fold
+    fields — mirroring the prototype datapath of §3, which reports the
+    most recent ACK and EWMA-filtered rates. A report's [names] array is
+    built once per fold plan and shared by all its reports; its [values]
+    are written in place. *)
 
 open Ccp_util
 open Ccp_eventsim
@@ -55,8 +58,10 @@ val native_fallback : after:Time_ns.t -> (unit -> Congestion_iface.t) -> fallbac
 (** Runtime guardrails (§2.4 self-protection): hard bounds the datapath
     enforces on every value an installed program produces, no matter what
     admission control let through — a statically valid program can still
-    compute a zero window, an absurd rate, or a sub-microsecond wait. Each
-    violation is clamped {e and counted}; when a flow's incident score
+    compute a zero window, an absurd rate, or a sub-microsecond wait. The
+    agent's direct [Set_cwnd] and [Set_rate] commands pass the same cwnd
+    and rate bounds (a non-finite rate becomes 0). Each violation is
+    clamped {e and counted}; when a flow's incident score
     reaches [quarantine_after] and a [quarantine_mode] is armed, the
     program is cancelled, the mode takes the flow (exactly like a watchdog
     fallback episode), and the agent is told via [Quarantined]. Only a
@@ -109,9 +114,12 @@ type config = {
   validate_installs : bool;
       (** run admission ({!Ccp_lang.Limits.admit}) before a program
           runs. Every program a flow runs has passed admission and
-          compilation; a re-install bit-identical
-          ({!Ccp_lang.Ast.identical_program}) to the program the flow is
-          running reuses that verdict and the compiled code. *)
+          compilation. A re-install whose program bytes equal those of
+          the program the flow is running (so a bit-identical program,
+          {!Ccp_lang.Ast.identical_program}) is matched on the wire
+          ({!Ccp_ipc.Channel.match_installs}): no AST is decoded, and the
+          flow keeps its admitted AST, compiled code and fold state. It
+          still restarts the program. *)
   default_wait : Time_ns.t;  (** WaitRtts fallback before the first RTT sample *)
   max_vector_rows : int;  (** vector-mode memory bound; overflow rows are dropped *)
   flow_capacity : int;
@@ -133,7 +141,9 @@ type t
 
 val create :
   sim:Sim.t -> channel:Channel.t -> ?config:config -> ?obs:Ccp_obs.Obs.t -> unit -> t
-(** Registers itself as the channel's datapath-side endpoint. With [obs]
+(** Registers itself as the channel's datapath-side endpoint, and its
+    flows' running programs as the channel's install lookup
+    ({!Ccp_ipc.Channel.match_installs}). With [obs]
     the extension publishes install/guard/quarantine/fallback/report
     counters, times the per-ACK measurement step into the
     [datapath.fold_step_ns] histogram, and records Install, Quarantine,

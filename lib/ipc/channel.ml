@@ -8,6 +8,9 @@ type direction = {
   mutable messages : int;
   mutable bytes : int;
   mutable last_delivery : Time_ns.t;  (* FIFO floor for this direction *)
+  memo : Codec.memo option;
+      (* what the receiving end already holds: always [Some], stored as
+         the option [Codec.decode_traced] takes so a decode boxes nothing *)
 }
 
 type fault_stats = {
@@ -91,7 +94,13 @@ type t = {
 }
 
 let fresh_direction () =
-  { handler = None; messages = 0; bytes = 0; last_delivery = Time_ns.zero }
+  {
+    handler = None;
+    messages = 0;
+    bytes = 0;
+    last_delivery = Time_ns.zero;
+    memo = Some (Codec.memo ());
+  }
 
 let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
   let rng = Rng.split (Sim.rng sim) in
@@ -102,6 +111,10 @@ let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
     | Some cfg ->
       if cfg.max_count <= 0 || cfg.max_bytes <= 0 then
         invalid_arg "Channel.create: batching watermarks must be positive";
+      if cfg.max_count > Codec.max_batch_entries then
+        invalid_arg
+          (Printf.sprintf "Channel.create: batching max_count %d exceeds the frame limit %d"
+             cfg.max_count Codec.max_batch_entries);
       if Time_ns.to_float_us cfg.deadline <= 0.0 then
         invalid_arg "Channel.create: batching deadline must be positive";
       Some
@@ -159,6 +172,9 @@ let note_send t toward ~bytes ~delay =
 
 let on_receive t endpoint handler = (direction_toward t endpoint).handler <- Some handler
 
+let match_installs t lookup =
+  Option.iter (fun memo -> Codec.set_running memo lookup) t.to_datapath.memo
+
 let rx_span t = t.rx_span
 
 (* The span of a message that a fault destroyed is finalized as orphaned,
@@ -184,16 +200,17 @@ let deliver_one t handler ~toward decoded span =
   | _ -> handler decoded
 
 let deliver t handler ~toward bytes =
+  let memo = (direction_toward t toward).memo in
   if Codec.is_batch bytes then
     (* Frame validation is atomic: a corrupt entry rejects the whole
        frame as one decode failure, never a decoded prefix of it. *)
-    match Codec.decode_batch bytes with
+    match Codec.decode_batch ?memo bytes with
     | entries ->
       Array.iter (fun (msg, span) -> deliver_one t handler ~toward msg span) entries
     | exception (Codec.Decode_error _ | Wire.Reader.Truncated | Wire.Reader.Malformed _) ->
       note_decode_failure t
   else
-    match Codec.decode_traced bytes with
+    match Codec.decode_traced ?memo bytes with
     | decoded, span -> deliver_one t handler ~toward decoded span
     | exception (Codec.Decode_error _ | Wire.Reader.Truncated | Wire.Reader.Malformed _) ->
       note_decode_failure t
@@ -345,29 +362,39 @@ let enqueue_report t b ~span msg =
          (fun () -> if b.flush_serial = serial then flush t))
   end
 
-let send_single t dir handler ~from ~toward ~span msg =
-  let bytes = Codec.encode_traced ~span msg in
+let send_frame t dir handler ~from ~toward ~span bytes =
   stamp_send t ~from span;
   transmit t dir handler ~toward ~spans:(if span >= 0 then [ span ] else []) bytes
+
+let send_single t dir handler ~from ~toward ~span msg =
+  send_frame t dir handler ~from ~toward ~span (Codec.encode_traced ~span msg)
+
+let handler_toward dir =
+  match dir.handler with
+  | Some h -> h
+  | None -> invalid_arg "Channel.send: destination handler not registered"
+
+(* Agent-side control messages attach to the span whose handler is
+   running, so algorithm code needs no tracing awareness at all. *)
+let outgoing_span t ~from span =
+  match t.tracer with
+  | None -> Message.no_trace
+  | Some tr ->
+    if span >= 0 then span
+    else if from = Agent_end then Ccp_obs.Tracer.active tr
+    else Message.no_trace
+
+let send_install_frame t frame =
+  let dir = t.to_datapath in
+  let span = outgoing_span t ~from:Agent_end Message.no_trace in
+  send_frame t dir (handler_toward dir) ~from:Agent_end ~toward:Datapath_end ~span
+    (Codec.with_trace ~span frame)
 
 let send t ~from ?(span = Message.no_trace) msg =
   let toward = match from with Datapath_end -> Agent_end | Agent_end -> Datapath_end in
   let dir = direction_toward t toward in
-  let handler =
-    match dir.handler with
-    | Some h -> h
-    | None -> invalid_arg "Channel.send: destination handler not registered"
-  in
-  (* Agent-side control messages attach to the span whose handler is
-     running, so algorithm code needs no tracing awareness at all. *)
-  let span =
-    match t.tracer with
-    | None -> Message.no_trace
-    | Some tr ->
-      if span >= 0 then span
-      else if from = Agent_end then Ccp_obs.Tracer.active tr
-      else Message.no_trace
-  in
+  let handler = handler_toward dir in
+  let span = outgoing_span t ~from span in
   match t.batch with
   | Some b when from = Datapath_end -> (
     match msg with

@@ -24,7 +24,8 @@ type endpoint = Datapath_end | Agent_end
 (** Watermarks for datapath->agent report batching. A pending frame is
     flushed when it holds [max_count] reports, when its payload reaches
     [max_bytes], or [deadline] after the first report was parked —
-    whichever comes first. All three must be positive. *)
+    whichever comes first. All three must be positive, and [max_count]
+    at most {!Codec.max_batch_entries}, the most one frame can carry. *)
 type batching = {
   max_count : int;
   max_bytes : int;
@@ -56,11 +57,24 @@ val create :
     signals keep their latency. With batching off the channel is
     byte-for-byte identical to one built before batching existed, and
     batching draws nothing from any RNG stream, so enabling it never
-    perturbs latency or fault draws. *)
+    perturbs latency or fault draws.
+
+    Raises [Invalid_argument] on a watermark or deadline that is not
+    positive, or a [max_count] above {!Codec.max_batch_entries}.
+
+    Each end decodes through its own {!Codec.memo}. Agent-bound reports
+    whose names repeat the previous report's share its [names] array. *)
 
 val on_receive : t -> endpoint -> (Message.t -> unit) -> unit
 (** Register the handler that receives messages arriving {e at} the given
     endpoint. Must be set before traffic flows toward that endpoint. *)
+
+val match_installs : t -> (int -> Codec.running option) -> unit
+(** Register the datapath's lookup of each flow's running program. An
+    [Install] arriving for a flow whose running program bytes equal the
+    frame's program bytes is delivered with the running AST itself
+    (physically), and no AST is decoded; any other [Install] decodes as
+    usual. The datapath end registers it once, beside its handler. *)
 
 val send : t -> from:endpoint -> ?span:Message.trace_context -> Message.t -> unit
 (** Raises [Invalid_argument] if the destination handler is not set.
@@ -73,6 +87,17 @@ val send : t -> from:endpoint -> ?span:Message.trace_context -> Message.t -> uni
     is currently running ({!Ccp_obs.Tracer.active}), so algorithm code
     stays tracing-unaware. Spans whose message is destroyed by a fault
     (drop, partition, crashed agent) are finalized as orphaned. *)
+
+val send_install_frame : t -> string -> unit
+(** [send_install_frame t (Codec.encode (Install { flow; program }))] is
+    [send t ~from:Agent_end (Install { flow; program })] for an [Install]
+    encoded earlier: the same bytes go on the wire, including the trace
+    block of the span whose handler is running
+    ({!Ccp_obs.Tracer.active}; see {!Codec.with_trace}), and byte
+    accounting, the latency draw and the fault plan are the same.
+    Untraced, a re-send allocates no frame. An agent that re-installs a
+    program encodes it once. Raises [Invalid_argument] if the datapath
+    end has no handler. *)
 
 val rx_span : t -> Message.trace_context
 (** The span token carried by the message currently being delivered to a

@@ -154,6 +154,23 @@ let encode_program p =
 
 let decode_program s = read_program (Wire.Reader.of_string s)
 
+(* --- decode memo ---
+
+   What a receiver already holds, so that a steady stream decodes without
+   rebuilding it: the names of the last report decoded, and each flow's
+   running program with its encoding. Encoding is canonical (constants
+   are IEEE bits), so program bytes equal to the running program's bytes
+   decode to a program identical to it, and the decoder hands out the
+   running AST instead of building a copy. *)
+
+type running = { bytes : string; program : Ccp_lang.Ast.program }
+
+type memo = { mutable names : string array; mutable running : int -> running option }
+
+let no_running (_ : int) : running option = None
+let memo () = { names = [||]; running = no_running }
+let set_running memo lookup = memo.running <- lookup
+
 (* --- messages --- *)
 
 let reason_tag : Ccp_lang.Limits.reason -> int = function
@@ -201,15 +218,16 @@ let write_message w (msg : Message.t) =
     Wire.Writer.varint w flow;
     Wire.Writer.varint w mss;
     Wire.Writer.varint w init_cwnd
-  | Report { flow; fields } ->
+  | Report { flow; names; values } ->
+    let n = Array.length names in
+    if Array.length values <> n then invalid_arg "Codec: report names/values length mismatch";
     Wire.Writer.byte w 1;
     Wire.Writer.varint w flow;
-    Wire.Writer.varint w (Array.length fields);
-    Array.iter
-      (fun (name, v) ->
-        Wire.Writer.string w name;
-        Wire.Writer.float w v)
-      fields
+    Wire.Writer.varint w n;
+    for i = 0 to n - 1 do
+      Wire.Writer.string w (Array.unsafe_get names i);
+      Wire.Writer.float_at w values i
+    done
   | Report_vector { flow; columns; rows } ->
     Wire.Writer.byte w 2;
     Wire.Writer.varint w flow;
@@ -259,23 +277,51 @@ let write_message w (msg : Message.t) =
     Wire.Writer.varint w flow;
     Wire.Writer.float w bytes_per_sec
 
-let read_message r : Message.t =
+(* Fields [i..] of a report. [names] is [prev] for as long as every name
+   on the wire matches it; the first mismatch copies the matched prefix
+   into a fresh array and reads the rest. *)
+let rec read_fields r ~prev names values i =
+  if i = Array.length values then names
+  else begin
+    let names =
+      if names == prev && Wire.Reader.skip_string r (Array.unsafe_get prev i) then names
+      else begin
+        let names =
+          if names == prev then begin
+            let fresh = Array.make (Array.length values) "" in
+            Array.blit prev 0 fresh 0 i;
+            fresh
+          end
+          else names
+        in
+        names.(i) <- Wire.Reader.string r;
+        names
+      end
+    in
+    Wire.Reader.float_into r values i;
+    read_fields r ~prev names values (i + 1)
+  end
+
+let read_report r memo : Message.t =
+  let flow = Wire.Reader.varint r in
+  let n = Wire.Reader.varint r in
+  if n > 4096 then fail "report with %d fields" n;
+  let prev = memo.names in
+  let values = Array.make n 0.0 in
+  let names =
+    read_fields r ~prev (if Array.length prev = n then prev else Array.make n "") values 0
+  in
+  memo.names <- names;
+  Report { flow; names; values }
+
+let read_message r memo : Message.t =
   match Wire.Reader.byte r with
   | 0 ->
     let flow = Wire.Reader.varint r in
     let mss = Wire.Reader.varint r in
     let init_cwnd = Wire.Reader.varint r in
     Ready { flow; mss; init_cwnd }
-  | 1 ->
-    let flow = Wire.Reader.varint r in
-    let n = Wire.Reader.varint r in
-    if n > 4096 then fail "report with %d fields" n;
-    let fields =
-      Array.init n (fun _ ->
-          let name = Wire.Reader.string r in
-          (name, Wire.Reader.float r))
-    in
-    Report { flow; fields }
+  | 1 -> read_report r memo
   | 2 ->
     let flow = Wire.Reader.varint r in
     let ncols = Wire.Reader.varint r in
@@ -300,7 +346,11 @@ let read_message r : Message.t =
   | 4 -> Closed { flow = Wire.Reader.varint r }
   | 5 ->
     let flow = Wire.Reader.varint r in
-    let program = read_program r in
+    let program =
+      match memo.running flow with
+      | Some running when Wire.Reader.skip_bytes r running.bytes -> running.program
+      | Some _ | None -> read_program r
+    in
     Install { flow; program }
   | 6 ->
     let flow = Wire.Reader.varint r in
@@ -338,7 +388,7 @@ let encode msg = encode_with scratch msg
 
 let decode s =
   let r = Wire.Reader.of_string s in
-  let msg = read_message r in
+  let msg = read_message r (memo ()) in
   if not (Wire.Reader.at_end r) then fail "trailing bytes after message";
   msg
 
@@ -353,19 +403,33 @@ let encoded_size msg = String.length (encode msg)
    field is backward and forward compatible. Plain [decode] still rejects
    any trailing bytes, so untraced consumers keep their strict framing. *)
 
+let write_trace w span =
+  if span >= 0 then begin
+    Wire.Writer.byte w 1;
+    Wire.Writer.varint w span
+  end
+
 let encode_traced ?(span = Message.no_trace) msg =
   if span < 0 then encode msg
   else begin
     Wire.Writer.reset scratch;
     write_message scratch msg;
-    Wire.Writer.byte scratch 1;
-    Wire.Writer.varint scratch span;
+    write_trace scratch span;
     Wire.Writer.contents scratch
   end
 
-let decode_traced s =
+let with_trace ~span encoded =
+  if span < 0 then encoded
+  else begin
+    Wire.Writer.reset scratch;
+    Wire.Writer.raw scratch encoded;
+    write_trace scratch span;
+    Wire.Writer.contents scratch
+  end
+
+let decode_with m s =
   let r = Wire.Reader.of_string s in
-  let msg = read_message r in
+  let msg = read_message r m in
   if Wire.Reader.at_end r then (msg, Message.no_trace)
   else begin
     (match Wire.Reader.byte r with
@@ -375,6 +439,8 @@ let decode_traced s =
     if not (Wire.Reader.at_end r) then fail "trailing bytes after trace context";
     (msg, span)
   end
+
+let decode_traced ?memo:m s = decode_with (match m with Some m -> m | None -> memo ()) s
 
 (* --- batch frames ---
 
@@ -410,7 +476,8 @@ let encode_batch msgs =
   let entries = Array.to_list (Array.map (fun (msg, span) -> encode_traced ~span msg) msgs) in
   frame_batch entries
 
-let decode_batch s =
+let decode_batch ?memo:m s =
+  let m = match m with Some m -> m | None -> memo () in
   let r = Wire.Reader.of_string s in
   (match Wire.Reader.byte r with
   | tag when tag = batch_tag -> ()
@@ -420,7 +487,7 @@ let decode_batch s =
   let out = Array.make n (Message.Closed { flow = 0 }, Message.no_trace) in
   (* Explicit loop: the reader is stateful, entries must parse in order. *)
   for i = 0 to n - 1 do
-    out.(i) <- decode_traced (Wire.Reader.string r)
+    out.(i) <- decode_with m (Wire.Reader.string r)
   done;
   if not (Wire.Reader.at_end r) then fail "trailing bytes after batch";
   out

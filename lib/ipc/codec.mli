@@ -22,6 +22,11 @@ val decode : string -> Message.t
     message. *)
 
 val encode_program : Ccp_lang.Ast.program -> string
+(** The program's bytes as they appear inside an [Install] frame. The
+    encoding is canonical: constants are written as their IEEE bits, so
+    two programs encode to the same bytes exactly when they are
+    {!Ccp_lang.Ast.identical_program}. *)
+
 val decode_program : string -> Ccp_lang.Ast.program
 
 val encoded_size : Message.t -> int
@@ -32,10 +37,42 @@ val encode_traced : ?span:Message.trace_context -> Message.t -> string
     byte-identical to {!encode}, so tracing-off channels put exactly the
     same bytes on the wire as before the field existed. *)
 
-val decode_traced : string -> Message.t * Message.trace_context
+val with_trace : span:Message.trace_context -> string -> string
+(** [with_trace ~span (encode m)] is [encode_traced ~span m], byte for
+    byte: the trace block appended to an encoding made earlier. A
+    negative [span] returns the string itself. This is how an agent
+    re-sends an [Install] it encoded once
+    ({!Channel.send_install_frame}). *)
+
+(** {2 Decode memo}
+
+    What a receiver already holds, so a steady stream decodes without
+    rebuilding it. A memo changes which values a decode shares, never
+    what it decodes: the result is equal to the memo-free decode. *)
+
+type running = { bytes : string; program : Ccp_lang.Ast.program }
+(** A flow's running program and its {!encode_program} bytes. *)
+
+type memo
+(** Per-receiver decode state:
+    - the names of the last report decoded. A report whose names match
+      them byte for byte shares that array as its [names], so it decodes
+      into one float array and its record;
+    - a lookup of each flow's running program (none by default). An
+      [Install] whose program bytes equal the flow's running bytes
+      yields the running AST itself, without decoding one. *)
+
+val memo : unit -> memo
+
+val set_running : memo -> (int -> running option) -> unit
+(** Install the running-program lookup. It is called once per decoded
+    [Install], so it should not allocate. *)
+
+val decode_traced : ?memo:memo -> string -> Message.t * Message.trace_context
 (** Inverse of {!encode_traced}; bytes without the trailing block decode
     as [(msg, Message.no_trace)] — absent-field backward compatibility.
-    {!decode} itself still rejects any trailing bytes. *)
+    {!decode} itself still rejects any trailing bytes. Without [memo],
+    every decode starts from an empty one. *)
 
 (** {2 Batch frames}
 
@@ -66,8 +103,9 @@ val frame_batch : string list -> string
 val encode_batch : (Message.t * Message.trace_context) array -> string
 (** [frame_batch] over [encode_traced ~span msg] for each element. *)
 
-val decode_batch : string -> (Message.t * Message.trace_context) array
+val decode_batch : ?memo:memo -> string -> (Message.t * Message.trace_context) array
 (** Inverse of {!encode_batch}: strict framing (trailing bytes rejected,
     entry count bounded), each entry decoded with {!decode_traced}.
     Raises {!Decode_error} / {!Wire.Reader.Truncated} on malformed
-    input — the whole frame is rejected, never a prefix of it. *)
+    input — the whole frame is rejected, never a prefix of it. Entries
+    decode in order through one [memo]. *)

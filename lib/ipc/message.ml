@@ -4,7 +4,13 @@ let no_trace = -1
 
 type urgent_kind = Dup_ack_loss | Timeout | Ecn
 
-type report = { flow : int; fields : (string * float) array }
+type report = { flow : int; names : string array; values : float array }
+
+let reserved_names =
+  [|
+    "_cwnd"; "_rate"; "_mss"; "_srtt_us"; "_rtt_us"; "_minrtt_us"; "_inflight_bytes";
+    "_send_rate"; "_recv_rate"; "_now_us"; "_packets";
+  |]
 type vector_report = { flow : int; columns : string array; rows : float array array }
 type urgent = { flow : int; kind : urgent_kind; cwnd_at_event : int; inflight_at_event : int }
 
@@ -75,7 +81,7 @@ let all_incident_kinds =
 let describe = function
   | Ready { flow; mss; init_cwnd } ->
     Printf.sprintf "ready(flow=%d mss=%d cwnd=%d)" flow mss init_cwnd
-  | Report { flow; fields } -> Printf.sprintf "report(flow=%d fields=%d)" flow (Array.length fields)
+  | Report { flow; names; _ } -> Printf.sprintf "report(flow=%d fields=%d)" flow (Array.length names)
   | Report_vector { flow; rows; _ } ->
     Printf.sprintf "report-vector(flow=%d rows=%d)" flow (Array.length rows)
   | Urgent { flow; kind; _ } -> Printf.sprintf "urgent(flow=%d %s)" flow (urgent_kind_to_string kind)
@@ -94,7 +100,7 @@ let describe = function
 let equal a b =
   match (a, b) with
   | Ready r1, Ready r2 -> r1.flow = r2.flow && r1.mss = r2.mss && r1.init_cwnd = r2.init_cwnd
-  | Report r1, Report r2 -> r1.flow = r2.flow && r1.fields = r2.fields
+  | Report r1, Report r2 -> r1.flow = r2.flow && r1.names = r2.names && r1.values = r2.values
   | Report_vector v1, Report_vector v2 ->
     v1.flow = v2.flow && v1.columns = v2.columns && v1.rows = v2.rows
   | Urgent u1, Urgent u2 -> u1 = u2

@@ -20,10 +20,23 @@ type urgent_kind =
   | Timeout  (** retransmission timeout *)
   | Ecn  (** ECN congestion-experienced echo *)
 
-type report = {
-  flow : int;
-  fields : (string * float) array;  (** fold-mode summary, name/value pairs *)
-}
+(** A fold-mode summary: [values.(i)] is the field named [names.(i)]. The
+    datapath lays out the fold's fields in init order, then
+    {!reserved_names}; on the wire each field is still a name/value
+    pair.
+
+    [names] is shared and read-only: the datapath builds one array per
+    fold plan and every report of that plan carries it, and the
+    agent-bound decoder hands out the previous report's array again when
+    the names on the wire match it. Never mutate it. [values] is fresh
+    per report. Both have the same length. *)
+type report = { flow : int; names : string array; values : float array }
+
+val reserved_names : string array
+(** The eleven fields every report ends with: [_cwnd], [_rate], [_mss],
+    [_srtt_us], [_rtt_us], [_minrtt_us], [_inflight_bytes], [_send_rate],
+    [_recv_rate], [_now_us], [_packets]. Shared and read-only, like
+    [report.names]. *)
 
 type vector_report = {
   flow : int;

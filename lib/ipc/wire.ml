@@ -21,15 +21,16 @@ module Writer = struct
     let encoded = (n lsl 1) lxor (n asr 62) in
     varint t (encoded land max_int)
 
-  let float t f =
-    let bits = Int64.bits_of_float f in
-    for i = 0 to 7 do
-      byte t (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff)
-    done
+  let float t f = Buffer.add_int64_le t (Int64.bits_of_float f)
+
+  (* Reads the element in place: passing it to [float] would box it. *)
+  let float_at t a i = Buffer.add_int64_le t (Int64.bits_of_float (Array.get a i))
 
   let string t s =
     varint t (String.length s);
     Buffer.add_string t s
+
+  let raw = Buffer.add_string
 
   let contents = Buffer.contents
   let length = Buffer.length
@@ -67,11 +68,53 @@ module Reader = struct
     (encoded lsr 1) lxor (-(encoded land 1))
 
   let float t =
-    let bits = ref 0L in
-    for i = 0 to 7 do
-      bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (byte t)) (8 * i))
-    done;
-    Int64.float_of_bits !bits
+    if t.pos + 8 > String.length t.data then raise Truncated;
+    let bits = String.get_int64_le t.data t.pos in
+    t.pos <- t.pos + 8;
+    Int64.float_of_bits bits
+
+  let float_into t a i =
+    if t.pos + 8 > String.length t.data then raise Truncated;
+    Array.set a i (Int64.float_of_bits (String.get_int64_le t.data t.pos));
+    t.pos <- t.pos + 8
+
+  (* Byte comparison without a substring: [s] against the [n] bytes at
+     [pos], which the caller has bounds-checked. *)
+  let rec same_bytes data pos s i n =
+    i >= n
+    || Char.equal (String.unsafe_get data (pos + i)) (String.unsafe_get s i)
+       && same_bytes data pos s (i + 1) n
+
+  let skip_bytes t s =
+    let n = String.length s in
+    n <= String.length t.data - t.pos
+    && same_bytes t.data t.pos s 0 n
+    &&
+    (t.pos <- t.pos + n;
+     true)
+
+  (* The length prefix is compared as the writer would encode it, byte by
+     byte, so a match costs no varint decode. *)
+  let rec skip_length t n =
+    if n < 0x80 then
+      t.pos < String.length t.data
+      && Char.code (String.unsafe_get t.data t.pos) = n
+      &&
+      (t.pos <- t.pos + 1;
+       true)
+    else
+      t.pos < String.length t.data
+      && Char.code (String.unsafe_get t.data t.pos) = 0x80 lor (n land 0x7f)
+      &&
+      (t.pos <- t.pos + 1;
+       skip_length t (n lsr 7))
+
+  let skip_string t s =
+    let start = t.pos in
+    (skip_length t (String.length s) && skip_bytes t s)
+    ||
+    (t.pos <- start;
+     false)
 
   let string t =
     let len = varint t in

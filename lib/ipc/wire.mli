@@ -22,7 +22,16 @@ module Writer : sig
   (** Signed integers via zigzag + varint. *)
 
   val float : t -> float -> unit
+
+  val float_at : t -> float array -> int -> unit
+  (** [float_at w a i] is [float w a.(i)] without boxing the element. *)
+
   val string : t -> string -> unit
+
+  val raw : t -> string -> unit
+  (** The bytes themselves, without a length prefix: for splicing in an
+      encoding made earlier. *)
+
   val contents : t -> string
   val length : t -> int
 end
@@ -38,7 +47,22 @@ module Reader : sig
   val varint : t -> int
   val zigzag : t -> int
   val float : t -> float
+
+  val float_into : t -> float array -> int -> unit
+  (** [float_into r a i] is [a.(i) <- float r] without boxing the value. *)
+
   val string : t -> string
+
+  val skip_bytes : t -> string -> bool
+  (** If the next bytes are exactly [s], consume them and return [true];
+      otherwise consume nothing. Allocation-free. *)
+
+  val skip_string : t -> string -> bool
+  (** If the next bytes are exactly [s] as {!Writer.string} encodes it
+      (canonical length prefix, then the bytes), consume them and return
+      [true]; otherwise consume nothing. Allocation-free, so a decoder
+      can match a string it already holds instead of copying it out. *)
+
   val at_end : t -> bool
   val remaining : t -> int
 end

@@ -459,6 +459,7 @@ module Fold = struct
 
   let get t name = Option.map (fun i -> t.values.(i)) (index_in t.plan.field_names name)
   let fields t = Array.mapi (fun i name -> (name, t.values.(i))) t.plan.field_names
+  let values t = t.values
 
   (* Loop without a closure or ref: this runs per ACK. *)
   let rec diverged_from values limit i =

@@ -110,7 +110,12 @@ module Fold : sig
   val plan : t -> plan
   val get : t -> string -> float option
   val fields : t -> (string * float) array
-  (** Current state in declaration order (allocates; report path only). *)
+  (** Current state in declaration order (allocates). *)
+
+  val values : t -> float array
+  (** The live state table, in the order of {!fields}: read it, never
+      write it. It is the same array for the fold's whole life, so a
+      report copies it out without allocating. *)
 
   val diverged : t -> limit:float -> bool
   val packet_count : t -> int

@@ -5,9 +5,11 @@
     periodically by a registered probe (e.g., queue depth every 10 ms).
 
     Each series is stored as two growable columns, unboxed times and
-    unboxed values, which start empty and double from 4 slots. A hot
-    writer resolves its series once with {!handle} and appends with
-    {!push}, which allocates nothing unless a column grows. *)
+    unboxed values, which start empty and double from 4 slots up to
+    16,384 points; a longer series adds columns of that size instead of
+    copying its points into a bigger one. A hot writer resolves its
+    series once with {!handle} and appends with {!push}, which allocates
+    nothing unless a column fills. *)
 
 open Ccp_util
 open Ccp_eventsim

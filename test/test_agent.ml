@@ -51,7 +51,7 @@ let test_agent_dispatch () =
   (match !to_datapath with
   | [ Message.Install { flow = 1; _ } ] -> ()
   | _ -> Alcotest.fail "expected Install");
-  from_datapath (Message.Report { flow = 1; fields = [||] });
+  from_datapath (Message.Report { flow = 1; names = [||]; values = [||] });
   from_datapath
     (Message.Urgent
        { flow = 1; kind = Message.Dup_ack_loss; cwnd_at_event = 1; inflight_at_event = 1 });
@@ -90,7 +90,7 @@ let test_agent_closed_removes_flow () =
   Sim.run sim;
   Alcotest.(check int) "flow removed" 0 (Agent.flow_count agent);
   (* Reports for a dead flow are dropped, not crashed on. *)
-  from_datapath (Message.Report { flow = 1; fields = [||] });
+  from_datapath (Message.Report { flow = 1; names = [||]; values = [||] });
   Sim.run sim;
   Alcotest.(check bool) "no report event" true (not (List.mem "report" !events))
 
@@ -105,8 +105,8 @@ let test_agent_handler_errors_isolated () =
   in
   let sim, agent, _, from_datapath = make_env ~algorithm () in
   from_datapath (ready 1);
-  from_datapath (Message.Report { flow = 1; fields = [||] });
-  from_datapath (Message.Report { flow = 1; fields = [||] });
+  from_datapath (Message.Report { flow = 1; names = [||]; values = [||] });
+  from_datapath (Message.Report { flow = 1; names = [||]; values = [||] });
   Sim.run sim;
   Alcotest.(check int) "errors counted, agent alive" 2 (Agent.handler_errors agent);
   Alcotest.(check int) "flow still registered" 1 (Agent.flow_count agent)
@@ -204,7 +204,7 @@ let test_policy_applied_by_agent () =
 (* --- Algorithm helpers --- *)
 
 let test_field_helpers () =
-  let report = { Message.flow = 1; fields = [| ("a", 1.0); ("b", 2.0) |] } in
+  let report = { Message.flow = 1; names = [| "a"; "b"; "a" |]; values = [| 1.0; 2.0; 3.0 |] } in
   Alcotest.(check (option (float 1e-9))) "field" (Some 2.0) (Algorithm.field report "b");
   Alcotest.(check (option (float 1e-9))) "missing" None (Algorithm.field report "c");
   Alcotest.(check (float 1e-9)) "field_exn" 1.0 (Algorithm.field_exn report "a");

@@ -271,7 +271,8 @@ let fake_handle ?(mss = 1448) ?(init_cwnd = 14_480) () =
   in
   (handle, installs, now)
 
-let report fields : Ccp_ipc.Message.report = { flow = 1; fields = Array.of_list fields }
+let report fields : Ccp_ipc.Message.report =
+  { flow = 1; names = Array.of_list (List.map fst fields); values = Array.of_list (List.map snd fields) }
 
 let std_report ?(acked = 14_480.0) ?(marked = 0.0) ?(srtt = 10_000.0) () =
   report

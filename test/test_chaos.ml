@@ -28,7 +28,7 @@ let make_env ?policy ?overload ?degrade ~algorithm () =
   (sim, agent, to_datapath, from_datapath)
 
 let ready flow = Message.Ready { flow; mss = 1448; init_cwnd = 14_480 }
-let report flow = Message.Report { flow; fields = [||] }
+let report flow = Message.Report { flow; names = [||]; values = [||] }
 
 (* An algorithm that logs which flow's handler ran, in order. *)
 let flow_logger log : Algorithm.t =

@@ -444,11 +444,7 @@ let test_ccp_ext_report_cycle () =
   in
   Alcotest.(check bool) "got reports" true (reports <> []);
   let r = List.hd (List.rev reports) in
-  let field name =
-    let found = ref None in
-    Array.iter (fun (n, v) -> if n = name then found := Some v) r.Ccp_ipc.Message.fields;
-    !found
-  in
+  let field = Ccp_agent.Algorithm.field r in
   Alcotest.(check (option (float 1e-9))) "fold acked" (Some (3.0 *. 1448.0)) (field "acked");
   Alcotest.(check (option (float 1e-9))) "reserved _mss" (Some 1448.0) (field "_mss");
   Alcotest.(check (option (float 1e-9))) "reserved _packets" (Some 3.0) (field "_packets");
@@ -518,6 +514,77 @@ let test_ccp_ext_rejects_invalid_program () =
   Alcotest.(check int) "rejected" 1 (Ccp_ext.installs_rejected ext);
   Alcotest.(check int) "not applied" 14_480 !cwnd
 
+(* One report of [Prog.std_fold] as the datapath puts it on the wire:
+   the seven fold fields in init order, then the eleven reserved fields,
+   each a name and an IEEE float. Frozen as hex, so neither the report
+   layout nor the codec can move a byte. *)
+let std_fold_report_hex =
+  "0105120561636b65640000000000a0b640066d61726b65640000000000a0a64004706b74\
+   730000000000000840076d6178726174650000000040772b41066d696e72747400000000\
+   8049c340076c61737472747400000000006ac8400673756d7274740000000040dcdf4005\
+   5f63776e64000000000088d340055f726174650000000000000000045f6d737300000000\
+   00a09640085f737274745f7573000000000088c340075f7274745f757300000000006ac8\
+   400a5f6d696e7274745f7573000000000088c3400f5f696e666c696768745f6279746573\
+   000000000088b3400a5f73656e645f726174650000000080842e410a5f726563765f7261\
+   74650000000040772b41075f6e6f775f757300000000008dc340085f7061636b65747300\
+   00000000000840"
+
+let hex s = String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (String.to_seq s))))
+
+let test_std_fold_report_wire_bytes () =
+  let sim, ext, to_agent, send = make_ccp_env () in
+  let ctl, _, _ = fake_ctl sim ~flow:5 in
+  let cc = Ccp_ext.congestion_control ext in
+  cc.Congestion_iface.on_init ctl;
+  send
+    (Ccp_ipc.Message.Install
+       { flow = 5; program = Ccp_algorithms.Prog.window_program ~cwnd:20_000 () });
+  Sim.run ~until:(Time_ns.add (Sim.now sim) (Time_ns.ms 5)) sim;
+  to_agent := [];
+  List.iter
+    (fun (bytes, rtt_us, ecn) ->
+      cc.Congestion_iface.on_ack ctl
+        (ack_event ~bytes ~rtt:(Time_ns.us rtt_us) ~ecn ~now:(Sim.now sim) ()))
+    [ (1448, 10_250, false); (2896, 9_875, true); (1448, 12_500, false) ];
+  Sim.run ~until:(Time_ns.add (Sim.now sim) (Time_ns.ms 12)) sim;
+  match List.filter_map (function Ccp_ipc.Message.Report r -> Some r | _ -> None) !to_agent with
+  | [ r ] ->
+    Alcotest.(check string) "wire bytes" std_fold_report_hex
+      (hex (Ccp_ipc.Codec.encode (Ccp_ipc.Message.Report r)))
+  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
+
+let unhex h = String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* A steady-state decode of that report through an agent end's memo: the
+   names match the previous report's, so the decode returns that same
+   array, and allocates only the values array (19 words for 18 fields),
+   the message (the [Report] box, 2 words, and its record, 4), the
+   result pair (3), the reader (3) and the reader's varint closures for
+   the flow and the field count (5 each). *)
+let test_std_fold_report_steady_decode () =
+  let bytes = unhex std_fold_report_hex in
+  let memo = Some (Ccp_ipc.Codec.memo ()) in
+  let decode () = fst (Ccp_ipc.Codec.decode_traced ?memo bytes) in
+  let names = function
+    | Ccp_ipc.Message.Report r -> r.Ccp_ipc.Message.names
+    | m -> Alcotest.failf "not a report: %s" (Ccp_ipc.Message.describe m)
+  in
+  let first = decode () in
+  let before = Gc.minor_words () in
+  let second = decode () in
+  let words = Gc.minor_words () -. before -. 2.0 (* the boxed [before] *) in
+  Alcotest.(check bool) "decodes as before" true (Ccp_ipc.Message.equal first second);
+  Alcotest.(check bool) "names shared with the previous report" true (names first == names second);
+  let bound = 19. +. 2. +. 4. +. 3. +. 3. +. (2. *. 5.) in
+  if words > bound then Alcotest.failf "steady-state decode allocated %.0f words (bound %.0f)" words bound;
+  (* A report with other names gets its own array, equal to a plain decode. *)
+  let other = Ccp_ipc.Message.Report { flow = 5; names = [| "acked"; "z" |]; values = [| 1.0; 2.0 |] } in
+  match fst (Ccp_ipc.Codec.decode_traced ?memo (Ccp_ipc.Codec.encode other)) with
+  | Ccp_ipc.Message.Report r ->
+    Alcotest.(check (array string)) "fresh names" [| "acked"; "z" |] r.Ccp_ipc.Message.names;
+    Alcotest.(check bool) "not the memo's array" false (r.Ccp_ipc.Message.names == names second)
+  | m -> Alcotest.failf "not a report: %s" (Ccp_ipc.Message.describe m)
+
 let test_ccp_ext_set_commands () =
   let sim, ext, _, send = make_ccp_env () in
   let ctl, cwnd, rate = fake_ctl sim ~flow:9 in
@@ -573,5 +640,7 @@ let suite =
         Alcotest.test_case "urgent on loss" `Quick test_ccp_ext_urgent_on_loss;
         Alcotest.test_case "invalid program rejected" `Quick test_ccp_ext_rejects_invalid_program;
         Alcotest.test_case "direct set commands" `Quick test_ccp_ext_set_commands;
+        Alcotest.test_case "std_fold report wire bytes" `Quick test_std_fold_report_wire_bytes;
+        Alcotest.test_case "steady-state report decode" `Quick test_std_fold_report_steady_decode;
       ] );
   ]

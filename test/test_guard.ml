@@ -198,6 +198,57 @@ let test_guard_clamps_cwnd_and_rate () =
   Alcotest.(check bool) "fresh window after accepted install" true
     (g.Ccp_ext.cwnd_clamped > 0)
 
+(* The agent's direct commands pass the same envelope as a program's
+   results: clamped, counted, and scored toward quarantine. *)
+let test_direct_commands_clamped () =
+  let direct ?config commands =
+    let sim, channel, ext, _, _ = guard_env ?config () in
+    let ctl, cwnd, rate = fake_ctl sim ~flow:1 in
+    (Ccp_ext.congestion_control ext).Congestion_iface.on_init ctl;
+    let seen = ref [] in
+    List.iter
+      (fun msg ->
+        Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Agent_end msg;
+        Sim.run ~until:(Time_ns.add (Sim.now sim) (Time_ns.ms 1)) sim;
+        seen := (!cwnd, !rate) :: !seen)
+      commands;
+    (ext, List.rev !seen)
+  in
+  let set_cwnd bytes = Ccp_ipc.Message.Set_cwnd { flow = 1; bytes } in
+  let set_rate bytes_per_sec = Ccp_ipc.Message.Set_rate { flow = 1; bytes_per_sec } in
+  let guard = Ccp_ext.default_guard in
+  let ext, seen =
+    direct [ set_cwnd 20_000; set_rate 1e6; set_cwnd 0; set_cwnd (1 lsl 40); set_rate nan; set_rate 1e300 ]
+  in
+  (match seen with
+  | [ (c0, _); (_, r0); (c1, _); (c2, _); (_, r1); (_, r2) ] ->
+    Alcotest.(check int) "in-envelope window as sent" 20_000 c0;
+    Alcotest.(check (float 0.0)) "in-envelope rate as sent" 1e6 r0;
+    Alcotest.(check int) "zero window floored at one segment" 1448 c1;
+    Alcotest.(check int) "2^40 window capped" guard.Ccp_ext.max_cwnd_bytes c2;
+    Alcotest.(check (float 0.0)) "NaN rate becomes 0" 0.0 r1;
+    Alcotest.(check (float 0.0)) "1e300 rate capped" guard.Ccp_ext.max_rate_bytes_per_sec r2
+  | _ -> Alcotest.fail "one observation per command");
+  let g = Option.get (Ccp_ext.guard_incidents ext ~flow:1) in
+  Alcotest.(check int) "window clamps counted" 2 g.Ccp_ext.cwnd_clamped;
+  Alcotest.(check int) "rate clamps counted" 2 g.Ccp_ext.rate_clamped;
+  Alcotest.(check int) "datapath-wide total" 4 (Ccp_ext.guard_incident_total ext);
+  (* Armed, the same four commands quarantine the flow. *)
+  let config =
+    {
+      Ccp_ext.default_config with
+      guard =
+        {
+          guard with
+          Ccp_ext.quarantine_after = 4;
+          quarantine_mode = Some (Ccp_ext.Clamp { cwnd_segments = 2 });
+        };
+    }
+  in
+  let ext, _ = direct ~config [ set_cwnd 0; set_cwnd (1 lsl 40); set_rate nan; set_rate 1e300 ] in
+  Alcotest.(check bool) "quarantined" true (Ccp_ext.in_quarantine ext ~flow:1);
+  Alcotest.(check int) "one quarantine" 1 (Ccp_ext.quarantines_triggered ext)
+
 let test_report_rate_limiter () =
   let sim, _, ext, to_agent, install = guard_env () in
   let ctl, _, _ = fake_ctl sim ~flow:1 in
@@ -360,6 +411,8 @@ let suite =
         Alcotest.test_case "install answered with a verdict" `Quick test_admission_answers_install;
         Alcotest.test_case "cwnd and rate clamped to the envelope" `Quick
           test_guard_clamps_cwnd_and_rate;
+        Alcotest.test_case "direct commands clamped to the envelope" `Quick
+          test_direct_commands_clamped;
         Alcotest.test_case "report rate limiter" `Quick test_report_rate_limiter;
         Alcotest.test_case "quarantine and recovery lifecycle" `Quick test_quarantine_lifecycle;
       ] );

@@ -50,6 +50,31 @@ let test_float_and_string () =
   Alcotest.(check string) "string" "cwnd" (Wire.Reader.string r);
   Alcotest.(check string) "empty string" "" (Wire.Reader.string r)
 
+let test_skip_and_in_place_floats () =
+  let w = Wire.Writer.create () in
+  let long = String.make 200 'x' in
+  List.iter (Wire.Writer.string w) [ "cwnd"; long; "" ];
+  let nan_payload = Int64.float_of_bits 0x7FF8000000000123L in
+  let values = [| -0.0; nan_payload; 1e300 |] in
+  Array.iteri (fun i _ -> Wire.Writer.float_at w values i) values;
+  let bytes = Wire.Writer.contents w in
+  let r = Wire.Reader.of_string bytes in
+  Alcotest.(check bool) "other string: no match" false (Wire.Reader.skip_string r "cwnD");
+  Alcotest.(check bool) "prefix: no match" false (Wire.Reader.skip_string r "cwn");
+  Alcotest.(check bool) "match" true (Wire.Reader.skip_string r "cwnd");
+  Alcotest.(check bool) "two-byte length prefix" true (Wire.Reader.skip_string r long);
+  Alcotest.(check bool) "empty" true (Wire.Reader.skip_string r "");
+  let out = Array.make 3 0.0 in
+  Array.iteri (fun i _ -> Wire.Reader.float_into r out i) out;
+  Alcotest.(check bool) "floats bit for bit" true
+    (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) values out);
+  Alcotest.(check bool) "consumed" true (Wire.Reader.at_end r);
+  let r = Wire.Reader.of_string "\003cw" in
+  Alcotest.(check bool) "truncated: no match" false (Wire.Reader.skip_string r "cwn");
+  Alcotest.(check int) "nothing consumed" 3 (Wire.Reader.remaining r);
+  Alcotest.(check bool) "raw bytes" true (Wire.Reader.skip_bytes r "\003c");
+  Alcotest.(check bool) "past the end" false (Wire.Reader.skip_bytes r "wn")
+
 let test_reader_truncation () =
   let r = Wire.Reader.of_string "\x80" in
   (* continuation bit set but no next byte *)
@@ -80,7 +105,7 @@ let sample_program =
 let all_message_kinds : Message.t list =
   [
     Message.Ready { flow = 1; mss = 1448; init_cwnd = 14480 };
-    Message.Report { flow = 2; fields = [| ("acked", 1.5); ("_cwnd", 99.0) |] };
+    Message.Report { flow = 2; names = [| "acked"; "_cwnd" |]; values = [| 1.5; 99.0 |] };
     Message.Report_vector
       {
         flow = 3;
@@ -140,7 +165,8 @@ let test_codec_size_reasonable () =
     Message.Report
       {
         flow = 1;
-        fields = Array.init 18 (fun i -> (Printf.sprintf "_field%d" i, float_of_int i));
+        names = Array.init 18 (Printf.sprintf "_field%d");
+        values = Array.init 18 float_of_int;
       }
   in
   Alcotest.(check bool) "report < 400 bytes" true (Codec.encoded_size report < 400)
@@ -154,7 +180,13 @@ let gen_message : Message.t QCheck.Gen.t =
         (fun flow mss init_cwnd -> Message.Ready { flow; mss; init_cwnd })
         (int_bound 1000) (int_bound 9000) (int_bound 1_000_000);
       map2
-        (fun flow fields -> Message.Report { flow; fields = Array.of_list fields })
+        (fun flow fields ->
+          Message.Report
+            {
+              flow;
+              names = Array.of_list (List.map fst fields);
+              values = Array.of_list (List.map snd fields);
+            })
         (int_bound 1000)
         (list_size (int_range 0 10) (pair small_string (float_bound_inclusive 1e9)));
       map2
@@ -366,7 +398,7 @@ let make_batching_channel ?max_count ?max_bytes ?deadline () =
   Channel.on_receive channel Channel.Datapath_end (fun _ -> ());
   (sim, channel, received)
 
-let report flow = Message.Report { flow; fields = [| ("acked", 1448.0) |] }
+let report flow = Message.Report { flow; names = [| "acked" |]; values = [| 1448.0 |] }
 
 let test_batch_count_watermark () =
   let sim, channel, received = make_batching_channel () in
@@ -443,7 +475,24 @@ let test_batch_validation () =
       batching ~max_count:0 ();
       batching ~max_bytes:0 ();
       batching ~deadline:Time_ns.zero ();
+      (* One frame carries at most [Codec.max_batch_entries]. *)
+      batching ~max_count:(Codec.max_batch_entries + 1) ();
     ]
+
+(* At the frame limit the count watermark still flushes a frame the
+   decoder takes whole. *)
+let test_batch_at_frame_limit () =
+  let n = Codec.max_batch_entries in
+  let sim, channel, received = make_batching_channel ~max_count:n ~max_bytes:(1 lsl 30) () in
+  for i = 1 to n do
+    Channel.send channel ~from:Channel.Datapath_end (report i)
+  done;
+  Alcotest.(check int) "flushed at the watermark" 0 (Channel.pending_reports channel);
+  Sim.run sim;
+  Alcotest.(check int) "one frame" 1 (Channel.batches_sent channel);
+  Alcotest.(check int) "no decode failure" 0 (Channel.decode_failures channel);
+  Alcotest.(check (list int)) "every report, in order" (List.init n (fun i -> i + 1))
+    (List.rev_map Message.flow !received)
 
 let suite =
   [
@@ -455,6 +504,7 @@ let suite =
         Alcotest.test_case "zigzag round-trip" `Quick test_zigzag_round_trip;
         Alcotest.test_case "float and string" `Quick test_float_and_string;
         Alcotest.test_case "truncation" `Quick test_reader_truncation;
+        Alcotest.test_case "skip and in-place floats" `Quick test_skip_and_in_place_floats;
         QCheck_alcotest.to_alcotest prop_wire_round_trip;
       ] );
     ( "ipc.codec",
@@ -492,5 +542,6 @@ let suite =
           test_batch_nonreport_flushes_first;
         Alcotest.test_case "corrupt frame is atomic" `Quick test_batch_corrupt_frame;
         Alcotest.test_case "watermark validation" `Quick test_batch_validation;
+        Alcotest.test_case "count watermark at the frame limit" `Quick test_batch_at_frame_limit;
       ] );
   ]

@@ -406,6 +406,29 @@ let test_trace_push_allocation_free () =
     (Trace.add trace ~series:"x" 1.0;
      List.length (Trace.series trace "x") = 2026)
 
+(* Past 16,384 points a series opens new columns instead of copying into
+   a bigger one; reading it back yields every point once, in push
+   order, with its time. *)
+let test_trace_long_series () =
+  let sim = Sim.create () in
+  let trace = Trace.create sim in
+  let h = Trace.handle trace "long" in
+  let n = (3 * 16_384) + 5 in
+  for i = 0 to n - 1 do
+    ignore
+      (Sim.schedule sim ~at:(Time_ns.us (i + 1)) (fun () -> Trace.push h (float_of_int i))
+        : Sim.timer)
+  done;
+  Sim.run sim;
+  let points = Trace.series trace "long" in
+  Alcotest.(check int) "every point" n (List.length points);
+  Alcotest.(check bool) "in order, with times" true
+    (List.for_all2
+       (fun (at, v) i -> at = Time_ns.us (i + 1) && v = float_of_int i)
+       points
+       (List.init n Fun.id));
+  Alcotest.(check (list string)) "listed" [ "long" ] (Trace.series_names trace)
+
 let test_trace_csv () =
   let sim = Sim.create () in
   let trace = Trace.create sim in
@@ -492,6 +515,7 @@ let suite =
         Alcotest.test_case "downsample" `Quick test_trace_downsample;
         Alcotest.test_case "csv" `Quick test_trace_csv;
         Alcotest.test_case "push allocation-free" `Quick test_trace_push_allocation_free;
+        Alcotest.test_case "long series spans columns" `Quick test_trace_long_series;
       ] );
     ( "net.topology",
       [

@@ -10,6 +10,11 @@
      usual refreshes, computes what it computes on a fresh machine;
    - over random install sequences, every verdict, count and installed
      program matches direct admission and compilation;
+   - the channel matches an [Install]'s program bytes against the flow's
+     running program, and yields the running AST exactly when the
+     programs are bit-identical;
+   - the agent's once-encoded [Install] frame puts the same bytes on the
+     wire as encoding the message afresh;
    - a repeat really skips the work, measured with [Gc.minor_words]. *)
 
 open Ccp_util
@@ -68,8 +73,7 @@ let install env program =
 let last_report env =
   List.find_map (function Message.Report r -> Some r | _ -> None) !(env.to_agent)
 
-let report_field (r : Message.report) name =
-  Array.find_map (fun (n, v) -> if String.equal n name then Some v else None) r.Message.fields
+let report_field = Ccp_agent.Algorithm.field
 
 (* --- (a) the sign of zero survives a re-install --- *)
 
@@ -496,6 +500,164 @@ let prop_install_sequences_match_direct_admission =
           | _ -> ())
         s.steps)
 
+(* --- (e) installs matched against the running program --- *)
+
+(* Rename the first name [p] mentions (a variable, packet field, builtin
+   or fold field); [None] if it mentions none. *)
+let rename_first (p : Ast.program) =
+  let done_ = ref false in
+  let name n =
+    if !done_ then n
+    else begin
+      done_ := true;
+      n ^ "_"
+    end
+  in
+  let rec expr = function
+    | Ast.Const _ as e -> e
+    | Ast.Var n -> Ast.Var (name n)
+    | Ast.Pkt n -> Ast.Pkt (name n)
+    | Ast.Bin (op, l, r) ->
+      let l = expr l in
+      Ast.Bin (op, l, expr r)
+    | Ast.Neg e -> Ast.Neg (expr e)
+    | Ast.Call (n, args) ->
+      let n = name n in
+      Ast.Call (n, List.map expr args)
+  in
+  let bindings = List.map (fun (n, e) -> let n = name n in (n, expr e)) in
+  let prim = function
+    | Ast.Measure (Ast.Fold d) ->
+      let init = bindings d.Ast.init in
+      Ast.Measure (Ast.Fold { Ast.init; update = bindings d.Ast.update })
+    | Ast.Measure (Ast.Vector fields) -> Ast.Measure (Ast.Vector (List.map name fields))
+    | Ast.Rate e -> Ast.Rate (expr e)
+    | Ast.Cwnd e -> Ast.Cwnd (expr e)
+    | Ast.Wait e -> Ast.Wait (expr e)
+    | Ast.Wait_rtts e -> Ast.Wait_rtts (expr e)
+    | Ast.Report -> Ast.Report
+  in
+  let q = Ast.program ~repeat:p.Ast.repeat (List.map prim p.Ast.prims) in
+  if !done_ then Some q else None
+
+type match_case = { p : Ast.program; q : Ast.program; variant : string; cut : int; flip : int }
+
+(* A datapath only ever runs a program it decoded, so [p] is one the
+   decoder accepts; [q] may be anything. *)
+let rec decodable rng =
+  let p = if Rng.bool rng then Ast_gen.program rng else Ast_gen.well_typed_program rng in
+  match Codec.decode_program (Codec.encode_program p) with
+  | _ -> p
+  | exception (Codec.Decode_error _ | Wire.Reader.Truncated | Wire.Reader.Malformed _) ->
+    decodable rng
+
+let gen_match_case rng =
+  let program rng = if Rng.bool rng then Ast_gen.program rng else Ast_gen.well_typed_program rng in
+  let p = decodable rng in
+  let unrelated () = ("unrelated", program rng) in
+  let variant, q =
+    match Rng.int rng 5 with
+    | 0 -> ("itself", p)
+    | 1 -> ("rebuilt copy", map_consts (fun _ c -> c) p)
+    | 2 -> (
+      let cs = consts p in
+      if Array.length cs = 0 then unrelated ()
+      else
+        let k = Rng.int rng (Array.length cs) in
+        let flipped = Int64.float_of_bits (Int64.logxor (bits cs.(k)) (Int64.shift_left 1L (Rng.int rng 64))) in
+        ("one constant's bits", set_const p k flipped))
+    | 3 -> ( match rename_first p with Some q -> ("one name", q) | None -> unrelated ())
+    | _ -> unrelated ()
+  in
+  { p; q; variant; cut = Rng.int rng 1_000_000; flip = Rng.int rng 1_000_000 }
+
+let show_match_case c =
+  Printf.sprintf "%s\np = %s\nq = %s" c.variant (Pretty.program_to_string c.p)
+    (Pretty.program_to_string c.q)
+
+(* A channel whose datapath end runs [p] on flow 1, as [Ccp_ext]
+   registers it, and records what it is handed. *)
+let matching_channel p =
+  let sim = Sim.create () in
+  let channel = Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) () in
+  let got = ref [] in
+  Channel.on_receive channel Channel.Datapath_end (fun m -> got := m :: !got);
+  let running = Some { Codec.bytes = Codec.encode_program p; program = p } in
+  Channel.match_installs channel (fun f -> if f = flow then running else None);
+  (channel, got)
+
+let prop_install_matched_against_running =
+  Prop.test_case ~cases:500 ~name:"installs matched against the running program"
+    ~gen:gen_match_case ~show:show_match_case (fun c ->
+      let channel, got = matching_channel c.p in
+      let deliver frame =
+        got := [];
+        Channel.deliver_raw channel ~toward:Channel.Datapath_end frame;
+        !got
+      in
+      let failures () = Channel.decode_failures channel in
+      let frame = Codec.encode (Message.Install { flow; program = c.q }) in
+      let plain_q = match Codec.decode frame with m -> Some m | exception _ -> None in
+      (match (deliver frame, plain_q) with
+      | [ Message.Install { flow = 1; program } ], Some (Message.Install plain) ->
+        Prop.require "identical to a plain decode" (Ast.identical_program program plain.program);
+        Prop.require "physically p exactly when identical_program p q"
+          (program == c.p = Ast.identical_program c.p c.q)
+      | [], None -> Prop.require "q fails to decode, as plainly" (failures () = 1)
+      | _, _ -> Prop.fail "delivery of q disagrees with a plain decode");
+      (* Another flow has no running program: always a fresh decode. *)
+      (match deliver (Codec.encode (Message.Install { flow = 2; program = c.q })) with
+      | [ Message.Install { program; _ } ] -> Prop.require "no match on flow 2" (program != c.p)
+      | [] -> Prop.require "q fails to decode on flow 2 too" (plain_q = None)
+      | _ -> Prop.fail "more than one message for flow 2");
+      let p_frame = Codec.encode (Message.Install { flow; program = c.p }) in
+      (* A truncated copy of p's frame never decodes. *)
+      let before = failures () in
+      let cut = c.cut mod String.length p_frame in
+      Prop.require "truncated: nothing delivered" (deliver (String.sub p_frame 0 cut) = []);
+      Prop.check_eq ~what:"truncated: one decode failure" string_of_int (before + 1) (failures ());
+      (* Nor does one with a trailing byte that is no trace block. *)
+      Prop.require "trailing garbage: nothing delivered" (deliver (p_frame ^ "\007") = []);
+      Prop.check_eq ~what:"trailing garbage: one more failure" string_of_int (before + 2)
+        (failures ());
+      (* A flipped byte decodes as a plain decode would, never to p. *)
+      let i = c.flip mod String.length p_frame in
+      let corrupt =
+        String.mapi (fun j ch -> if j = i then Char.chr (Char.code ch lxor 0x5a) else ch) p_frame
+      in
+      let plain = match Codec.decode_traced corrupt with m -> Some m | exception _ -> None in
+      match (deliver corrupt, plain) with
+      | [], None ->
+        Prop.check_eq ~what:"corrupt: one more failure" string_of_int (before + 3) (failures ())
+      | [ m ], Some (expected, _) ->
+        Prop.require "corrupt: decodes as a plain decode" (Message.equal m expected);
+        (match m with
+        | Message.Install { program; _ } -> Prop.require "corrupt: never p" (program != c.p)
+        | _ -> ())
+      | _, _ -> Prop.fail "corrupt: delivery disagrees with a plain decode")
+
+(* --- (f) the agent's once-encoded Install frame --- *)
+
+type frame_case = { program : Ast.program; frame_flow : int; span : int }
+
+let gen_frame_case rng =
+  {
+    program = (if Rng.bool rng then Ast_gen.program rng else Ast_gen.well_typed_program rng);
+    frame_flow = Rng.int rng (1 lsl (7 * Rng.int rng 5));
+    span = (match Rng.int rng 3 with 0 -> Message.no_trace | 1 -> Rng.int rng 1024 | _ -> Rng.int rng max_int);
+  }
+
+let show_frame_case c =
+  Printf.sprintf "flow %d span %d\n%s" c.frame_flow c.span (Pretty.program_to_string c.program)
+
+let prop_preencoded_install_bytes =
+  Prop.test_case ~cases:500 ~name:"pre-encoded Install = encode_traced" ~gen:gen_frame_case
+    ~show:show_frame_case (fun c ->
+      let msg = Message.Install { flow = c.frame_flow; program = c.program } in
+      Prop.check_eq ~what:"wire bytes" String.escaped
+        (Codec.encode_traced ~span:c.span msg)
+        (Codec.with_trace ~span:c.span (Codec.encode msg)))
+
 (* --- repeats skip the work --- *)
 
 let minor_words f =
@@ -518,6 +680,7 @@ let test_repeat_frame_skips_admission () =
   let reno_frame = frame reno in
   let first = deliver reno_frame in
   run_for env (Time_ns.us 100);
+  let running = Ccp_ext.installed_program env.ext ~flow in
   let repeat = deliver reno_frame in
   run_for env (Time_ns.us 100);
   Alcotest.(check int) "all accepted" 3 (Ccp_ext.installs_accepted env.ext);
@@ -525,7 +688,18 @@ let test_repeat_frame_skips_admission () =
     Alcotest.failf
       "repeat Install allocated %.0f minor words against %.0f for the first: admission and \
        compile were not skipped"
-      repeat first
+      repeat first;
+  (* The frame is matched against the running program's bytes, so the
+     whole repeat delivery, restart included, allocates less than
+     decoding the program's AST alone would. *)
+  let decode = minor_words (fun () -> ignore (Codec.decode reno_frame : Message.t)) in
+  if repeat >= decode then
+    Alcotest.failf "repeat Install allocated %.0f minor words; decoding its AST alone takes %.0f"
+      repeat decode;
+  match (running, Ccp_ext.installed_program env.ext ~flow) with
+  | Some before, Some after ->
+    Alcotest.(check bool) "the running AST is kept" true (before == after)
+  | _ -> Alcotest.fail "nothing installed"
 
 (* An algorithm that hands its handle out. *)
 let capture_handle () =
@@ -576,6 +750,68 @@ let test_repeat_handle_install_skips_typecheck () =
   Alcotest.(check bool) "and raises again" true (raises ());
   Alcotest.(check int) "nothing invalid sent" 3 (Ccp_agent.Agent.installs_sent agent)
 
+(* Through a tracing channel and a policy that rewrites programs, every
+   install a handle sends, first or repeat, with or without a running
+   span, arrives as the policed program with its span, and costs the
+   bytes encoding it afresh would. *)
+let test_agent_reinstall_frame () =
+  let obs = Ccp_obs.Obs.create ~recorder:false ~tracer:true () in
+  let tracer = Ccp_obs.Obs.tracer_exn obs in
+  let handle = ref None in
+  let algorithm =
+    {
+      Ccp_agent.Algorithm.name = "capture";
+      make =
+        (fun h ->
+          handle := Some h;
+          Ccp_agent.Algorithm.no_op_handlers);
+    }
+  in
+  let sim = Sim.create () in
+  let channel = Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) ~obs () in
+  let got = ref [] in
+  Channel.on_receive channel Channel.Datapath_end (fun m ->
+      got := (m, Channel.rx_span channel) :: !got);
+  let policy = Ccp_agent.Policy.with_max_rate 1e6 in
+  let (_ : Ccp_agent.Agent.t) =
+    Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> algorithm) ~policy:(fun _ -> policy)
+      ~obs ()
+  in
+  Channel.send channel ~from:Channel.Datapath_end
+    (Message.Ready { flow; mss = 1448; init_cwnd = 14_480 });
+  Sim.run sim;
+  let h = match !handle with Some h -> h | None -> Alcotest.fail "no handle" in
+  let send ~traced program =
+    got := [];
+    let span =
+      if traced then Ccp_obs.Tracer.start tracer ~now:(Sim.now sim) ~flow ~kind:Ccp_obs.Tracer.Report_span
+      else Message.no_trace
+    in
+    let before = Channel.bytes_sent channel Channel.Agent_end in
+    if traced then Ccp_obs.Tracer.handler_begin tracer span;
+    h.Ccp_agent.Algorithm.install program;
+    if traced then Ccp_obs.Tracer.handler_end tracer span ~now:(Sim.now sim);
+    Sim.run sim;
+    let expected =
+      Message.Install { flow; program = Ccp_agent.Policy.apply_program policy program }
+    in
+    Alcotest.(check int) "bytes on the wire"
+      (String.length (Codec.encode_traced ~span expected))
+      (Channel.bytes_sent channel Channel.Agent_end - before);
+    match !got with
+    | [ (m, rx) ] ->
+      Alcotest.(check bool) "policed program delivered" true (Message.equal expected m);
+      Alcotest.(check int) "span carried" span rx
+    | l -> Alcotest.failf "%d messages delivered" (List.length l)
+  in
+  let rate r = Ast.program [ Ast.Rate (Ast.Const r); Ast.Wait_rtts (Ast.Const 1.0); Ast.Report ] in
+  List.iter
+    (fun (traced, program) -> send ~traced program)
+    [
+      (false, rate 2e6); (false, rate 2e6); (true, rate 2e6); (true, rate 3e6); (false, rate 3e6);
+      (false, rate 2e6);
+    ]
+
 let suite =
   [
     ( "reinstall",
@@ -588,5 +824,9 @@ let suite =
         prop_identical_admits_and_compiles_alike;
         prop_reused_machine_matches_fresh;
         prop_install_sequences_match_direct_admission;
+        prop_install_matched_against_running;
+        prop_preencoded_install_bytes;
+        Alcotest.test_case "agent re-install puts the same frame on the wire" `Quick
+          test_agent_reinstall_frame;
       ] );
   ]

@@ -348,7 +348,8 @@ let run_echo_script ~batching =
   Sim.run sim;
   for i = 1 to 100 do
     Channel.send channel ~from:Channel.Datapath_end
-      (Message.Report { flow = i mod 4; fields = [| ("acked", float_of_int (100 * i)) |] });
+      (Message.Report
+         { flow = i mod 4; names = [| "acked" |]; values = [| float_of_int (100 * i) |] });
     if i mod 10 = 0 then Sim.run sim
   done;
   Channel.flush channel;
@@ -444,7 +445,7 @@ let test_aggregate_membership_and_split () =
      window still conserved. *)
   let before = Ccp_algorithms.Ccp_aggregate.aggregate_cwnd agg in
   Channel.send channel ~from:Channel.Datapath_end
-    (Message.Report { flow = 3; fields = [| ("acked", 1448.0) |] });
+    (Message.Report { flow = 3; names = [| "acked" |]; values = [| 1448.0 |] });
   Sim.run sim;
   Alcotest.(check bool) "additive increase grew the aggregate" true
     (Ccp_algorithms.Ccp_aggregate.aggregate_cwnd agg > before);
