@@ -78,8 +78,18 @@ let int_list ~flag ~default spec =
       (fun s ->
         match int_of_string_opt s with
         | Some n -> n
-        | None -> fail "%s: %S is not an integer" flag s)
+        | None -> bad_input "%s: %S is not an integer" flag s)
       items
+
+(* A comma-separated subset of [known]; [None] when the list is empty. *)
+let name_list ~flag ~what ~known spec =
+  let names = opt_list spec in
+  Option.iter
+    (List.iter (fun n ->
+         if not (List.mem n known) then
+           bad_input "%s: unknown %s %S (try: %s)" flag what n (String.concat ", " known)))
+    names;
+  names
 
 (* Write a JSON artifact, then re-read and re-check what landed on disk:
    the file is only useful to downstream tooling if it parses and
@@ -286,7 +296,6 @@ let guard_quarantine =
 
 let build_guard ~guard_min_cwnd ~guard_max_rate ~guard_report_us ~guard_quarantine =
   {
-    Ccp_datapath.Ccp_ext.default_guard with
     Ccp_datapath.Ccp_ext.min_cwnd_segments = guard_min_cwnd;
     max_rate_bytes_per_sec = guard_max_rate *. 1e6 /. 8.0;
     min_report_interval = Time_ns.of_float_sec (guard_report_us *. 1e-6);
@@ -809,12 +818,18 @@ let robustness_cmd =
     bench_json "$(b,robustness.*) per-(algorithm, perturbation) rows (averaged over seeds)"
   in
   let action algos perturbs seeds rate_mbps rtt_ms duration_s scorecard_file bench_json =
+    let algos =
+      name_list ~flag:"--algos" ~what:"algorithm" ~known:Scenarios.Robustness.algorithm_names
+        algos
+    in
+    let perturbs =
+      name_list ~flag:"--perturb" ~what:"perturbation"
+        ~known:Scenarios.Robustness.perturbation_names perturbs
+    in
     let seeds = int_list ~flag:"--seeds" ~default:[ 42 ] seeds in
     let rate_bps, base_rtt, duration = link ~rate_mbps ~rtt_ms ~duration_s in
     let sc =
-      try
-        Scenarios.Robustness.run ~rate_bps ~base_rtt ~duration ~seeds
-          ?algos:(opt_list algos) ?perturbs:(opt_list perturbs) ()
+      try Scenarios.Robustness.run ~rate_bps ~base_rtt ~duration ~seeds ?algos ?perturbs ()
       with Invalid_argument e -> fail "%s" e
     in
     print_string (Report.render_robustness sc);
@@ -1134,14 +1149,24 @@ let incast_cmd =
   let action ns arrivals algos seeds rate_mbps rtt_ms duration_s no_batching scorecard_file
       bench_json timeline_file =
     let ns = int_list ~flag:"--n" ~default:[ 16; 64; 256 ] ns in
+    List.iter (fun n -> if n <= 0 then bad_input "--n: %d is not a positive flow count" n) ns;
+    let arrivals =
+      List.map
+        (fun s ->
+          match Scenarios.Incast.arrival_of_string s with
+          | a -> a
+          | exception Invalid_argument e -> bad_input "--arrivals: %s" e)
+        (split_list arrivals)
+    in
+    let algos =
+      name_list ~flag:"--algos" ~what:"algorithm" ~known:Scenarios.Incast.algorithm_names algos
+    in
     let seeds = int_list ~flag:"--seeds" ~default:[ 42 ] seeds in
     let rate_bps, base_rtt, duration = link ~rate_mbps ~rtt_ms ~duration_s in
     let sc =
       try
-        Scenarios.Incast.run ~rate_bps ~base_rtt ~duration ~ns
-          ~arrivals:(List.map Scenarios.Incast.arrival_of_string (split_list arrivals))
-          ?algos:(opt_list algos) ~seeds ~batching:(not no_batching)
-          ~with_telemetry:(timeline_file <> None) ()
+        Scenarios.Incast.run ~rate_bps ~base_rtt ~duration ~ns ~arrivals ?algos ~seeds
+          ~batching:(not no_batching) ~with_telemetry:(timeline_file <> None) ()
       with Invalid_argument e -> fail "%s" e
     in
     Printf.printf

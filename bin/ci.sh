@@ -138,11 +138,14 @@ test "$(wc -l < "$incast_tmp/err")" -eq 1
 rm -rf "$incast_tmp"
 
 echo "== bad input smoke =="
-# A link rate, RTT or duration that is not a positive finite number, and
-# a --flows entry with an unknown algorithm or a bad start time, is a
-# one-line error and exit 124 before anything is simulated: not a crash,
-# and not a run at zero serialization time that prints "utilization
-# nan%".
+# A link rate, RTT or duration that is not a positive finite number, a
+# --flows entry with an unknown algorithm or a bad start time, and a
+# list option (--seeds, incast's -n and --arrivals, an --algos or
+# --perturb subset) with an entry that is not an integer, not a
+# positive flow count or not a known name, is a one-line error and exit
+# 124 before anything is simulated: not a crash, not the exit 1 kept for
+# an artifact that cannot be written, and not a run at zero
+# serialization time that prints "utilization nan%".
 bad_tmp="$(mktemp -d)"
 bad_input() {
   status=0
@@ -158,6 +161,13 @@ bad_input run --flows reno,reno@nan --duration 0.1
 bad_input run --duration nan
 bad_input csv --rate 0 --duration 0.1
 bad_input chaos --duration nan
+bad_input incast --seeds abc
+bad_input incast -n 0
+bad_input incast --arrivals bogus
+bad_input incast --algos bogus
+bad_input robustness --algos bogus
+bad_input robustness --perturb bogus
+bad_input chaos --seeds x
 rm -rf "$bad_tmp"
 
 echo "== scale bench smoke =="

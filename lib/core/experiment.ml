@@ -10,12 +10,11 @@ type cc_spec =
 type flow_spec = {
   cc : cc_spec;
   start_at : Time_ns.t;
-  app_limit_bytes : int option;
   delayed_ack_every : int;
 }
 
-let flow ?(start_at = Time_ns.zero) ?app_limit_bytes ?(delayed_ack_every = 1) cc =
-  { cc; start_at; app_limit_bytes; delayed_ack_every }
+let flow ?(start_at = Time_ns.zero) ?(delayed_ack_every = 1) cc =
+  { cc; start_at; delayed_ack_every }
 
 type offload_spec = {
   sender : Offload.Sender_path.config;
@@ -143,7 +142,6 @@ and agent_stats = {
   degradations : int;
   checkpoints_taken : int;
   warm_restores : int;
-  quarantine_probes : int;
   max_queue_wait : Time_ns.t;
 }
 
@@ -253,11 +251,7 @@ let run (config : config) =
         Ccp_ext.congestion_control ccp_ext
     in
     let tcp_config =
-      {
-        Tcp_flow.default_config with
-        app_limit_bytes = spec.app_limit_bytes;
-        ecn_capable = config.ecn_threshold_bytes <> None;
-      }
+      { Tcp_flow.default_config with ecn_capable = config.ecn_threshold_bytes <> None }
     in
     (* Per-flow measurement-noise sampler. Seeded from the experiment
        seed and the flow id — never from the simulator's RNG — so arming
@@ -327,7 +321,7 @@ let run (config : config) =
     in
     let sender =
       Tcp_flow.create ~sim ~flow:id ~config:tcp_config ~cc ~transmit ?obs:config.obs
-        ~obs_sample_interval:(Time_ns.ms 10) ?perturb:sampler ()
+        ?perturb:sampler ()
     in
     sender_ref := Some sender;
     let ack_sink =
@@ -469,7 +463,6 @@ let run (config : config) =
           degradations = Ccp_agent.Agent.degradations agent;
           checkpoints_taken = !checkpoints_taken;
           warm_restores = Ccp_agent.Agent.warm_restores agent;
-          quarantine_probes = Ccp_ext.quarantine_probes_sent ccp_ext;
           max_queue_wait = Ccp_agent.Agent.max_queue_wait agent;
         })
       ccp_parts

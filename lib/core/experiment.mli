@@ -15,15 +15,14 @@ type cc_spec =
       (** in-datapath controller; fresh instance per flow *)
   | Ccp_cc of Ccp_agent.Algorithm.t  (** off-datapath algorithm via the agent *)
 
+(** Every flow sends an unlimited backlog. *)
 type flow_spec = {
   cc : cc_spec;
   start_at : Time_ns.t;
-  app_limit_bytes : int option;
   delayed_ack_every : int;
 }
 
-val flow : ?start_at:Time_ns.t -> ?app_limit_bytes:int -> ?delayed_ack_every:int ->
-  cc_spec -> flow_spec
+val flow : ?start_at:Time_ns.t -> ?delayed_ack_every:int -> cc_spec -> flow_spec
 
 type offload_spec = {
   sender : Offload.Sender_path.config;
@@ -143,7 +142,9 @@ and agent_stats = {
   ipc_bytes_to_agent : int;
   ipc_bytes_to_datapath : int;
   fallbacks : int;  (** watchdog fallback activations across all flows *)
-  fallback_probes : int;  (** [Ready] re-handshakes sent from fallback *)
+  fallback_probes : int;
+      (** [Ready] re-handshakes the watchdog sent to a silent agent, from
+          fallback or quarantine *)
   ipc_faults : Ccp_ipc.Channel.fault_stats;  (** all-zero under a clean channel *)
   installs_admitted : int;  (** installs the datapath's admission control accepted *)
   installs_refused : int;  (** installs rejected with an [Install_result] reason *)
@@ -154,8 +155,6 @@ and agent_stats = {
   degradations : int;  (** agent-side per-flow quarantine entries *)
   checkpoints_taken : int;  (** agent state snapshots written *)
   warm_restores : int;  (** flows re-registered with snapshot state applied *)
-  quarantine_probes : int;
-      (** [Ready] re-admission probes from quarantine back-off timers *)
   max_queue_wait : Time_ns.t;
       (** longest any dispatched report sat in the overload queue —
           the starvation bound; zero with [agent_overload] off *)

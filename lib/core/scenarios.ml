@@ -191,16 +191,8 @@ module Fig5 = struct
   let ack_cost_ccp = Time_ns.ns 350
 
   let offload_spec ~setting ~ack_cost : Experiment.offload_spec =
-    let sender =
-      {
-        Offload.Sender_path.default_config with
-        tso = (setting = All_on);
-        ack_cost;
-      }
-    in
-    let receiver =
-      { Offload.Receiver_path.default_config with gro = setting <> All_off }
-    in
+    let sender = { Offload.Sender_path.tso = (setting = All_on); ack_cost } in
+    let receiver = { Offload.Receiver_path.gro = setting <> All_off } in
     { Experiment.sender; receiver }
 
   let run ?(runs = 4) ?(duration = Time_ns.of_float_sec 0.8) ?(seed = 42) () =
@@ -1018,7 +1010,7 @@ module Chaos = struct
      raises the orphan_rate alert and the first healthy window after
      restart clears it. *)
   let slo_config =
-    let d = Ccp_obs.Health.default_config () in
+    let d = Ccp_obs.Health.default_config in
     {
       d with
       Ccp_obs.Health.slos =
@@ -1408,15 +1400,12 @@ module Incast = struct
     let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
     (* Telemetry at fan-in scale: a fresh bundle per cell whose Top-K
        sketches stay O(k) even at N=2048 flows. The zero wall clock
-       keeps exports byte-stable; the larger k gives the heavy-hitter
-       bound (error <= total/k) room to separate aggregate-dominant
-       flows from the crowd. *)
+       keeps exports byte-stable; k = 64 gives the heavy-hitter bound
+       (error <= total/k) room to separate aggregate-dominant flows from
+       the crowd. *)
     let telemetry =
       if with_telemetry then
-        Some
-          (Ccp_obs.Obs.create ~tracer:true ~telemetry:true ~topk_k:64
-             ~clock:(fun () -> 0.0)
-             ())
+        Some (Ccp_obs.Obs.create ~tracer:true ~telemetry:true ~clock:(fun () -> 0.0) ())
       else None
     in
     (* A shallow buffer is what makes incast incast: BDP/4, floored at

@@ -17,34 +17,38 @@ let native_fallback ~after make_cc = { after; mode = Native make_cc }
 
 type guard_envelope = {
   min_cwnd_segments : int;
-  max_cwnd_bytes : int;
   max_rate_bytes_per_sec : float;
-  min_wait : Time_ns.t;
-  max_eval_steps : int;
   min_report_interval : Time_ns.t;
-  div_storm_unit : int;
-  divergence_limit : float;
   quarantine_after : int;
   quarantine_mode : fallback_mode option;
-  quarantine_backoff : Time_ns.t option;
-  quarantine_backoff_max : Time_ns.t;
 }
 
 let default_guard =
   {
     min_cwnd_segments = 1;
-    max_cwnd_bytes = 1 lsl 30;
     max_rate_bytes_per_sec = 125e9 (* 1 Tbit/s *);
-    min_wait = Time_ns.us 1;
-    max_eval_steps = 10_000;
     min_report_interval = Time_ns.us 10;
-    div_storm_unit = 50;
-    divergence_limit = 1e18;
     quarantine_after = 50;
     quarantine_mode = None;
-    quarantine_backoff = None;
-    quarantine_backoff_max = Time_ns.sec 5;
   }
+
+(* The envelope's fixed bounds. *)
+let cwnd_ceiling = 1 lsl 30
+let wait_floor = Time_ns.us 1
+let steps_per_tick = 10_000
+
+(* Division-by-zero scores one incident per this many occurrences:
+   isolated div-by-zero is tolerated, a sustained storm scores. *)
+let divs_per_incident = 50
+
+let fold_bound = 1e18
+
+(* A [WaitRtts] before the first RTT sample waits this long; so does the
+   ECN urgent rate limit. *)
+let wait_before_srtt = Time_ns.ms 10
+
+(* Vector-mode memory bound: rows past it are dropped. *)
+let vector_row_cap = 4096
 
 type guard_incidents = {
   mutable cwnd_clamped : int;
@@ -95,12 +99,8 @@ let dominant_incident g : Message.incident_kind =
 type config = {
   urgent_on_loss : bool;
   urgent_on_ecn : bool;
-  validate_installs : bool;
-  default_wait : Time_ns.t;
-  max_vector_rows : int;
   flow_capacity : int;
   fallback : fallback option;
-  limits : Limits.t;
   guard : guard_envelope;
 }
 
@@ -108,12 +108,8 @@ let default_config =
   {
     urgent_on_loss = true;
     urgent_on_ecn = false;
-    validate_installs = true;
-    default_wait = Time_ns.ms 10;
-    max_vector_rows = 4096;
     flow_capacity = 8;
     fallback = None;
-    limits = Limits.default;
     guard = default_guard;
   }
 
@@ -128,6 +124,13 @@ type measurement =
       mutable rows : float array list;
       mutable count : int;
     }
+
+(* Who drives a flow. A stand-in is [Some] live native controller, or
+   [None] for a clamp that pins the window. *)
+type owner =
+  | Agent  (* the agent's program, or the initial window before the first install *)
+  | Fallback of Congestion_iface.t option  (* the watchdog's, while the agent is silent *)
+  | Quarantine of Congestion_iface.t option  (* the guard envelope's, until an accepted install *)
 
 type flow_state = {
   ctl : Congestion_iface.ctl;
@@ -151,13 +154,8 @@ type flow_state = {
          on every store, and this is written on every ACK *)
   mutable last_ecn_urgent : Time_ns.t;
   mutable last_agent_contact : Time_ns.t;
-  mutable fallback_active : bool;
-  mutable fallback_cc : Congestion_iface.t option;
-      (* live native controller instance while a [Native] fallback holds the flow *)
+  mutable owner : owner;
   incidents : Eval.incident_counter;
-  mutable quarantined : bool;
-  mutable quarantine_cc : Congestion_iface.t option;
-      (* live native controller while the guard envelope has the flow quarantined *)
   mutable last_report_at : Time_ns.t option;
   mutable div_baseline : int;
       (* raw eval div-by-zero count at the last guard reset *)
@@ -203,7 +201,6 @@ type t = {
   fallbacks_triggered : Ccp_obs.Metrics.counter;
   quarantines : Ccp_obs.Metrics.counter;
   mutable fallback_probes_sent : int;
-  mutable quarantine_probes_sent : int;
   retired_guard : guard_incidents;
       (* incidents from guard windows closed by an accepted re-install *)
   obs : obs_handles option;
@@ -382,6 +379,31 @@ let stop_program fs =
   fs.measurement <- No_measurement;
   fs.kept_fold <- No_measurement
 
+(* A stand-in takes the flow from the agent: the program stops, pacing
+   stops, and a [Native] mode starts a fresh controller. *)
+let take_over fs mode =
+  stop_program fs;
+  fs.ctl.Congestion_iface.set_rate 0.0;
+  match mode with
+  | Clamp _ -> None
+  | Native make_cc ->
+    let cc = make_cc () in
+    cc.Congestion_iface.on_init fs.ctl;
+    Some cc
+
+let under_quarantine fs = match fs.owner with Quarantine _ -> true | Agent | Fallback _ -> false
+
+(* [Ready] registers the flow with the agent; re-sent, it probes for an
+   agent that lost the flow. *)
+let send_ready t ctl =
+  Channel.send t.channel ~from:Channel.Datapath_end
+    (Message.Ready
+       {
+         flow = ctl.Congestion_iface.flow;
+         mss = ctl.Congestion_iface.mss;
+         init_cwnd = ctl.Congestion_iface.get_cwnd ();
+       })
+
 let eval_flow fs (m : Compile.machine) (code : Compile.code) =
   refresh_flow fs m code.Compile.flow_mask;
   Compile.exec code ~m ~slots:Compile.no_slots ~incidents:fs.incidents;
@@ -390,53 +412,20 @@ let eval_flow fs (m : Compile.machine) (code : Compile.code) =
 (* --- runtime guardrails and quarantine --- *)
 
 (* Fold the evaluator's raw incident counts (cumulative for the flow's
-   lifetime) into the current guard window. Division-by-zero only scores
-   once per [div_storm_unit] occurrences: isolated div-by-zero is a normal
-   hazard of measurement-driven programs, a sustained storm is not. *)
-let absorb_eval_incidents t fs =
+   lifetime) into the current guard window. *)
+let absorb_eval_incidents fs =
   fs.guard.non_finite <- fs.incidents.Eval.non_finite - fs.nonfinite_baseline;
-  fs.guard.div_storms <-
-    (fs.incidents.Eval.div_by_zero - fs.div_baseline) / t.config.guard.div_storm_unit
+  fs.guard.div_storms <- (fs.incidents.Eval.div_by_zero - fs.div_baseline) / divs_per_incident
 
-(* Backed-off re-admission probes: while the flow sits in quarantine,
-   re-send [Ready] on a doubling timer (capped at
-   [quarantine_backoff_max]) so an agent that can produce a corrected
-   install gets the chance without waiting for a watchdog period — and a
-   persistently hostile agent is probed ever more rarely. The probe chain
-   dies the moment an accepted install clears [fs.quarantined]. *)
-let rec quarantine_probe t fs ~delay =
-  if fs.quarantined then begin
-    t.quarantine_probes_sent <- t.quarantine_probes_sent + 1;
-    Channel.send t.channel ~from:Channel.Datapath_end
-      (Message.Ready
-         {
-           flow = fs.ctl.Congestion_iface.flow;
-           mss = fs.ctl.Congestion_iface.mss;
-           init_cwnd = fs.ctl.Congestion_iface.get_cwnd ();
-         });
-    let next =
-      Time_ns.min t.config.guard.quarantine_backoff_max (Time_ns.scale delay 2.0)
-    in
-    ignore
-      (Sim.schedule_after t.sim ~delay:next (fun () -> quarantine_probe t fs ~delay:next))
-  end
-
-let quarantine t fs =
-  let g = t.config.guard in
-  fs.quarantined <- true;
+(* The offending program is cancelled outright; only an accepted
+   re-install brings CCP control back. *)
+let quarantine t fs mode =
   Ccp_obs.Metrics.incr t.quarantines;
-  (* The offending program is cancelled outright; only an accepted
-     re-install brings CCP control back. *)
-  stop_program fs;
-  fs.ctl.Congestion_iface.set_rate 0.0;
-  (match g.quarantine_mode with
-  | Some (Clamp { cwnd_segments }) ->
+  fs.owner <- Quarantine (take_over fs mode);
+  (match mode with
+  | Clamp { cwnd_segments } ->
     fs.ctl.Congestion_iface.set_cwnd (cwnd_segments * fs.ctl.Congestion_iface.mss)
-  | Some (Native make_cc) ->
-    let cc = make_cc () in
-    fs.quarantine_cc <- Some cc;
-    cc.Congestion_iface.on_init fs.ctl
-  | None -> assert false (* only called when a mode is armed *));
+  | Native _ -> ());
   obs_record t
     (Ccp_obs.Recorder.Quarantine
        {
@@ -450,25 +439,22 @@ let quarantine t fs =
          flow = fs.ctl.Congestion_iface.flow;
          incidents = guard_total fs.guard;
          dominant = dominant_incident fs.guard;
-       });
-  match g.quarantine_backoff with
-  | Some initial ->
-    ignore
-      (Sim.schedule_after t.sim ~delay:initial (fun () -> quarantine_probe t fs ~delay:initial))
-  | None -> ()
+       })
 
 let maybe_quarantine t fs =
   let g = t.config.guard in
   match g.quarantine_mode with
   | None -> ()
-  | Some _ ->
-    if (not fs.quarantined) && g.quarantine_after > 0 && guard_total fs.guard >= g.quarantine_after
-    then quarantine t fs
+  | Some mode ->
+    if
+      (not (under_quarantine fs)) && g.quarantine_after > 0
+      && guard_total fs.guard >= g.quarantine_after
+    then quarantine t fs mode
 
 (* Absorb eval-side incidents and re-check the threshold; call after any
    guarded evaluation or fold step. *)
 let guard_note t fs =
-  absorb_eval_incidents t fs;
+  absorb_eval_incidents fs;
   maybe_quarantine t fs
 
 (* The guard envelope's window and rate bounds, for a program's [Cwnd]
@@ -478,7 +464,7 @@ let guard_note t fs =
 let apply_cwnd t fs raw =
   let g = t.config.guard in
   let lo = float_of_int (g.min_cwnd_segments * fs.ctl.Congestion_iface.mss) in
-  let hi = float_of_int g.max_cwnd_bytes in
+  let hi = float_of_int cwnd_ceiling in
   let cwnd = Float.min (Float.max lo raw) hi in
   if cwnd <> raw then begin
     fs.guard.cwnd_clamped <- fs.guard.cwnd_clamped + 1;
@@ -519,20 +505,21 @@ let block_for t fs duration =
 (* A computed wait below the envelope floor would spin the simulator (or a
    real datapath's CPU) at one timestamp; floor it and count the clamp. *)
 let guarded_wait t fs duration =
-  if Time_ns.compare duration t.config.guard.min_wait < 0 then begin
+  if Time_ns.compare duration wait_floor < 0 then begin
     fs.guard.wait_clamped <- fs.guard.wait_clamped + 1;
     obs_guard_incident t fs;
     maybe_quarantine t fs;
-    t.config.guard.min_wait
+    wait_floor
   end
   else duration
 
 (* Execute primitives from [fs.pc] until the program blocks on a wait or
-   finishes. The step budget guards against zero-length waits in repeating
-   programs (typecheck rejects wait-free loops, but the datapath cannot
-   trust the agent); every [Cwnd]/[Rate]/[Wait] result passes through the
-   guard envelope before it touches the flow. *)
-let rec advance t fs = step t fs (max 1 t.config.guard.max_eval_steps)
+   finishes. The step budget is a last line of defence against a program
+   that never blocks: admission rejects wait-free loops, so an admitted
+   program blocks within its at most 256 primitives. Every
+   [Cwnd]/[Rate]/[Wait] result passes through the guard envelope before
+   it touches the flow. *)
+let rec advance t fs = step t fs steps_per_tick
 
 and step t fs budget =
   let budget = budget - 1 in
@@ -540,7 +527,7 @@ and step t fs budget =
     fs.guard.eval_budget <- fs.guard.eval_budget + 1;
     obs_guard_incident t fs;
     maybe_quarantine t fs;
-    if not fs.quarantined then block_for t fs (Time_ns.us 1)
+    if not (under_quarantine fs) then block_for t fs (Time_ns.us 1)
   end
   else
     match fs.exec with
@@ -575,17 +562,17 @@ and step t fs budget =
           let us = Float.max 0.0 (eval_flow fs m code) in
           guard_note t fs;
           let duration = guarded_wait t fs (Time_ns.of_float_sec (us *. 1e-6)) in
-          if not fs.quarantined then block_for t fs duration
+          if not (under_quarantine fs) then block_for t fs duration
         | Compile.Wait_rtts code ->
           let rtts = Float.max 0.0 (eval_flow fs m code) in
           let base =
             match fs.ctl.Congestion_iface.srtt () with
             | Some srtt -> srtt
-            | None -> t.config.default_wait
+            | None -> wait_before_srtt
           in
           guard_note t fs;
           let duration = guarded_wait t fs (Time_ns.scale base rtts) in
-          if not fs.quarantined then block_for t fs duration
+          if not (under_quarantine fs) then block_for t fs duration
         | Compile.Report ->
           let now = Sim.now t.sim in
           let throttled =
@@ -605,7 +592,7 @@ and step t fs budget =
             fs.last_report_at <- Some now;
             send_report t fs
           end;
-          if not fs.quarantined then step t fs budget
+          if not (under_quarantine fs) then step t fs budget
       end
 
 (* Close the current guard window: bank its incidents in the datapath-wide
@@ -638,17 +625,12 @@ let send_install_result t fs verdict =
 
 (* Admission control (§2.4): the datapath trusts neither the agent nor the
    channel, so an [Install] runs the static checks and the resource limits.
-   Compilation is part of admission: a program that names unknown
-   variables, fields or builtins is refused here — even with
-   [validate_installs = false], since the datapath cannot execute what it
-   cannot compile — instead of limping along emitting unknown-name
-   incidents per packet like the old interpreter. *)
-let admit t program =
-  let verdict =
-    if not t.config.validate_installs then Ok ()
-    else Limits.admit ~limits:t.config.limits program
-  in
-  match verdict with
+   Compilation is part of admission. Every program [Limits.admit] accepts
+   compiles, so a compile error here means typecheck and compiler
+   disagree; the flow then keeps what it runs instead of faulting per
+   packet. *)
+let admit program =
+  match Limits.admit program with
   | Error _ as rejected -> rejected
   | Ok () -> (
     match Compile.compile program with
@@ -679,7 +661,7 @@ let install_program t fs program =
   let admitted =
     match (fs.running, fs.exec) with
     | Some running, Some _ when running.Codec.program == program -> Ok None
-    | _ -> Result.map (fun cp -> Some (cp, Compile.machine_for cp)) (admit t program)
+    | _ -> Result.map (fun cp -> Some (cp, Compile.machine_for cp)) (admit program)
   in
   match admitted with
   | Ok fresh ->
@@ -687,10 +669,7 @@ let install_program t fs program =
     obs_record t
       (Ccp_obs.Recorder.Install
          { flow = fs.ctl.Congestion_iface.flow; accepted = true; detail = "" });
-    if fs.quarantined then begin
-      fs.quarantined <- false;
-      fs.quarantine_cc <- None
-    end;
+    fs.owner <- Agent;
     reset_guard_window t fs;
     cancel_wait fs;
     (match fresh with
@@ -715,15 +694,15 @@ let install_program t fs program =
 
 let note_agent_contact t fs =
   fs.last_agent_contact <- Sim.now t.sim;
-  if fs.fallback_active then begin
-    (* Agent recovered: the native stand-in releases the flow before the
-       message is applied, so control is handed back atomically. *)
-    fs.fallback_active <- false;
-    fs.fallback_cc <- None;
+  match fs.owner with
+  | Fallback _ ->
+    (* Agent recovered: the stand-in releases the flow before the message
+       is applied, so control is handed back atomically. *)
+    fs.owner <- Agent;
     obs_record t
       (Ccp_obs.Recorder.Fallback
          { flow = fs.ctl.Congestion_iface.flow; entered = false })
-  end
+  | Agent | Quarantine _ -> ()
 
 (* Spans close where control is applied. [rx_finish] finalizes the span
    carried by the message currently being delivered (if any); [rx_actuate]
@@ -779,7 +758,7 @@ let on_message t (msg : Message.t) =
       (* Direct knob commands cannot release a quarantine — only an
          accepted [Install] proves the agent has a corrected program.
          They pass the guard envelope as a program's results do. *)
-      if not fs.quarantined then
+      if not (under_quarantine fs) then
         rx_actuate t (fun () ->
             apply_cwnd t fs (float_of_int bytes);
             maybe_quarantine t fs)
@@ -789,7 +768,7 @@ let on_message t (msg : Message.t) =
     match Hashtbl.find_opt t.flows flow with
     | Some fs ->
       note_agent_contact t fs;
-      if not fs.quarantined then
+      if not (under_quarantine fs) then
         rx_actuate t (fun () ->
             apply_rate t fs bytes_per_sec;
             maybe_quarantine t fs)
@@ -815,7 +794,6 @@ let create ~sim ~channel ?(config = default_config) ?obs () =
       fallbacks_triggered = counter "events" "datapath.fallbacks";
       quarantines = counter "events" "datapath.quarantines";
       fallback_probes_sent = 0;
-      quarantine_probes_sent = 0;
       retired_guard = fresh_guard_incidents ();
       obs = Option.map make_obs_handles obs;
       tracer = (match obs with Some o -> o.Ccp_obs.Obs.tracer | None -> None);
@@ -831,68 +809,35 @@ let create ~sim ~channel ?(config = default_config) ?obs () =
 
 (* --- the Congestion_iface implementation --- *)
 
-(* The watchdog checks agent liveness once per [after] period. Entering
-   fallback always stops the orphaned program and disables pacing; what
-   happens next depends on the mode. [Clamp] pins a conservative window and
-   re-applies it on every tick while the silence lasts (an
+(* The watchdog checks agent liveness once per [after] period. A silent
+   agent loses the flow to the fallback mode ([take_over]). [Clamp]
+   re-pins its window on every tick while the silence lasts (an
    installed-but-orphaned program could keep adjusting the knobs between
-   ticks). [Native] instantiates an in-datapath controller that takes over
-   ACK and loss handling until the agent returns. In either mode, every
-   tick spent in fallback re-sends [Ready] — a cheap re-handshake probe so
-   a restarted agent re-learns the flow and can reclaim it. *)
+   ticks). [Native] runs an in-datapath controller that takes over ACK and
+   loss handling until the agent returns. Every tick of silence re-sends
+   [Ready], a cheap re-handshake probe so a restarted agent re-learns the
+   flow and can reclaim it. Quarantine supersedes the watchdog: the guard
+   envelope keeps the flow, and a silent agent still gets the probe so it
+   can send the corrected install. *)
 let rec watchdog_tick t fs (fb : fallback) =
   let silence = Time_ns.sub (Sim.now t.sim) fs.last_agent_contact in
-  if fs.quarantined then begin
-    (* Quarantine supersedes the watchdog: the guard envelope already holds
-       the flow. Still probe a silent agent so a restarted one re-learns
-       the flow and can send the corrected install. *)
-    if Time_ns.compare silence fb.after >= 0 then begin
-      t.fallback_probes_sent <- t.fallback_probes_sent + 1;
-      Channel.send t.channel ~from:Channel.Datapath_end
-        (Message.Ready
-           {
-             flow = fs.ctl.Congestion_iface.flow;
-             mss = fs.ctl.Congestion_iface.mss;
-             init_cwnd = fs.ctl.Congestion_iface.get_cwnd ();
-           })
-    end;
-    ignore (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
-  end
-  else begin
   if Time_ns.compare silence fb.after >= 0 then begin
-    if not fs.fallback_active then begin
-      fs.fallback_active <- true;
+    (match fs.owner with
+    | Agent ->
       Ccp_obs.Metrics.incr t.fallbacks_triggered;
       obs_record t
-        (Ccp_obs.Recorder.Fallback
-           { flow = fs.ctl.Congestion_iface.flow; entered = true });
-      (* Stop executing the orphaned program. *)
-      stop_program fs;
-      fs.ctl.Congestion_iface.set_rate 0.0;
-      match fb.mode with
-      | Clamp _ -> ()
-      | Native make_cc ->
-        let cc = make_cc () in
-        fs.fallback_cc <- Some cc;
-        cc.Congestion_iface.on_init fs.ctl
-    end;
-    (match fb.mode with
-    | Clamp { cwnd_segments } ->
+        (Ccp_obs.Recorder.Fallback { flow = fs.ctl.Congestion_iface.flow; entered = true });
+      fs.owner <- Fallback (take_over fs fb.mode)
+    | Fallback _ | Quarantine _ -> ());
+    (match (fs.owner, fb.mode) with
+    | Fallback _, Clamp { cwnd_segments } ->
       fs.ctl.Congestion_iface.set_cwnd (cwnd_segments * fs.ctl.Congestion_iface.mss);
       fs.ctl.Congestion_iface.set_rate 0.0
-    | Native _ -> ());
+    | Fallback _, Native _ | (Agent | Quarantine _), _ -> ());
     t.fallback_probes_sent <- t.fallback_probes_sent + 1;
-    Channel.send t.channel ~from:Channel.Datapath_end
-      (Message.Ready
-         {
-           flow = fs.ctl.Congestion_iface.flow;
-           mss = fs.ctl.Congestion_iface.mss;
-           init_cwnd = fs.ctl.Congestion_iface.get_cwnd ();
-         })
+    send_ready t fs.ctl
   end;
-  ignore
-    (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
-  end
+  ignore (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
 
 let on_init t ctl =
   let fs =
@@ -907,11 +852,8 @@ let on_init t ctl =
       last_rtt_us = [| 0.0 |];
       last_ecn_urgent = Time_ns.zero;
       last_agent_contact = Sim.now t.sim;
-      fallback_active = false;
-      fallback_cc = None;
+      owner = Agent;
       incidents = Eval.fresh_counter ();
-      quarantined = false;
-      quarantine_cc = None;
       last_report_at = None;
       div_baseline = 0;
       nonfinite_baseline = 0;
@@ -923,13 +865,7 @@ let on_init t ctl =
   (match t.config.fallback with
   | Some fb -> ignore (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
   | None -> ());
-  Channel.send t.channel ~from:Channel.Datapath_end
-    (Message.Ready
-       {
-         flow = ctl.Congestion_iface.flow;
-         mss = ctl.Congestion_iface.mss;
-         init_cwnd = ctl.Congestion_iface.get_cwnd ();
-       })
+  send_ready t ctl
 
 (* The per-ACK fast path: refresh only the flow slots the update code
    reads, copy the packet into the slot table, and run the compiled
@@ -942,13 +878,13 @@ let record_measurement t fs (ev : Congestion_iface.ack_event) ~bytes_lost =
     refresh_flow fs m (Compile.Fold.step_flow_mask plan);
     refresh_pkt m ev ~bytes_lost;
     Compile.Fold.step fold ~m ~incidents:fs.incidents;
-    if Compile.Fold.diverged fold ~limit:t.config.guard.divergence_limit then begin
+    if Compile.Fold.diverged fold ~limit:fold_bound then begin
       fs.guard.fold_divergence <- fs.guard.fold_divergence + 1;
       obs_guard_incident t fs
     end;
     guard_note t fs
   | Vector v, Some (_, m) ->
-    if v.count < t.config.max_vector_rows then begin
+    if v.count < vector_row_cap then begin
       refresh_pkt m ev ~bytes_lost;
       let row = Array.map (fun i -> m.Compile.pkt.(i)) v.col_idx in
       v.rows <- row :: v.rows;
@@ -975,7 +911,7 @@ let on_ack_ccp t fs ctl (ev : Congestion_iface.ack_event) =
     let interval =
       match ctl.Congestion_iface.srtt () with
       | Some srtt -> srtt
-      | None -> t.config.default_wait
+      | None -> wait_before_srtt
     in
     if Time_ns.compare (Time_ns.sub ev.now fs.last_ecn_urgent) interval >= 0 then begin
       fs.last_ecn_urgent <- ev.now;
@@ -988,37 +924,30 @@ let on_ack t ctl (ev : Congestion_iface.ack_event) =
      a fresh allocation on every ACK. *)
   match Hashtbl.find t.flows ctl.Congestion_iface.flow with
   | exception Not_found -> ()
-  | fs ->
-    if fs.quarantined then (
-      (* The quarantine controller owns the flow until an accepted
-         re-install; no measurement aggregation, no urgents. Clamp-mode
-         quarantine ([quarantine_cc = None]) pins the window and rides
-         out the episode. *)
-      match fs.quarantine_cc with
-      | Some cc -> cc.Congestion_iface.on_ack ctl ev
-      | None -> ())
-    else (
-      match fs.fallback_cc with
-      | Some cc when fs.fallback_active ->
-        (* The native stand-in owns the flow; no measurement aggregation
-           and no urgents while the agent is out. *)
-        cc.Congestion_iface.on_ack ctl ev
-      | Some _ | None -> on_ack_ccp t fs ctl ev)
+  | fs -> (
+    match fs.owner with
+    | Agent | Fallback None -> on_ack_ccp t fs ctl ev
+    | Fallback (Some cc) | Quarantine (Some cc) ->
+      (* A native stand-in owns the flow; no measurement aggregation and
+         no urgents. *)
+      cc.Congestion_iface.on_ack ctl ev
+    | Quarantine None ->
+      (* A clamp quarantine pins the window and rides out the episode
+         until an accepted re-install. *)
+      ())
 
 let on_loss t ctl (loss : Congestion_iface.loss_event) =
   match Hashtbl.find_opt t.flows ctl.Congestion_iface.flow with
   | None -> ()
-  | Some { quarantined = true; quarantine_cc = Some cc; _ } ->
+  | Some { owner = Fallback (Some cc) | Quarantine (Some cc); _ } ->
     cc.Congestion_iface.on_loss ctl loss
-  | Some { quarantined = true; _ } -> (
-    (* Clamp-mode quarantine keeps the kernel-style RTO collapse but sends
-       no urgent: the agent lost the flow until it re-installs. *)
+  | Some { owner = Quarantine None; _ } -> (
+    (* A clamp quarantine keeps the kernel-style RTO collapse but sends no
+       urgent: the agent lost the flow until it re-installs. *)
     match loss.kind with
     | Congestion_iface.Rto -> ctl.Congestion_iface.set_cwnd ctl.Congestion_iface.mss
     | Congestion_iface.Dup_acks -> ())
-  | Some { fallback_active = true; fallback_cc = Some cc; _ } ->
-    cc.Congestion_iface.on_loss ctl loss
-  | Some fs -> (
+  | Some ({ owner = Agent | Fallback None; _ } as fs) -> (
     match loss.kind with
     | Congestion_iface.Rto ->
       (* Kernel-style safety: a timeout collapses the window in the
@@ -1030,10 +959,9 @@ let on_loss t ctl (loss : Congestion_iface.loss_event) =
 
 let on_exit_recovery t ctl =
   match Hashtbl.find_opt t.flows ctl.Congestion_iface.flow with
-  | Some { quarantined = true; quarantine_cc = Some cc; _ }
-  | Some { quarantined = false; fallback_active = true; fallback_cc = Some cc; _ } ->
+  | Some { owner = Fallback (Some cc) | Quarantine (Some cc); _ } ->
     cc.Congestion_iface.on_exit_recovery ctl
-  | Some _ | None -> ()
+  | Some { owner = Agent | Fallback None | Quarantine None; _ } | None -> ()
 
 let congestion_control t : Congestion_iface.t =
   {
@@ -1059,11 +987,10 @@ let fallback_probes_sent t = t.fallback_probes_sent
 
 let in_fallback t ~flow =
   match Hashtbl.find_opt t.flows flow with
-  | Some fs -> fs.fallback_active
-  | None -> false
+  | Some { owner = Fallback _; _ } -> true
+  | Some { owner = Agent | Quarantine _; _ } | None -> false
 
 let quarantines_triggered t = Ccp_obs.Metrics.counter_value t.quarantines
-let quarantine_probes_sent t = t.quarantine_probes_sent
 
 let has_compiled_program t ~flow =
   match Hashtbl.find_opt t.flows flow with
@@ -1072,7 +999,7 @@ let has_compiled_program t ~flow =
 
 let in_quarantine t ~flow =
   match Hashtbl.find_opt t.flows flow with
-  | Some fs -> fs.quarantined
+  | Some fs -> under_quarantine fs
   | None -> false
 
 let guard_incidents t ~flow = Option.map (fun fs -> fs.guard) (Hashtbl.find_opt t.flows flow)
@@ -1085,8 +1012,8 @@ type controller = Agent_program | Native_fallback | Quarantined | Awaiting_agent
 let controller t ~flow =
   Option.map
     (fun fs ->
-      if fs.quarantined then Quarantined
-      else if fs.fallback_active then Native_fallback
-      else if Option.is_some fs.running then Agent_program
-      else Awaiting_agent)
+      match fs.owner with
+      | Quarantine _ -> Quarantined
+      | Fallback _ -> Native_fallback
+      | Agent -> if Option.is_some fs.running then Agent_program else Awaiting_agent)
     (Hashtbl.find_opt t.flows flow)

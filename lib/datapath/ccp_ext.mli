@@ -38,10 +38,12 @@ open Ccp_ipc
     which then receives every ACK and loss event as if it had owned the
     flow all along — full-speed operation with zero agent involvement.
 
-    While in fallback the watchdog also re-sends [Ready] once per period:
-    a restarted agent that lost its state re-learns the flow from the
-    probe, re-installs a program, and the datapath hands control back on
-    that first message. Any agent message for the flow lifts fallback. *)
+    While the agent stays silent the watchdog also re-sends [Ready] once
+    per period, in fallback and in quarantine alike: a restarted agent
+    that lost its state re-learns the flow from the probe, re-installs a
+    program, and the datapath hands control back on that first message.
+    Any agent message for the flow lifts fallback; only an accepted
+    [Install] lifts quarantine. *)
 type fallback_mode =
   | Clamp of { cwnd_segments : int }  (** conservative window while in fallback *)
   | Native of (unit -> Congestion_iface.t)
@@ -65,35 +67,25 @@ val native_fallback : after:Time_ns.t -> (unit -> Congestion_iface.t) -> fallbac
     reaches [quarantine_after] and a [quarantine_mode] is armed, the
     program is cancelled, the mode takes the flow (exactly like a watchdog
     fallback episode), and the agent is told via [Quarantined]. Only a
-    subsequently {e accepted} [Install] wins the flow back. *)
+    subsequently {e accepted} [Install] wins the flow back.
+
+    Beside the settable bounds below, the envelope has fixed ones: a
+    1 GiB cwnd ceiling; a 1 us floor on {e computed} waits (a shorter
+    wait would spin the datapath at one timestamp); a budget of 10,000
+    program steps per tick; one incident per 50 divisions by zero
+    (isolated div-by-zero is tolerated, a sustained storm scores); and a
+    1e18 bound on fold state magnitude. *)
 type guard_envelope = {
   min_cwnd_segments : int;  (** cwnd floor, in segments (× mss) *)
-  max_cwnd_bytes : int;  (** cwnd ceiling *)
   max_rate_bytes_per_sec : float;  (** pacing-rate ceiling *)
-  min_wait : Time_ns.t;
-      (** floor on {e computed} waits; a shorter wait would spin the
-          datapath at one timestamp *)
-  max_eval_steps : int;  (** per-tick program-step budget *)
   min_report_interval : Time_ns.t;  (** report rate limiter *)
-  div_storm_unit : int;
-      (** divisions-by-zero per incident point: isolated div-by-zero is
-          tolerated, a sustained storm scores *)
-  divergence_limit : float;  (** fold state magnitude bound *)
   quarantine_after : int;  (** incident score that triggers quarantine *)
   quarantine_mode : fallback_mode option;  (** [None] = count but never quarantine *)
-  quarantine_backoff : Time_ns.t option;
-      (** when set, a quarantined flow re-sends [Ready] on a doubling
-          timer starting at this delay, inviting the agent to win the
-          flow back with a corrected install; [None] (the default) leaves
-          re-admission to the watchdog's silence-driven probes *)
-  quarantine_backoff_max : Time_ns.t;  (** cap on the probe back-off *)
 }
 
 val default_guard : guard_envelope
-(** 1-segment cwnd floor, 1 GiB ceiling, 1 Tbit/s rate ceiling, 1 us wait
-    floor, 10k steps per tick, 10 us report interval, 50 div-by-zero per
-    point, 1e18 fold bound, quarantine at 50 with no mode armed, no
-    back-off probes (5 s cap when armed). *)
+(** 1-segment cwnd floor, 1 Tbit/s rate ceiling, 10 us report interval,
+    quarantine at 50 with no mode armed. *)
 
 (** Per-flow incident counters, one per {!Ccp_ipc.Message.incident_kind}.
     Mutable for the datapath's own accounting; treat as read-only. *)
@@ -108,34 +100,31 @@ type guard_incidents = {
   mutable eval_budget : int;
 }
 
+(** Every program a flow runs has passed admission
+    ({!Ccp_lang.Limits.admit}) and compilation. A re-install whose program
+    bytes equal those of the program the flow is running (so a
+    bit-identical program, {!Ccp_lang.Ast.identical_program}) is matched
+    on the wire ({!Ccp_ipc.Channel.match_installs}): no AST is decoded,
+    and the flow keeps its admitted AST, compiled code and fold state. It
+    still restarts the program.
+
+    A [WaitRtts] before the flow's first RTT sample waits 10 ms. A vector
+    measurement keeps at most 4,096 rows per report; later rows are
+    dropped. *)
 type config = {
   urgent_on_loss : bool;
   urgent_on_ecn : bool;
-  validate_installs : bool;
-      (** run admission ({!Ccp_lang.Limits.admit}) before a program
-          runs. Every program a flow runs has passed admission and
-          compilation. A re-install whose program bytes equal those of
-          the program the flow is running (so a bit-identical program,
-          {!Ccp_lang.Ast.identical_program}) is matched on the wire
-          ({!Ccp_ipc.Channel.match_installs}): no AST is decoded, and the
-          flow keeps its admitted AST, compiled code and fold state. It
-          still restarts the program. *)
-  default_wait : Time_ns.t;  (** WaitRtts fallback before the first RTT sample *)
-  max_vector_rows : int;  (** vector-mode memory bound; overflow rows are dropped *)
   flow_capacity : int;
       (** expected concurrent flows — sizes the flow table up front so an
           incast of thousands of registrations does not rehash its way up
           from a tiny table (default 8) *)
   fallback : fallback option;
-  limits : Ccp_lang.Limits.t;  (** static admission limits *)
   guard : guard_envelope;
 }
 
 val default_config : config
-(** Loss urgent on, ECN urgent off, validation on, 10 ms default wait,
-    4096-row vectors, 8-flow table hint, watchdog disabled,
-    {!Ccp_lang.Limits.default} admission limits, {!default_guard}
-    envelope. *)
+(** Loss urgent on, ECN urgent off, 8-flow table hint, watchdog disabled,
+    {!default_guard} envelope. *)
 
 type t
 
@@ -165,15 +154,13 @@ val installs_rejected : t -> int
 val fallbacks_triggered : t -> int
 
 val fallback_probes_sent : t -> int
-(** [Ready] re-handshakes emitted while flows sat in fallback. *)
+(** [Ready] re-handshakes the watchdog sent to a silent agent, from
+    fallback or quarantine. *)
 
 val in_fallback : t -> flow:int -> bool
 
 val quarantines_triggered : t -> int
 (** Guard-envelope quarantines entered across all flows. *)
-
-val quarantine_probes_sent : t -> int
-(** [Ready] re-admission probes emitted by [quarantine_backoff] timers. *)
 
 val in_quarantine : t -> flow:int -> bool
 
@@ -192,11 +179,12 @@ val guard_incident_total : t -> int
     datapath-wide "how badly were we abused" number for experiment
     stats. *)
 
-(** Who is driving a flow right now. The datapath maintains the invariant
-    that exactly one party controls each flow: an installed agent program,
-    an active native fallback, and a quarantine are mutually exclusive by
-    construction ([Awaiting_agent] covers the startup window before the
-    first install, when the flow still runs at its initial window). *)
+(** Who is driving a flow right now. Each flow has exactly one owner, held
+    in one field: the agent, the watchdog's fallback, or the guard
+    envelope's quarantine, so the three are mutually exclusive by
+    construction. [Native_fallback] covers both fallback modes, and
+    [Awaiting_agent] the startup window before the first install, when
+    the flow still runs at its initial window. *)
 type controller = Agent_program | Native_fallback | Quarantined | Awaiting_agent
 
 val controller : t -> flow:int -> controller option

@@ -102,7 +102,6 @@ type t = {
   mutable rtt_listener : (Time_ns.t -> Time_ns.t -> unit) option;
   (* observability *)
   obs_h : obs_handles option;
-  obs_sample_interval : Time_ns.t;
   mutable last_flow_sample : Time_ns.t;
   (* measurement-noise perturbation; None = clean measurements *)
   perturb : Ccp_perturb.Sampler.t option;
@@ -136,8 +135,7 @@ let make_obs_handles obs =
    estimator leaves the flow's own send accounting untouched. *)
 let sentinel_snapshot = Rate_estimator.on_send (Rate_estimator.create ()) ~now:Time_ns.zero ~bytes:0
 
-let create ~sim ~flow ~config ~cc ~transmit ?obs ?(obs_sample_interval = Time_ns.zero)
-    ?perturb () =
+let create ~sim ~flow ~config ~cc ~transmit ?obs ?perturb () =
   if config.mss <= 0 then invalid_arg "Tcp_flow: mss must be positive";
   let rec head =
     {
@@ -196,7 +194,6 @@ let create ~sim ~flow ~config ~cc ~transmit ?obs ?(obs_sample_interval = Time_ns
     cwnd_listener = None;
     rtt_listener = None;
     obs_h = Option.map make_obs_handles obs;
-    obs_sample_interval;
     last_flow_sample = Time_ns.ns (-1);
     perturb;
   }
@@ -204,14 +201,16 @@ let create ~sim ~flow ~config ~cc ~transmit ?obs ?(obs_sample_interval = Time_ns
 let now t = Sim.now t.sim
 let inflight t = t.pipe
 
-(* Sampled per-flow time series for the flight recorder, throttled to at
-   most one [Flow_sample] per [obs_sample_interval] (0 = every ACK). *)
+(* Sampled per-flow time series for the flight recorder: at most one
+   [Flow_sample] per [flow_sample_interval]. *)
+let flow_sample_interval = Time_ns.ms 10
+
 let maybe_flow_sample t at =
   match t.obs_h with
   | None -> ()
   | Some h ->
     if
-      Time_ns.compare (Time_ns.sub at t.last_flow_sample) t.obs_sample_interval
+      Time_ns.compare (Time_ns.sub at t.last_flow_sample) flow_sample_interval
       >= 0
       || Time_ns.compare t.last_flow_sample Time_ns.zero < 0
     then begin

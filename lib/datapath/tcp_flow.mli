@@ -38,14 +38,13 @@ val create :
   cc:Congestion_iface.t ->
   transmit:(Packet.t -> unit) ->
   ?obs:Ccp_obs.Obs.t ->
-  ?obs_sample_interval:Time_ns.t ->
   ?perturb:Ccp_perturb.Sampler.t ->
   unit ->
   t
 (** With [obs] the flow publishes RTT/segment/retransmit/timeout/recovery
     metrics and records a [Flow_sample] trace event (cwnd, pacing rate,
     srtt, inflight, delivery rate) on ACKs, throttled to at most one per
-    [obs_sample_interval] (default: every ACK).
+    10 ms.
 
     With [perturb] the congestion controller's measurement inputs are
     perturbed per the sampler's plan: RTT samples are jittered before

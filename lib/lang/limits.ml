@@ -1,23 +1,12 @@
 open Ast
 
-type t = {
-  max_prims : int;
-  max_expr_depth : int;
-  max_fold_fields : int;
-  max_vector_columns : int;
-  min_wait_us : float;
-  min_wait_rtts : float;
-}
-
-let default =
-  {
-    max_prims = 256;
-    max_expr_depth = 32;
-    max_fold_fields = 64;
-    max_vector_columns = 32;
-    min_wait_us = 100.0;
-    min_wait_rtts = 0.1;
-  }
+(* The bounds every admitted program stays within. *)
+let prim_limit = 256
+let depth_limit = 32
+let fold_field_limit = 64
+let vector_column_limit = 32
+let wait_floor_us = 100.0
+let wait_floor_rtts = 0.1
 
 type reason =
   | Program_too_long
@@ -59,39 +48,37 @@ let prim_exprs = function
 (* Static resource limits only; [admit] combines them with {!Typecheck}.
    The wait floors can only be enforced statically on constant arguments —
    computed waits are the runtime guard envelope's job. *)
-let check ?(limits = default) (program : program) =
+let check (program : program) =
   let err reason fmt = Format.kasprintf (fun detail -> Error (reason, detail)) fmt in
   let n = List.length program.prims in
-  if n > limits.max_prims then
-    err Program_too_long "program has %d primitives (limit %d)" n limits.max_prims
+  if n > prim_limit then err Program_too_long "program has %d primitives (limit %d)" n prim_limit
   else
     let rec scan = function
       | [] -> Ok ()
       | prim :: rest -> (
         let too_deep =
-          List.find_opt (fun e -> expr_depth e > limits.max_expr_depth) (prim_exprs prim)
+          List.find_opt (fun e -> expr_depth e > depth_limit) (prim_exprs prim)
         in
         match (too_deep, prim) with
         | Some e, _ ->
-          err Expr_too_deep "expression depth %d exceeds limit %d" (expr_depth e)
-            limits.max_expr_depth
-        | None, Measure (Fold { init; _ }) when List.length init > limits.max_fold_fields ->
+          err Expr_too_deep "expression depth %d exceeds limit %d" (expr_depth e) depth_limit
+        | None, Measure (Fold { init; _ }) when List.length init > fold_field_limit ->
           err Fold_too_large "fold declares %d state fields (limit %d)" (List.length init)
-            limits.max_fold_fields
-        | None, Measure (Vector fields) when List.length fields > limits.max_vector_columns ->
+            fold_field_limit
+        | None, Measure (Vector fields) when List.length fields > vector_column_limit ->
           err Vector_too_wide "vector report has %d columns (limit %d)" (List.length fields)
-            limits.max_vector_columns
-        | None, Wait (Const us) when us < limits.min_wait_us ->
-          err Wait_too_short "Wait(%g us) is below the %g us floor" us limits.min_wait_us
-        | None, Wait_rtts (Const rtts) when rtts < limits.min_wait_rtts ->
-          err Wait_too_short "WaitRtts(%g) is below the %g RTT floor" rtts limits.min_wait_rtts
+            vector_column_limit
+        | None, Wait (Const us) when us < wait_floor_us ->
+          err Wait_too_short "Wait(%g us) is below the %g us floor" us wait_floor_us
+        | None, Wait_rtts (Const rtts) when rtts < wait_floor_rtts ->
+          err Wait_too_short "WaitRtts(%g) is below the %g RTT floor" rtts wait_floor_rtts
         | None, _ -> scan rest)
     in
     scan program.prims
 
-let admit ?limits program =
+let admit program =
   match Typecheck.check program with
   | Error (first :: _) ->
     Error (Invalid_program, (first : Typecheck.error).message)
   | Error [] -> Error (Invalid_program, "unknown static error")
-  | Ok _warnings -> check ?limits program
+  | Ok _warnings -> check program

@@ -8,22 +8,12 @@
     below, so a rejection is observable end to end instead of a silent
     drop.
 
-    The wait floors only bind on {e constant} arguments; a computed wait
-    that evaluates too low is caught at runtime by the datapath's guard
+    The limits are fixed: at most 256 primitives per program, expression
+    depth 32, 64 fold state fields and 32 vector columns, and constant
+    [Wait] and [WaitRtts] arguments of at least 100 us and 0.1 RTT. The
+    wait floors only bind on {e constant} arguments; a computed wait that
+    evaluates too low is caught at runtime by the datapath's guard
     envelope ({!Ccp_datapath.Ccp_ext.guard_envelope}). *)
-
-type t = {
-  max_prims : int;  (** total primitives per program *)
-  max_expr_depth : int;  (** nesting depth of any expression *)
-  max_fold_fields : int;  (** declared fold state fields *)
-  max_vector_columns : int;  (** columns of a vector measure spec *)
-  min_wait_us : float;  (** floor on constant [Wait] arguments *)
-  min_wait_rtts : float;  (** floor on constant [WaitRtts] arguments *)
-}
-
-val default : t
-(** 256 prims, depth 32, 64 fold fields, 32 columns, 100 us / 0.1 RTT
-    wait floors. *)
 
 (** Structured rejection codes; stable across the IPC wire. *)
 type reason =
@@ -39,9 +29,9 @@ val reason_to_string : reason -> string
 val equal_reason : reason -> reason -> bool
 val pp_reason : Format.formatter -> reason -> unit
 
-val check : ?limits:t -> Ast.program -> (unit, reason * string) result
+val check : Ast.program -> (unit, reason * string) result
 (** Resource limits only; never raises. *)
 
-val admit : ?limits:t -> Ast.program -> (unit, reason * string) result
+val admit : Ast.program -> (unit, reason * string) result
 (** [Typecheck.check] plus {!check}: the full admission decision a
     datapath runs on [Install]. Never raises. *)

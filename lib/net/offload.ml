@@ -4,26 +4,19 @@ open Ccp_eventsim
 module Sender_path = struct
   type config = {
     tso : bool;
-    tso_max_bytes : int;
-    per_op : Time_ns.t;
-    per_segment : Time_ns.t;
     ack_cost : Time_ns.t;
   }
 
-  (* per_op dominates: ~2.1 us of stack traversal per send operation, plus
+  (* op_cost dominates: ~2.1 us of stack traversal per send operation, plus
      0.15 us of copy/DMA setup per MTU segment. Without TSO each MTU
-     segment pays the full per_op, capping an MTU-sized stream at roughly
-     1e9/2250 = ~440k segments/s = ~5.3 Gbit/s. With TSO the per_op cost is
-     amortized over up to 43 segments. Incoming ACKs cost ack_cost each on
-     the same CPU. *)
-  let default_config =
-    {
-      tso = true;
-      tso_max_bytes = 65536;
-      per_op = Time_ns.ns 2100;
-      per_segment = Time_ns.ns 150;
-      ack_cost = Time_ns.ns 450;
-    }
+     segment pays the full op_cost, capping an MTU-sized stream at roughly
+     1e9/2250 = ~440k segments/s = ~5.3 Gbit/s. With TSO the op_cost is
+     amortized over a tso_bytes super-segment, up to 43 segments. Incoming
+     ACKs cost ack_cost each on the same CPU. *)
+  let op_cost = Time_ns.ns 2100
+  let segment_cost = Time_ns.ns 150
+  let tso_bytes = 65536
+  let default_config = { tso = true; ack_cost = Time_ns.ns 450 }
 
   type item = Segment of Packet.t | Incoming_ack of Packet.t
 
@@ -55,10 +48,10 @@ module Sender_path = struct
     }
 
   (* Pull one operation's worth of consecutive segments off the queue: a
-     single segment without TSO, up to [tso_max_bytes] with it. ACKs are
+     single segment without TSO, up to [tso_bytes] with it. ACKs are
      processed one per operation. *)
   let take_segment_batch t =
-    let max_bytes = if t.config.tso then t.config.tso_max_bytes else 0 in
+    let max_bytes = if t.config.tso then tso_bytes else 0 in
     let rec take acc bytes =
       match Queue.peek_opt t.pending with
       | Some (Segment pkt) when acc = [] || bytes + pkt.Packet.wire_size <= max_bytes ->
@@ -87,9 +80,7 @@ module Sender_path = struct
       let batch = take_segment_batch t in
       t.busy <- true;
       let n = List.length batch in
-      let cost =
-        Time_ns.add t.config.per_op (Time_ns.scale t.config.per_segment (float_of_int n))
-      in
+      let cost = Time_ns.add op_cost (Time_ns.scale segment_cost (float_of_int n)) in
       t.busy_time <- Time_ns.add t.busy_time cost;
       t.operations <- t.operations + 1;
       t.segments <- t.segments + n;
@@ -113,17 +104,14 @@ module Sender_path = struct
 end
 
 module Receiver_path = struct
-  type config = {
-    gro : bool;
-    gro_max_segments : int;
-    per_op : Time_ns.t;
-    per_segment : Time_ns.t;
-  }
+  type config = { gro : bool }
 
   (* Receive processing is costlier than transmit per operation (IRQ +
-     protocol processing + ACK generation). *)
-  let default_config =
-    { gro = true; gro_max_segments = 44; per_op = Time_ns.ns 2600; per_segment = Time_ns.ns 200 }
+     protocol processing + ACK generation). GRO coalesces up to
+     gro_segments per operation. *)
+  let op_cost = Time_ns.ns 2600
+  let segment_cost = Time_ns.ns 200
+  let gro_segments = 44
 
   type t = {
     sim : Sim.t;
@@ -154,7 +142,7 @@ module Receiver_path = struct
     match Queue.peek_opt t.pending with
     | None -> []
     | Some first ->
-      let limit = if t.config.gro then t.config.gro_max_segments else 1 in
+      let limit = if t.config.gro then gro_segments else 1 in
       let rec take acc n =
         if n >= limit then List.rev acc
         else
@@ -177,9 +165,7 @@ module Receiver_path = struct
     | batch ->
       t.busy <- true;
       let n = List.length batch in
-      let cost =
-        Time_ns.add t.config.per_op (Time_ns.scale t.config.per_segment (float_of_int n))
-      in
+      let cost = Time_ns.add op_cost (Time_ns.scale segment_cost (float_of_int n)) in
       t.busy_time <- Time_ns.add t.busy_time cost;
       t.operations <- t.operations + 1;
       t.segments <- t.segments + n;

@@ -18,22 +18,16 @@ module Dumbbell = struct
     if flow >= 0 && flow < Array.length t.flows then Array.unsafe_get t.flows flow
     else unregistered
 
-  let create ~sim ~rate_bps ~base_rtt ~buffer_bytes ?ecn_threshold_bytes ?qdisc
-      ?(reverse_rate_bps = 0.0) ?jitter ?rate_schedule () =
+  let create ~sim ~rate_bps ~base_rtt ~buffer_bytes ?ecn_threshold_bytes ?jitter
+      ?rate_schedule () =
     let one_way = Time_ns.scale base_rtt 0.5 in
-    let fwd_qdisc =
-      match qdisc with
-      | Some q -> q
-      | None ->
-        Queue_disc.Droptail { capacity_bytes = buffer_bytes; ecn_threshold_bytes }
-    in
-    let reverse_rate = if reverse_rate_bps > 0.0 then reverse_rate_bps else 10.0 *. rate_bps in
     let forward =
-      Link.create ~sim ~rate_bps ~delay:one_way ~qdisc:fwd_qdisc ~name:"bottleneck" ?jitter
-        ?rate_schedule ()
+      Link.create ~sim ~rate_bps ~delay:one_way
+        ~qdisc:(Queue_disc.Droptail { capacity_bytes = buffer_bytes; ecn_threshold_bytes })
+        ~name:"bottleneck" ?jitter ?rate_schedule ()
     in
     let reverse =
-      Link.create ~sim ~rate_bps:reverse_rate ~delay:(Time_ns.sub base_rtt one_way)
+      Link.create ~sim ~rate_bps:(10.0 *. rate_bps) ~delay:(Time_ns.sub base_rtt one_way)
         ~qdisc:(Queue_disc.Droptail { capacity_bytes = 100_000_000; ecn_threshold_bytes = None })
         ~name:"reverse" ()
     in

@@ -17,17 +17,14 @@ module Dumbbell : sig
     base_rtt:Time_ns.t ->
     buffer_bytes:int ->
     ?ecn_threshold_bytes:int ->
-    ?qdisc:Queue_disc.config ->
-    ?reverse_rate_bps:float ->
     ?jitter:Ccp_util.Time_ns.t ->
     ?rate_schedule:(Ccp_util.Time_ns.t * float) list ->
     unit ->
     t
-  (** Bottleneck with a drop-tail buffer of [buffer_bytes] (override the
-      discipline with [qdisc]). The reverse path defaults to 10x the
-      forward rate with a deep buffer so ACKs never queue. [jitter] and
-      [rate_schedule] apply to the forward (bottleneck) link, see
-      {!Link.create}. *)
+  (** Bottleneck with a drop-tail buffer of [buffer_bytes]. The reverse
+      path runs at 10x the forward rate with a deep buffer so ACKs never
+      queue. [jitter] and [rate_schedule] apply to the forward
+      (bottleneck) link, see {!Link.create}. *)
 
   val forward : t -> Link.t
   val reverse : t -> Link.t

@@ -38,13 +38,13 @@ type config = {
 let ratio name ~bad ~total ~objective =
   { slo_name = name; sli = Event_ratio { bad; total }; objective }
 
-let default_config ?(budget_us = 100_000.0) () =
+let default_config =
   {
     slos =
       [
         {
           slo_name = "actuation_latency";
-          sli = Latency_above { hist = "trace.reaction_us"; budget = budget_us };
+          sli = Latency_above { hist = "trace.reaction_us"; budget = 100_000.0 };
           objective = 0.01;
         };
         ratio "orphan_rate" ~bad:[ "trace.spans_orphaned" ]
@@ -104,7 +104,7 @@ type t = {
   mutable windows_evaluated : int;
 }
 
-let create ?(config = default_config ()) ?recorder () =
+let create ?(config = default_config) ?recorder () =
   if config.burn_threshold <= 0.0 then
     invalid_arg "Health.create: burn_threshold must be > 0";
   if config.long_windows <= 0 then

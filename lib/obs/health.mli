@@ -36,9 +36,9 @@ type config = {
   clear_windows : int;
 }
 
-val default_config : ?budget_us:float -> unit -> config
-(** The stack's six standing SLOs — actuation latency vs [budget_us]
-    (default 100 ms), orphan rate, shed rate, decode-failure rate,
+val default_config : config
+(** The stack's six standing SLOs — actuation latency vs a 100 ms
+    budget, orphan rate, shed rate, decode-failure rate,
     staleness, quarantine rate — with burn threshold 10 over an
     8-window long window and 1-window clear. *)
 

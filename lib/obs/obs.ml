@@ -12,34 +12,19 @@ type t = {
 (* CLOCK_MONOTONIC in nanoseconds: a wall clock that never steps back. *)
 let default_clock () = Int64.to_float (Monotonic_clock.now ())
 
-let create ?recorder_capacity ?(recorder = true) ?(tracer = false) ?tracer_capacity
-    ?(telemetry = false) ?window_ns ?windows ?subticks ?topk_k ?slo ?budget_us
+let create ?(recorder = true) ?(tracer = false) ?tracer_capacity ?(telemetry = false) ?slo
     ?(clock = default_clock) () =
   let metrics = Metrics.create () in
-  let recorder =
-    if recorder then Some (Recorder.create ?capacity:recorder_capacity ())
-    else None
-  in
-  let topk = if telemetry then Some (Topk.create ?k:topk_k ()) else None in
+  let recorder = if recorder then Some (Recorder.create ()) else None in
+  let topk = if telemetry then Some (Topk.create ()) else None in
   let tk_orphans = Option.map (fun tk -> Topk.sketch tk "flow.orphans") topk in
   let tracer =
     if tracer then
       Some (Tracer.create ?capacity:tracer_capacity ~metrics ?recorder ?tk_orphans ~clock ())
     else None
   in
-  let timeseries =
-    if telemetry then
-      Some (Timeseries.create ~metrics ?window:window_ns ?windows ?subticks ())
-    else None
-  in
-  let health =
-    if telemetry then
-      let config =
-        match slo with Some c -> c | None -> Health.default_config ?budget_us ()
-      in
-      Some (Health.create ~config ?recorder ())
-    else None
-  in
+  let timeseries = if telemetry then Some (Timeseries.create ~metrics ()) else None in
+  let health = if telemetry then Some (Health.create ?config:slo ?recorder ()) else None in
   let on_window_extra = ref None in
   (match timeseries with
   | Some ts ->

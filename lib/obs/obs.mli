@@ -25,35 +25,27 @@ type t = {
 }
 
 val create :
-  ?recorder_capacity:int ->
   ?recorder:bool ->
   ?tracer:bool ->
   ?tracer_capacity:int ->
   ?telemetry:bool ->
-  ?window_ns:int ->
-  ?windows:int ->
-  ?subticks:int ->
-  ?topk_k:int ->
   ?slo:Health.config ->
-  ?budget_us:float ->
   ?clock:(unit -> float) ->
   unit ->
   t
-(** [recorder] defaults to [true]; [recorder_capacity] to the
-    [Recorder.create] default. [tracer] defaults to [false] — when
+(** [recorder] defaults to [true], a recorder of the {!Recorder.create}
+    default capacity. [tracer] defaults to [false] — when
     enabled the tracer publishes [trace.*] metrics, draws span tokens
     from a pool of [tracer_capacity] (default 1024) slots, and finalizes
     spans into the recorder (when there is one).
 
-    [telemetry] (default [false]) arms the trio together: a {!Topk}
-    registry (per-sketch capacity [topk_k], default 64) whose
-    ["flow.orphans"] sketch is pre-wired into the tracer, a
-    {!Timeseries} sampler ([window_ns]/[windows]/[subticks] as in
-    {!Timeseries.create}), and a {!Health} engine on the SLO [slo]
-    config (default {!Health.default_config} with [budget_us]) that is
-    driven from every window close and records alert transitions into
-    the recorder. With [telemetry] off all three fields are [None] and
-    nothing new runs anywhere.
+    [telemetry] (default [false]) arms the trio together, each at its
+    module's defaults: a {!Topk} registry whose ["flow.orphans"] sketch
+    is pre-wired into the tracer, a {!Timeseries} sampler, and a
+    {!Health} engine on the SLO [slo] config (default
+    {!Health.default_config}) that is driven from every window close and
+    records alert transitions into the recorder. With [telemetry] off
+    all three fields are [None] and nothing new runs anywhere.
 
     [clock] defaults to the monotonic wall clock
     ([bechamel.monotonic_clock], [CLOCK_MONOTONIC]) in nanoseconds, so

@@ -212,12 +212,10 @@ let fake_ctl sim ~flow =
    }
     : Congestion_iface.ctl)
 
-let test_unresolvable_install_rejected_without_validation () =
-  (* [validate_installs = false] turns off the static admission pass, but
-     compilation still happens — an unresolvable program must come back as
-     a structured rejection, not install a program that would fault
-     per-packet. *)
-  let config = { Ccp_ext.default_config with Ccp_ext.validate_installs = false } in
+let test_unresolvable_install_rejected () =
+  (* An unresolvable program must come back as a structured rejection
+     that names the unknown variable, not install a program that would
+     fault per-packet. *)
   let sim = Sim.create () in
   let channel =
     Ccp_ipc.Channel.create ~sim ~latency:(Ccp_ipc.Latency_model.Constant (Time_ns.us 20)) ()
@@ -225,7 +223,7 @@ let test_unresolvable_install_rejected_without_validation () =
   let to_agent = ref [] in
   Ccp_ipc.Channel.on_receive channel Ccp_ipc.Channel.Agent_end (fun m ->
       to_agent := m :: !to_agent);
-  let ext = Ccp_ext.create ~sim ~channel ~config () in
+  let ext = Ccp_ext.create ~sim ~channel () in
   (Ccp_ext.congestion_control ext).Congestion_iface.on_init (fake_ctl sim ~flow:1);
   Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Agent_end
     (Ccp_ipc.Message.Install
@@ -257,8 +255,8 @@ let suite =
           test_classic_fold_equivalent;
         Alcotest.test_case "fold step allocates nothing" `Quick
           test_fold_step_allocation_free;
-        Alcotest.test_case "compile gates install even without validation" `Quick
-          test_unresolvable_install_rejected_without_validation;
+        Alcotest.test_case "unresolvable install rejected with its name" `Quick
+          test_unresolvable_install_rejected;
         prop_well_typed_compiles;
       ] );
     ("compile.differential", [ prop_compiled_equals_interpreted ]);

@@ -129,7 +129,7 @@ let fake_ctl sim ~flow =
   in
   (ctl, cwnd, rate)
 
-let guard_env ?(config = Ccp_ext.default_config) () =
+let guard_env ?(config = Ccp_ext.default_config) ?obs () =
   let sim = Sim.create () in
   let channel =
     Ccp_ipc.Channel.create ~sim ~latency:(Ccp_ipc.Latency_model.Constant (Time_ns.us 20)) ()
@@ -137,7 +137,7 @@ let guard_env ?(config = Ccp_ext.default_config) () =
   let to_agent = ref [] in
   Ccp_ipc.Channel.on_receive channel Ccp_ipc.Channel.Agent_end (fun m ->
       to_agent := m :: !to_agent);
-  let ext = Ccp_ext.create ~sim ~channel ~config () in
+  let ext = Ccp_ext.create ~sim ~channel ~config ?obs () in
   let install program ~flow =
     Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Agent_end
       (Ccp_ipc.Message.Install { flow; program })
@@ -192,7 +192,7 @@ let test_guard_clamps_cwnd_and_rate () =
   let guard = Ccp_ext.default_guard in
   Alcotest.(check bool) "rate within ceiling" true
     (!rate <= guard.Ccp_ext.max_rate_bytes_per_sec);
-  Alcotest.(check bool) "cwnd within ceiling" true (!cwnd <= guard.Ccp_ext.max_cwnd_bytes);
+  Alcotest.(check bool) "cwnd within the 1 GiB ceiling" true (!cwnd <= 1 lsl 30);
   let g = Option.get (Ccp_ext.guard_incidents ext ~flow:1) in
   Alcotest.(check bool) "rate clamps counted" true (g.Ccp_ext.rate_clamped > 0);
   Alcotest.(check bool) "fresh window after accepted install" true
@@ -225,7 +225,7 @@ let test_direct_commands_clamped () =
     Alcotest.(check int) "in-envelope window as sent" 20_000 c0;
     Alcotest.(check (float 0.0)) "in-envelope rate as sent" 1e6 r0;
     Alcotest.(check int) "zero window floored at one segment" 1448 c1;
-    Alcotest.(check int) "2^40 window capped" guard.Ccp_ext.max_cwnd_bytes c2;
+    Alcotest.(check int) "2^40 window capped at 1 GiB" (1 lsl 30) c2;
     Alcotest.(check (float 0.0)) "NaN rate becomes 0" 0.0 r1;
     Alcotest.(check (float 0.0)) "1e300 rate capped" guard.Ccp_ext.max_rate_bytes_per_sec r2
   | _ -> Alcotest.fail "one observation per command");
@@ -322,6 +322,240 @@ let test_quarantine_lifecycle () =
   Alcotest.(check int) "corrected window running" (10 * 1448) !cwnd;
   Alcotest.(check int) "still just the one quarantine" 1 (Ccp_ext.quarantines_triggered ext)
 
+(* --- one owner per flow --- *)
+
+let ack_event sim : Congestion_iface.ack_event =
+  {
+    now = Sim.now sim;
+    bytes_acked = 1448;
+    rtt_sample = Some (Time_ns.ms 10);
+    ecn_echo = false;
+    send_rate = None;
+    delivery_rate = None;
+    inflight_after = 0;
+  }
+
+(* A native stand-in that counts what it is handed and touches nothing. *)
+type stand_in_calls = {
+  mutable inits : int;
+  mutable acks : int;
+  mutable rtos : int;
+  mutable dup_acks : int;
+  mutable exits : int;
+}
+
+let stand_in calls () : Congestion_iface.t =
+  {
+    name = "stand-in";
+    on_init = (fun _ -> calls.inits <- calls.inits + 1);
+    on_ack = (fun _ _ -> calls.acks <- calls.acks + 1);
+    on_loss =
+      (fun _ loss ->
+        match loss.Congestion_iface.kind with
+        | Congestion_iface.Rto -> calls.rtos <- calls.rtos + 1
+        | Congestion_iface.Dup_acks -> calls.dup_acks <- calls.dup_acks + 1);
+    on_exit_recovery = (fun _ -> calls.exits <- calls.exits + 1);
+  }
+
+(* One flow driven into one owner state: the watchdog and quarantine
+   modes it is armed with, the agent's messages at t = 0, and where the
+   flow's events must then go. [`Ccp]: ACKs take the CCP path, losses send
+   urgents and an RTO collapses the window. [`Stand_in]: the stand-in gets
+   every ACK, loss and exit from recovery. [`Pinned]: ACKs are dropped,
+   losses send nothing and an RTO still collapses the window. *)
+type owner_row = {
+  state : string;
+  fallback : (stand_in_calls -> Ccp_ext.fallback) option;
+  quarantine : (stand_in_calls -> Ccp_ext.fallback_mode) option;
+  commands : Ccp_ipc.Message.t list;
+  controller : Ccp_ext.controller;
+  events : [ `Ccp | `Stand_in | `Pinned ];
+  probes : int;  (* watchdog [Ready]s by 35 ms *)
+}
+
+let owner_rows =
+  (* Watchdog ticks at 10, 20 and 30 ms. *)
+  let after = Time_ns.ms 10 in
+  let clamp _ = Ccp_ext.Clamp { cwnd_segments = 2 } in
+  let native calls = Ccp_ext.Native (stand_in calls) in
+  let clamp_fallback _ = Ccp_ext.clamp_fallback ~after ~cwnd_segments:2 in
+  let native_fallback calls = Ccp_ext.native_fallback ~after (stand_in calls) in
+  let install = Ccp_ipc.Message.Install { flow = 1; program = sane_program } in
+  (* One clamp incident, and quarantine is armed at one. *)
+  let zero_cwnd = Ccp_ipc.Message.Set_cwnd { flow = 1; bytes = 0 } in
+  let row state ?fallback ?quarantine commands controller events probes =
+    { state; fallback; quarantine; commands; controller; events; probes }
+  in
+  [
+    row "agent program" [ install ] Ccp_ext.Agent_program `Ccp 0;
+    row "clamp fallback" ~fallback:clamp_fallback [] Ccp_ext.Native_fallback `Ccp 3;
+    row "native fallback" ~fallback:native_fallback [] Ccp_ext.Native_fallback `Stand_in 3;
+    row "clamp quarantine" ~quarantine:clamp [ zero_cwnd ] Ccp_ext.Quarantined `Pinned 0;
+    row "native quarantine" ~quarantine:native [ zero_cwnd ] Ccp_ext.Quarantined `Stand_in 0;
+    (* The agent's last word is at 20 us, so the ticks at 20 and 30 ms
+       find it silent; the watchdog probes but leaves the flow to the
+       quarantine. *)
+    row "quarantine, silent agent, watchdog armed" ~fallback:native_fallback ~quarantine:clamp
+      [ zero_cwnd ] Ccp_ext.Quarantined `Pinned 2;
+  ]
+
+let check_owner_row row =
+  let calls = { inits = 0; acks = 0; rtos = 0; dup_acks = 0; exits = 0 } in
+  let guard =
+    match row.quarantine with
+    | None -> Ccp_ext.default_guard
+    | Some mode ->
+      { Ccp_ext.default_guard with quarantine_after = 1; quarantine_mode = Some (mode calls) }
+  in
+  let config =
+    { Ccp_ext.default_config with fallback = Option.map (fun f -> f calls) row.fallback; guard }
+  in
+  let obs = Ccp_obs.Obs.create ~recorder:false () in
+  let sim, channel, ext, to_agent, _ = guard_env ~config ~obs () in
+  let ctl, cwnd, _ = fake_ctl sim ~flow:1 in
+  let cc = Ccp_ext.congestion_control ext in
+  cc.Congestion_iface.on_init ctl;
+  List.iter (Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Agent_end) row.commands;
+  Sim.run ~until:(Time_ns.ms 35) sim;
+  let what s = row.state ^ ": " ^ s in
+  let count b = if b then 1 else 0 in
+  let native = row.events = `Stand_in in
+  Alcotest.(check bool) (what "controller") true
+    (Ccp_ext.controller ext ~flow:1 = Some row.controller);
+  Alcotest.(check bool) (what "in fallback") (row.controller = Ccp_ext.Native_fallback)
+    (Ccp_ext.in_fallback ext ~flow:1);
+  Alcotest.(check bool) (what "in quarantine") (row.controller = Ccp_ext.Quarantined)
+    (Ccp_ext.in_quarantine ext ~flow:1);
+  Alcotest.(check int) (what "fallbacks") (count (row.controller = Ccp_ext.Native_fallback))
+    (Ccp_ext.fallbacks_triggered ext);
+  Alcotest.(check int) (what "probes") row.probes (Ccp_ext.fallback_probes_sent ext);
+  Alcotest.(check int) (what "Ready messages") (1 + row.probes)
+    (List.length
+       (List.filter (function Ccp_ipc.Message.Ready _ -> true | _ -> false) !to_agent));
+  Alcotest.(check int) (what "stand-ins started") (count native) calls.inits;
+  let acks_processed () =
+    Ccp_obs.Metrics.counter_value
+      (Ccp_obs.Metrics.counter obs.Ccp_obs.Obs.metrics "datapath.acks_processed")
+  in
+  let acks_before = acks_processed () in
+  cc.Congestion_iface.on_ack ctl (ack_event sim);
+  Alcotest.(check int) (what "ACK on the CCP path") (count (row.events = `Ccp))
+    (acks_processed () - acks_before);
+  Alcotest.(check int) (what "ACK to the stand-in") (count native) calls.acks;
+  let loss kind expect_cwnd =
+    cwnd := 20_000;
+    let urgents = Ccp_ext.urgents_sent ext in
+    cc.Congestion_iface.on_loss ctl
+      { Congestion_iface.kind; at = Sim.now sim; bytes_lost_estimate = 1448 };
+    Alcotest.(check int) (what "urgents") (count (row.events = `Ccp))
+      (Ccp_ext.urgents_sent ext - urgents);
+    Alcotest.(check int) (what "window after the loss") expect_cwnd !cwnd
+  in
+  loss Congestion_iface.Rto (if native then 20_000 else 1448);
+  Alcotest.(check int) (what "RTO to the stand-in") (count native) calls.rtos;
+  loss Congestion_iface.Dup_acks 20_000;
+  Alcotest.(check int) (what "dup-ACK loss to the stand-in") (count native) calls.dup_acks;
+  cc.Congestion_iface.on_exit_recovery ctl;
+  Alcotest.(check int) (what "exit from recovery to the stand-in") (count native) calls.exits
+
+let test_one_owner_routes_events () = List.iter check_owner_row owner_rows
+
+(* --- the fixed bounds, each at its edge --- *)
+
+(* Run [program] on a fresh flow at the default config, feed it [acks]
+   ACKs once it runs, then let it run to 15 ms. *)
+let run_bounded program ~acks =
+  let sim, _, ext, to_agent, install = guard_env () in
+  let ctl, _, _ = fake_ctl sim ~flow:1 in
+  let cc = Ccp_ext.congestion_control ext in
+  cc.Congestion_iface.on_init ctl;
+  install program ~flow:1;
+  Sim.run ~until:(Time_ns.ms 1) sim;
+  for _ = 1 to acks do
+    cc.Congestion_iface.on_ack ctl (ack_event sim)
+  done;
+  Sim.run ~until:(Time_ns.ms 15) sim;
+  (Option.get (Ccp_ext.guard_incidents ext ~flow:1), List.rev !to_agent)
+
+let fold_of init update = Ast.Measure (Ast.Fold { Ast.init; update })
+let then_report prims = Ast.program (prims @ [ Ast.Wait_rtts (Ast.Const 1.0); Ast.Report ])
+
+(* Each bound with an input at its edge, which it lets through, and one
+   just past it, which trips it. The per-tick budget of 10,000 program
+   steps has no row: an admitted program blocks on a wait within at most
+   256 primitives per tick (typecheck rejects a repeating program without
+   a wait), so no admitted program can reach it. The 1 GiB window ceiling
+   is pinned by "direct commands clamped to the envelope". *)
+let bound_rows =
+  let rejected expected p =
+    match Limits.check p with
+    | Ok () -> false
+    | Error (r, _) ->
+      Alcotest.check reason "rejection reason" expected r;
+      true
+  in
+  let cwnd = Ast.Cwnd (Ast.Const 14480.0) in
+  let prims n = rejected Limits.Program_too_long (Ast.program (List.init n (fun _ -> cwnd))) in
+  let depth d = rejected Limits.Expr_too_deep (then_report [ Ast.Cwnd (deep (d - 1)) ]) in
+  let fields n =
+    let fs = List.init n (fun i -> (Printf.sprintf "f%d" i, Ast.Const 0.0)) in
+    rejected Limits.Fold_too_large (then_report [ fold_of fs fs ])
+  in
+  let columns n =
+    rejected Limits.Vector_too_wide
+      (then_report [ Ast.Measure (Ast.Vector (List.init n (fun _ -> "rtt_us"))) ])
+  in
+  let wait us =
+    rejected Limits.Wait_too_short (Ast.program [ cwnd; Ast.Wait (Ast.Const us); Ast.Report ])
+  in
+  let wait_rtts r =
+    rejected Limits.Wait_too_short (Ast.program [ cwnd; Ast.Wait_rtts (Ast.Const r); Ast.Report ])
+  in
+  (* A wait computed as mss / (1448 / us): exactly [us] for these. *)
+  let computed_wait us =
+    let wait = Ast.Wait (Ast.Bin (Ast.Div, Ast.Var "mss", Ast.Const (1448.0 /. us))) in
+    let g, _ = run_bounded ~acks:0 (Ast.program ~repeat:false [ wait; Ast.Report ]) in
+    g.Ccp_ext.wait_clamped > 0
+  in
+  (* [n] divisions by zero, one per ACK: its [ecn] is 0. *)
+  let divisions n =
+    let q = [ ("q", Ast.Bin (Ast.Div, Ast.Pkt "bytes_acked", Ast.Pkt "ecn")) ] in
+    let g, _ = run_bounded ~acks:n (then_report [ fold_of [ ("q", Ast.Const 0.0) ] q ]) in
+    g.Ccp_ext.div_storms > 0
+  in
+  let fold_state x =
+    let fold = fold_of [ ("x", Ast.Const x) ] [ ("x", Ast.Var "x") ] in
+    let g, _ = run_bounded ~acks:1 (then_report [ fold ]) in
+    g.Ccp_ext.fold_divergence > 0
+  in
+  (* Whether a vector report drops any of [n] rows. *)
+  let rows n =
+    let _, msgs = run_bounded ~acks:n (then_report [ Ast.Measure (Ast.Vector [ "rtt_us" ]) ]) in
+    match List.find_map (function Ccp_ipc.Message.Report_vector v -> Some v | _ -> None) msgs with
+    | Some v -> Array.length v.Ccp_ipc.Message.rows < n
+    | None -> Alcotest.fail "no vector report"
+  in
+  let row bound trips ~edge ~past = (bound, (fun () -> trips edge), fun () -> trips past) in
+  [
+    row "256 primitives" prims ~edge:256 ~past:257;
+    row "expression depth 32" depth ~edge:32 ~past:33;
+    row "64 fold fields" fields ~edge:64 ~past:65;
+    row "32 vector columns" columns ~edge:32 ~past:33;
+    row "100 us constant wait" wait ~edge:100.0 ~past:99.9;
+    row "0.1 RTT constant wait" wait_rtts ~edge:0.1 ~past:0.099;
+    row "1 us computed wait" computed_wait ~edge:1.0 ~past:0.5;
+    row "50 divisions by zero per incident" divisions ~edge:49 ~past:50;
+    row "1e18 fold state" fold_state ~edge:1e18 ~past:2e18;
+    row "4,096 vector rows" rows ~edge:4096 ~past:4097;
+  ]
+
+let test_bounds_at_their_edges () =
+  List.iter
+    (fun (bound, at_edge, past_edge) ->
+      Alcotest.(check bool) (bound ^ ": at the edge") false (at_edge ());
+      Alcotest.(check bool) (bound ^ ": past the edge") true (past_edge ()))
+    bound_rows
+
 (* --- end to end through Experiment --- *)
 
 let test_hostile_flow_end_to_end () =
@@ -415,6 +649,10 @@ let suite =
           test_direct_commands_clamped;
         Alcotest.test_case "report rate limiter" `Quick test_report_rate_limiter;
         Alcotest.test_case "quarantine and recovery lifecycle" `Quick test_quarantine_lifecycle;
+        Alcotest.test_case "each owner gets the flow's events" `Quick
+          test_one_owner_routes_events;
+        Alcotest.test_case "each fixed bound holds at its edge" `Quick
+          test_bounds_at_their_edges;
       ] );
     ( "guard.e2e",
       [

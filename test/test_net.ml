@@ -315,7 +315,7 @@ let test_sender_ack_processing () =
 let test_receiver_gro_batches () =
   let sim = Sim.create () in
   let batches = ref [] in
-  let config = { Offload.Receiver_path.default_config with gro = true } in
+  let config = { Offload.Receiver_path.gro = true } in
   let path =
     Offload.Receiver_path.create ~sim ~config ~deliver:(fun batch ->
         batches := List.length batch :: !batches)
@@ -331,7 +331,7 @@ let test_receiver_gro_batches () =
 let test_receiver_gro_respects_flow_boundary () =
   let sim = Sim.create () in
   let batches = ref [] in
-  let config = { Offload.Receiver_path.default_config with gro = true } in
+  let config = { Offload.Receiver_path.gro = true } in
   let path =
     Offload.Receiver_path.create ~sim ~config ~deliver:(fun batch ->
         batches := List.map (fun p -> p.Packet.flow) batch :: !batches)

@@ -331,12 +331,9 @@ type step_kind = Benign | Repeat | Flip_zero | Swap_nan | One_constant | Invalid
 
 type step = { kind : step_kind; program : Ast.program; run_ms : int }
 
-type sequence = { validate : bool; steps : step list }
-
 let rec deep n e = if n = 0 then e else deep (n - 1) (Ast.Neg e)
 
-(* Each is rejected with validation on. With it off, the first two are
-   still rejected (they do not compile), the others run harmlessly. *)
+(* Each is rejected by admission. *)
 let invalid_programs =
   [|
     Ast.program [ Ast.Cwnd (Ast.Var "bogus"); Ast.Wait_rtts (Ast.Const 1.0); Ast.Report ];
@@ -393,7 +390,7 @@ let gen_sequence rng =
       steps (n - 1) prev (step :: acc)
   in
   let first = fresh_benign () in
-  { validate = Rng.bool rng; steps = steps (4 + Rng.int rng 16) first [] }
+  steps (4 + Rng.int rng 16) first []
 
 let show_kind = function
   | Benign -> "benign"
@@ -404,19 +401,17 @@ let show_kind = function
   | Invalid -> "invalid"
   | Hostile -> "hostile"
 
-let show_sequence s =
-  Printf.sprintf "validate_installs=%b\n%s" s.validate
-    (String.concat "\n"
-       (List.map
-          (fun st ->
-            Printf.sprintf "%-12s %2d ms  %s" (show_kind st.kind) st.run_ms
-              (Pretty.program_to_string st.program))
-          s.steps))
+let show_sequence steps =
+  String.concat "\n"
+    (List.map
+       (fun st ->
+         Printf.sprintf "%-12s %2d ms  %s" (show_kind st.kind) st.run_ms
+           (Pretty.program_to_string st.program))
+       steps)
 
-let reinstall_config ~validate =
+let reinstall_config =
   {
     Ccp_ext.default_config with
-    Ccp_ext.validate_installs = validate;
     guard =
       {
         Ccp_ext.default_guard with
@@ -426,9 +421,8 @@ let reinstall_config ~validate =
   }
 
 (* What the datapath must answer, computed without it. *)
-let expected_verdict ~validate program =
-  let admitted = if validate then Limits.admit program else Ok () in
-  match admitted with
+let expected_verdict program =
+  match Limits.admit program with
   | Error (reason, detail) -> Message.Rejected { reason; detail }
   | Ok () -> (
     match Compile.compile program with
@@ -449,8 +443,8 @@ let reported_z program =
 
 let prop_install_sequences_match_direct_admission =
   Prop.test_case ~cases:150 ~name:"install sequences = direct admission" ~gen:gen_sequence
-    ~show:show_sequence (fun s ->
-      let env = make_env ~config:(reinstall_config ~validate:s.validate) () in
+    ~show:show_sequence (fun steps ->
+      let env = make_env ~config:reinstall_config () in
       let accepted = ref 0 and rejected = ref 0 in
       let running = ref None in
       List.iteri
@@ -464,7 +458,7 @@ let prop_install_sequences_match_direct_admission =
               (function Message.Install_result r -> Some r.Message.verdict | _ -> None)
               !(env.to_agent)
           in
-          let expected = expected_verdict ~validate:s.validate st.program in
+          let expected = expected_verdict st.program in
           (match verdicts with
           | [ v ] -> Prop.check_eq ~what:(what "verdict") show_verdict expected v
           | vs -> Prop.fail "step %d: %d Install_results" i (List.length vs));
@@ -498,7 +492,7 @@ let prop_install_sequences_match_direct_admission =
                 (bits v)
             | None -> Prop.fail "step %d: no report from the running program" i)
           | _ -> ())
-        s.steps)
+        steps)
 
 (* --- (e) installs matched against the running program --- *)
 

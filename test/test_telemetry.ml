@@ -289,7 +289,7 @@ let test_topk_n2048 () =
   let n = 2048 in
   let fast = List.init 8 (fun i -> i * 256) in
   let obs =
-    Obs.create ~tracer:true ~telemetry:true ~topk_k:64 ~clock:(fun () -> 0.0) ()
+    Obs.create ~tracer:true ~telemetry:true ~clock:(fun () -> 0.0) ()
   in
   let base =
     E.default_config ~rate_bps:96e6 ~base_rtt:(Time_ns.ms 10)
