@@ -1,16 +1,16 @@
-(* Benchmark and reproduction harness.
-
-   Two parts:
-   - bechamel micro-benchmarks of the hot paths the paper reasons about
-     (the §2.2 cube roots, the §2.3 per-ACK processing cost, the wire
-     codec, the control-program parser);
-   - the figure harness: regenerates every table and figure of the paper's
-     evaluation and prints measured-vs-paper summaries.
+(* Micro-benchmark harness: bechamel timings of the hot paths the paper
+   reasons about (the §2.2 cube roots, the §2.3 per-ACK processing cost,
+   the wire codec, the control-program parser, observability and tracing
+   overhead) and the slot-pool and batched-report scale benchmarks.
 
    Usage: main.exe [sections...] where sections are any of
-   micro perack obs tracing telemetry scale table1 batching fig2 fig3 fig4 fig5
-   ablations sweep (default: all).
-   Set QUICK=1 to shrink simulation durations (CI-friendly).
+   micro perack obs tracing telemetry scale (default: all). An unknown
+   name is a one-line error and exit 2 before anything runs.
+   Set QUICK=1 to shrink the scale section's rounds (CI-friendly).
+
+   The paper's tables and figures come from the ccp_sim commands of the
+   same names (table1, batching, fig2, fig3, fig4, fig5, ablations,
+   sweep).
 
    Bechamel sections also append their ns/op estimates to BENCH.json in
    the working directory — a flat list of {"name","value","unit"} rows
@@ -21,18 +21,8 @@
 open Bechamel
 open Toolkit
 open Ccp_util
-open Ccp_core
 
 let quick = match Sys.getenv_opt "QUICK" with Some ("1" | "true") -> true | _ -> false
-
-let sections =
-  match Array.to_list Sys.argv with
-  | _ :: (_ :: _ as rest) -> rest
-  | _ ->
-    [ "micro"; "perack"; "obs"; "tracing"; "telemetry"; "scale"; "table1"; "batching";
-      "fig2"; "fig3"; "fig4"; "fig5"; "ablations"; "sweep" ]
-
-let enabled name = List.mem name sections
 
 let heading title =
   Printf.printf
@@ -894,74 +884,28 @@ let run_scale () =
   check ~what:"unbatched dispatch per report" ~ceiling:176.0 (fun _ unbatched _ -> unbatched);
   check ~what:"batched dispatch per report" ~ceiling:230.0 (fun _ _ batched -> batched)
 
-(* --- figure harness --- *)
-
-let run_table1 () =
-  heading "Table 1";
-  print_string (Report.render_table1 ())
-
-let run_batching () =
-  heading "Batching load (§2.3)";
-  print_string (Report.render_batching (Scenarios.Batching_load.table ()))
-
-let run_fig2 () =
-  heading "Figure 2";
-  let samples = if quick then 10_000 else 60_000 in
-  print_string (Report.render_fig2 (Scenarios.Fig2.run ~samples ()))
-
-let run_fig3 () =
-  heading "Figure 3";
-  let duration = if quick then Time_ns.sec 8 else Time_ns.sec 30 in
-  print_string (Report.render_fig3 (Scenarios.Fig3.run ~duration ()))
-
-let run_fig4 () =
-  heading "Figure 4";
-  let duration = if quick then Time_ns.sec 30 else Time_ns.sec 60 in
-  print_string (Report.render_fig4 (Scenarios.Fig4.run ~duration ()))
-
-let run_fig5 () =
-  heading "Figure 5";
-  let runs = if quick then 2 else 4 in
-  let duration = Time_ns.of_float_sec (if quick then 0.4 else 0.8) in
-  print_string (Report.render_fig5 (Scenarios.Fig5.run ~runs ~duration ()))
-
-let run_ablations () =
-  heading "Ablations";
-  print_string
-    (Report.render_ablations
-       ~interval:(Scenarios.Ablation.report_interval ())
-       ~latency:(Scenarios.Ablation.ipc_latency ())
-       ~urgent:(Scenarios.Ablation.urgent ())
-       ~batching:(Scenarios.Ablation.batching_mode ()))
-
-let run_sweep () =
-  heading "Sweep: CCP vs native Reno across operating points";
-  let points =
-    if quick then
-      Sweep.grid ~rates_bps:[ 20e6 ] ~rtts:[ Ccp_util.Time_ns.ms 20 ] ~buffer_bdps:[ 1.0 ]
-    else Sweep.default_grid
-  in
-  let duration = Time_ns.sec (if quick then 6 else 10) in
-  let outcomes =
-    Sweep.run ~duration ~native:Ccp_algorithms.Native_reno.create
-      ~ccp:(Ccp_algorithms.Ccp_reno.create ()) points
-  in
-  print_string (Sweep.render outcomes)
+let sections =
+  [
+    ("micro", run_micro);
+    ("perack", run_perack);
+    ("obs", run_obs);
+    ("tracing", run_tracing);
+    ("telemetry", run_telemetry);
+    ("scale", run_scale);
+  ]
 
 let () =
-  if enabled "micro" then run_micro ();
-  if enabled "perack" then run_perack ();
-  if enabled "obs" then run_obs ();
-  if enabled "tracing" then run_tracing ();
-  if enabled "telemetry" then run_telemetry ();
-  if enabled "scale" then run_scale ();
-  if enabled "table1" then run_table1 ();
-  if enabled "batching" then run_batching ();
-  if enabled "fig2" then run_fig2 ();
-  if enabled "fig3" then run_fig3 ();
-  if enabled "fig4" then run_fig4 ();
-  if enabled "fig5" then run_fig5 ();
-  if enabled "ablations" then run_ablations ();
-  if enabled "sweep" then run_sweep ();
+  let requested =
+    match Array.to_list Sys.argv with
+    | _ :: (_ :: _ as names) -> names
+    | _ -> List.map fst sections
+  in
+  (match List.find_opt (fun name -> not (List.mem_assoc name sections)) requested with
+  | Some name ->
+    Printf.eprintf "main.exe: unknown section %S; known sections: %s\n" name
+      (String.concat " " (List.map fst sections));
+    exit 2
+  | None -> ());
+  List.iter (fun (name, run) -> if List.mem name requested then run ()) sections;
   write_bench_json ();
   Printf.printf "\ndone.\n"

@@ -131,6 +131,24 @@ let merge_bench_json bench_json rows =
       | Error e -> fail "--bench-json: %s" e)
     bench_json
 
+(* BENCH rows averaged over a scorecard's cells: for each [group] key, in
+   sorted order, one row per [(name, unit, get)] field named
+   [prefix key ^ "." ^ name]. The mean sums the group's values in cell
+   order and divides once; a field no cell of the group has gives no row. *)
+let mean_rows ~group ~prefix cells fields =
+  List.concat_map
+    (fun key ->
+      let cells = List.filter (fun c -> group c = key) cells in
+      List.filter_map
+        (fun (name, unit_, get) ->
+          match List.filter_map get cells with
+          | [] -> None
+          | vs ->
+            let value = List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs) in
+            Some { Ccp_obs.Metrics.name = prefix key ^ "." ^ name; value; unit_ })
+        fields)
+    (List.sort_uniq compare (List.map group cells))
+
 (* --- shared options --- *)
 
 let rate_mbps =
@@ -749,46 +767,17 @@ let latency_cmd =
 (* --- robustness: measurement-noise matrix (docs/robustness.md) --- *)
 
 let robustness_rows (sc : Scenarios.Robustness.scorecard) =
-  let keys =
-    List.sort_uniq compare
-      (List.map
-         (fun (c : Scenarios.Robustness.cell) -> (c.algo, c.perturb))
-         sc.Scenarios.Robustness.cells)
-  in
-  List.concat_map
-    (fun (algo, perturb) ->
-      let cells =
-        List.filter
-          (fun (c : Scenarios.Robustness.cell) -> c.algo = algo && c.perturb = perturb)
-          sc.Scenarios.Robustness.cells
-      in
-      let n = float_of_int (List.length cells) in
-      let mean f = List.fold_left (fun acc c -> acc +. f c) 0.0 cells /. n in
-      let base = Printf.sprintf "robustness.%s.%s" (slug algo) (slug perturb) in
-      let row name value unit_ = { Ccp_obs.Metrics.name = base ^ "." ^ name; value; unit_ } in
-      let rmses =
-        List.filter_map
-          (fun (c : Scenarios.Robustness.cell) -> c.cwnd_rmse_vs_baseline)
-          cells
-      in
-      [
-        row "utilization" (mean (fun c -> c.Scenarios.Robustness.utilization)) "fraction";
-        row "jain" (mean (fun c -> c.Scenarios.Robustness.jain_index)) "index";
-        row "median_rtt_inflation"
-          (mean (fun c -> c.Scenarios.Robustness.median_rtt_inflation))
-          "x";
-        row "retransmit_rate" (mean (fun c -> c.Scenarios.Robustness.retransmit_rate)) "fraction";
-      ]
-      @
-      match rmses with
-      | [] -> []
-      | _ ->
-        [
-          row "cwnd_rmse"
-            (List.fold_left ( +. ) 0.0 rmses /. float_of_int (List.length rmses))
-            "ratio";
-        ])
-    keys
+  let module R = Scenarios.Robustness in
+  mean_rows sc.R.cells
+    ~group:(fun (c : R.cell) -> (c.algo, c.perturb))
+    ~prefix:(fun (algo, perturb) -> Printf.sprintf "robustness.%s.%s" (slug algo) (slug perturb))
+    [
+      ("utilization", "fraction", fun c -> Some c.R.utilization);
+      ("jain", "index", fun c -> Some c.R.jain_index);
+      ("median_rtt_inflation", "x", fun c -> Some c.R.median_rtt_inflation);
+      ("retransmit_rate", "fraction", fun c -> Some c.R.retransmit_rate);
+      ("cwnd_rmse", "ratio", fun c -> c.R.cwnd_rmse_vs_baseline);
+    ]
 
 let robustness_cmd =
   let algos =
@@ -852,37 +841,16 @@ let robustness_cmd =
 (* --- chaos: composed resilience scenario (docs/fault-injection.md) --- *)
 
 let chaos_rows (sc : Scenarios.Chaos.scorecard) =
-  let modes =
-    List.sort_uniq compare
-      (List.map (fun (c : Scenarios.Chaos.cell) -> c.mode) sc.Scenarios.Chaos.cells)
-  in
-  List.concat_map
-    (fun mode ->
-      let cells =
-        List.filter (fun (c : Scenarios.Chaos.cell) -> c.mode = mode) sc.Scenarios.Chaos.cells
-      in
-      let n = float_of_int (List.length cells) in
-      let mean f = List.fold_left (fun acc c -> acc +. f c) 0.0 cells /. n in
-      let base = Printf.sprintf "chaos.%s" mode in
-      let row name value unit_ = { Ccp_obs.Metrics.name = base ^ "." ^ name; value; unit_ } in
-      let recoveries =
-        List.filter_map (fun (c : Scenarios.Chaos.cell) -> c.mean_recovery_rtts) cells
-      in
-      [
-        row "utilization" (mean (fun c -> c.Scenarios.Chaos.utilization)) "fraction";
-        row "reports_shed" (mean (fun c -> float_of_int c.Scenarios.Chaos.reports_shed)) "msgs";
-        row "max_queue_wait" (mean (fun c -> c.Scenarios.Chaos.max_queue_wait_rtts)) "rtts";
-      ]
-      @
-      match recoveries with
-      | [] -> []
-      | _ ->
-        [
-          row "recovery"
-            (List.fold_left ( +. ) 0.0 recoveries /. float_of_int (List.length recoveries))
-            "rtts";
-        ])
-    modes
+  let module C = Scenarios.Chaos in
+  mean_rows sc.C.cells
+    ~group:(fun (c : C.cell) -> c.mode)
+    ~prefix:(fun mode -> "chaos." ^ mode)
+    [
+      ("utilization", "fraction", fun c -> Some c.C.utilization);
+      ("reports_shed", "msgs", fun c -> Some (float_of_int c.C.reports_shed));
+      ("max_queue_wait", "rtts", fun c -> Some c.C.max_queue_wait_rtts);
+      ("recovery", "rtts", fun c -> c.C.mean_recovery_rtts);
+    ]
 
 let chaos_cmd =
   let seeds = seeds_arg "Comma-separated seeds; each seed runs a cold and a warm cell." in
@@ -1073,33 +1041,20 @@ let top_cmd =
 (* --- incast: flow-count scale-out family (docs/scale.md) --- *)
 
 let incast_rows (sc : Scenarios.Incast.scorecard) =
-  let groups =
-    List.sort_uniq compare
-      (List.map
-         (fun (c : Scenarios.Incast.cell) -> (c.algo, c.n))
-         sc.Scenarios.Incast.cells)
-  in
-  List.concat_map
-    (fun (algo, n) ->
-      let cells =
-        List.filter
-          (fun (c : Scenarios.Incast.cell) -> c.algo = algo && c.n = n)
-          sc.Scenarios.Incast.cells
-      in
-      let k = float_of_int (List.length cells) in
-      let mean f = List.fold_left (fun acc c -> acc +. f c) 0.0 cells /. k in
-      let base = Printf.sprintf "incast.%s.n%d" algo n in
-      let row name value unit_ = { Ccp_obs.Metrics.name = base ^ "." ^ name; value; unit_ } in
-      [
-        row "utilization" (mean (fun c -> c.Scenarios.Incast.utilization)) "fraction";
-        row "p99_queue_delay" (mean (fun c -> c.Scenarios.Incast.p99_queue_delay_ms)) "ms";
-        row "reports_per_frame"
-          (mean (fun (c : Scenarios.Incast.cell) ->
-               if c.wire_messages = 0 then 0.0
-               else float_of_int c.reports /. float_of_int c.wire_messages))
-          "msgs";
-      ])
-    groups
+  let module I = Scenarios.Incast in
+  mean_rows sc.I.cells
+    ~group:(fun (c : I.cell) -> (c.algo, c.n))
+    ~prefix:(fun (algo, n) -> Printf.sprintf "incast.%s.n%d" algo n)
+    [
+      ("utilization", "fraction", fun c -> Some c.I.utilization);
+      ("p99_queue_delay", "ms", fun c -> Some c.I.p99_queue_delay_ms);
+      ( "reports_per_frame",
+        "msgs",
+        fun c ->
+          Some
+            (if c.I.wire_messages = 0 then 0.0
+             else float_of_int c.I.reports /. float_of_int c.I.wire_messages) );
+    ]
 
 let incast_cmd =
   let ns =

@@ -13,6 +13,13 @@ cd "$(dirname "$0")/.."
 echo "== build =="
 dune build @all
 
+echo "== golden rules =="
+# dune checks a golden only through its (diff ...) rule in test/dune, so
+# a test/*.expected file without one is never compared.
+for f in test/*.expected; do
+  grep -q "(diff $(basename "$f") " test/dune || { echo "no diff rule: $f" >&2; exit 1; }
+done
+
 echo "== test (fixed seed) =="
 dune runtest --force
 
@@ -67,10 +74,10 @@ echo "== robustness smoke =="
 # algorithms x perturbations run through the CLI, whose scorecard JSON
 # the driver re-reads and schema-validates after writing (a malformed or
 # out-of-range scorecard exits non-zero), with robustness.* rows merged
-# into BENCH.json. The golden byte-frozen scorecard and the
-# perturbed-ACK zero-allocation Gc assertion on the obs-off per-ACK fold
-# path run in the suite above (robustness: "golden scorecard",
-# "fold path stays allocation-free under perturbed ACKs").
+# into BENCH.json. The suite above diffs the byte-frozen scorecard
+# (test/golden_scorecard.expected) and runs the perturbed-ACK
+# zero-allocation Gc assertion on the obs-off per-ACK fold path
+# (robustness: "fold zero-alloc on perturbed acks").
 rob_tmp="$(mktemp -d)"
 dune exec bin/ccp_sim.exe -- robustness --algos ccp-vegas \
   --perturb baseline,combined --duration 2 --rate 24 \
@@ -101,8 +108,8 @@ echo "== health smoke =="
 # after writing (window accounting, monotone quantiles, space-saving
 # error bounds, health shapes — a malformed timeline exits non-zero).
 # The agent-crash window must raise the orphan_rate burn-rate alert and
-# a later window must clear it; the byte-frozen golden timeline runs in
-# the suite above (telemetry.*).
+# a later window must clear it; dune diffs the byte-frozen seed-42
+# timeline (test/golden_timeline.expected) in the suite above.
 health_tmp="$(mktemp -d)"
 dune exec bin/ccp_sim.exe -- chaos --duration 6 --seeds 42 \
   --timeline "$health_tmp/timeline.json" > /dev/null
@@ -168,6 +175,11 @@ bad_input incast --algos bogus
 bad_input robustness --algos bogus
 bad_input robustness --perturb bogus
 bad_input chaos --seeds x
+# bench/main.exe rejects an unknown section name before any section runs.
+status=0
+dune exec bench/main.exe -- bogus > /dev/null 2> "$bad_tmp/err" || status=$?
+test "$status" -ne 0
+test "$(wc -l < "$bad_tmp/err")" -eq 1
 rm -rf "$bad_tmp"
 
 echo "== scale bench smoke =="

@@ -42,13 +42,6 @@ let one_flow_config ~rate_bps ~base_rtt ~duration ~seed cc =
     flows = [ Experiment.flow cc ];
   }
 
-(* Arm a fresh observability bundle for one run. Each run gets its own
-   recorder/metrics so CCP and native traces never mix; the bundle stays
-   reachable through [result.config.obs] for post-run extraction. *)
-let armed_obs ~with_obs config =
-  if not with_obs then config
-  else { config with Experiment.obs = Some (Ccp_obs.Obs.create ()) }
-
 (* Kinds and fields the scenario scorecards share. *)
 module Schema = Ccp_obs.Schema
 
@@ -68,12 +61,8 @@ module Fig3 = struct
   let rate_bps = default_rate_bps
   let base_rtt = Time_ns.ms 10
 
-  let run ?(rate_bps = default_rate_bps) ?(duration = Time_ns.sec 30) ?(seed = 42)
-      ?(with_obs = false) () =
-    let run_one cc =
-      Experiment.run
-        (armed_obs ~with_obs (one_flow_config ~rate_bps ~base_rtt ~duration ~seed cc))
-    in
+  let run ?(rate_bps = default_rate_bps) ?(duration = Time_ns.sec 30) ?(seed = 42) () =
+    let run_one cc = Experiment.run (one_flow_config ~rate_bps ~base_rtt ~duration ~seed cc) in
     {
       ccp = run_one (Experiment.Ccp_cc (Ccp_cubic.create ()));
       native = run_one (Experiment.Native_cc Native_cubic.create);
@@ -84,18 +73,16 @@ module Fig4 = struct
   let second_flow_start = Time_ns.sec 20
 
   let run ?(rate_bps = 1e9) ?(second_flow_start = second_flow_start)
-      ?(duration = Time_ns.sec 60) ?(seed = 42) ?(with_obs = false) () =
+      ?(duration = Time_ns.sec 60) ?(seed = 42) () =
     let base_rtt = Time_ns.ms 10 in
     let run_one mk =
       let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
       Experiment.run
-        (armed_obs ~with_obs
-           {
-             base with
-             Experiment.seed;
-             flows =
-               [ Experiment.flow (mk ()); Experiment.flow ~start_at:second_flow_start (mk ()) ];
-           })
+        {
+          base with
+          Experiment.seed;
+          flows = [ Experiment.flow (mk ()); Experiment.flow ~start_at:second_flow_start (mk ()) ];
+        }
     in
     {
       ccp = run_one (fun () -> Experiment.Ccp_cc (Ccp_reno.create ()));
@@ -133,37 +120,25 @@ module Fig4 = struct
     scan 0 None
 end
 
-(* Quantitative Figure-3/4 fidelity: extract the cwnd series of [flow]
-   from each run and hand both to {!Ccp_obs.Fidelity}. Prefers the flight
-   recorder's [Flow_sample] series when the run carried one (runs made
-   with [~with_obs:true]); otherwise falls back to the per-change
-   ["cwnd.<flow>"] trace series every run records. *)
-let fidelity ?(flow = 0) ?samples (cmp : comparison) =
-  let run_of (r : Experiment.result) =
-    let recorded =
-      match r.Experiment.config.Experiment.obs with
-      | Some obs -> (
-        match obs.Ccp_obs.Obs.recorder with
-        | Some rec_ ->
-          Ccp_obs.Recorder.flow_series rec_ ~flow (Ccp_obs.Recorder.cwnd_of_event ~flow)
-        | None -> [||])
-      | None -> [||]
-    in
-    let series =
-      if Array.length recorded > 0 then recorded
-      else
-        Array.of_list
-          (List.map
-             (fun (at, v) -> (Time_ns.to_float_sec at, v))
-             (Trace.series r.Experiment.trace (Printf.sprintf "cwnd.%d" flow)))
-    in
-    {
-      Ccp_obs.Fidelity.series;
-      utilization = r.Experiment.utilization;
-      median_rtt_ms = Time_ns.to_float_ms r.Experiment.median_rtt;
-    }
-  in
-  Ccp_obs.Fidelity.compare_runs ?samples ~ccp:(run_of cmp.ccp) ~native:(run_of cmp.native) ()
+(* One run's side of a fidelity comparison: the per-change
+   ["cwnd.<flow>"] trace series every run records, with the run's
+   utilization and median RTT. *)
+let fidelity_run ?(flow = 0) (r : Experiment.result) =
+  {
+    Ccp_obs.Fidelity.series =
+      Array.of_list
+        (List.map
+           (fun (at, v) -> (Time_ns.to_float_sec at, v))
+           (Trace.series r.Experiment.trace (Printf.sprintf "cwnd.%d" flow)));
+    utilization = r.Experiment.utilization;
+    median_rtt_ms = Time_ns.to_float_ms r.Experiment.median_rtt;
+  }
+
+(* Quantitative Figure-3/4 fidelity: both runs' cwnd series of [flow],
+   handed to {!Ccp_obs.Fidelity}. *)
+let fidelity ?flow ?samples (cmp : comparison) =
+  Ccp_obs.Fidelity.compare_runs ?samples ~ccp:(fidelity_run ?flow cmp.ccp)
+    ~native:(fidelity_run ?flow cmp.native) ()
 
 module Fig5 = struct
   type offload_setting = All_on | Tso_off | All_off
@@ -711,23 +686,14 @@ module Robustness = struct
     in
     (r, telemetry)
 
-  let cwnd_run (r : Experiment.result) =
-    {
-      Ccp_obs.Fidelity.series =
-        Array.of_list
-          (List.map
-             (fun (at, v) -> (Time_ns.to_float_sec at, v))
-             (Trace.series r.Experiment.trace "cwnd.0"));
-      utilization = r.Experiment.utilization;
-      median_rtt_ms = Time_ns.to_float_ms r.Experiment.median_rtt;
-    }
-
   let rmse_vs baseline r =
     match baseline with
     | None -> None
     | Some b -> (
       try
-        let rep = Ccp_obs.Fidelity.compare_runs ~ccp:(cwnd_run r) ~native:(cwnd_run b) () in
+        let rep =
+          Ccp_obs.Fidelity.compare_runs ~ccp:(fidelity_run r) ~native:(fidelity_run b) ()
+        in
         Some rep.Ccp_obs.Fidelity.cwnd_rmse
       with Invalid_argument _ -> None)
 

@@ -36,14 +36,11 @@ module Fig3 : sig
     ?rate_bps:float ->
     ?duration:Time_ns.t ->
     ?seed:int ->
-    ?with_obs:bool ->
     unit ->
     comparison
   (** Default duration 30 s at the paper's 1 Gbit/s; [rate_bps] scales the
-      link down for quick regression runs. With [with_obs] each run gets a
-      fresh {!Ccp_obs.Obs.t} (retrievable from [result.config.obs]) so the
-      flight recorder captures the window series. Traces ["cwnd.0"] carry
-      the window series the paper plots. *)
+      link down for quick regression runs. Traces ["cwnd.0"] carry the
+      window series the paper plots. *)
 end
 
 (** Figure 4: NewReno reactivity — a second flow joins at t=20 s of 60;
@@ -56,7 +53,6 @@ module Fig4 : sig
     ?second_flow_start:Time_ns.t ->
     ?duration:Time_ns.t ->
     ?seed:int ->
-    ?with_obs:bool ->
     unit ->
     comparison
 
@@ -69,10 +65,9 @@ end
 
 val fidelity : ?flow:int -> ?samples:int -> comparison -> Ccp_obs.Fidelity.report
 (** Paper-fidelity report for a CCP-vs-native comparison: aligns the two
-    runs' cwnd series for [flow] (default 0) — preferring the flight
-    recorder's [Flow_sample] series when the runs were made [~with_obs],
-    falling back to the per-change ["cwnd.<i>"] trace — and returns the
-    normalized cwnd RMSE, utilization delta, and median-RTT delta. *)
+    runs' per-change ["cwnd.<flow>"] trace series ([flow] defaults to 0)
+    and returns the normalized cwnd RMSE, utilization delta, and
+    median-RTT delta. *)
 
 (** Figure 5: throughput with NIC offloads enabled/disabled on a
     10 Gbit/s link, averaged over 4 runs. *)

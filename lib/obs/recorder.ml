@@ -163,30 +163,3 @@ let flow_samples_csv t =
       | _ -> ())
     (to_list t);
   Buffer.contents buf
-
-let flow_series t ~flow pick =
-  let out = ref [] in
-  List.iter
-    (fun (at, ev) ->
-      let time_s = float_of_int at /. 1e9 in
-      let matches =
-        match ev with
-        | Flow_sample f -> f.flow = flow
-        | Install i -> i.flow = flow
-        | Quarantine q -> q.flow = flow
-        | Fallback f -> f.flow = flow
-        | Report_sent r -> r.flow = flow
-        | Span s -> s.flow = flow
-        | Queue_sample _ | Ipc_fault _ | Alert _ | Custom _ -> true
-      in
-      if matches then
-        match pick time_s ev with
-        | Some v -> out := (time_s, v) :: !out
-        | None -> ())
-    (to_list t);
-  Array.of_list (List.rev !out)
-
-let cwnd_of_event ~flow _time ev =
-  match ev with
-  | Flow_sample f when f.flow = flow -> Some (float_of_int f.cwnd)
-  | _ -> None

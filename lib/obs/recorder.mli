@@ -76,11 +76,3 @@ val to_jsonl : t -> string
 val flow_samples_csv : t -> string
 (** Header + one row per [Flow_sample]:
     [time_s,flow,cwnd_bytes,rate_bps,srtt_us,inflight_bytes,delivery_rate_bps]. *)
-
-val flow_series : t -> flow:int -> (float -> event -> float option) -> (float * float) array
-(** Extract a (time_sec, value) series for one flow; the callback picks
-    the value out of each event (returning [None] to skip). Used by the
-    fidelity comparison. *)
-
-val cwnd_of_event : flow:int -> float -> event -> float option
-(** Selector for [flow_series]: cwnd in bytes of [Flow_sample]s. *)

@@ -319,42 +319,15 @@ let test_reset_sheds_queued_spans () =
 
 (* --- the composed chaos scenario --------------------------------------- *)
 
-(* Forced once, inspected by every scenario-level test below: seed-42
-   defaults, one cold and one warm cell (~a second of wall clock). *)
-let chaos_scorecard = lazy (Chaos.run ())
+(* The golden's run, forced once and inspected by every scenario-level
+   test below: seed-42 defaults, one cold and one warm cell (~a second of
+   wall clock). *)
+let chaos_scorecard = lazy (Goldens.chaos ())
 
-let scorecard_line sc = Ccp_obs.Json.to_string (Chaos.to_json sc)
-
-let golden_path () =
-  if Sys.file_exists "golden_chaos.expected" then "golden_chaos.expected"
-  else "test/golden_chaos.expected"
-
+(* dune diffs the golden file (test/dune); here, its shape. *)
 let test_golden_chaos () =
   let sc = Lazy.force chaos_scorecard in
-  Alcotest.(check int) "cold + warm" 2 (List.length sc.Chaos.cells);
-  let actual = scorecard_line sc in
-  (* Regenerate with CCP_REGEN_CHAOS=path/to/golden_chaos.expected after
-     an intentional schema or dynamics change. *)
-  match Sys.getenv_opt "CCP_REGEN_CHAOS" with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (actual ^ "\n");
-    close_out oc;
-    Printf.printf "regenerated %s\n" path
-  | None ->
-    let ic = open_in (golden_path ()) in
-    let expected = input_line ic in
-    close_in ic;
-    if not (String.equal expected actual) then begin
-      let n = min (String.length expected) (String.length actual) in
-      let rec first_diff i =
-        if i >= n then n else if expected.[i] <> actual.[i] then i else first_diff (i + 1)
-      in
-      let i = first_diff 0 in
-      let ctx s = String.sub s (max 0 (i - 40)) (min 80 (String.length s - max 0 (i - 40))) in
-      Alcotest.failf "golden chaos scorecard diverges at byte %d:\n  expected ...%s...\n  actual   ...%s..."
-        i (ctx expected) (ctx actual)
-    end
+  Alcotest.(check int) "cold + warm" 2 (List.length sc.Chaos.cells)
 
 let test_chaos_schema () =
   let sc = Lazy.force chaos_scorecard in

@@ -9,52 +9,19 @@
 open Ccp_util
 module Incast = Ccp_core.Scenarios.Incast
 
-let incast_scorecard =
-  lazy
-    (Incast.run ~rate_bps:24e6 ~base_rtt:(Time_ns.ms 10) ~duration:(Time_ns.sec 1)
-       ~ns:[ 4; 16 ] ~seeds:[ 42 ] ())
+let incast_scorecard = lazy (Goldens.incast ())
 
 let scorecard_line sc = Ccp_obs.Json.to_string (Incast.to_json sc)
 
-let golden_path () =
-  if Sys.file_exists "golden_incast.expected" then "golden_incast.expected"
-  else "test/golden_incast.expected"
-
+(* dune diffs the golden file (test/dune); here, its shape, and that the
+   scorecard is a pure function of its arguments: a second in-process
+   run may not perturb or be perturbed by the first. *)
 let test_golden_incast () =
   let sc = Lazy.force incast_scorecard in
   Alcotest.(check int) "2 Ns x 2 arrivals x 2 algorithms" 8 (List.length sc.Incast.cells);
-  let actual = scorecard_line sc in
-  (* The scorecard must be a pure function of its arguments: a second
-     in-process run may not perturb or be perturbed by the first. *)
-  let again =
-    scorecard_line
-      (Incast.run ~rate_bps:24e6 ~base_rtt:(Time_ns.ms 10) ~duration:(Time_ns.sec 1)
-         ~ns:[ 4; 16 ] ~seeds:[ 42 ] ())
-  in
-  Alcotest.(check bool) "deterministic re-run" true (String.equal actual again);
-  (* Regenerate with CCP_REGEN_INCAST=path/to/golden_incast.expected
-     after an intentional schema or dynamics change. *)
-  match Sys.getenv_opt "CCP_REGEN_INCAST" with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (actual ^ "\n");
-    close_out oc;
-    Printf.printf "regenerated %s\n" path
-  | None ->
-    let ic = open_in (golden_path ()) in
-    let expected = input_line ic in
-    close_in ic;
-    if not (String.equal expected actual) then begin
-      let n = min (String.length expected) (String.length actual) in
-      let rec first_diff i =
-        if i >= n then n else if expected.[i] <> actual.[i] then i else first_diff (i + 1)
-      in
-      let i = first_diff 0 in
-      let ctx s = String.sub s (max 0 (i - 40)) (min 80 (String.length s - max 0 (i - 40))) in
-      Alcotest.failf
-        "golden incast scorecard diverges at byte %d:\n  expected ...%s...\n  actual   ...%s..."
-        i (ctx expected) (ctx actual)
-    end
+  Alcotest.(check bool)
+    "deterministic re-run" true
+    (String.equal (scorecard_line sc) (scorecard_line (Goldens.incast ())))
 
 let test_incast_schema () =
   let sc = Lazy.force incast_scorecard in

@@ -12,51 +12,17 @@ open Ccp_core
 module Plan = Ccp_perturb.Perturb_plan
 module Sampler = Ccp_perturb.Sampler
 
-(* The seed-42 QUICK matrix every test below shares: 4 algorithms x
-   [baseline, rtt-jitter, rate-noise]. Forced once, inspected many
-   times. *)
-let quick_scorecard =
-  lazy
-    (Scenarios.Robustness.run ~rate_bps:24e6 ~duration:(Time_ns.sec 4) ~seeds:[ 42 ]
-       ~perturbs:[ "baseline"; "rtt-jitter"; "rate-noise" ]
-       ())
+(* The golden's seed-42 QUICK matrix, which every test below shares:
+   4 algorithms x [baseline, rtt-jitter, rate-noise]. Forced once,
+   inspected many times. *)
+let quick_scorecard = lazy (Goldens.scorecard ())
 
 let scorecard_line sc = Ccp_obs.Json.to_string (Scenarios.Robustness.to_json sc)
 
-(* --- golden scorecard: byte-stable regression over the QUICK matrix --- *)
-
-let golden_path () =
-  if Sys.file_exists "golden_scorecard.expected" then "golden_scorecard.expected"
-  else "test/golden_scorecard.expected"
-
+(* dune diffs the golden file (test/dune); here, its shape. *)
 let test_golden_scorecard () =
   let sc = Lazy.force quick_scorecard in
-  Alcotest.(check int) "matrix size" 12 (List.length sc.Scenarios.Robustness.cells);
-  let actual = scorecard_line sc in
-  (* Regenerate with CCP_REGEN_SCORECARD=path/to/golden_scorecard.expected
-     after an intentional schema or dynamics change. *)
-  match Sys.getenv_opt "CCP_REGEN_SCORECARD" with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (actual ^ "\n");
-    close_out oc;
-    Printf.printf "regenerated %s\n" path
-  | None ->
-    let ic = open_in (golden_path ()) in
-    let expected = input_line ic in
-    close_in ic;
-    if not (String.equal expected actual) then begin
-      (* Full-line diffs of a 12-cell JSON blob are unreadable; find the
-         first divergent byte instead. *)
-      let n = min (String.length expected) (String.length actual) in
-      let rec first_diff i =
-        if i >= n then n else if expected.[i] <> actual.[i] then i else first_diff (i + 1)
-      in
-      let i = first_diff 0 in
-      let ctx s = String.sub s (max 0 (i - 40)) (min 80 (String.length s - max 0 (i - 40))) in
-      Alcotest.failf "golden scorecard diverges at byte %d:\n  expected ...%s...\n  actual   ...%s..."
-        i (ctx expected) (ctx actual)
-    end
+  Alcotest.(check int) "matrix size" 12 (List.length sc.Scenarios.Robustness.cells)
 
 let test_scorecard_schema () =
   let sc = Lazy.force quick_scorecard in

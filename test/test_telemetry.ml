@@ -191,59 +191,21 @@ let test_health_fire_clear () =
 
 (* --- the seed-42 chaos golden timeline ---------------------------------- *)
 
-(* Half-length run (6 s) so the suite stays fast; the crash at 45 %
-   still lands mid-run and must raise the orphan_rate burn-rate alert
-   in its window and clear it in a later one. Byte-exact: telemetry is
-   sim-clock-driven, iterates metrics sorted by name, and the scenario
-   arms it with a zero wall clock, so the document is a pure function
-   of the scenario arguments. *)
-let chaos_timeline =
-  lazy
-    (let sc =
-       Chaos.run ~duration:(Time_ns.sec 6) ~seeds:[ 42 ] ~with_telemetry:true ()
-     in
-     match sc.Chaos.cells with
-     | ({ Chaos.telemetry = Some obs; _ } as cell) :: _ -> (cell, obs)
-     | _ -> Alcotest.fail "chaos run produced no telemetry-armed cell")
+(* The golden's half-length run (6 s), so the suite stays fast; the crash
+   at 45 % still lands mid-run and must raise the orphan_rate burn-rate
+   alert in its window and clear it in a later one. *)
+let chaos_timeline = lazy (Goldens.timeline ())
 
-let timeline_golden_path () =
-  if Sys.file_exists "golden_timeline.expected" then "golden_timeline.expected"
-  else "test/golden_timeline.expected"
-
+(* dune diffs the golden file (test/dune); here, a second run in the same
+   process must give the same document. *)
 let test_golden_timeline () =
-  let _, obs = Lazy.force chaos_timeline in
-  let doc =
-    match Timeline.of_obs obs with
-    | Ok doc -> doc
-    | Error e -> Alcotest.failf "Timeline.of_obs: %s" e
-  in
-  let actual = Json.to_string doc in
-  (* Regenerate with CCP_REGEN_TIMELINE=path/to/golden_timeline.expected
-     after an intentional schema or dynamics change. *)
-  match Sys.getenv_opt "CCP_REGEN_TIMELINE" with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (actual ^ "\n");
-    close_out oc;
-    Printf.printf "regenerated %s\n" path
-  | None ->
-    let ic = open_in (timeline_golden_path ()) in
-    let expected = input_line ic in
-    close_in ic;
-    if not (String.equal expected actual) then begin
-      let n = min (String.length expected) (String.length actual) in
-      let rec first_diff i =
-        if i >= n then n else if expected.[i] <> actual.[i] then i else first_diff (i + 1)
-      in
-      let i = first_diff 0 in
-      let ctx s = String.sub s (max 0 (i - 40)) (min 80 (String.length s - max 0 (i - 40))) in
-      Alcotest.failf
-        "golden timeline diverges at byte %d:\n  expected ...%s...\n  actual   ...%s..."
-        i (ctx expected) (ctx actual)
-    end
+  let doc obs = Json.to_string (Goldens.timeline_json obs) in
+  Alcotest.(check bool)
+    "rerun is byte-identical" true
+    (String.equal (doc (Lazy.force chaos_timeline)) (doc (Goldens.timeline ())))
 
 let test_timeline_validates () =
-  let _, obs = Lazy.force chaos_timeline in
+  let obs = Lazy.force chaos_timeline in
   match Timeline.of_obs obs with
   | Error e -> Alcotest.failf "Timeline.of_obs: %s" e
   | Ok doc -> (
@@ -252,7 +214,7 @@ let test_timeline_validates () =
     | Ok held -> Alcotest.(check bool) "windows held" true (held > 0))
 
 let test_chaos_alert_fires_and_clears () =
-  let _, obs = Lazy.force chaos_timeline in
+  let obs = Lazy.force chaos_timeline in
   let h = match obs.Obs.health with Some h -> h | None -> Alcotest.fail "no health" in
   let trs =
     List.filter (fun tr -> tr.Health.tr_slo = "orphan_rate") (Health.transitions h)

@@ -10,83 +10,21 @@ open Ccp_core
 
 (* --- the golden Chrome trace --- *)
 
-(* Same lossy, spiky seed-42 scenario as the fidelity golden trace, but
-   with the tracer on and a frozen wall clock, so stage costs are 0 and
-   the export depends only on simulation time. *)
-let traced_run () =
-  let obs = Ccp_obs.Obs.create ~tracer:true ~clock:(fun () -> 0.0) () in
-  let config =
-    Experiment.default_config ~rate_bps:48e6 ~base_rtt:(Time_ns.ms 20)
-      ~duration:(Time_ns.sec 2)
-  in
-  let config =
-    {
-      config with
-      Experiment.seed = 42;
-      flows = [ Experiment.flow (Experiment.Ccp_cc (Ccp_algorithms.Ccp_reno.create ())) ];
-      faults =
-        Ccp_ipc.Fault_plan.make ~drop_probability:0.1
-          ~spike:{ Ccp_ipc.Fault_plan.probability = 0.05; extra = Time_ns.ms 2 }
-          ();
-      obs = Some obs;
-    }
-  in
-  ignore (Experiment.run config : Experiment.result);
-  obs
-
-let chrome_string obs =
-  let json = Ccp_obs.Tracer.chrome_of_recorder (Ccp_obs.Obs.recorder_exn obs) in
+(* dune diffs the file (test/dune); here the export must pass its own
+   validator, and a second identical run in the same process must give
+   the same bytes. *)
+let chrome_string () =
+  let json = Goldens.chrome () in
   (match Ccp_obs.Tracer.validate_chrome json with
   | Ok 0 -> Alcotest.fail "traced run exported no events"
   | Ok _ -> ()
   | Error e -> Alcotest.failf "chrome export fails its own validator: %s" e);
   Ccp_obs.Json.to_string json
 
-(* [dune runtest] runs in [_build/default/test]; [dune exec] from the
-   project root. Accept both, like the fidelity golden. *)
-let golden_path () =
-  if Sys.file_exists "golden_chrome.expected" then "golden_chrome.expected"
-  else "test/golden_chrome.expected"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let first_divergence a b =
-  let n = min (String.length a) (String.length b) in
-  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
-  go 0
-
 let test_golden_chrome () =
-  let actual = chrome_string (traced_run ()) ^ "\n" in
-  (* In-process determinism first: a second identical run, same bytes. *)
-  let again = chrome_string (traced_run ()) ^ "\n" in
-  if not (String.equal actual again) then
-    Alcotest.failf "chrome export nondeterministic within one process (diverges at byte %d)"
-      (first_divergence actual again);
-  (* Cross-build determinism: the checked-in golden file. Regenerate with
-     CCP_REGEN_CHROME=path/to/golden_chrome.expected after an intentional
-     export-format change. *)
-  match Sys.getenv_opt "CCP_REGEN_CHROME" with
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc actual;
-    close_out oc;
-    Printf.printf "regenerated %s (%d bytes)\n" path (String.length actual)
-  | None ->
-    let expected = read_file (golden_path ()) in
-    if not (String.equal expected actual) then begin
-      let i = first_divergence expected actual in
-      let ctx s = String.sub s (max 0 (i - 40)) (min 80 (String.length s - max 0 (i - 40))) in
-      Alcotest.failf
-        "golden chrome trace diverges at byte %d (of %d expected / %d actual):\n\
-        \  expected ...%s...\n\
-        \  actual   ...%s..." i (String.length expected) (String.length actual)
-        (ctx expected) (ctx actual)
-    end
+  Alcotest.(check bool)
+    "chrome export deterministic within one process" true
+    (String.equal (chrome_string ()) (chrome_string ()))
 
 (* --- span accounting balances under arbitrary faults --- *)
 
