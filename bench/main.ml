@@ -1,7 +1,8 @@
 (* Micro-benchmark harness: bechamel timings of the hot paths the paper
    reasons about (the §2.2 cube roots, the §2.3 per-ACK processing cost,
    the wire codec, the control-program parser, observability and tracing
-   overhead) and the slot-pool and batched-report scale benchmarks.
+   overhead) and the slot-pool, batched-report and aggregate-steering
+   scale benchmarks.
 
    Usage: main.exe [sections...] where sections are any of
    micro perack obs tracing telemetry scale (default: all). An unknown
@@ -809,8 +810,80 @@ let scale_batching =
     deadline = Time_ns.ms 1;
   }
 
+(* Frames the agent sends the datapath per report, for one ccp-aggregate
+   group of [n] members on the real channel and agent (as
+   test/test_scale.ml's aggregate fleet). All members join at t=0; then,
+   once per 10 ms base RTT, every member reports and, every fourth
+   round, one member's loss halves the aggregate. Joins and losses are
+   counted with the reports: a member costs two frames to join (its
+   install and its share), and a decrease one frame per member above
+   the new share. *)
+let scale_aggregate_ns = [ 16; 256; 2048; 16_384 ]
+
+let aggregate_frames_per_report ~n ~rounds =
+  let open Ccp_ipc in
+  let sim = Ccp_eventsim.Sim.create () in
+  let channel = Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) () in
+  Channel.on_receive channel Channel.Datapath_end (fun _ -> ());
+  let algo = Ccp_algorithms.Ccp_aggregate.(algorithm (create ())) in
+  let agent = Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> algo) ~flow_pool:n () in
+  let send msg = Channel.send channel ~from:Channel.Datapath_end msg in
+  for f = 0 to n - 1 do
+    send (Message.Ready { flow = f; mss = 1448; init_cwnd = 14_480 })
+  done;
+  for round = 1 to rounds do
+    ignore
+      (Ccp_eventsim.Sim.schedule sim ~at:(Time_ns.ms (10 * round)) (fun () ->
+           for f = 0 to n - 1 do
+             send (Message.Report { flow = f; names = [| "acked" |]; values = [| 1448.0 |] })
+           done;
+           if round mod 4 = 0 then
+             send
+               (Message.Urgent
+                  {
+                    flow = round mod n;
+                    kind = Message.Dup_ack_loss;
+                    cwnd_at_event = 1448;
+                    inflight_at_event = 0;
+                  }))
+        : Ccp_eventsim.Sim.timer)
+  done;
+  Ccp_eventsim.Sim.run sim;
+  let reports = Ccp_agent.Agent.reports_received agent in
+  if reports <> rounds * n then begin
+    Printf.eprintf "bench: FAIL: aggregate fleet at n=%d lost reports (%d of %d)\n%!" n reports
+      (rounds * n);
+    exit 1
+  end;
+  float_of_int (Channel.messages_sent channel Channel.Agent_end) /. float_of_int reports
+
+(* At most 2 frames per report, and never more at a bigger group: the
+   aggregate's control traffic is per report, not per member. *)
+let run_scale_aggregate ~rounds =
+  Printf.printf "\n%-8s %18s\n" "members" "frames/report";
+  let fail fmt =
+    Printf.ksprintf (fun msg -> Printf.eprintf "bench: FAIL: %s\n%!" msg; exit 1) fmt
+  in
+  ignore
+    (List.fold_left
+       (fun prev n ->
+         let v = aggregate_frames_per_report ~n ~rounds in
+         Printf.printf "%-8d %18.3f\n%!" n v;
+         json_rows :=
+           !json_rows
+           @ [ (Printf.sprintf "scale.aggregate_frames_per_report.n%d" n, v, "frames/report") ];
+         if v > 2.0 then fail "aggregate at n=%d sent %.3f frames per report (expected <= 2)" n v;
+         (match prev with
+         | Some (n0, v0) when v > v0 ->
+           fail "aggregate frames per report grow with the group (%.3f at n=%d vs %.3f at n=%d)" v
+             n v0 n0
+         | _ -> ());
+         Some (n, v))
+       None scale_aggregate_ns
+      : (int * float) option)
+
 let run_scale () =
-  heading "Scale: slot-pooled registry churn + batched report dispatch";
+  heading "Scale: slot-pooled registry churn + batched report dispatch + aggregate frames";
   let rounds = if quick then 20 else 100 in
   let reports = if quick then 20_000 else 100_000 in
   Printf.printf "%-8s %16s %14s %18s %18s %18s %18s\n" "flows" "flows/sec" "words/flow"
@@ -882,7 +955,8 @@ let run_scale () =
   in
   check ~what:"churn per flow" ~ceiling:1024.0 (fun churn _ _ -> churn);
   check ~what:"unbatched dispatch per report" ~ceiling:176.0 (fun _ unbatched _ -> unbatched);
-  check ~what:"batched dispatch per report" ~ceiling:230.0 (fun _ _ batched -> batched)
+  check ~what:"batched dispatch per report" ~ceiling:230.0 (fun _ _ batched -> batched);
+  run_scale_aggregate ~rounds:(if quick then 8 else 16)
 
 let sections =
   [

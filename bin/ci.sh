@@ -40,7 +40,7 @@ echo "== bench smoke =="
 # expected band — but the obs section Gc-asserts the obs-off per-ACK
 # path at 0 minor words and the tracing section bounds the span
 # lifecycle's float-boxing words.
-QUICK=1 dune exec bench/main.exe -- micro perack obs tracing telemetry
+dune exec bench/main.exe -- micro perack obs tracing telemetry
 
 echo "== obs smoke =="
 # The flight recorder end to end: a short traced run whose JSONL the
@@ -188,8 +188,11 @@ echo "== scale bench smoke =="
 # Gc garbage that grows with N, if the batched agent-side cost per
 # report fails to beat the unbatched path, or if the minor words per
 # dispatched report (batched or unbatched) exceed twice the value
-# measured when the ceiling was set or grow with N. It emits
-# scale.agent_words_per_report.* rows beside the timing rows.
+# measured when the ceiling was set or grow with N, or if a ccp-aggregate
+# group sends the datapath more than 2 frames per report or more at a
+# bigger group (N = 16 to 16,384). It emits
+# scale.agent_words_per_report.* and scale.aggregate_frames_per_report.*
+# rows beside the timing rows.
 QUICK=1 dune exec bench/main.exe -- scale
 grep -q '"scale\.' BENCH.json
 

@@ -47,5 +47,5 @@ let () =
          staggered_starts (fun _ -> Experiment.Ccp_cc (Ccp_algorithms.Ccp_reno.create ()))));
   Printf.printf
     "\nThe aggregate reaches near-perfect fairness immediately (every member is\n\
-     programmed with an equal share) and probes the bottleneck as one flow;\n\
+     steered to an equal share) and probes the bottleneck as one flow;\n\
      independent controllers need to collide with each other to converge.\n"

@@ -1,12 +1,15 @@
 open Ccp_agent
 
-type member = { handle : Algorithm.handle; mutable last_interval_rtts : float }
+(* [held] is the share this member was last sent, or the window the
+   datapath is known to have set since (one MSS after a timeout). *)
+type member = { handle : Algorithm.handle; mutable held : int }
 
 type t = {
   increase_segments : float;
   decrease_factor : float;
   mutable cwnd : int;  (* aggregate window, bytes *)
   mutable members : member list;
+  mutable count : int;  (* List.length members *)
   mutable last_decrease_us : float;
 }
 
@@ -16,59 +19,83 @@ let create ?(initial_segments = 10) ?(increase_segments = 1.0) ?(decrease_factor
     decrease_factor;
     cwnd = initial_segments * 1448;
     members = [];
+    count = 0;
     last_decrease_us = 0.0;
   }
 
-let member_count t = List.length t.members
+let member_count t = t.count
 let aggregate_cwnd t = t.cwnd
 
-(* Reprogram every member with an equal share of the aggregate. *)
-let redistribute t =
-  match t.members with
-  | [] -> ()
-  | members ->
-    let share = max 1448 (t.cwnd / List.length members) in
-    List.iter
-      (fun m -> m.handle.Algorithm.install (Prog.window_program ~cwnd:share ()))
-      members
+(* Every member runs this for its whole life: it measures and reports
+   once per RTT and never touches the window, so steering a member with
+   [set_cwnd] leaves its pc, fold and wait alone. *)
+let measurement =
+  Ccp_lang.Ast.program
+    [
+      Ccp_lang.Ast.Measure (Ccp_lang.Ast.Fold Prog.std_fold);
+      Ccp_lang.Ast.Wait_rtts (Prog.c 1.0);
+      Ccp_lang.Ast.Report;
+    ]
+
+let share t = max 1448 (t.cwnd / max 1 t.count)
+
+(* Send [m] the current share, unless that is the window it holds. *)
+let steer t m =
+  let s = share t in
+  if s <> m.held then begin
+    m.held <- s;
+    m.handle.Algorithm.set_cwnd s
+  end
+
+(* After a decrease, a member above the new share would overrun the
+   bottleneck until its next report; a member at or below it waits for
+   its own report, as growth does. *)
+let shrink_members t =
+  let s = share t in
+  List.iter (fun m -> if m.held > s then steer t m) t.members
 
 let algorithm t : Algorithm.t =
   let make (handle : Algorithm.handle) =
     let mss = handle.Algorithm.info.Algorithm.mss in
-    let member = { handle; last_interval_rtts = 1.0 } in
+    let member = { handle; held = 0 } in
     let on_ready () =
-      if t.members = [] then t.cwnd <- max t.cwnd handle.Algorithm.info.Algorithm.init_cwnd;
+      if t.count = 0 then t.cwnd <- max t.cwnd handle.Algorithm.info.Algorithm.init_cwnd;
       t.members <- member :: t.members;
+      t.count <- t.count + 1;
+      handle.Algorithm.install measurement;
       (* A joining flow gets its share immediately — no probing. *)
-      redistribute t
+      steer t member
     in
     let on_report report =
-      if Algorithm.field_exn report "acked" > 0.0 then begin
+      if Algorithm.field_exn report "acked" > 0.0 then
         (* Additive increase is per aggregate RTT, not per member, so a
            bigger group does not probe faster: scale by 1/n. *)
-        let n = float_of_int (max 1 (member_count t)) in
         t.cwnd <-
-          t.cwnd + int_of_float (t.increase_segments *. float_of_int mss /. n);
-        redistribute t
-      end
+          t.cwnd
+          + int_of_float
+              (t.increase_segments *. float_of_int mss /. float_of_int (max 1 t.count));
+      steer t member
     in
     let on_urgent (urgent : Ccp_ipc.Message.urgent) =
       let now = handle.Algorithm.now_us () in
       (* One multiplicative decrease per RTT across the whole group: the
          members share a bottleneck, so their losses are one event. *)
       let srtt_guess = 10_000.0 in
+      let before = t.cwnd in
       (match urgent.Ccp_ipc.Message.kind with
       | Ccp_ipc.Message.Dup_ack_loss | Ccp_ipc.Message.Ecn ->
         if now -. t.last_decrease_us > srtt_guess then begin
           t.last_decrease_us <- now;
           t.cwnd <-
-            max (2 * mss * max 1 (member_count t))
-              (int_of_float (t.decrease_factor *. float_of_int t.cwnd))
+            max (2 * mss * t.count) (int_of_float (t.decrease_factor *. float_of_int t.cwnd))
         end
       | Ccp_ipc.Message.Timeout ->
+        (* The datapath collapsed the sender's window to one MSS. *)
+        member.held <- mss;
         t.last_decrease_us <- now;
-        t.cwnd <- max (mss * max 1 (member_count t)) (t.cwnd / 4));
-      redistribute t
+        t.cwnd <- max (mss * t.count) (t.cwnd / 4));
+      if t.cwnd < before then shrink_members t;
+      steer t member
     in
     { Algorithm.no_op_handlers with on_ready; on_report; on_urgent }
   in

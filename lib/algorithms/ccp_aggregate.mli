@@ -5,15 +5,33 @@
     The paper notes that CCP "makes it possible to implement congestion
     control ... for groups of flows that share common bottlenecks" — the
     Congestion Manager idea, but with the controller off the datapath and
-    the per-flow enforcement expressed through ordinary control programs.
+    the per-flow enforcement expressed through the datapath API.
 
     This implementation keeps a single AIMD window for the whole
-    aggregate: any member's per-RTT report grows it by one segment, any
-    member's loss halves it (once per RTT across the group), and after
-    every change each member is (re)programmed with an equal share. Flows
-    joining or leaving the group trigger immediate re-division — a new
-    flow gets capacity instantly instead of probing for it, the CM's
-    headline benefit. *)
+    aggregate: any member's per-RTT report grows it by 1/N of a segment
+    (N members, so the group probes as one flow), any member's loss
+    halves it (once per RTT across the group), and a timeout quarters
+    it. A member's share is the aggregate over N, floored at one
+    1448-byte segment.
+
+    The contract with the datapath:
+    - At join, a member is installed one measurement-only program,
+      [Measure(std_fold).WaitRtts(1.0).Report()] with no [Cwnd], and is
+      never re-installed. Its window is steered only with [set_cwnd],
+      which the datapath applies through the guard envelope without
+      touching the program's pc, fold or wait, so every member keeps
+      reporting once per RTT however often the group is re-divided.
+    - A member is sent the current share only when it differs from the
+      window it holds: the joiner in [on_ready], the reporter in
+      [on_report], an urgent's sender in [on_urgent] (after a timeout
+      the sender holds one MSS, which the datapath set), and, when a
+      loss or timeout shrinks the aggregate, every member holding more
+      than the new share at once. Growth, and the smaller share a join
+      leaves, reach the other members at their own next report.
+
+    So the frames sent to the datapath stay at one per report or fewer
+    and fall as the group grows; a join costs two (the install and the
+    share). *)
 
 type t
 
@@ -31,3 +49,4 @@ val aggregate_cwnd : t -> int
 (** Current total window, bytes. *)
 
 val member_count : t -> int
+(** Members that have joined, counted as they join. *)

@@ -120,25 +120,24 @@ module Fig4 = struct
     scan 0 None
 end
 
-(* One run's side of a fidelity comparison: the per-change
-   ["cwnd.<flow>"] trace series every run records, with the run's
-   utilization and median RTT. *)
-let fidelity_run ?(flow = 0) (r : Experiment.result) =
+(* One run's side of a fidelity comparison: the per-change ["cwnd.0"]
+   trace series of the run's first flow, with the run's utilization and
+   median RTT. *)
+let fidelity_run (r : Experiment.result) =
   {
     Ccp_obs.Fidelity.series =
       Array.of_list
         (List.map
            (fun (at, v) -> (Time_ns.to_float_sec at, v))
-           (Trace.series r.Experiment.trace (Printf.sprintf "cwnd.%d" flow)));
+           (Trace.series r.Experiment.trace "cwnd.0"));
     utilization = r.Experiment.utilization;
     median_rtt_ms = Time_ns.to_float_ms r.Experiment.median_rtt;
   }
 
-(* Quantitative Figure-3/4 fidelity: both runs' cwnd series of [flow],
+(* Quantitative Figure-3/4 fidelity: both runs' first-flow cwnd series,
    handed to {!Ccp_obs.Fidelity}. *)
-let fidelity ?flow ?samples (cmp : comparison) =
-  Ccp_obs.Fidelity.compare_runs ?samples ~ccp:(fidelity_run ?flow cmp.ccp)
-    ~native:(fidelity_run ?flow cmp.native) ()
+let fidelity (cmp : comparison) =
+  Ccp_obs.Fidelity.compare_runs ~ccp:(fidelity_run cmp.ccp) ~native:(fidelity_run cmp.native)
 
 module Fig5 = struct
   type offload_setting = All_on | Tso_off | All_off
@@ -692,7 +691,7 @@ module Robustness = struct
     | Some b -> (
       try
         let rep =
-          Ccp_obs.Fidelity.compare_runs ~ccp:(fidelity_run r) ~native:(fidelity_run b) ()
+          Ccp_obs.Fidelity.compare_runs ~ccp:(fidelity_run r) ~native:(fidelity_run b)
         in
         Some rep.Ccp_obs.Fidelity.cwnd_rmse
       with Invalid_argument _ -> None)

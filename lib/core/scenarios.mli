@@ -63,11 +63,11 @@ module Fig4 : sig
       fair share for one second. *)
 end
 
-val fidelity : ?flow:int -> ?samples:int -> comparison -> Ccp_obs.Fidelity.report
+val fidelity : comparison -> Ccp_obs.Fidelity.report
 (** Paper-fidelity report for a CCP-vs-native comparison: aligns the two
-    runs' per-change ["cwnd.<flow>"] trace series ([flow] defaults to 0)
-    and returns the normalized cwnd RMSE, utilization delta, and
-    median-RTT delta. *)
+    runs' per-change ["cwnd.0"] trace series (the first flow's) and
+    returns the normalized cwnd RMSE, utilization delta, and median-RTT
+    delta. *)
 
 (** Figure 5: throughput with NIC offloads enabled/disabled on a
     10 Gbit/s link, averaged over 4 runs. *)

@@ -5,16 +5,17 @@ module Writer = struct
   let reset = Buffer.clear
   let byte t b = Buffer.add_char t (Char.chr (b land 0xff))
 
+  (* Top-level recursions, so a call allocates no closure. *)
+  let rec varint_bytes t n =
+    if n < 0x80 then byte t n
+    else begin
+      byte t (0x80 lor (n land 0x7f));
+      varint_bytes t (n lsr 7)
+    end
+
   let varint t n =
     if n < 0 then invalid_arg "Wire.Writer.varint: negative";
-    let rec go n =
-      if n < 0x80 then byte t n
-      else begin
-        byte t (0x80 lor (n land 0x7f));
-        go (n lsr 7)
-      end
-    in
-    go n
+    varint_bytes t n
 
   let zigzag t n =
     (* Map signed to unsigned: 0,-1,1,-2,... -> 0,1,2,3,... *)
@@ -50,18 +51,17 @@ module Reader = struct
     t.pos <- t.pos + 1;
     b
 
-  let varint t =
-    let rec go shift acc =
-      if shift > 62 then raise (Malformed "varint too long");
-      let b = byte t in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 <> 0 then go (shift + 7) acc
-      else if acc < 0 then
-        (* A ninth byte can set the sign bit; the writer never does. *)
-        raise (Malformed "varint out of range")
-      else acc
-    in
-    go 0 0
+  let rec varint_from t shift acc =
+    if shift > 62 then raise (Malformed "varint too long");
+    let b = byte t in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 <> 0 then varint_from t (shift + 7) acc
+    else if acc < 0 then
+      (* A ninth byte can set the sign bit; the writer never does. *)
+      raise (Malformed "varint out of range")
+    else acc
+
+  let varint t = varint_from t 0 0
 
   let zigzag t =
     let encoded = varint t in

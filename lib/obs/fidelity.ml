@@ -46,7 +46,10 @@ let rmse a b =
     sqrt (!acc /. float_of_int n)
   end
 
-let compare_runs ?(samples = 512) ~ccp ~native () =
+(* Grid points compared over the overlapping time range. *)
+let samples = 512
+
+let compare_runs ~ccp ~native =
   if Array.length ccp.series = 0 then
     invalid_arg "Fidelity.compare_runs: empty ccp series";
   if Array.length native.series = 0 then

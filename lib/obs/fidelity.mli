@@ -25,7 +25,7 @@ type report = {
 val rmse : float array -> float array -> float
 (** Plain RMSE of two equal-length vectors. *)
 
-val compare_runs : ?samples:int -> ccp:run -> native:run -> unit -> report
-(** Compare over the overlapping time range of the two series.
-    [samples] defaults to 512. Raises [Invalid_argument] if either
-    series is empty or the ranges do not overlap. *)
+val compare_runs : ccp:run -> native:run -> report
+(** Compare over the overlapping time range of the two series, on a grid
+    of 512 points. Raises [Invalid_argument] if either series is empty or
+    the ranges do not overlap. *)

@@ -29,6 +29,35 @@ let test_varint_rejects_negative () =
     (fun () ->
       ignore (Wire.Reader.varint (Wire.Reader.of_string "\128\128\128\128\128\128\128\128\064")))
 
+(* Both varints are top-level recursions: encoding into a writer that
+   has room and decoding from a reader allocate nothing per call. *)
+let test_varint_allocation_free () =
+  let values = [| 0; 1; 127; 128; 300; 16_384; 1_000_000; max_int |] in
+  let calls = 1024 * Array.length values in
+  let w = Wire.Writer.create () in
+  let write_all () =
+    for _ = 1 to 1024 do
+      for i = 0 to Array.length values - 1 do
+        Wire.Writer.varint w (Array.unsafe_get values i)
+      done
+    done
+  in
+  write_all ();
+  let r = Wire.Reader.of_string (Wire.Writer.contents w) in
+  Wire.Writer.reset w;
+  let before = Gc.minor_words () in
+  write_all ();
+  let written = Gc.minor_words () -. before in
+  let before = Gc.minor_words () in
+  let sum = ref 0 in
+  for _ = 1 to calls do
+    sum := !sum lxor Wire.Reader.varint r
+  done;
+  let read = Gc.minor_words () -. before in
+  Alcotest.(check bool) "every varint read" true (Wire.Reader.at_end r);
+  Alcotest.(check (float 0.0)) (Printf.sprintf "writer words over %d calls" calls) 0.0 written;
+  Alcotest.(check (float 0.0)) (Printf.sprintf "reader words over %d calls" calls) 0.0 read
+
 let test_zigzag_round_trip () =
   List.iter
     (fun n ->
@@ -501,6 +530,7 @@ let suite =
         Alcotest.test_case "varint round-trip" `Quick test_varint_round_trip;
         Alcotest.test_case "varint compactness" `Quick test_varint_compact;
         Alcotest.test_case "varint negative" `Quick test_varint_rejects_negative;
+        Alcotest.test_case "varint allocation-free" `Quick test_varint_allocation_free;
         Alcotest.test_case "zigzag round-trip" `Quick test_zigzag_round_trip;
         Alcotest.test_case "float and string" `Quick test_float_and_string;
         Alcotest.test_case "truncation" `Quick test_reader_truncation;

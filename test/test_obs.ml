@@ -230,16 +230,16 @@ let test_merge_rows_unwritable () =
 let test_fidelity_math () =
   let series v = Array.init 11 (fun i -> (float_of_int i, v)) in
   let run series = { Fidelity.series; utilization = 0.9; median_rtt_ms = 20.0 } in
-  let same = Fidelity.compare_runs ~ccp:(run (series 100.0)) ~native:(run (series 100.0)) () in
+  let same = Fidelity.compare_runs ~ccp:(run (series 100.0)) ~native:(run (series 100.0)) in
   Alcotest.(check (float 1e-12)) "identical series: zero RMSE" 0.0 same.Fidelity.cwnd_rmse;
   Alcotest.(check (float 1e-12)) "identical runs: zero deltas" 0.0
     same.Fidelity.utilization_delta;
-  let off = Fidelity.compare_runs ~ccp:(run (series 110.0)) ~native:(run (series 100.0)) () in
+  let off = Fidelity.compare_runs ~ccp:(run (series 110.0)) ~native:(run (series 100.0)) in
   (* Constant 10% offset, normalized by the native mean. *)
   Alcotest.(check (float 1e-9)) "normalized RMSE" 0.1 off.Fidelity.cwnd_rmse;
   Alcotest.check_raises "empty series rejected"
     (Invalid_argument "Fidelity.compare_runs: empty ccp series") (fun () ->
-      ignore (Fidelity.compare_runs ~ccp:(run [||]) ~native:(run (series 1.0)) ()))
+      ignore (Fidelity.compare_runs ~ccp:(run [||]) ~native:(run (series 1.0))))
 
 (* --- zero cost when disabled: the per-ACK path must not allocate --- *)
 

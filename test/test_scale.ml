@@ -371,26 +371,20 @@ let test_batching_open_loop_determinism () =
 
 (* --- the N-member aggregate on an incast fleet --- *)
 
-let share_of (p : Ccp_lang.Ast.program) =
-  List.find_map
-    (function
-      | Ccp_lang.Ast.Cwnd (Ccp_lang.Ast.Const f) -> Some (int_of_float f)
-      | _ -> None)
-    p.Ccp_lang.Ast.prims
-
-(* Latest install per flow (the capture list is newest-first). *)
+(* The aggregate installs one measurement-only program per member and
+   steers shares with [Set_cwnd]: each flow's share is its newest
+   [Set_cwnd] (the capture list is newest-first). *)
 let latest_shares captured =
   let tbl = Hashtbl.create 8 in
   List.iter
     (function
-      | Message.Install { flow; program } ->
-        if not (Hashtbl.mem tbl flow) then (
-          match share_of program with
-          | Some s -> Hashtbl.add tbl flow s
-          | None -> ())
+      | Message.Set_cwnd { flow; bytes } ->
+        if not (Hashtbl.mem tbl flow) then Hashtbl.add tbl flow bytes
       | _ -> ())
     captured;
   tbl
+
+let count_captured captured pred = List.length (List.filter pred !captured)
 
 let make_aggregate_fleet ?initial_segments ?(init_cwnd = 14_480) ~n () =
   let sim = Sim.create () in
@@ -411,9 +405,18 @@ let make_aggregate_fleet ?initial_segments ?(init_cwnd = 14_480) ~n () =
   Sim.run sim;
   (sim, channel, agg, captured)
 
+(* One report from every member, in flow order. Growth and join-time
+   re-division reach a member at its own next report. *)
+let report_round sim channel ~n ~acked =
+  for f = 1 to n do
+    Channel.send channel ~from:Channel.Datapath_end
+      (Message.Report { flow = f; names = [| "acked" |]; values = [| acked |] })
+  done;
+  Sim.run sim
+
 let check_conservation ~what agg ~n captured =
   let shares = latest_shares !captured in
-  Alcotest.(check int) (what ^ ": every member programmed") n (Hashtbl.length shares);
+  Alcotest.(check int) (what ^ ": every member steered") n (Hashtbl.length shares);
   let cwnd = Ccp_algorithms.Ccp_aggregate.aggregate_cwnd agg in
   let equal_split = max 1448 (cwnd / n) in
   let sum = Hashtbl.fold (fun _ s acc -> acc + s) shares 0 in
@@ -425,7 +428,7 @@ let check_conservation ~what agg ~n captured =
         true
         (abs (s - equal_split) <= 1448))
     shares;
-  (* Window conserved across reprogramming: the shares re-sum to the
+  (* Window conserved across re-division: the shares re-sum to the
      aggregate (integer division slack at most one segment per member),
      except under the per-member floor, where the floor wins. *)
   if cwnd >= n * 1448 then
@@ -435,21 +438,27 @@ let check_conservation ~what agg ~n captured =
       (sum <= cwnd && cwnd - sum <= n * 1448)
   else Alcotest.(check int) (what ^ ": floored shares") (n * 1448) sum
 
+let is_install = function Message.Install _ -> true | _ -> false
+
 let test_aggregate_membership_and_split () =
   let n = 8 in
   let sim, channel, agg, captured = make_aggregate_fleet ~n () in
   Alcotest.(check int) "all members joined" n
     (Ccp_algorithms.Ccp_aggregate.member_count agg);
-  check_conservation ~what:"after join" agg ~n captured;
-  (* Additive increase on a report reprograms the whole fleet with the
-     window still conserved. *)
+  Alcotest.(check int) "one install per member" n (count_captured captured is_install);
+  report_round sim channel ~n ~acked:0.0;
+  check_conservation ~what:"after each member's next report" agg ~n captured;
+  (* Additive increase: a round of reports grows the aggregate, each
+     reporter takes the share of the moment, and none is re-installed. *)
   let before = Ccp_algorithms.Ccp_aggregate.aggregate_cwnd agg in
-  Channel.send channel ~from:Channel.Datapath_end
-    (Message.Report { flow = 3; names = [| "acked" |]; values = [| 1448.0 |] });
-  Sim.run sim;
+  let frames_before = List.length !captured in
+  report_round sim channel ~n ~acked:1448.0;
   Alcotest.(check bool) "additive increase grew the aggregate" true
     (Ccp_algorithms.Ccp_aggregate.aggregate_cwnd agg > before);
-  check_conservation ~what:"after increase" agg ~n captured
+  check_conservation ~what:"after increase" agg ~n captured;
+  Alcotest.(check int) "still one install per member" n (count_captured captured is_install);
+  Alcotest.(check bool) "at most one frame per report" true
+    (List.length !captured - frames_before <= n)
 
 let test_aggregate_floor_and_decrease () =
   let n = 8 in
@@ -460,14 +469,14 @@ let test_aggregate_floor_and_decrease () =
   in
   Alcotest.(check int) "tiny aggregate" 2896
     (Ccp_algorithms.Ccp_aggregate.aggregate_cwnd agg);
+  report_round sim channel ~n ~acked:0.0;
   check_conservation ~what:"floored split" agg ~n captured;
   (* Multiplicative decrease fires once per guessed RTT, not once per
      member loss: two urgents inside the window halve only once. A big
      aggregate keeps the halving above the 2-segments-per-member floor,
      so a second (wrong) halving would be visible. *)
   let sim2, channel2, agg2, captured2 = make_aggregate_fleet ~initial_segments:40 ~n () in
-  ignore (sim : Sim.t);
-  ignore (channel : Channel.t);
+  report_round sim2 channel2 ~n ~acked:0.0;
   let urgent flow =
     Channel.send channel2 ~from:Channel.Datapath_end
       (Message.Urgent
@@ -483,7 +492,72 @@ let test_aggregate_floor_and_decrease () =
     after;
   Alcotest.(check bool) "halving dominated the per-member floor" true
     (before / 2 > 2 * 1448 * n);
-  check_conservation ~what:"after decrease" agg2 ~n:8 captured2
+  (* A decrease reaches every member above the new share at once, with
+     no report in between. *)
+  check_conservation ~what:"after decrease" agg2 ~n captured2;
+  report_round sim2 channel2 ~n ~acked:0.0;
+  check_conservation ~what:"after each member's next report" agg2 ~n captured2
+
+(* Liveness: steering never stops a member measuring. On a staggered
+   fleet, the incast scenario's N=64 staggered cell with the aggregate,
+   every member delivers at least 0.3 reports per base RTT of its
+   lifetime (a member's program reports once per RTT, and the RTT
+   exceeds the base RTT under load). *)
+let test_aggregate_liveness () =
+  let module Incast = Ccp_core.Scenarios.Incast in
+  let module Experiment = Ccp_core.Experiment in
+  let n = 64 and duration = Time_ns.ms 500 in
+  let rate_bps = Incast.default_rate_bps and base_rtt = Incast.default_base_rtt in
+  let reports = Array.make n 0 in
+  let algo = Ccp_algorithms.Ccp_aggregate.algorithm (Ccp_algorithms.Ccp_aggregate.create ()) in
+  let counting =
+    {
+      algo with
+      Algorithm.make =
+        (fun handle ->
+          let h = algo.Algorithm.make handle in
+          let flow = handle.Algorithm.info.Algorithm.flow in
+          {
+            h with
+            Algorithm.on_report =
+              (fun r ->
+                reports.(flow) <- reports.(flow) + 1;
+                h.Algorithm.on_report r);
+          });
+    }
+  in
+  let start_at i = Time_ns.scale duration (0.25 *. float_of_int i /. float_of_int n) in
+  let bdp_bytes = rate_bps *. Time_ns.to_float_sec base_rtt /. 8.0 in
+  let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
+  ignore
+    (Experiment.run
+       {
+         base with
+         Experiment.seed = 42;
+         buffer_bytes = max 9000 (int_of_float (bdp_bytes /. 4.0));
+         warmup = Time_ns.scale duration 0.1;
+         flows =
+           List.init n (fun i -> Experiment.flow ~start_at:(start_at i) (Experiment.Ccp_cc counting));
+         ipc_batching = Some Incast.default_batching;
+         agent_flow_pool = Some n;
+         datapath = { Ccp_datapath.Ccp_ext.default_config with flow_capacity = n };
+       }
+      : Experiment.result);
+  let slowest = ref (infinity, -1) in
+  Array.iteri
+    (fun i count ->
+      let lifetime_rtts =
+        Time_ns.to_float_sec (Time_ns.sub duration (start_at i)) /. Time_ns.to_float_sec base_rtt
+      in
+      let per_rtt = float_of_int count /. lifetime_rtts in
+      if per_rtt < fst !slowest then slowest := (per_rtt, i))
+    reports;
+  let per_rtt, flow = !slowest in
+  let silent = Array.fold_left (fun acc c -> if c = 0 then acc + 1 else acc) 0 reports in
+  Alcotest.(check int) "members that never reported" 0 silent;
+  Alcotest.(check bool)
+    (Printf.sprintf "slowest member (flow %d) reports %.2f per base RTT, floor 0.3" flow per_rtt)
+    true (per_rtt >= 0.3)
 
 let suite =
   [
@@ -517,5 +591,6 @@ let suite =
           test_aggregate_membership_and_split;
         Alcotest.test_case "floor and single decrease" `Quick
           test_aggregate_floor_and_decrease;
+        Alcotest.test_case "every member keeps reporting" `Quick test_aggregate_liveness;
       ] );
   ]
