@@ -242,11 +242,12 @@ and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
     | None -> ()
   in
   (* The last program that passed the typecheck on this handle, with the
-     [Install] frame that carries it (the policy applied). Algorithms
-     re-install the same program on nearly every report, and a
-     bit-identical one ({!Ccp_lang.Ast.identical_program}) cannot fail
-     where it passed, nor encode differently: the policy is fixed per
-     handle. Invalid programs are never remembered. *)
+     [Install] frame that carries it (the policy applied). Cubic, AIMD,
+     DCTCP, Vegas and Timely re-install the same program on nearly every
+     report (Reno and the aggregate install once), and a bit-identical
+     one ({!Ccp_lang.Ast.identical_program}) cannot fail where it
+     passed, nor encode differently: the policy is fixed per handle.
+     Invalid programs are never remembered. *)
   let checked = ref None in
   let install program =
     let frame =

@@ -1,8 +1,11 @@
 open Ccp_agent
 
 (* [held] is the share this member was last sent, or the window the
-   datapath is known to have set since (one MSS after a timeout). *)
+   datapath is known to have set since (one MSS after a timeout). A flow
+   is one member: the [handle] of its latest join. *)
 type member = { handle : Algorithm.handle; mutable held : int }
+
+let flow_of m = m.handle.Algorithm.info.Algorithm.flow
 
 type t = {
   increase_segments : float;
@@ -29,13 +32,7 @@ let aggregate_cwnd t = t.cwnd
 (* Every member runs this for its whole life: it measures and reports
    once per RTT and never touches the window, so steering a member with
    [set_cwnd] leaves its pc, fold and wait alone. *)
-let measurement =
-  Ccp_lang.Ast.program
-    [
-      Ccp_lang.Ast.Measure (Ccp_lang.Ast.Fold Prog.std_fold);
-      Ccp_lang.Ast.Wait_rtts (Prog.c 1.0);
-      Ccp_lang.Ast.Report;
-    ]
+let measurement = Prog.measurement_program ()
 
 let share t = max 1448 (t.cwnd / max 1 t.count)
 
@@ -59,9 +56,16 @@ let algorithm t : Algorithm.t =
     let mss = handle.Algorithm.info.Algorithm.mss in
     let member = { handle; held = 0 } in
     let on_ready () =
-      if t.count = 0 then t.cwnd <- max t.cwnd handle.Algorithm.info.Algorithm.init_cwnd;
-      t.members <- member :: t.members;
-      t.count <- t.count + 1;
+      let flow = flow_of member in
+      if List.exists (fun m -> flow_of m = flow) t.members then
+        (* A re-join (a watchdog probe, a re-admission, a warm restart)
+           replaces the flow's member in place; the count stays. *)
+        t.members <- List.map (fun m -> if flow_of m = flow then member else m) t.members
+      else begin
+        if t.count = 0 then t.cwnd <- max t.cwnd handle.Algorithm.info.Algorithm.init_cwnd;
+        t.members <- member :: t.members;
+        t.count <- t.count + 1
+      end;
       handle.Algorithm.install measurement;
       (* A joining flow gets its share immediately — no probing. *)
       steer t member
@@ -79,7 +83,8 @@ let algorithm t : Algorithm.t =
     let on_urgent (urgent : Ccp_ipc.Message.urgent) =
       let now = handle.Algorithm.now_us () in
       (* One multiplicative decrease per RTT across the whole group: the
-         members share a bottleneck, so their losses are one event. *)
+         members share a bottleneck, so their losses are one event. The
+         per-member floor never lifts a decrease above the aggregate. *)
       let srtt_guess = 10_000.0 in
       let before = t.cwnd in
       (match urgent.Ccp_ipc.Message.kind with
@@ -87,13 +92,15 @@ let algorithm t : Algorithm.t =
         if now -. t.last_decrease_us > srtt_guess then begin
           t.last_decrease_us <- now;
           t.cwnd <-
-            max (2 * mss * t.count) (int_of_float (t.decrease_factor *. float_of_int t.cwnd))
+            min t.cwnd
+              (max (2 * mss * t.count)
+                 (int_of_float (t.decrease_factor *. float_of_int t.cwnd)))
         end
       | Ccp_ipc.Message.Timeout ->
         (* The datapath collapsed the sender's window to one MSS. *)
         member.held <- mss;
         t.last_decrease_us <- now;
-        t.cwnd <- max (mss * t.count) (t.cwnd / 4));
+        t.cwnd <- min t.cwnd (max (mss * t.count) (t.cwnd / 4)));
       if t.cwnd < before then shrink_members t;
       steer t member
     in

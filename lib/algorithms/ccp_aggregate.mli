@@ -11,8 +11,17 @@
     aggregate: any member's per-RTT report grows it by 1/N of a segment
     (N members, so the group probes as one flow), any member's loss
     halves it (once per RTT across the group), and a timeout quarters
-    it. A member's share is the aggregate over N, floored at one
-    1448-byte segment.
+    it. A decrease is floored at two segments per member (one after a
+    timeout) but never raises the aggregate: below that floor a loss
+    leaves it where it is. A member's share is the aggregate over N,
+    floored at one 1448-byte segment.
+
+    Members are keyed by flow id. The agent runs [on_ready] again for a
+    live flow on a watchdog [Ready] probe, a re-admission and a warm
+    restart; such a re-join replaces that flow's member (its handle, and
+    the window it holds) and leaves N alone. A member never leaves: the
+    datapath sends no [Closed] and the algorithm API has no close event,
+    so a finished flow stays counted in every share.
 
     The contract with the datapath:
     - At join, a member is installed one measurement-only program,
@@ -49,4 +58,4 @@ val aggregate_cwnd : t -> int
 (** Current total window, bytes. *)
 
 val member_count : t -> int
-(** Members that have joined, counted as they join. *)
+(** Distinct flows that have joined. *)

@@ -18,7 +18,12 @@ let create_with ?(interval_rtts = 1.0) ?(react_to_ecn = true) () =
         last_ecn_us = 0.0;
       }
     in
-    let push () = handle.install (Prog.window_program ~interval_rtts ~cwnd:st.cwnd ()) in
+    (* Sent on every event, changed or not: see ccp_reno.mli. *)
+    let push () = handle.set_cwnd st.cwnd in
+    let on_ready () =
+      handle.install (Prog.measurement_program ~interval_rtts ());
+      push ()
+    in
     let halve () =
       st.ssthresh <- max (st.cwnd / 2) (2 * mss);
       st.cwnd <- st.ssthresh
@@ -53,9 +58,9 @@ let create_with ?(interval_rtts = 1.0) ?(react_to_ecn = true) () =
       | Ccp_ipc.Message.Ecn -> halve ());
       push ()
     in
-    (* Warm-restart registers: the installed program pins the window at
-       [st.cwnd], so restoring cwnd/ssthresh before [on_ready] re-installs
-       is enough to resume at the pre-crash operating point. *)
+    (* Warm-restart registers: [on_ready] sends [st.cwnd] with [set_cwnd],
+       so restoring cwnd/ssthresh before it runs is enough to resume at
+       the pre-crash operating point. *)
     let on_checkpoint () =
       [|
         ("cwnd", float_of_int st.cwnd);
@@ -76,7 +81,7 @@ let create_with ?(interval_rtts = 1.0) ?(react_to_ecn = true) () =
     in
     {
       Algorithm.no_op_handlers with
-      on_ready = push;
+      on_ready;
       on_report;
       on_urgent;
       on_checkpoint;

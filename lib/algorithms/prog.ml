@@ -31,6 +31,9 @@ let window_program ?(interval_rtts = 1.0) ~cwnd () =
   program
     [ Measure (Fold std_fold); Cwnd (ci cwnd); Wait_rtts (c interval_rtts); Report ]
 
+let measurement_program ?(interval_rtts = 1.0) () =
+  program [ Measure (Fold std_fold); Wait_rtts (c interval_rtts); Report ]
+
 (* A rate-controlled flow still needs a window big enough not to stall the
    pacer: cap the window at 2x the BDP implied by the (just-set) rate and
    the smoothed RTT, floored at 10 segments. *)

@@ -22,6 +22,14 @@ val window_program : ?interval_rtts:float -> cwnd:int -> unit -> program
 (** [Measure(std_fold).Cwnd(cwnd).WaitRtts(i).Report()], repeating.
     [interval_rtts] defaults to 1.0 — the paper's once-per-RTT cadence. *)
 
+val measurement_program : ?interval_rtts:float -> unit -> program
+(** [Measure(std_fold).WaitRtts(i).Report()], repeating, with no [Cwnd]:
+    a program that measures and reports but never touches the window,
+    for an algorithm that installs it once and steers the window with
+    [set_cwnd]. That leaves the program's pc, fold and wait alone, so
+    no ACK goes unreported between reports. [interval_rtts] defaults to
+    1.0. *)
+
 val dynamic_cwnd_cap : prim
 (** [Cwnd(max(2e-6 * rate * srtt_us, 10 * mss))]: window cap at twice the
     BDP implied by the current pacing rate, evaluated in the datapath.

@@ -969,8 +969,8 @@ module Chaos = struct
      reports by design, and the crash injects a one-to-two-window
      orphan burst; against the stock config that burst never clears the
      8-window long burn. A 1 % orphan objective over a 2-window long
-     burn separates the crash (short burn ~35, long ~18 at seed 42)
-     from convergence-phase noise (short burn <= ~6) with margin on
+     burn separates the crash (short burn ~26, long ~13 at seed 42)
+     from convergence-phase noise (short burn <= ~5) with margin on
      both sides of the threshold-10 gate, so the agent-crash window
      raises the orphan_rate alert and the first healthy window after
      restart clears it. *)

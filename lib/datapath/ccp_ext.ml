@@ -392,6 +392,7 @@ let take_over fs mode =
     Some cc
 
 let under_quarantine fs = match fs.owner with Quarantine _ -> true | Agent | Fallback _ -> false
+let agent_owns fs = match fs.owner with Agent -> true | Fallback _ | Quarantine _ -> false
 
 (* [Ready] registers the flow with the agent; re-sent, it probes for an
    agent that lost the flow. *)
@@ -638,14 +639,17 @@ let admit program =
     | Error detail -> Error (Limits.Invalid_program, detail))
 
 (* Every [Install] is answered with an [Install_result] either way, and an
-   accepted one atomically wins the flow back from quarantine.
+   accepted one is the only message that wins the flow back from a
+   stand-in, fallback or quarantine, atomically.
 
-   Agents re-install on nearly every report, and almost always the program
-   the flow already runs. The channel matches each [Install]'s program
-   bytes against the flow's running bytes ([Channel.match_installs]) and,
-   on a match, delivers the running AST itself, so a re-install is a hit
-   exactly when [program] is physically the running one. Encoding is
-   canonical, so equal bytes mean a bit-identical program
+   Cubic, AIMD, DCTCP, Vegas and Timely re-install on nearly every
+   report, and almost always the program the flow already runs (Reno and
+   the aggregate install once and steer with [Set_cwnd]). The channel
+   matches each [Install]'s program bytes against the flow's running
+   bytes ([Channel.match_installs]) and, on a match, delivers the
+   running AST itself, so a re-install is a hit exactly when [program]
+   is physically the running one. Encoding is canonical, so equal bytes
+   mean a bit-identical program
    ({!Ast.identical_program}: [0.0] and [-0.0] differ), which cannot
    change the verdict or the compiled code since [t.config] is fixed: a
    hit keeps the flow's admitted AST, compiled program and machine. An
@@ -665,6 +669,11 @@ let install_program t fs program =
   in
   match admitted with
   | Ok fresh ->
+    (match fs.owner with
+    | Fallback _ ->
+      obs_record t
+        (Ccp_obs.Recorder.Fallback { flow = fs.ctl.Congestion_iface.flow; entered = false })
+    | Agent | Quarantine _ -> ());
     Ccp_obs.Metrics.incr t.installs_accepted;
     obs_record t
       (Ccp_obs.Recorder.Install
@@ -692,17 +701,11 @@ let install_program t fs program =
 
 (* --- agent -> datapath messages --- *)
 
-let note_agent_contact t fs =
-  fs.last_agent_contact <- Sim.now t.sim;
-  match fs.owner with
-  | Fallback _ ->
-    (* Agent recovered: the stand-in releases the flow before the message
-       is applied, so control is handed back atomically. *)
-    fs.owner <- Agent;
-    obs_record t
-      (Ccp_obs.Recorder.Fallback
-         { flow = fs.ctl.Congestion_iface.flow; entered = false })
-  | Agent | Quarantine _ -> ()
+(* Any agent message is contact and holds off the watchdog, but only an
+   accepted [Install] takes the flow back from a stand-in: a stand-in
+   stopped the flow's program, so an agent that only steers the window
+   would never hear from the flow again. *)
+let note_agent_contact t fs = fs.last_agent_contact <- Sim.now t.sim
 
 (* Spans close where control is applied. [rx_finish] finalizes the span
    carried by the message currently being delivered (if any); [rx_actuate]
@@ -755,10 +758,9 @@ let on_message t (msg : Message.t) =
     match Hashtbl.find_opt t.flows flow with
     | Some fs ->
       note_agent_contact t fs;
-      (* Direct knob commands cannot release a quarantine — only an
-         accepted [Install] proves the agent has a corrected program.
-         They pass the guard envelope as a program's results do. *)
-      if not (under_quarantine fs) then
+      (* Direct knob commands steer only a flow the agent owns; they pass
+         the guard envelope as a program's results do. *)
+      if agent_owns fs then
         rx_actuate t (fun () ->
             apply_cwnd t fs (float_of_int bytes);
             maybe_quarantine t fs)
@@ -768,7 +770,7 @@ let on_message t (msg : Message.t) =
     match Hashtbl.find_opt t.flows flow with
     | Some fs ->
       note_agent_contact t fs;
-      if not (under_quarantine fs) then
+      if agent_owns fs then
         rx_actuate t (fun () ->
             apply_rate t fs bytes_per_sec;
             maybe_quarantine t fs)
@@ -811,14 +813,14 @@ let create ~sim ~channel ?(config = default_config) ?obs () =
 
 (* The watchdog checks agent liveness once per [after] period. A silent
    agent loses the flow to the fallback mode ([take_over]). [Clamp]
-   re-pins its window on every tick while the silence lasts (an
-   installed-but-orphaned program could keep adjusting the knobs between
-   ticks). [Native] runs an in-datapath controller that takes over ACK and
-   loss handling until the agent returns. Every tick of silence re-sends
-   [Ready], a cheap re-handshake probe so a restarted agent re-learns the
-   flow and can reclaim it. Quarantine supersedes the watchdog: the guard
-   envelope keeps the flow, and a silent agent still gets the probe so it
-   can send the corrected install. *)
+   re-pins its window on every tick while the silence lasts (an RTO
+   collapses it between ticks). [Native] runs an in-datapath controller
+   that takes over ACK and loss handling until the agent returns. Every
+   tick of silence re-sends [Ready], a cheap re-handshake probe so a
+   restarted agent re-learns the flow and can reclaim it with an
+   install. Quarantine supersedes the watchdog: the guard envelope keeps
+   the flow, and a silent agent still gets the probe so it can send the
+   corrected install. *)
 let rec watchdog_tick t fs (fb : fallback) =
   let silence = Time_ns.sub (Sim.now t.sim) fs.last_agent_contact in
   if Time_ns.compare silence fb.after >= 0 then begin

@@ -41,9 +41,16 @@ open Ccp_ipc
     While the agent stays silent the watchdog also re-sends [Ready] once
     per period, in fallback and in quarantine alike: a restarted agent
     that lost its state re-learns the flow from the probe, re-installs a
-    program, and the datapath hands control back on that first message.
-    Any agent message for the flow lifts fallback; only an accepted
-    [Install] lifts quarantine. *)
+    program, and the datapath hands control back when it accepts that
+    install.
+
+    The stand-in rule: only an accepted [Install] hands a flow back from
+    either stand-in, fallback or quarantine. A stand-in stops the flow's
+    program, so the flow sends no more reports until a program runs
+    again, and an agent that only steers the window would never hear
+    from it. Any agent message for the flow still counts as contact and
+    holds off the watchdog, but a [Set_cwnd] or [Set_rate] that arrives
+    while a stand-in owns the flow is not applied. *)
 type fallback_mode =
   | Clamp of { cwnd_segments : int }  (** conservative window while in fallback *)
   | Native of (unit -> Congestion_iface.t)

@@ -269,7 +269,7 @@ let fake_handle ?(mss = 1448) ?(init_cwnd = 14_480) () =
       now_us = (fun () -> !now);
     }
   in
-  (handle, installs, now)
+  (handle, installs, cwnds, now)
 
 let report fields : Ccp_ipc.Message.report =
   { flow = 1; names = Array.of_list (List.map fst fields); values = Array.of_list (List.map snd fields) }
@@ -289,30 +289,40 @@ let program_cwnd (p : Ccp_lang.Ast.program) =
     (function Ccp_lang.Ast.Cwnd (Ccp_lang.Ast.Const f) -> Some (int_of_float f) | _ -> None)
     p.Ccp_lang.Ast.prims
 
+(* Reno installs one measurement program with no [Cwnd] at join, and
+   sends every window with [set_cwnd]. *)
+let check_reno_installs installs =
+  Alcotest.(check int) "one install" 1 (List.length !installs);
+  Alcotest.(check bool) "install sets no window" false
+    (List.exists
+       (function Ccp_lang.Ast.Cwnd _ -> true | _ -> false)
+       (List.hd !installs).Ccp_lang.Ast.prims)
+
 let test_ccp_reno_report_growth () =
-  let handle, installs, _ = fake_handle () in
+  let handle, installs, cwnds, _ = fake_handle () in
   let algo = Ccp_reno.create () in
   let handlers = algo.Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
-  Alcotest.(check int) "installed on ready" 1 (List.length !installs);
-  Alcotest.(check (option int)) "initial cwnd" (Some 14_480) (program_cwnd (List.hd !installs));
+  Alcotest.(check (list int)) "initial cwnd sent on ready" [ 14_480 ] !cwnds;
   (* Slow start: the window doubles per report. *)
   handlers.Ccp_agent.Algorithm.on_report (std_report ());
-  Alcotest.(check (option int)) "doubled" (Some 28_960) (program_cwnd (List.hd !installs))
+  Alcotest.(check (list int)) "doubled" [ 28_960; 14_480 ] !cwnds;
+  check_reno_installs installs
 
 let test_ccp_reno_urgent_halves () =
-  let handle, installs, _ = fake_handle ~init_cwnd:100_000 () in
+  let handle, installs, cwnds, _ = fake_handle ~init_cwnd:100_000 () in
   let handlers = (Ccp_reno.create ()).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   handlers.Ccp_agent.Algorithm.on_urgent
     { flow = 1; kind = Ccp_ipc.Message.Dup_ack_loss; cwnd_at_event = 100_000; inflight_at_event = 0 };
-  Alcotest.(check (option int)) "halved" (Some 50_000) (program_cwnd (List.hd !installs));
+  Alcotest.(check (list int)) "halved" [ 50_000; 100_000 ] !cwnds;
   handlers.Ccp_agent.Algorithm.on_urgent
     { flow = 1; kind = Ccp_ipc.Message.Timeout; cwnd_at_event = 50_000; inflight_at_event = 0 };
-  Alcotest.(check (option int)) "timeout -> 1 mss" (Some 1448) (program_cwnd (List.hd !installs))
+  Alcotest.(check (list int)) "timeout -> 1 mss" [ 1448; 50_000; 100_000 ] !cwnds;
+  check_reno_installs installs
 
 let test_ccp_cubic_uses_float_math () =
-  let handle, installs, now = fake_handle ~init_cwnd:100_000 () in
+  let handle, installs, _, now = fake_handle ~init_cwnd:100_000 () in
   let handlers = (Ccp_cubic.create ()).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   (* Loss establishes WlastMax = ~69 segments. *)
@@ -334,7 +344,7 @@ let test_ccp_cubic_uses_float_math () =
     true (!last > after_cut)
 
 let test_ccp_vegas_fold_program_shape () =
-  let handle, installs, _ = fake_handle () in
+  let handle, installs, _, _ = fake_handle () in
   let handlers = (Ccp_vegas.create `Fold).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   match (List.hd !installs).Ccp_lang.Ast.prims with
@@ -348,7 +358,7 @@ let test_ccp_vegas_fold_program_shape () =
   | _ -> Alcotest.fail "expected fold measure"
 
 let test_ccp_vegas_vector_program_shape () =
-  let handle, installs, _ = fake_handle () in
+  let handle, installs, _, _ = fake_handle () in
   let handlers = (Ccp_vegas.create `Vector).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   match (List.hd !installs).Ccp_lang.Ast.prims with
@@ -357,7 +367,7 @@ let test_ccp_vegas_vector_program_shape () =
   | _ -> Alcotest.fail "expected vector measure"
 
 let test_ccp_bbr_probe_cycle () =
-  let handle, installs, _ = fake_handle () in
+  let handle, installs, _, _ = fake_handle () in
   let handlers = (Ccp_bbr.create ()).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   (* Startup: growing delivery rates keep doubling. *)
@@ -389,7 +399,7 @@ let test_ccp_bbr_probe_cycle () =
   Alcotest.(check (list (float 1e-9))) "waits 1/1/6" [ 1.0; 1.0; 6.0 ] waits
 
 let test_ccp_dctcp_alpha () =
-  let handle, installs, _ = fake_handle ~init_cwnd:100_000 () in
+  let handle, installs, _, _ = fake_handle ~init_cwnd:100_000 () in
   let handlers = (Ccp_dctcp.create_with ~g:1.0 ~initial_alpha:0.0 ()).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   (* Fully marked window with g=1: alpha jumps to 1, cut by half. *)
@@ -401,7 +411,7 @@ let test_ccp_dctcp_alpha () =
     (Option.get (program_cwnd (List.hd !installs)) > 50_000)
 
 let test_ccp_timely_gradient () =
-  let handle, installs, _ = fake_handle () in
+  let handle, installs, _, _ = fake_handle () in
   ignore installs;
   let handlers = (Ccp_timely.create ()).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
@@ -426,7 +436,7 @@ let test_ccp_timely_gradient () =
    reports can carry near-zero rtt aggregates. Timely must ignore them
    outright — feeding them into the gradient divides by ~0. *)
 let test_ccp_timely_ignores_near_zero_rtt () =
-  let handle, installs, _ = fake_handle () in
+  let handle, installs, _, _ = fake_handle () in
   let handlers = (Ccp_timely.create ()).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   let rate_of_program () =
@@ -452,7 +462,7 @@ let test_ccp_timely_ignores_near_zero_rtt () =
    100 us floor must make all sub-floor values indistinguishable, or a
    1 ns srtt inflates measured throughput (and utility) a million-fold. *)
 let test_ccp_pcc_floors_tiny_interval () =
-  let handle, installs, _ = fake_handle () in
+  let handle, installs, _, _ = fake_handle () in
   let handlers = (Ccp_pcc.create ()).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   let pcc_report ~acked ~srtt_us ~now_us =
@@ -481,7 +491,7 @@ let test_ccp_pcc_floors_tiny_interval () =
   Alcotest.(check (float 1.0)) "doubled twice" (4.0 *. (14_480.0 /. 0.010)) rate
 
 let test_ccp_aimd_tiny () =
-  let handle, installs, _ = fake_handle () in
+  let handle, installs, _, _ = fake_handle () in
   let handlers = (Ccp_aimd.create ()).Ccp_agent.Algorithm.make handle in
   handlers.Ccp_agent.Algorithm.on_ready ();
   handlers.Ccp_agent.Algorithm.on_report (std_report ());
@@ -502,7 +512,7 @@ let test_all_ccp_programs_typecheck () =
   in
   List.iter
     (fun (algo : Ccp_agent.Algorithm.t) ->
-      let handle, installs, _ = fake_handle () in
+      let handle, installs, _, _ = fake_handle () in
       let handle =
         {
           handle with

@@ -57,15 +57,28 @@ let test_watchdog_triggers_on_silence () =
   Alcotest.(check int) "conservative window" (4 * 1448) !cwnd;
   Alcotest.(check (float 1e-9)) "pacing disabled" 0.0 !rate
 
+(* The agent's way back from a stand-in: a [Set_cwnd] alone leaves the
+   flow where it is, and an accepted [Install] takes it back. *)
+let send_to_datapath channel msg =
+  Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Agent_end msg
+
+let reclaim_with_install sim channel ext ~cwnd ~stand_in_cwnd =
+  send_to_datapath channel (Ccp_ipc.Message.Set_cwnd { flow = 1; bytes = 60_000 });
+  Sim.run ~until:(Time_ns.ms 355) sim;
+  Alcotest.(check bool) "a Set_cwnd leaves the fallback" true (Ccp_ext.in_fallback ext ~flow:1);
+  Alcotest.(check int) "and is not applied" stand_in_cwnd !cwnd;
+  send_to_datapath channel
+    (Ccp_ipc.Message.Install
+       { flow = 1; program = Ccp_algorithms.Prog.window_program ~cwnd:60_000 () });
+  Sim.run ~until:(Time_ns.ms 360) sim
+
 let test_watchdog_lifted_by_agent_message () =
   let sim, channel, ext = watchdog_env () in
   let ctl, cwnd, _ = fake_ctl sim ~flow:1 in
   (Ccp_ext.congestion_control ext).Congestion_iface.on_init ctl;
   Sim.run ~until:(Time_ns.ms 350) sim;
   Alcotest.(check bool) "in fallback" true (Ccp_ext.in_fallback ext ~flow:1);
-  Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Agent_end
-    (Ccp_ipc.Message.Set_cwnd { flow = 1; bytes = 60_000 });
-  Sim.run ~until:(Time_ns.ms 360) sim;
+  reclaim_with_install sim channel ext ~cwnd ~stand_in_cwnd:(4 * 1448);
   Alcotest.(check bool) "lifted" false (Ccp_ext.in_fallback ext ~flow:1);
   Alcotest.(check int) "agent window applied" 60_000 !cwnd
 
@@ -209,9 +222,7 @@ let test_native_fallback_hands_back_on_recovery () =
   Alcotest.(check bool)
     "in native fallback" true
     (Ccp_ext.controller ext ~flow:1 = Some Ccp_ext.Native_fallback);
-  Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Agent_end
-    (Ccp_ipc.Message.Set_cwnd { flow = 1; bytes = 60_000 });
-  Sim.run ~until:(Time_ns.ms 360) sim;
+  reclaim_with_install sim channel ext ~cwnd ~stand_in_cwnd:(10 * 1448);
   Alcotest.(check bool) "fallback lifted" false (Ccp_ext.in_fallback ext ~flow:1);
   Alcotest.(check int) "agent window applied over native's" 60_000 !cwnd;
   let before = !(!acks) in

@@ -317,6 +317,23 @@ let test_agent_crash_fallback_and_recovery () =
     true
     (r.Experiment.utilization > 0.7)
 
+(* Reno's contract on a clean run with the watchdog armed: one accepted
+   install for the flow's life, a window sent on every report and urgent,
+   and an agent never silent long enough for the watchdog. *)
+let test_reno_steers_without_reinstalls () =
+  let module Degraded = Scenarios.Degraded in
+  let r = Degraded.run_one ~fallback:(Degraded.reno_fallback ()) () in
+  let stats = Option.get r.Experiment.agent_stats in
+  Alcotest.(check int) "one install sent" 1 stats.Experiment.installs;
+  Alcotest.(check int) "and accepted" 1 stats.Experiment.installs_admitted;
+  Alcotest.(check int) "no fallback" 0 stats.Experiment.fallbacks;
+  Alcotest.(check int) "no probe" 0 stats.Experiment.fallback_probes;
+  Alcotest.(check bool)
+    (Printf.sprintf "reports and urgents flowed (%d, %d)" stats.Experiment.reports
+       stats.Experiment.urgents)
+    true
+    (stats.Experiment.reports > 400 && stats.Experiment.urgents > 0)
+
 let suite =
   [
     ( "integration",
@@ -337,5 +354,7 @@ let suite =
           test_batching_table_matches_paper_arithmetic;
         Alcotest.test_case "agent crash: fallback and recovery" `Slow
           test_agent_crash_fallback_and_recovery;
+        Alcotest.test_case "reno: one install, no fallback" `Slow
+          test_reno_steers_without_reinstalls;
       ] );
   ]

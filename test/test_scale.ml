@@ -498,6 +498,48 @@ let test_aggregate_floor_and_decrease () =
   report_round sim2 channel2 ~n ~acked:0.0;
   check_conservation ~what:"after each member's next report" agg2 ~n captured2
 
+(* Below its floor of two segments per member (one after a timeout), a
+   decrease leaves the aggregate alone: a loss never raises it. *)
+let test_aggregate_decrease_never_raises () =
+  let n = 8 in
+  let sim, channel, agg, _ = make_aggregate_fleet ~initial_segments:2 ~init_cwnd:2896 ~n () in
+  let urgent at kind =
+    Sim.schedule sim ~at (fun () ->
+        Channel.send channel ~from:Channel.Datapath_end
+          (Message.Urgent { flow = 1; kind; cwnd_at_event = 1448; inflight_at_event = 0 }))
+    |> ignore
+  in
+  let aggregate () = Ccp_algorithms.Ccp_aggregate.aggregate_cwnd agg in
+  urgent (Time_ns.ms 20) Message.Dup_ack_loss;
+  Sim.run sim;
+  Alcotest.(check int) "dup-ack below the floor" 2896 (aggregate ());
+  urgent (Time_ns.ms 40) Message.Timeout;
+  Sim.run sim;
+  Alcotest.(check int) "timeout below the floor" 2896 (aggregate ())
+
+(* A flow that joins again (a watchdog probe, a re-admission, a warm
+   restart) stays one member, and every share stays the aggregate over
+   the distinct flows. *)
+let test_aggregate_rejoin_counted_once () =
+  let sim = Sim.create () in
+  let channel = Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) () in
+  let captured = ref [] in
+  Channel.on_receive channel Channel.Datapath_end (fun msg -> captured := msg :: !captured);
+  let agg = Ccp_algorithms.Ccp_aggregate.create () in
+  let algo = Ccp_algorithms.Ccp_aggregate.algorithm agg in
+  let _agent = Agent.create ~sim ~channel ~choose:(fun _ -> algo) () in
+  List.iter
+    (fun flow ->
+      Channel.send channel ~from:Channel.Datapath_end
+        (Message.Ready { flow; mss = 1448; init_cwnd = 14_480 });
+      Sim.run sim)
+    [ 0; 0; 1 ];
+  Alcotest.(check int) "two members" 2 (Ccp_algorithms.Ccp_aggregate.member_count agg);
+  let shares = latest_shares !captured in
+  Alcotest.(check (option int)) "flow 1 sent half the aggregate"
+    (Some (Ccp_algorithms.Ccp_aggregate.aggregate_cwnd agg / 2))
+    (Hashtbl.find_opt shares 1)
+
 (* Liveness: steering never stops a member measuring. On a staggered
    fleet, the incast scenario's N=64 staggered cell with the aggregate,
    every member delivers at least 0.3 reports per base RTT of its
@@ -592,5 +634,7 @@ let suite =
         Alcotest.test_case "floor and single decrease" `Quick
           test_aggregate_floor_and_decrease;
         Alcotest.test_case "every member keeps reporting" `Quick test_aggregate_liveness;
+        Alcotest.test_case "a decrease never raises" `Quick test_aggregate_decrease_never_raises;
+        Alcotest.test_case "a re-join is counted once" `Quick test_aggregate_rejoin_counted_once;
       ] );
   ]
