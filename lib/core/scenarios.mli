@@ -536,7 +536,7 @@ module Incast : sig
     reports_shed : int;
     decode_failures : int;
     wire_messages : int;  (** datapath->agent wire frames *)
-    batches : int;  (** of which {!Ccp_ipc.Codec.frame_batch} frames *)
+    batches : int;  (** of which {!Ccp_ipc.Codec.seal_batch} frames *)
     pool_rejections : int;
         (** [Ready] registrations the slot pool refused — 0 unless a
             cell is run with fewer slots than flows *)

@@ -26,15 +26,16 @@ let no_faults_yet =
 
 type batching = { max_count : int; max_bytes : int; deadline : Time_ns.t }
 
-(* Pending reports are kept already traced-encoded (newest first), so a
-   flush only length-prefixes them into one frame — the per-report encode
-   cost is paid exactly once whether or not the report is batched. *)
+(* Pending reports are kept already traced-encoded, each entry appended
+   to [body] as the frame will carry it, so a flush only puts the header
+   in front — the per-report encode cost is paid exactly once whether or
+   not the report is batched. *)
 type batch_state = {
   cfg : batching;
-  mutable entries : string list;
-  mutable spans : Message.trace_context list;  (* parallel to [entries] *)
+  body : Wire.Writer.t;  (* the pending entries, length-prefixed, in send order *)
+  spans : Message.trace_context array;  (* [spans.(i)] rides entry [i]; [max_count] long *)
   mutable count : int;
-  mutable pending_bytes : int;
+  mutable pending_bytes : int;  (* the entries' encodings, length prefixes excluded *)
   mutable flush_serial : int;  (* bumped per flush; stale deadline timers no-op *)
 }
 
@@ -120,8 +121,8 @@ let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
       Some
         {
           cfg;
-          entries = [];
-          spans = [];
+          body = Wire.Writer.create ();
+          spans = Array.make cfg.max_count Message.no_trace;
           count = 0;
           pending_bytes = 0;
           flush_serial = 0;
@@ -311,6 +312,11 @@ let stamp_send t ~from span =
     | Agent_end -> Ccp_obs.Tracer.note_send tr span ~now)
   | _ -> ()
 
+(* The live span tokens of entries [0..i], in send order: [] untraced. *)
+let rec live_spans spans i acc =
+  if i < 0 then acc
+  else live_spans spans (i - 1) (if spans.(i) >= 0 then spans.(i) :: acc else acc)
+
 let flush t =
   match t.batch with
   | None -> ()
@@ -322,10 +328,9 @@ let flush t =
       | Some h -> h
       | None -> invalid_arg "Channel.flush: destination handler not registered"
     in
-    let entries = List.rev b.entries in
-    let spans = List.filter (fun s -> s >= 0) (List.rev b.spans) in
-    b.entries <- [];
-    b.spans <- [];
+    let frame = Codec.seal_batch b.body ~count:b.count in
+    let spans = live_spans b.spans (b.count - 1) [] in
+    Wire.Writer.reset b.body;
     b.count <- 0;
     b.pending_bytes <- 0;
     b.flush_serial <- b.flush_serial + 1;
@@ -333,18 +338,16 @@ let flush t =
     (match t.handles with
     | Some h -> Ccp_obs.Metrics.set h.pending_reports 0.0
     | None -> ());
-    let frame = Codec.frame_batch entries in
     (* Batched datapath spans are stamped as sent when the frame actually
        hits the wire, not when the report was parked. *)
     List.iter (fun s -> stamp_send t ~from:Datapath_end s) spans;
     transmit t dir handler ~toward:Agent_end ~spans frame
 
 let enqueue_report t b ~span msg =
-  let entry = Codec.encode_traced ~span msg in
-  b.entries <- entry :: b.entries;
-  b.spans <- span :: b.spans;
+  let len = Codec.add_batch_entry b.body ~span msg in
+  b.spans.(b.count) <- span;
   b.count <- b.count + 1;
-  b.pending_bytes <- b.pending_bytes + String.length entry;
+  b.pending_bytes <- b.pending_bytes + len;
   Ccp_obs.Metrics.incr t.reports_batched;
   (match t.handles with
   | Some h -> Ccp_obs.Metrics.set h.pending_reports (float_of_int b.count)

@@ -49,7 +49,7 @@ val create :
 
     [batching] (default off) turns on cross-flow report coalescing:
     datapath-side [Report] sends are parked and flushed as one
-    {!Codec.frame_batch} wire frame at the watermarks, amortizing
+    {!Codec.seal_batch} wire frame at the watermarks, amortizing
     per-message channel overhead across every flow that reported in the
     flush window. Non-report datapath traffic (Ready/Urgent/Closed/
     vector reports) never waits: it flushes the pending frame first —

@@ -427,54 +427,68 @@ let with_trace ~span encoded =
     Wire.Writer.contents scratch
   end
 
-let decode_with m s =
-  let r = Wire.Reader.of_string s in
-  let msg = read_message r m in
-  if Wire.Reader.at_end r then (msg, Message.no_trace)
+(* The trace block after a message, up to the reader's bound. *)
+let read_trace r =
+  if Wire.Reader.at_end r then Message.no_trace
   else begin
     (match Wire.Reader.byte r with
     | 1 -> ()
     | tag -> fail "bad trailing block tag %d" tag);
     let span = Wire.Reader.varint r in
     if not (Wire.Reader.at_end r) then fail "trailing bytes after trace context";
-    (msg, span)
+    span
   end
 
-let decode_traced ?memo:m s = decode_with (match m with Some m -> m | None -> memo ()) s
+let decode_traced ?memo:m s =
+  let r = Wire.Reader.of_string s in
+  let msg = read_message r (match m with Some m -> m | None -> memo ()) in
+  let span = read_trace r in
+  (msg, span)
 
 (* --- batch frames ---
 
    Cross-flow report batching: one wire frame carrying many messages'
-   already-traced encodings as length-prefixed entries, so the per-frame
-   encode/decode and delivery cost is amortized over every flow that
-   reported in the same flush window. The frame tag (10) sits outside the
-   single-message tag space (0..9), which keeps the two framings
-   unambiguous in both directions: a batching-unaware [decode] rejects a
-   batch frame cleanly ("bad message tag 10") instead of misparsing it,
-   and [decode_batch] on a legacy single-message frame fails the tag
-   check the same way. Entries round-trip through [encode_traced] /
-   [decode_traced], so each batched report keeps its own span token. *)
+   traced encodings as length-prefixed entries, so the per-frame
+   delivery cost is amortized over every flow that reported in the same
+   flush window. The frame tag (10) sits outside the single-message tag
+   space (0..9), which keeps the two framings unambiguous in both
+   directions: a batching-unaware [decode] rejects a batch frame cleanly
+   ("bad message tag 10") instead of misparsing it, and [decode_batch]
+   on a legacy single-message frame fails the tag check the same way.
+   Each entry is an [encode_traced] encoding, so each batched report
+   keeps its own span token.
+
+   Both ends work in place. The sender appends each entry to one body
+   writer and frames the body once at the flush; the receiver reads
+   each entry through the frame's reader, bounded to the entry. *)
 
 let batch_tag = 10
 let max_batch_entries = 4096
 
 let is_batch s = String.length s > 0 && Char.code s.[0] = batch_tag
 
-let frame_batch entries =
-  let count = List.length entries in
+let add_batch_entry body ~span msg =
+  Wire.Writer.reset scratch;
+  write_message scratch msg;
+  write_trace scratch span;
+  let len = Wire.Writer.length scratch in
+  Wire.Writer.varint body len;
+  Wire.Writer.append body scratch;
+  len
+
+let seal_batch body ~count =
   if count > max_batch_entries then
     invalid_arg
-      (Printf.sprintf "Codec.frame_batch: %d entries exceeds max %d" count max_batch_entries);
+      (Printf.sprintf "Codec.seal_batch: %d entries exceeds max %d" count max_batch_entries);
   Wire.Writer.reset scratch;
   Wire.Writer.byte scratch batch_tag;
   Wire.Writer.varint scratch count;
-  List.iter (Wire.Writer.string scratch) entries;
-  Wire.Writer.contents scratch
+  Wire.Writer.concat scratch body
 
 let encode_batch msgs =
-  (* Entries first (each borrows [scratch]), then the frame around them. *)
-  let entries = Array.to_list (Array.map (fun (msg, span) -> encode_traced ~span msg) msgs) in
-  frame_batch entries
+  let body = Wire.Writer.create () in
+  Array.iter (fun (msg, span) -> ignore (add_batch_entry body ~span msg : int)) msgs;
+  seal_batch body ~count:(Array.length msgs)
 
 let decode_batch ?memo:m s =
   let m = match m with Some m -> m | None -> memo () in
@@ -487,7 +501,11 @@ let decode_batch ?memo:m s =
   let out = Array.make n (Message.Closed { flow = 0 }, Message.no_trace) in
   (* Explicit loop: the reader is stateful, entries must parse in order. *)
   for i = 0 to n - 1 do
-    out.(i) <- decode_with m (Wire.Reader.string r)
+    let frame_end = Wire.Reader.push_limit r (Wire.Reader.varint r) in
+    let msg = read_message r m in
+    let span = read_trace r in
+    Wire.Reader.pop_limit r frame_end;
+    out.(i) <- (msg, span)
   done;
   if not (Wire.Reader.at_end r) then fail "trailing bytes after batch";
   out

@@ -78,16 +78,20 @@ val decode_traced : ?memo:memo -> string -> Message.t * Message.trace_context
 
     A batch frame packs many traced message encodings into one wire
     message: tag byte 10, varint entry count, then each entry as a
-    length-prefixed {!encode_traced} blob. Tag 10 is outside the
+    length-prefixed {!encode_traced} encoding. Tag 10 is outside the
     single-message tag space, so the framings cannot be confused: a
     batching-unaware peer's {!decode} rejects a batch with a clean
-    [Decode_error] rather than misparsing it. *)
+    [Decode_error] rather than misparsing it.
+
+    A sender builds the frame in place: {!add_batch_entry} appends each
+    entry to one body writer, and {!seal_batch} frames the body, copying
+    it once. *)
 
 val batch_tag : int
 (** First byte of every batch frame (10). *)
 
 val max_batch_entries : int
-(** Upper bound on entries per frame (4096); both {!frame_batch} and
+(** Upper bound on entries per frame (4096); both {!seal_batch} and
     {!decode_batch} enforce it. *)
 
 val is_batch : string -> bool
@@ -95,17 +99,25 @@ val is_batch : string -> bool
     used by the channel's receive path. No legacy message starts with
     tag 10, so this never misclassifies. *)
 
-val frame_batch : string list -> string
-(** Wrap pre-encoded {!encode_traced} entries (in send order) into one
-    batch frame. Raises [Invalid_argument] above {!max_batch_entries}.
-    An empty list yields a valid zero-entry frame. *)
+val add_batch_entry : Wire.Writer.t -> span:Message.trace_context -> Message.t -> int
+(** [add_batch_entry body ~span msg] appends [encode_traced ~span msg] to
+    [body] as one entry, length prefix first, and returns the encoding's
+    length, prefix excluded. No string is made for the entry. *)
+
+val seal_batch : Wire.Writer.t -> count:int -> string
+(** The batch frame of a [body] that holds [count] entries: the header,
+    then the body. [body] is left as it was. Raises [Invalid_argument]
+    above {!max_batch_entries}. Zero entries make a valid frame. *)
 
 val encode_batch : (Message.t * Message.trace_context) array -> string
-(** [frame_batch] over [encode_traced ~span msg] for each element. *)
+(** {!seal_batch} over {!add_batch_entry} of each element, in order. *)
 
 val decode_batch : ?memo:memo -> string -> (Message.t * Message.trace_context) array
 (** Inverse of {!encode_batch}: strict framing (trailing bytes rejected,
-    entry count bounded), each entry decoded with {!decode_traced}.
-    Raises {!Decode_error} / {!Wire.Reader.Truncated} on malformed
-    input — the whole frame is rejected, never a prefix of it. Entries
-    decode in order through one [memo]. *)
+    entry count bounded), each entry decoded as {!decode_traced} would,
+    but in place: the frame's reader is bounded to the entry
+    ({!Wire.Reader.push_limit}), so no entry is copied out. Raises
+    {!Decode_error} / {!Wire.Reader.Truncated} /
+    {!Wire.Reader.Malformed} on malformed input — the whole frame is
+    validated before this returns, so a caller never sees a prefix of
+    it. Entries decode in order through one [memo]. *)

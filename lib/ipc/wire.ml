@@ -32,21 +32,30 @@ module Writer = struct
     Buffer.add_string t s
 
   let raw = Buffer.add_string
-
+  let append = Buffer.add_buffer
   let contents = Buffer.contents
   let length = Buffer.length
+
+  let concat a b =
+    let la = Buffer.length a and lb = Buffer.length b in
+    let s = Bytes.create (la + lb) in
+    Buffer.blit a 0 s 0 la;
+    Buffer.blit b 0 s la lb;
+    Bytes.unsafe_to_string s
 end
 
 module Reader = struct
-  type t = { data : string; mutable pos : int }
+  (* Reads stop at [limit]: the end of the string, or the end of the
+     entry a [push_limit] entered. *)
+  type t = { data : string; mutable pos : int; mutable limit : int }
 
   exception Truncated
   exception Malformed of string
 
-  let of_string data = { data; pos = 0 }
+  let of_string data = { data; pos = 0; limit = String.length data }
 
   let byte t =
-    if t.pos >= String.length t.data then raise Truncated;
+    if t.pos >= t.limit then raise Truncated;
     let b = Char.code t.data.[t.pos] in
     t.pos <- t.pos + 1;
     b
@@ -68,13 +77,13 @@ module Reader = struct
     (encoded lsr 1) lxor (-(encoded land 1))
 
   let float t =
-    if t.pos + 8 > String.length t.data then raise Truncated;
+    if t.pos + 8 > t.limit then raise Truncated;
     let bits = String.get_int64_le t.data t.pos in
     t.pos <- t.pos + 8;
     Int64.float_of_bits bits
 
   let float_into t a i =
-    if t.pos + 8 > String.length t.data then raise Truncated;
+    if t.pos + 8 > t.limit then raise Truncated;
     Array.set a i (Int64.float_of_bits (String.get_int64_le t.data t.pos));
     t.pos <- t.pos + 8
 
@@ -87,7 +96,7 @@ module Reader = struct
 
   let skip_bytes t s =
     let n = String.length s in
-    n <= String.length t.data - t.pos
+    n <= t.limit - t.pos
     && same_bytes t.data t.pos s 0 n
     &&
     (t.pos <- t.pos + n;
@@ -97,13 +106,13 @@ module Reader = struct
      byte, so a match costs no varint decode. *)
   let rec skip_length t n =
     if n < 0x80 then
-      t.pos < String.length t.data
+      t.pos < t.limit
       && Char.code (String.unsafe_get t.data t.pos) = n
       &&
       (t.pos <- t.pos + 1;
        true)
     else
-      t.pos < String.length t.data
+      t.pos < t.limit
       && Char.code (String.unsafe_get t.data t.pos) = 0x80 lor (n land 0x7f)
       &&
       (t.pos <- t.pos + 1;
@@ -118,11 +127,18 @@ module Reader = struct
 
   let string t =
     let len = varint t in
-    if len > String.length t.data - t.pos then raise Truncated;
+    if len > t.limit - t.pos then raise Truncated;
     let s = String.sub t.data t.pos len in
     t.pos <- t.pos + len;
     s
 
-  let at_end t = t.pos = String.length t.data
-  let remaining t = String.length t.data - t.pos
+  let push_limit t n =
+    if n < 0 || n > t.limit - t.pos then raise Truncated;
+    let outer = t.limit in
+    t.limit <- t.pos + n;
+    outer
+
+  let pop_limit t outer = t.limit <- outer
+  let at_end t = t.pos = t.limit
+  let remaining t = t.limit - t.pos
 end

@@ -32,8 +32,16 @@ module Writer : sig
   (** The bytes themselves, without a length prefix: for splicing in an
       encoding made earlier. *)
 
+  val append : t -> t -> unit
+  (** [append t u] adds [u]'s bytes to [t], without a length prefix and
+      without making a string of them. *)
+
   val contents : t -> string
   val length : t -> int
+
+  val concat : t -> t -> string
+  (** [concat a b] is [contents a ^ contents b], copying each writer's
+      bytes once: a header written after the body it frames. *)
 end
 
 module Reader : sig
@@ -62,6 +70,16 @@ module Reader : sig
       (canonical length prefix, then the bytes), consume them and return
       [true]; otherwise consume nothing. Allocation-free, so a decoder
       can match a string it already holds instead of copying it out. *)
+
+  val push_limit : t -> int -> int
+  (** [push_limit r n] bounds [r] to its next [n] bytes: reads past them
+      raise {!Truncated}, and {!at_end} and {!remaining} count to them.
+      Returns the bound it replaced, for {!pop_limit}. Raises
+      {!Truncated} if fewer than [n] bytes remain. This is how a decoder
+      reads a length-prefixed entry in place, without copying it out. *)
+
+  val pop_limit : t -> int -> unit
+  (** Restore the bound {!push_limit} returned. *)
 
   val at_end : t -> bool
   val remaining : t -> int

@@ -407,9 +407,9 @@ let test_batch_framing_disjoint () =
   | _ -> Alcotest.fail "decode_batch accepted a single-message frame"
   | exception Codec.Decode_error _ -> ());
   (* Empty frames are legal; the entry bound is enforced both ways. *)
-  Alcotest.(check int) "empty batch" 0 (Array.length (Codec.decode_batch (Codec.frame_batch [])));
-  let entry = Codec.encode_traced (Message.Closed { flow = 1 }) in
-  match Codec.frame_batch (List.init (Codec.max_batch_entries + 1) (fun _ -> entry)) with
+  Alcotest.(check int) "empty batch" 0 (Array.length (Codec.decode_batch (Codec.encode_batch [||])));
+  let entry = (Message.Closed { flow = 1 }, Message.no_trace) in
+  match Codec.encode_batch (Array.make (Codec.max_batch_entries + 1) entry) with
   | _ -> Alcotest.fail "oversized batch accepted"
   | exception Invalid_argument _ -> ()
 
