@@ -36,11 +36,12 @@ let sample_report : Ccp_ipc.Message.t =
   Ccp_ipc.Message.Report
     {
       flow = 7;
-      names =
-        [|
-          "acked"; "marked"; "pkts"; "maxrate"; "minrtt"; "lastrtt"; "sumrtt"; "_cwnd"; "_rate";
-          "_srtt_us";
-        |];
+      layout =
+        Ccp_ipc.Message.layout
+          [|
+            "acked"; "marked"; "pkts"; "maxrate"; "minrtt"; "lastrtt"; "sumrtt"; "_cwnd"; "_rate";
+            "_srtt_us";
+          |];
       values =
         [| 123456.0; 12.0; 85.0; 1.25e7; 10123.0; 11000.0; 870000.0; 145000.0; 0.0; 10500.0 |];
     }
@@ -766,7 +767,8 @@ let scale_churn ~n ~rounds =
   end;
   (float_of_int (rounds * n) /. dt, words_per_flow)
 
-let scale_report_names = [| "acked"; "sacked"; "lastrtt" |]
+(* Built once, as the datapath builds one layout per fold plan. *)
+let scale_report_layout = Ccp_ipc.Message.layout [| "acked"; "sacked"; "lastrtt" |]
 
 (* µs of wall clock and minor words per report, send through dispatch,
    at [n] live flows, reports round-robin across the fleet. *)
@@ -781,7 +783,7 @@ let scale_reports ?batching ~n ~reports () =
     for i = 0 to count - 1 do
       Ccp_ipc.Channel.send channel ~from:Ccp_ipc.Channel.Datapath_end
         (Ccp_ipc.Message.Report
-           { flow = i mod n; names = scale_report_names; values = [| 1448.0; 0.0; 10_233.0 |] })
+           { flow = i mod n; layout = scale_report_layout; values = [| 1448.0; 0.0; 10_233.0 |] })
     done;
     Ccp_ipc.Channel.flush channel;
     Ccp_eventsim.Sim.run sim
@@ -828,6 +830,7 @@ let aggregate_frames_per_report ~n ~rounds =
   let algo = Ccp_algorithms.Ccp_aggregate.(algorithm (create ())) in
   let agent = Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> algo) ~flow_pool:n () in
   let send msg = Channel.send channel ~from:Channel.Datapath_end msg in
+  let layout = Message.layout [| "acked" |] in
   for f = 0 to n - 1 do
     send (Message.Ready { flow = f; mss = 1448; init_cwnd = 14_480 })
   done;
@@ -835,7 +838,7 @@ let aggregate_frames_per_report ~n ~rounds =
     ignore
       (Ccp_eventsim.Sim.schedule sim ~at:(Time_ns.ms (10 * round)) (fun () ->
            for f = 0 to n - 1 do
-             send (Message.Report { flow = f; names = [| "acked" |]; values = [| 1448.0 |] })
+             send (Message.Report { flow = f; layout; values = [| 1448.0 |] })
            done;
            if round mod 4 = 0 then
              send

@@ -47,13 +47,13 @@ let rec index_of names name i =
   else index_of names name (i + 1)
 
 let field (report : Message.report) name =
-  let i = index_of report.names name 0 in
+  let i = index_of report.layout.names name 0 in
   if i < 0 then None else Some report.values.(i)
 
 exception Missing_field of string
 
 let field_exn (report : Message.report) name =
-  let i = index_of report.names name 0 in
+  let i = index_of report.layout.names name 0 in
   if i < 0 then raise (Missing_field name) else report.values.(i)
 
 let column (report : Message.vector_report) name =

@@ -63,7 +63,7 @@ exception Missing_field of string
 
 val field : Message.report -> string -> float option
 (** The value of the report's first field called [name]: a search of
-    [names] by index, then [values] at that index. *)
+    [layout.names] by index, then [values] at that index. *)
 
 val field_exn : Message.report -> string -> float
 (** As {!field}, with no option on the way. Raises {!Missing_field} if

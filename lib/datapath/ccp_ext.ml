@@ -115,9 +115,9 @@ let default_config =
 
 type measurement =
   | No_measurement
-  | Fold_state of { fold : Compile.Fold.t; names : string array }
-      (* [names]: the fold's fields, then [Message.reserved_names]. Built
-         once per plan; every report of the plan shares it. *)
+  | Fold_state of { fold : Compile.Fold.t; layout : Message.layout }
+      (* [layout]: the fold's fields, then [Message.reserved_names].
+         Interned once per plan; every report of the plan shares it. *)
   | Vector of {
       columns : string array;
       col_idx : int array;
@@ -317,14 +317,14 @@ let send_report t fs =
     let values = Array.make reserved_count 0.0 in
     write_reserved fs values 0 ~packets:0;
     Channel.send t.channel ~from:Channel.Datapath_end ~span
-      (Message.Report { flow; names = Message.reserved_names; values })
-  | Fold_state { fold; names } ->
+      (Message.Report { flow; layout = Message.reserved_layout; values })
+  | Fold_state { fold; layout } ->
     let state = Compile.Fold.values fold in
-    let values = Array.make (Array.length names) 0.0 in
+    let values = Array.make (Array.length layout.Message.names) 0.0 in
     Array.blit state 0 values 0 (Array.length state);
     write_reserved fs values (Array.length state) ~packets:(Compile.Fold.packet_count fold);
     Channel.send t.channel ~from:Channel.Datapath_end ~span
-      (Message.Report { flow; names; values });
+      (Message.Report { flow; layout; values });
     (match fs.exec with
     | Some (_, m) ->
       refresh_flow fs m (Compile.Fold.init_flow_mask (Compile.Fold.plan fold));
@@ -486,15 +486,18 @@ let apply_rate t fs raw =
   fs.ctl.Congestion_iface.set_rate rate
 
 (* A restart on the plan the flow last measured with resets that fold in
-   place; only a new plan builds one, with its report names. *)
+   place; only a new plan builds one, with its report layout. *)
 let start_fold fs m plan =
   refresh_flow fs m (Compile.Fold.init_flow_mask plan);
   (match fs.kept_fold with
   | Fold_state { fold; _ } when Compile.Fold.plan fold == plan -> Compile.Fold.reset fold ~m
   | No_measurement | Fold_state _ | Vector _ ->
     let fold = Compile.Fold.create plan ~m in
-    let names = Array.append (Array.map fst (Compile.Fold.fields fold)) Message.reserved_names in
-    fs.kept_fold <- Fold_state { fold; names });
+    let layout =
+      Message.layout
+        (Array.append (Array.map fst (Compile.Fold.fields fold)) Message.reserved_names)
+    in
+    fs.kept_fold <- Fold_state { fold; layout });
   fs.measurement <- fs.kept_fold
 
 (* Arm the flow's wait timer [duration] from now. Re-arming sorts exactly

@@ -22,9 +22,9 @@
     [_srtt_us], [_rtt_us], [_minrtt_us], [_inflight_bytes], [_send_rate],
     [_recv_rate], [_now_us] and [_packets]) after the program's own fold
     fields — mirroring the prototype datapath of §3, which reports the
-    most recent ACK and EWMA-filtered rates. A report's [names] array is
-    built once per fold plan and shared by all its reports; its [values]
-    are written in place. *)
+    most recent ACK and EWMA-filtered rates. A report's layout
+    ({!Ccp_ipc.Message.layout}) is interned once per fold plan and shared
+    by all its reports; its [values] are written in place. *)
 
 open Ccp_util
 open Ccp_eventsim

@@ -62,8 +62,9 @@ val create :
     Raises [Invalid_argument] on a watermark or deadline that is not
     positive, or a [max_count] above {!Codec.max_batch_entries}.
 
-    Each end decodes through its own {!Codec.memo}. Agent-bound reports
-    whose names repeat the previous report's share its [names] array. *)
+    Each end decodes through its own {!Codec.memo}. Reports carry their
+    layout's id, not its names ({!Message.layout}), so an agent-bound
+    report decodes without reading a name. *)
 
 val on_receive : t -> endpoint -> (Message.t -> unit) -> unit
 (** Register the handler that receives messages arriving {e at} the given

@@ -157,19 +157,22 @@ let decode_program s = read_program (Wire.Reader.of_string s)
 (* --- decode memo ---
 
    What a receiver already holds, so that a steady stream decodes without
-   rebuilding it: the names of the last report decoded, and each flow's
-   running program with its encoding. Encoding is canonical (constants
-   are IEEE bits), so program bytes equal to the running program's bytes
-   decode to a program identical to it, and the decoder hands out the
-   running AST instead of building a copy. *)
+   rebuilding it: each flow's running program with its encoding. Encoding
+   is canonical (constants are IEEE bits), so program bytes equal to the
+   running program's bytes decode to a program identical to it, and the
+   decoder hands out the running AST instead of building a copy. *)
 
 type running = { bytes : string; program : Ccp_lang.Ast.program }
 
-type memo = { mutable names : string array; mutable running : int -> running option }
+type memo = { mutable running : int -> running option }
 
 let no_running (_ : int) : running option = None
-let memo () = { names = [||]; running = no_running }
+let memo () = { running = no_running }
 let set_running memo lookup = memo.running <- lookup
+
+(* The memo of a decode that was given none: nothing can install a
+   lookup in it, so every such decode may share it. *)
+let empty = memo ()
 
 (* --- messages --- *)
 
@@ -218,14 +221,14 @@ let write_message w (msg : Message.t) =
     Wire.Writer.varint w flow;
     Wire.Writer.varint w mss;
     Wire.Writer.varint w init_cwnd
-  | Report { flow; names; values } ->
-    let n = Array.length names in
-    if Array.length values <> n then invalid_arg "Codec: report names/values length mismatch";
+  | Report { flow; layout; values } ->
+    let n = Array.length values in
+    if Array.length layout.names <> n then invalid_arg "Codec: report layout/values length mismatch";
     Wire.Writer.byte w 1;
     Wire.Writer.varint w flow;
+    Wire.Writer.word w layout.id;
     Wire.Writer.varint w n;
     for i = 0 to n - 1 do
-      Wire.Writer.string w (Array.unsafe_get names i);
       Wire.Writer.float_at w values i
     done
   | Report_vector { flow; columns; rows } ->
@@ -277,42 +280,25 @@ let write_message w (msg : Message.t) =
     Wire.Writer.varint w flow;
     Wire.Writer.float w bytes_per_sec
 
-(* Fields [i..] of a report. [names] is [prev] for as long as every name
-   on the wire matches it; the first mismatch copies the matched prefix
-   into a fresh array and reads the rest. *)
-let rec read_fields r ~prev names values i =
-  if i = Array.length values then names
-  else begin
-    let names =
-      if names == prev && Wire.Reader.skip_string r (Array.unsafe_get prev i) then names
-      else begin
-        let names =
-          if names == prev then begin
-            let fresh = Array.make (Array.length values) "" in
-            Array.blit prev 0 fresh 0 i;
-            fresh
-          end
-          else names
-        in
-        names.(i) <- Wire.Reader.string r;
-        names
-      end
-    in
-    Wire.Reader.float_into r values i;
-    read_fields r ~prev names values (i + 1)
-  end
-
-let read_report r memo : Message.t =
+(* A report names its layout by id and carries values only: the layout
+   is found in the process's table, never interned here, and its length
+   must be the value count on the wire. *)
+let read_report r : Message.t =
   let flow = Wire.Reader.varint r in
-  let n = Wire.Reader.varint r in
-  if n > 4096 then fail "report with %d fields" n;
-  let prev = memo.names in
-  let values = Array.make n 0.0 in
-  let names =
-    read_fields r ~prev (if Array.length prev = n then prev else Array.make n "") values 0
+  let id = Wire.Reader.word r in
+  let layout =
+    match Message.find_layout id with
+    | layout -> layout
+    | exception Not_found -> fail "report of unknown layout %d" id
   in
-  memo.names <- names;
-  Report { flow; names; values }
+  let n = Wire.Reader.varint r in
+  if n <> Array.length layout.names then
+    fail "report of %d values for a layout of %d fields" n (Array.length layout.names);
+  let values = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    Wire.Reader.float_into r values i
+  done;
+  Report { flow; layout; values }
 
 let read_message r memo : Message.t =
   match Wire.Reader.byte r with
@@ -321,7 +307,7 @@ let read_message r memo : Message.t =
     let mss = Wire.Reader.varint r in
     let init_cwnd = Wire.Reader.varint r in
     Ready { flow; mss; init_cwnd }
-  | 1 -> read_report r memo
+  | 1 -> read_report r
   | 2 ->
     let flow = Wire.Reader.varint r in
     let ncols = Wire.Reader.varint r in
@@ -388,7 +374,7 @@ let encode msg = encode_with scratch msg
 
 let decode s =
   let r = Wire.Reader.of_string s in
-  let msg = read_message r (memo ()) in
+  let msg = read_message r empty in
   if not (Wire.Reader.at_end r) then fail "trailing bytes after message";
   msg
 
@@ -441,7 +427,7 @@ let read_trace r =
 
 let decode_traced ?memo:m s =
   let r = Wire.Reader.of_string s in
-  let msg = read_message r (match m with Some m -> m | None -> memo ()) in
+  let msg = read_message r (match m with Some m -> m | None -> empty) in
   let span = read_trace r in
   (msg, span)
 
@@ -491,7 +477,7 @@ let encode_batch msgs =
   seal_batch body ~count:(Array.length msgs)
 
 let decode_batch ?memo:m s =
-  let m = match m with Some m -> m | None -> memo () in
+  let m = match m with Some m -> m | None -> empty in
   let r = Wire.Reader.of_string s in
   (match Wire.Reader.byte r with
   | tag when tag = batch_tag -> ()

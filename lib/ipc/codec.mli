@@ -17,9 +17,11 @@ val encode_with : Wire.Writer.t -> Message.t -> string
 (** [encode_with w msg] resets [w] and encodes into it. *)
 
 val decode : string -> Message.t
-(** Raises {!Decode_error} (or {!Wire.Reader.Truncated}) on malformed
-    input; the datapath treats that as a hostile agent and drops the
-    message. *)
+(** Raises {!Decode_error} (or {!Wire.Reader.Truncated} /
+    {!Wire.Reader.Malformed}) on malformed input; the datapath treats
+    that as a hostile agent and drops the message. A report decodes only
+    in a process that interned its layout ({!Message.layout}): the wire
+    carries the layout's id, not its names. *)
 
 val encode_program : Ccp_lang.Ast.program -> string
 (** The program's bytes as they appear inside an [Install] frame. The
@@ -48,19 +50,22 @@ val with_trace : span:Message.trace_context -> string -> string
 
     What a receiver already holds, so a steady stream decodes without
     rebuilding it. A memo changes which values a decode shares, never
-    what it decodes: the result is equal to the memo-free decode. *)
+    what it decodes: the result is equal to the memo-free decode.
+
+    Reports need no memo: a report carries its layout's id, and every
+    decode finds the layout in the process's table
+    ({!Message.find_layout}), so a report decodes into its values array
+    and its record whatever came before it. A report whose id nothing in
+    the process interned, or whose value count differs from its layout's
+    length, is a {!Decode_error}. *)
 
 type running = { bytes : string; program : Ccp_lang.Ast.program }
 (** A flow's running program and its {!encode_program} bytes. *)
 
 type memo
-(** Per-receiver decode state:
-    - the names of the last report decoded. A report whose names match
-      them byte for byte shares that array as its [names], so it decodes
-      into one float array and its record;
-    - a lookup of each flow's running program (none by default). An
-      [Install] whose program bytes equal the flow's running bytes
-      yields the running AST itself, without decoding one. *)
+(** Per-receiver decode state: a lookup of each flow's running program
+    (none by default). An [Install] whose program bytes equal the flow's
+    running bytes yields the running AST itself, without decoding one. *)
 
 val memo : unit -> memo
 
@@ -72,7 +77,7 @@ val decode_traced : ?memo:memo -> string -> Message.t * Message.trace_context
 (** Inverse of {!encode_traced}; bytes without the trailing block decode
     as [(msg, Message.no_trace)] — absent-field backward compatibility.
     {!decode} itself still rejects any trailing bytes. Without [memo],
-    every decode starts from an empty one. *)
+    no [Install] is matched against a running program. *)
 
 (** {2 Batch frames}
 

@@ -4,13 +4,91 @@ let no_trace = -1
 
 type urgent_kind = Dup_ack_loss | Timeout | Ecn
 
-type report = { flow : int; names : string array; values : float array }
+type layout = { id : int; names : string array }
+
+(* --- the layout table ---
+
+   One table per process: an immutable array of every interned layout,
+   sorted by id, behind an [Atomic.t]. A lookup is a binary search of
+   whatever array it reads, so it is safe from any domain and allocates
+   nothing; an intern copies the array with the new layout in place and
+   publishes it with a compare-and-set. Interns are rare (one per fold
+   plan a datapath builds), lookups are per report.
+
+   A layout's id is the 64-bit FNV-1a hash of its names (the count, then
+   each name length-prefixed, lengths as LEB128 bytes), cut to 62 bits:
+   a content hash, so the same names get the same id in every process,
+   whatever was interned before. The hash runs on native ints, which
+   wrap at 63 bits: the low 63 bits of a 64-bit product depend only on
+   the factors' low 63 bits, so this is the 64-bit hash's low part, and
+   it allocates nothing. *)
+
+let table : layout array Atomic.t = Atomic.make [||]
+let fnv_offset = Int64.to_int 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3
+let hash_byte h b = (h lxor b) * fnv_prime
+
+let rec hash_length h n =
+  if n < 0x80 then hash_byte h n else hash_length (hash_byte h (0x80 lor (n land 0x7f))) (n lsr 7)
+
+let rec hash_bytes h s i =
+  if i = String.length s then h
+  else hash_bytes (hash_byte h (Char.code (String.unsafe_get s i))) s (i + 1)
+
+let hash_name h name = hash_bytes (hash_length h (String.length name)) name 0
+
+let layout_id names =
+  Array.fold_left hash_name (hash_length fnv_offset (Array.length names)) names land max_int
+
+(* The index in [known] of the first layout whose id is [>= id]. *)
+let rec search (known : layout array) id lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if (Array.unsafe_get known mid).id < id then search known id (mid + 1) hi
+    else search known id lo mid
+
+let rec intern id names =
+  let known = Atomic.get table in
+  let i = search known id 0 (Array.length known) in
+  if i < Array.length known && known.(i).id = id then begin
+    let l = known.(i) in
+    if l.names = names then l
+    else
+      (* About one chance in 2^62 / k^2 with k layouts interned: fail
+         loudly rather than let two layouts share an id. *)
+      let show names = String.concat "; " (Array.to_list names) in
+      failwith
+        (Printf.sprintf "Message.layout: [%s] and [%s] share id %d" (show names) (show l.names) id)
+  end
+  else begin
+    let l = { id; names = Array.copy names } in
+    let grown =
+      Array.init (Array.length known + 1) (fun j ->
+          if j < i then known.(j) else if j = i then l else known.(j - 1))
+    in
+    if Atomic.compare_and_set table known grown then l else intern id names
+  end
+
+let layout names = intern (layout_id names) names
+
+let find_layout id =
+  let known = Atomic.get table in
+  let i = search known id 0 (Array.length known) in
+  if i < Array.length known && (Array.unsafe_get known i).id = id then Array.unsafe_get known i
+  else raise Not_found
+
+let layouts_interned () = Array.length (Atomic.get table)
+
+type report = { flow : int; layout : layout; values : float array }
 
 let reserved_names =
   [|
     "_cwnd"; "_rate"; "_mss"; "_srtt_us"; "_rtt_us"; "_minrtt_us"; "_inflight_bytes";
     "_send_rate"; "_recv_rate"; "_now_us"; "_packets";
   |]
+
+let reserved_layout = layout reserved_names
 type vector_report = { flow : int; columns : string array; rows : float array array }
 type urgent = { flow : int; kind : urgent_kind; cwnd_at_event : int; inflight_at_event : int }
 
@@ -81,7 +159,8 @@ let all_incident_kinds =
 let describe = function
   | Ready { flow; mss; init_cwnd } ->
     Printf.sprintf "ready(flow=%d mss=%d cwnd=%d)" flow mss init_cwnd
-  | Report { flow; names; _ } -> Printf.sprintf "report(flow=%d fields=%d)" flow (Array.length names)
+  | Report { flow; layout; _ } ->
+    Printf.sprintf "report(flow=%d fields=%d)" flow (Array.length layout.names)
   | Report_vector { flow; rows; _ } ->
     Printf.sprintf "report-vector(flow=%d rows=%d)" flow (Array.length rows)
   | Urgent { flow; kind; _ } -> Printf.sprintf "urgent(flow=%d %s)" flow (urgent_kind_to_string kind)
@@ -100,7 +179,8 @@ let describe = function
 let equal a b =
   match (a, b) with
   | Ready r1, Ready r2 -> r1.flow = r2.flow && r1.mss = r2.mss && r1.init_cwnd = r2.init_cwnd
-  | Report r1, Report r2 -> r1.flow = r2.flow && r1.names = r2.names && r1.values = r2.values
+  | Report r1, Report r2 ->
+    r1.flow = r2.flow && r1.layout.id = r2.layout.id && r1.values = r2.values
   | Report_vector v1, Report_vector v2 ->
     v1.flow = v2.flow && v1.columns = v2.columns && v1.rows = v2.rows
   | Urgent u1, Urgent u2 -> u1 = u2

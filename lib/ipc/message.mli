@@ -20,23 +20,48 @@ type urgent_kind =
   | Timeout  (** retransmission timeout *)
   | Ecn  (** ECN congestion-experienced echo *)
 
-(** A fold-mode summary: [values.(i)] is the field named [names.(i)]. The
-    datapath lays out the fold's fields in init order, then
-    {!reserved_names}; on the wire each field is still a name/value
-    pair.
+(** A report layout: the names of a fold report's fields, in order.
+    Layouts are interned once per process by {!layout}, and a report
+    carries only its layout's [id] on the wire, never a name. *)
+type layout = private {
+  id : int;
+      (** a 62-bit content hash of [names] (64-bit FNV-1a, cut to 62
+          bits): the same names get the same id in every process,
+          whatever it interned before *)
+  names : string array;  (** shared and read-only: never mutate it *)
+}
 
-    [names] is shared and read-only: the datapath builds one array per
-    fold plan and every report of that plan carries it, and the
-    agent-bound decoder hands out the previous report's array again when
-    the names on the wire match it. Never mutate it. [values] is fresh
-    per report. Both have the same length. *)
-type report = { flow : int; names : string array; values : float array }
+val layout : string array -> layout
+(** The interned layout of these names, interning it on first use; the
+    array is copied, so the caller may reuse it. Safe from several
+    domains. Raises [Failure] if other names already hold the same id, a
+    hash collision (about one chance in [2^62 / k^2] with [k] layouts
+    interned). *)
+
+val find_layout : int -> layout
+(** The interned layout with this id; never interns. Raises [Not_found]
+    for an id nothing interned. A binary search: allocation-free, and
+    safe from several domains. *)
+
+val layouts_interned : unit -> int
+(** Layouts interned so far in this process. *)
+
+(** A fold-mode summary: [values.(i)] is the field named
+    [layout.names.(i)]. The datapath lays out the fold's fields in init
+    order, then {!reserved_names}, and builds one layout per fold plan;
+    every report of the plan shares it. On the wire a report is its
+    flow, its layout's id, its value count and its values; the receiving
+    end finds the layout by id, so decoding reads no name. [values] is
+    fresh per report and as long as [layout.names]. *)
+type report = { flow : int; layout : layout; values : float array }
 
 val reserved_names : string array
 (** The eleven fields every report ends with: [_cwnd], [_rate], [_mss],
     [_srtt_us], [_rtt_us], [_minrtt_us], [_inflight_bytes], [_send_rate],
-    [_recv_rate], [_now_us], [_packets]. Shared and read-only, like
-    [report.names]. *)
+    [_recv_rate], [_now_us], [_packets]. Shared and read-only. *)
+
+val reserved_layout : layout
+(** {!reserved_names} alone: the layout of a report with no fold. *)
 
 type vector_report = {
   flow : int;

@@ -24,6 +24,10 @@ module Writer = struct
 
   let float t f = Buffer.add_int64_le t (Int64.bits_of_float f)
 
+  let word t n =
+    if n < 0 then invalid_arg "Wire.Writer.word: negative";
+    Buffer.add_int64_le t (Int64.of_int n)
+
   (* Reads the element in place: passing it to [float] would box it. *)
   let float_at t a i = Buffer.add_int64_le t (Int64.bits_of_float (Array.get a i))
 
@@ -82,6 +86,14 @@ module Reader = struct
     t.pos <- t.pos + 8;
     Int64.float_of_bits bits
 
+  let word t =
+    if t.pos + 8 > t.limit then raise Truncated;
+    let v = String.get_int64_le t.data t.pos in
+    (* The writer's words are non-negative ints: the top two bits clear. *)
+    if Int64.shift_right_logical v 62 <> 0L then raise (Malformed "word out of range");
+    t.pos <- t.pos + 8;
+    Int64.to_int v
+
   let float_into t a i =
     if t.pos + 8 > t.limit then raise Truncated;
     Array.set a i (Int64.float_of_bits (String.get_int64_le t.data t.pos));
@@ -101,29 +113,6 @@ module Reader = struct
     &&
     (t.pos <- t.pos + n;
      true)
-
-  (* The length prefix is compared as the writer would encode it, byte by
-     byte, so a match costs no varint decode. *)
-  let rec skip_length t n =
-    if n < 0x80 then
-      t.pos < t.limit
-      && Char.code (String.unsafe_get t.data t.pos) = n
-      &&
-      (t.pos <- t.pos + 1;
-       true)
-    else
-      t.pos < t.limit
-      && Char.code (String.unsafe_get t.data t.pos) = 0x80 lor (n land 0x7f)
-      &&
-      (t.pos <- t.pos + 1;
-       skip_length t (n lsr 7))
-
-  let skip_string t s =
-    let start = t.pos in
-    (skip_length t (String.length s) && skip_bytes t s)
-    ||
-    (t.pos <- start;
-     false)
 
   let string t =
     let len = varint t in

@@ -1,7 +1,8 @@
 (** Low-level binary encoding primitives for the CCP wire format.
 
     Integers use LEB128 varints (small values — flow ids, field counts —
-    dominate the traffic); floats are IEEE-754 bits, little-endian; strings
+    dominate the traffic), except hash-like {!Writer.word}s, which are 8
+    bytes little-endian; floats are IEEE-754 bits, little-endian; strings
     are length-prefixed UTF-8. *)
 
 module Writer : sig
@@ -22,6 +23,11 @@ module Writer : sig
   (** Signed integers via zigzag + varint. *)
 
   val float : t -> float -> unit
+
+  val word : t -> int -> unit
+  (** A non-negative integer as 8 little-endian bytes: fixed width, for
+      values such as hashes that use all their bits, where a varint
+      would take 9 bytes. Raises [Invalid_argument] on negatives. *)
 
   val float_at : t -> float array -> int -> unit
   (** [float_at w a i] is [float w a.(i)] without boxing the element. *)
@@ -56,6 +62,10 @@ module Reader : sig
   val zigzag : t -> int
   val float : t -> float
 
+  val word : t -> int
+  (** Inverse of {!Writer.word}. Raises {!Malformed} when the bytes hold
+      no non-negative [int]. Allocation-free. *)
+
   val float_into : t -> float array -> int -> unit
   (** [float_into r a i] is [a.(i) <- float r] without boxing the value. *)
 
@@ -64,12 +74,6 @@ module Reader : sig
   val skip_bytes : t -> string -> bool
   (** If the next bytes are exactly [s], consume them and return [true];
       otherwise consume nothing. Allocation-free. *)
-
-  val skip_string : t -> string -> bool
-  (** If the next bytes are exactly [s] as {!Writer.string} encodes it
-      (canonical length prefix, then the bytes), consume them and return
-      [true]; otherwise consume nothing. Allocation-free, so a decoder
-      can match a string it already holds instead of copying it out. *)
 
   val push_limit : t -> int -> int
   (** [push_limit r n] bounds [r] to its next [n] bytes: reads past them

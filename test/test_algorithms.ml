@@ -272,7 +272,11 @@ let fake_handle ?(mss = 1448) ?(init_cwnd = 14_480) () =
   (handle, installs, cwnds, now)
 
 let report fields : Ccp_ipc.Message.report =
-  { flow = 1; names = Array.of_list (List.map fst fields); values = Array.of_list (List.map snd fields) }
+  {
+    flow = 1;
+    layout = Ccp_ipc.Message.layout (Array.of_list (List.map fst fields));
+    values = Array.of_list (List.map snd fields);
+  }
 
 let std_report ?(acked = 14_480.0) ?(marked = 0.0) ?(srtt = 10_000.0) () =
   report

@@ -515,19 +515,22 @@ let test_ccp_ext_rejects_invalid_program () =
   Alcotest.(check int) "not applied" 14_480 !cwnd
 
 (* One report of [Prog.std_fold] as the datapath puts it on the wire:
-   the seven fold fields in init order, then the eleven reserved fields,
-   each a name and an IEEE float. Frozen as hex, so neither the report
-   layout nor the codec can move a byte. *)
+   tag 1, the flow, the 8-byte id of its layout (the seven fold fields
+   in init order, then the eleven reserved fields), the value count,
+   then each value as an IEEE float, and not one field name. Frozen as
+   hex, so neither the report layout nor the codec can move a byte. *)
 let std_fold_report_hex =
-  "0105120561636b65640000000000a0b640066d61726b65640000000000a0a64004706b74\
-   730000000000000840076d6178726174650000000040772b41066d696e72747400000000\
-   8049c340076c61737472747400000000006ac8400673756d7274740000000040dcdf4005\
-   5f63776e64000000000088d340055f726174650000000000000000045f6d737300000000\
-   00a09640085f737274745f7573000000000088c340075f7274745f757300000000006ac8\
-   400a5f6d696e7274745f7573000000000088c3400f5f696e666c696768745f6279746573\
-   000000000088b3400a5f73656e645f726174650000000080842e410a5f726563765f7261\
-   74650000000040772b41075f6e6f775f757300000000008dc340085f7061636b65747300\
-   00000000000840"
+  "01051990fce1d9bdf13012\
+   0000000000a0b6400000000000a0a64000000000000008400000000040772b41\
+   000000008049c34000000000006ac8400000000040dcdf40000000000088d340\
+   00000000000000000000000000a09640000000000088c34000000000006ac840\
+   000000000088c340000000000088b3400000000080842e410000000040772b41\
+   00000000008dc3400000000000000840"
+
+let std_fold_names =
+  Array.append
+    [| "acked"; "marked"; "pkts"; "maxrate"; "minrtt"; "lastrtt"; "sumrtt" |]
+    Ccp_ipc.Message.reserved_names
 
 let hex s = String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (String.to_seq s))))
 
@@ -549,41 +552,37 @@ let test_std_fold_report_wire_bytes () =
   Sim.run ~until:(Time_ns.add (Sim.now sim) (Time_ns.ms 12)) sim;
   match List.filter_map (function Ccp_ipc.Message.Report r -> Some r | _ -> None) !to_agent with
   | [ r ] ->
+    Alcotest.(check bool) "the interned std_fold layout" true
+      (r.Ccp_ipc.Message.layout == Ccp_ipc.Message.layout std_fold_names);
     Alcotest.(check string) "wire bytes" std_fold_report_hex
       (hex (Ccp_ipc.Codec.encode (Ccp_ipc.Message.Report r)))
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
 
 let unhex h = String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
-(* A steady-state decode of that report through an agent end's memo: the
-   names match the previous report's, so the decode returns that same
-   array, and allocates only the values array (19 words for 18 fields),
-   the message (the [Report] box, 2 words, and its record, 4), the
-   result pair (3), the reader (3) and the reader's varint closures for
-   the flow and the field count (5 each). *)
+(* A steady-state decode of that report: the layout is found by its id
+   in the process's table, no name is read and nothing is interned. It
+   allocates the values array (19 words for 18 fields) and the message
+   (the [Report] box, 2 words, and its record, 4), beside
+   [decode_traced]'s own reader (4) and result pair (3). *)
 let test_std_fold_report_steady_decode () =
+  let layout = Ccp_ipc.Message.layout std_fold_names in
   let bytes = unhex std_fold_report_hex in
-  let memo = Some (Ccp_ipc.Codec.memo ()) in
-  let decode () = fst (Ccp_ipc.Codec.decode_traced ?memo bytes) in
-  let names = function
-    | Ccp_ipc.Message.Report r -> r.Ccp_ipc.Message.names
+  let decode () = fst (Ccp_ipc.Codec.decode_traced bytes) in
+  let layout_of = function
+    | Ccp_ipc.Message.Report r -> r.Ccp_ipc.Message.layout
     | m -> Alcotest.failf "not a report: %s" (Ccp_ipc.Message.describe m)
   in
   let first = decode () in
+  let interned = Ccp_ipc.Message.layouts_interned () in
   let before = Gc.minor_words () in
   let second = decode () in
   let words = Gc.minor_words () -. before -. 2.0 (* the boxed [before] *) in
   Alcotest.(check bool) "decodes as before" true (Ccp_ipc.Message.equal first second);
-  Alcotest.(check bool) "names shared with the previous report" true (names first == names second);
-  let bound = 19. +. 2. +. 4. +. 3. +. 3. +. (2. *. 5.) in
-  if words > bound then Alcotest.failf "steady-state decode allocated %.0f words (bound %.0f)" words bound;
-  (* A report with other names gets its own array, equal to a plain decode. *)
-  let other = Ccp_ipc.Message.Report { flow = 5; names = [| "acked"; "z" |]; values = [| 1.0; 2.0 |] } in
-  match fst (Ccp_ipc.Codec.decode_traced ?memo (Ccp_ipc.Codec.encode other)) with
-  | Ccp_ipc.Message.Report r ->
-    Alcotest.(check (array string)) "fresh names" [| "acked"; "z" |] r.Ccp_ipc.Message.names;
-    Alcotest.(check bool) "not the memo's array" false (r.Ccp_ipc.Message.names == names second)
-  | m -> Alcotest.failf "not a report: %s" (Ccp_ipc.Message.describe m)
+  Alcotest.(check bool) "the interned layout" true (layout_of second == layout);
+  Alcotest.(check int) "decoding interns nothing" interned (Ccp_ipc.Message.layouts_interned ());
+  let bound = 19. +. 2. +. 4. +. 4. +. 3. in
+  if words > bound then Alcotest.failf "steady-state decode allocated %.0f words (bound %.0f)" words bound
 
 let test_ccp_ext_set_commands () =
   let sim, ext, _, send = make_ccp_env () in

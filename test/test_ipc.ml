@@ -81,28 +81,47 @@ let test_float_and_string () =
 
 let test_skip_and_in_place_floats () =
   let w = Wire.Writer.create () in
-  let long = String.make 200 'x' in
-  List.iter (Wire.Writer.string w) [ "cwnd"; long; "" ];
+  Wire.Writer.raw w "cwnd";
   let nan_payload = Int64.float_of_bits 0x7FF8000000000123L in
   let values = [| -0.0; nan_payload; 1e300 |] in
   Array.iteri (fun i _ -> Wire.Writer.float_at w values i) values;
+  List.iter (Wire.Writer.word w) [ 0; 1; max_int ];
   let bytes = Wire.Writer.contents w in
   let r = Wire.Reader.of_string bytes in
-  Alcotest.(check bool) "other string: no match" false (Wire.Reader.skip_string r "cwnD");
-  Alcotest.(check bool) "prefix: no match" false (Wire.Reader.skip_string r "cwn");
-  Alcotest.(check bool) "match" true (Wire.Reader.skip_string r "cwnd");
-  Alcotest.(check bool) "two-byte length prefix" true (Wire.Reader.skip_string r long);
-  Alcotest.(check bool) "empty" true (Wire.Reader.skip_string r "");
+  Alcotest.(check bool) "other bytes: no match" false (Wire.Reader.skip_bytes r "cwnD");
+  Alcotest.(check bool) "match" true (Wire.Reader.skip_bytes r "cwnd");
   let out = Array.make 3 0.0 in
   Array.iteri (fun i _ -> Wire.Reader.float_into r out i) out;
   Alcotest.(check bool) "floats bit for bit" true
     (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) values out);
+  Alcotest.(check (list int)) "words" [ 0; 1; max_int ]
+    (List.init 3 (fun _ -> Wire.Reader.word r));
   Alcotest.(check bool) "consumed" true (Wire.Reader.at_end r);
+  (* A word is eight bytes whatever its value, and holds no negative int. *)
+  Alcotest.(check int) "word width" (4 + (3 * 8) + (3 * 8)) (String.length bytes);
+  Alcotest.check_raises "word out of range" (Wire.Reader.Malformed "word out of range") (fun () ->
+      ignore (Wire.Reader.word (Wire.Reader.of_string "\000\000\000\000\000\000\000\064")));
+  Alcotest.check_raises "negative word" (Invalid_argument "Wire.Writer.word: negative") (fun () ->
+      Wire.Writer.word (Wire.Writer.create ()) (-1));
   let r = Wire.Reader.of_string "\003cw" in
-  Alcotest.(check bool) "truncated: no match" false (Wire.Reader.skip_string r "cwn");
+  Alcotest.(check bool) "past the end" false (Wire.Reader.skip_bytes r "\003cwn");
   Alcotest.(check int) "nothing consumed" 3 (Wire.Reader.remaining r);
   Alcotest.(check bool) "raw bytes" true (Wire.Reader.skip_bytes r "\003c");
-  Alcotest.(check bool) "past the end" false (Wire.Reader.skip_bytes r "wn")
+  (* A pushed limit bounds every read, then pops back to the outer one. *)
+  let r = Wire.Reader.of_string "abcdef" in
+  let outer = Wire.Reader.push_limit r 2 in
+  Alcotest.(check int) "bounded remaining" 2 (Wire.Reader.remaining r);
+  Alcotest.(check bool) "no match across the bound" false (Wire.Reader.skip_bytes r "abc");
+  Alcotest.(check bool) "match inside it" true (Wire.Reader.skip_bytes r "ab");
+  Alcotest.(check bool) "at the bound" true (Wire.Reader.at_end r);
+  (match Wire.Reader.byte r with
+  | _ -> Alcotest.fail "read past the bound"
+  | exception Wire.Reader.Truncated -> ());
+  Wire.Reader.pop_limit r outer;
+  Alcotest.(check int) "outer bound restored" 4 (Wire.Reader.remaining r);
+  match Wire.Reader.push_limit r 5 with
+  | _ -> Alcotest.fail "bound past the end accepted"
+  | exception Wire.Reader.Truncated -> ()
 
 let test_reader_truncation () =
   let r = Wire.Reader.of_string "\x80" in
@@ -134,7 +153,8 @@ let sample_program =
 let all_message_kinds : Message.t list =
   [
     Message.Ready { flow = 1; mss = 1448; init_cwnd = 14480 };
-    Message.Report { flow = 2; names = [| "acked"; "_cwnd" |]; values = [| 1.5; 99.0 |] };
+    Message.Report
+      { flow = 2; layout = Message.layout [| "acked"; "_cwnd" |]; values = [| 1.5; 99.0 |] };
     Message.Report_vector
       {
         flow = 3;
@@ -194,7 +214,7 @@ let test_codec_size_reasonable () =
     Message.Report
       {
         flow = 1;
-        names = Array.init 18 (Printf.sprintf "_field%d");
+        layout = Message.layout (Array.init 18 (Printf.sprintf "_field%d"));
         values = Array.init 18 float_of_int;
       }
   in
@@ -213,7 +233,7 @@ let gen_message : Message.t QCheck.Gen.t =
           Message.Report
             {
               flow;
-              names = Array.of_list (List.map fst fields);
+              layout = Message.layout (Array.of_list (List.map fst fields));
               values = Array.of_list (List.map snd fields);
             })
         (int_bound 1000)
@@ -427,7 +447,8 @@ let make_batching_channel ?max_count ?max_bytes ?deadline () =
   Channel.on_receive channel Channel.Datapath_end (fun _ -> ());
   (sim, channel, received)
 
-let report flow = Message.Report { flow; names = [| "acked" |]; values = [| 1448.0 |] }
+let acked_layout = Message.layout [| "acked" |]
+let report flow = Message.Report { flow; layout = acked_layout; values = [| 1448.0 |] }
 
 let test_batch_count_watermark () =
   let sim, channel, received = make_batching_channel () in

@@ -68,7 +68,11 @@ let gen_message rng : Ccp_ipc.Message.t =
           (Prop.list rng ~min:0 ~max:6 (fun rng -> (gen_field_name rng, gen_float rng)))
       in
       Ccp_ipc.Message.Report
-        { Ccp_ipc.Message.flow; names = Array.map fst fields; values = Array.map snd fields }
+        {
+            Ccp_ipc.Message.flow;
+            layout = Ccp_ipc.Message.layout (Array.map fst fields);
+            values = Array.map snd fields;
+          }
   | 2 ->
       let columns = Array.of_list (Prop.list rng ~min:1 ~max:4 gen_field_name) in
       let rows =

@@ -224,6 +224,7 @@ let make_agent ?flow_pool () =
   (sim, channel, agent, to_datapath)
 
 let ready flow = Message.Ready { flow; mss = 1448; init_cwnd = 14_480 }
+let acked_layout = Message.layout [| "acked" |]
 
 let test_agent_pool_exhaustion () =
   let sim, channel, agent, _ = make_agent ~flow_pool:2 () in
@@ -349,7 +350,7 @@ let run_echo_script ~batching =
   for i = 1 to 100 do
     Channel.send channel ~from:Channel.Datapath_end
       (Message.Report
-         { flow = i mod 4; names = [| "acked" |]; values = [| float_of_int (100 * i) |] });
+         { flow = i mod 4; layout = acked_layout; values = [| float_of_int (100 * i) |] });
     if i mod 10 = 0 then Sim.run sim
   done;
   Channel.flush channel;
@@ -410,7 +411,7 @@ let make_aggregate_fleet ?initial_segments ?(init_cwnd = 14_480) ~n () =
 let report_round sim channel ~n ~acked =
   for f = 1 to n do
     Channel.send channel ~from:Channel.Datapath_end
-      (Message.Report { flow = f; names = [| "acked" |]; values = [| acked |] })
+      (Message.Report { flow = f; layout = acked_layout; values = [| acked |] })
   done;
   Sim.run sim
 
