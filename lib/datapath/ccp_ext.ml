@@ -819,14 +819,18 @@ let create ~sim ~channel ?(config = default_config) ?obs () =
    re-pins its window on every tick while the silence lasts (an RTO
    collapses it between ticks). [Native] runs an in-datapath controller
    that takes over ACK and loss handling until the agent returns. Every
-   tick of silence re-sends [Ready], a cheap re-handshake probe so a
-   restarted agent re-learns the flow and can reclaim it with an
-   install. Quarantine supersedes the watchdog: the guard envelope keeps
-   the flow, and a silent agent still gets the probe so it can send the
-   corrected install. *)
+   tick of silence, and every tick while a fallback holds the flow,
+   re-sends [Ready], a cheap re-handshake probe so a restarted agent
+   re-learns the flow and can reclaim it with an install. A fallback
+   flow is probed even when the agent is heard from: an agent that only
+   answers the flow's urgents with [Set_cwnd] is contact, but never
+   sends the [Install] that takes the flow back. Quarantine supersedes
+   the watchdog: the guard envelope keeps the flow, and a silent agent
+   still gets the probe so it can send the corrected install. *)
 let rec watchdog_tick t fs (fb : fallback) =
   let silence = Time_ns.sub (Sim.now t.sim) fs.last_agent_contact in
-  if Time_ns.compare silence fb.after >= 0 then begin
+  let silent = Time_ns.compare silence fb.after >= 0 in
+  if silent then begin
     (match fs.owner with
     | Agent ->
       Ccp_obs.Metrics.incr t.fallbacks_triggered;
@@ -838,7 +842,9 @@ let rec watchdog_tick t fs (fb : fallback) =
     | Fallback _, Clamp { cwnd_segments } ->
       fs.ctl.Congestion_iface.set_cwnd (cwnd_segments * fs.ctl.Congestion_iface.mss);
       fs.ctl.Congestion_iface.set_rate 0.0
-    | Fallback _, Native _ | (Agent | Quarantine _), _ -> ());
+    | Fallback _, Native _ | (Agent | Quarantine _), _ -> ())
+  end;
+  if silent || match fs.owner with Fallback _ -> true | Agent | Quarantine _ -> false then begin
     t.fallback_probes_sent <- t.fallback_probes_sent + 1;
     send_ready t fs.ctl
   end;

@@ -42,7 +42,10 @@ open Ccp_ipc
     per period, in fallback and in quarantine alike: a restarted agent
     that lost its state re-learns the flow from the probe, re-installs a
     program, and the datapath hands control back when it accepts that
-    install.
+    install. A flow the fallback holds is probed once per period even
+    while the agent is heard from: an agent that only answers the flow's
+    urgents with [Set_cwnd] holds off the takeover, but would never send
+    the install that ends the fallback.
 
     The stand-in rule: only an accepted [Install] hands a flow back from
     either stand-in, fallback or quarantine. A stand-in stops the flow's
@@ -161,8 +164,9 @@ val installs_rejected : t -> int
 val fallbacks_triggered : t -> int
 
 val fallback_probes_sent : t -> int
-(** [Ready] re-handshakes the watchdog sent to a silent agent, from
-    fallback or quarantine. *)
+(** [Ready] re-handshakes the watchdog sent: to a silent agent, from
+    fallback or quarantine, and on every tick while a fallback holds the
+    flow. *)
 
 val in_fallback : t -> flow:int -> bool
 

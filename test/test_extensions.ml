@@ -99,6 +99,45 @@ let test_watchdog_quiet_while_agent_talks () =
   Sim.run ~until:(Time_ns.ms 500) sim;
   Alcotest.(check int) "never triggered" 0 (Ccp_ext.fallbacks_triggered ext)
 
+(* A clamped flow whose agent keeps answering with [Set_cwnd] (as Reno
+   answers the flow's loss urgents) is contact on every tick, so the
+   fallback is never re-entered, but it is still probed on every tick:
+   only the [Install] that a probe prompts hands the flow back. *)
+let test_watchdog_probes_a_steered_fallback () =
+  let sim, channel, ext = watchdog_env () in
+  let readies = ref [] in
+  Ccp_ipc.Channel.on_receive channel Ccp_ipc.Channel.Agent_end (function
+    | Ccp_ipc.Message.Ready _ -> readies := Sim.now sim :: !readies
+    | _ -> ());
+  let ctl, cwnd, _ = fake_ctl sim ~flow:1 in
+  (Ccp_ext.congestion_control ext).Congestion_iface.on_init ctl;
+  Sim.run ~until:(Time_ns.ms 105) sim;
+  Alcotest.(check bool) "clamped after the first silent tick" true (Ccp_ext.in_fallback ext ~flow:1);
+  (* A Set_cwnd every 50 ms, under the 100 ms threshold. *)
+  let rec poke at =
+    if Time_ns.compare at (Time_ns.ms 550) < 0 then
+      ignore
+        (Sim.schedule sim ~at (fun () ->
+             send_to_datapath channel (Ccp_ipc.Message.Set_cwnd { flow = 1; bytes = 30_000 });
+             poke (Time_ns.add at (Time_ns.ms 50)))
+          : Sim.timer)
+  in
+  poke (Time_ns.ms 105);
+  Sim.run ~until:(Time_ns.ms 550) sim;
+  Alcotest.(check int) "one takeover" 1 (Ccp_ext.fallbacks_triggered ext);
+  Alcotest.(check bool) "still clamped" true (Ccp_ext.in_fallback ext ~flow:1);
+  Alcotest.(check int) "the Set_cwnds are not applied" (4 * 1448) !cwnd;
+  Alcotest.(check int) "a probe on every tick" 5 (Ccp_ext.fallback_probes_sent ext);
+  Alcotest.(check (list int)) "probes at the ticks, after the registration"
+    (List.map (fun ms -> Time_ns.add (Time_ns.ms ms) (Time_ns.us 10)) [ 0; 100; 200; 300; 400; 500 ])
+    (List.rev !readies);
+  send_to_datapath channel
+    (Ccp_ipc.Message.Install
+       { flow = 1; program = Ccp_algorithms.Prog.window_program ~cwnd:60_000 () });
+  Sim.run ~until:(Time_ns.ms 555) sim;
+  Alcotest.(check bool) "handed back at the install" false (Ccp_ext.in_fallback ext ~flow:1);
+  Alcotest.(check int) "agent window applied" 60_000 !cwnd
+
 let test_watchdog_in_full_experiment () =
   (* An agent whose algorithm never answers: without the watchdog the flow
      would crawl at the 10-segment initial window forever; with it the
@@ -401,6 +440,8 @@ let suite =
         Alcotest.test_case "triggers on silence" `Quick test_watchdog_triggers_on_silence;
         Alcotest.test_case "lifted by agent message" `Quick test_watchdog_lifted_by_agent_message;
         Alcotest.test_case "quiet while agent talks" `Quick test_watchdog_quiet_while_agent_talks;
+        Alcotest.test_case "probes a steered fallback" `Quick
+          test_watchdog_probes_a_steered_fallback;
         Alcotest.test_case "keeps traffic flowing end-to-end" `Slow
           test_watchdog_in_full_experiment;
       ] );
