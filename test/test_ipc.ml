@@ -407,6 +407,141 @@ let prop_batch_round_trip =
            (fun (m, s) (m', s') -> Message.equal m m' && s = s')
            entries (Array.to_list decoded))
 
+(* --- Batch frames through the cursor decoder ---
+
+   Frames of reports over random interned layouts, urgents and span
+   tokens. The layouts are interned as the frame is generated, as a
+   datapath interns one per fold plan before it reports: decoding looks
+   them up and must never intern. *)
+
+let gen_span = QCheck.Gen.(oneof [ return Message.no_trace; int_bound 0x3FFFFFFF ])
+
+let gen_batch_entry : (Message.t * Message.trace_context) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let name = string_size ~gen:(char_range 'a' 'z') (int_range 1 8) in
+  let report =
+    array_size (int_range 0 12) name >>= fun names ->
+    let layout = Message.layout names in
+    map2
+      (fun flow values -> Message.Report { flow; layout; values })
+      (int_bound 5000)
+      (array_repeat (Array.length names) (float_bound_inclusive 1e9))
+  in
+  let urgent =
+    map3
+      (fun flow kind cwnd -> Message.Urgent { flow; kind; cwnd_at_event = cwnd; inflight_at_event = 0 })
+      (int_bound 5000)
+      (oneofl [ Message.Dup_ack_loss; Message.Timeout; Message.Ecn ])
+      (int_bound 1_000_000)
+  in
+  pair (frequency [ (3, report); (1, urgent) ]) gen_span
+
+let show_entries entries =
+  String.concat "; "
+    (List.map (fun (m, s) -> Printf.sprintf "%s span=%d" (Message.describe m) s) entries)
+
+let prop_cursor_batch_round_trip =
+  QCheck.Test.make ~name:"cursor batch round-trip (reports over interned layouts)" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) gen_batch_entry) ~print:show_entries)
+    (fun entries ->
+      let frame = Codec.encode_batch (Array.of_list entries) in
+      let interned = Message.layouts_interned () in
+      let decoded = Codec.decode_batch frame in
+      Message.layouts_interned () = interned
+      && List.length entries = Array.length decoded
+      && List.for_all2
+           (fun (m, s) (m', s') -> Message.equal m m' && s = s')
+           entries (Array.to_list decoded))
+
+type corruption =
+  | Cut_prefix  (** the frame ends inside an entry's length prefix *)
+  | Past_end  (** an entry's length prefix points past the frame *)
+  | Unknown_layout  (** a report names a layout id nothing interned *)
+  | Count_mismatch  (** a report's value count disagrees with its layout *)
+
+let show_corruption = function
+  | Cut_prefix -> "cut prefix"
+  | Past_end -> "prefix past the end"
+  | Unknown_layout -> "unknown layout"
+  | Count_mismatch -> "count mismatch"
+
+let prefixed entry =
+  let w = Wire.Writer.create () in
+  Wire.Writer.varint w (String.length entry);
+  Wire.Writer.raw w entry;
+  Wire.Writer.contents w
+
+(* A report entry written by hand: [count] values for the layout [id]. *)
+let raw_report ~id ~count =
+  let w = Wire.Writer.create () in
+  Wire.Writer.byte w 1;
+  Wire.Writer.varint w 7;
+  Wire.Writer.word w id;
+  Wire.Writer.varint w count;
+  for i = 1 to count do
+    Wire.Writer.float w (float_of_int i)
+  done;
+  Wire.Writer.contents w
+
+(* [before] valid entries, one bad one, then [after] valid entries. *)
+let corrupt_frame kind ~before ~after ~unknown_id =
+  let encode (m, span) = Codec.encode_traced ~span m in
+  let before = List.map (fun e -> prefixed (encode e)) before in
+  let after = List.map (fun e -> prefixed (encode e)) after in
+  let bad, after =
+    match kind with
+    | Cut_prefix -> ("\x80", [])
+    | Past_end ->
+      let entry = encode (Message.Closed { flow = 1 }, Message.no_trace) in
+      let rest = List.fold_left (fun n e -> n + String.length e) 0 after in
+      let w = Wire.Writer.create () in
+      Wire.Writer.varint w (String.length entry + rest + 1);
+      Wire.Writer.raw w entry;
+      (Wire.Writer.contents w, after)
+    | Unknown_layout -> (prefixed (raw_report ~id:unknown_id ~count:1), after)
+    | Count_mismatch ->
+      let layout = Message.layout [| "acked"; "rtt" |] in
+      (prefixed (raw_report ~id:layout.Message.id ~count:3), after)
+  in
+  let w = Wire.Writer.create () in
+  Wire.Writer.byte w Codec.batch_tag;
+  Wire.Writer.varint w (List.length before + 1 + List.length after);
+  List.iter (Wire.Writer.raw w) (before @ (bad :: after));
+  Wire.Writer.contents w
+
+let prop_cursor_batch_rejects =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (oneofl [ Cut_prefix; Past_end; Unknown_layout; Count_mismatch ])
+        (list_size (int_range 0 10) gen_batch_entry)
+        (list_size (int_range 0 10) gen_batch_entry)
+        (int_bound max_int))
+  in
+  QCheck.Test.make ~name:"cursor batch rejects a bad entry as one failure" ~count:200
+    (QCheck.make gen ~print:(fun (kind, before, after, id) ->
+         Printf.sprintf "%s at %d of %d (id %d): %s" (show_corruption kind) (List.length before)
+           (List.length before + 1 + List.length after) id (show_entries (before @ after))))
+    (fun (kind, before, after, unknown_id) ->
+      QCheck.assume
+        (match Message.find_layout unknown_id with _ -> false | exception Not_found -> true);
+      let frame = corrupt_frame kind ~before ~after ~unknown_id in
+      let interned = Message.layouts_interned () in
+      let rejected =
+        match Codec.decode_batch frame with
+        | _ -> false
+        | exception (Codec.Decode_error _ | Wire.Reader.Truncated | Wire.Reader.Malformed _) -> true
+      in
+      let sim = Sim.create () in
+      let channel = Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) () in
+      let calls = ref 0 in
+      Channel.on_receive channel Channel.Agent_end (fun _ -> incr calls);
+      Channel.deliver_raw channel ~toward:Channel.Agent_end frame;
+      rejected
+      && Channel.decode_failures channel = 1
+      && !calls = 0
+      && Message.layouts_interned () = interned)
+
 let test_batch_framing_disjoint () =
   (* No legacy encoding — traced or not — sniffs as a batch... *)
   List.iter
@@ -586,6 +721,8 @@ let suite =
     ( "ipc.batch",
       [
         QCheck_alcotest.to_alcotest prop_batch_round_trip;
+        QCheck_alcotest.to_alcotest prop_cursor_batch_round_trip;
+        QCheck_alcotest.to_alcotest prop_cursor_batch_rejects;
         Alcotest.test_case "framing disjoint from legacy" `Quick test_batch_framing_disjoint;
         Alcotest.test_case "count watermark" `Quick test_batch_count_watermark;
         Alcotest.test_case "deadline flush" `Quick test_batch_deadline;
