@@ -187,8 +187,9 @@ echo "== scale bench smoke =="
 # driver itself exits non-zero if registration churn allocates per-flow
 # Gc garbage that grows with N, if the batched agent-side cost per
 # report fails to beat the unbatched path, or if the minor words per
-# dispatched report (batched or unbatched) exceed twice the value
-# measured when the ceiling was set or grow with N, or if a ccp-aggregate
+# dispatched report exceed twice the value measured when the ceiling was
+# set (57 unbatched; 40.9 batched, where each report decodes in place
+# from its frame) or grow with N, or if a ccp-aggregate
 # group sends the datapath more than 2 frames per report or more at a
 # bigger group (N = 16 to 16,384). It emits
 # scale.agent_words_per_report.* and scale.aggregate_frames_per_report.*
@@ -210,6 +211,18 @@ case "$e2e_result" in
   *'"failed":0,'*) ;;
   *) echo "e2e bench smoke: $e2e_result" >&2; exit 1 ;;
 esac
+
+echo "== trajectory gate =="
+# alloc_mwords is exact for a commit and seed on any machine, so a
+# one-second run must match the latest committed trajectory
+# (bench/trajectory/prN.json with the largest N, 25 s runs at seed 42)
+# within the metric's BENCHMARK.json bound, or bench/trajectory_gate.exe
+# exits 1. sim_speed, setup_s and peak_heap_mb are printed as advisory:
+# CI machines differ. A perf change commits its own trajectory file.
+gate_tmp="$(mktemp -d)"
+bash bench/e2e/run.sh --seconds 1 --out "$gate_tmp/now.json" > /dev/null
+dune exec bench/trajectory_gate.exe -- "$gate_tmp/now.json"
+rm -rf "$gate_tmp"
 
 if [ -n "${SOAK_SEED:-}" ]; then
   echo "== soak (CCP_PROP_SEED=$SOAK_SEED) =="
