@@ -9,8 +9,10 @@ type direction = {
   mutable bytes : int;
   mutable last_delivery : Time_ns.t;  (* FIFO floor for this direction *)
   memo : Codec.memo option;
-      (* what the receiving end already holds: always [Some], stored as
-         the option [Codec.decode_traced] takes so a decode boxes nothing *)
+      (* what the receiving end already holds, stored as the option
+         [Codec.decode_traced] takes so a decode boxes nothing: [Some]
+         toward the datapath, whose [Install]s it matches, and [None]
+         toward the agent, since reports need no memo *)
 }
 
 type fault_stats = {
@@ -94,14 +96,8 @@ type t = {
   mutable rx_span : Message.trace_context;
 }
 
-let fresh_direction () =
-  {
-    handler = None;
-    messages = 0;
-    bytes = 0;
-    last_delivery = Time_ns.zero;
-    memo = Some (Codec.memo ());
-  }
+let fresh_direction memo =
+  { handler = None; messages = 0; bytes = 0; last_delivery = Time_ns.zero; memo }
 
 let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
   let rng = Rng.split (Sim.rng sim) in
@@ -135,8 +131,8 @@ let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
     rng;
     faults;
     fault_rng;
-    to_agent = fresh_direction ();
-    to_datapath = fresh_direction ();
+    to_agent = fresh_direction None;
+    to_datapath = fresh_direction (Some (Codec.memo ()));
     batch;
     decode_failures = counter "errors" "ipc.decode_failures";
     batches_sent = counter "frames" "ipc.batches_sent";

@@ -62,9 +62,10 @@ val create :
     Raises [Invalid_argument] on a watermark or deadline that is not
     positive, or a [max_count] above {!Codec.max_batch_entries}.
 
-    Each end decodes through its own {!Codec.memo}. Reports carry their
-    layout's id, not its names ({!Message.layout}), so an agent-bound
-    report decodes without reading a name. *)
+    The datapath end decodes through its own {!Codec.memo}
+    ({!match_installs}). Reports carry their layout's id, not its names
+    ({!Message.layout}), so an agent-bound report needs no memo and
+    decodes without reading a name. *)
 
 val on_receive : t -> endpoint -> (Message.t -> unit) -> unit
 (** Register the handler that receives messages arriving {e at} the given
