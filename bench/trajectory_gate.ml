@@ -75,6 +75,8 @@ let () =
   let bounds = bounds (load "BENCHMARK.json") in
   let base_file = latest_trajectory () in
   let base = load base_file and now = load now_file in
+  (* Allocation is exact for a seed, so runs of two seeds do not compare. *)
+  if num "seed" now <> num "seed" base then fail "%s and %s ran different seeds" now_file base_file;
   Printf.printf "against %s\n" base_file;
   let failures =
     List.concat_map
@@ -95,8 +97,8 @@ let () =
                  else "ok");
               if gate && regressed then
                 Some
-                  (Printf.sprintf "%s: %s %.6g is worse than %.6g by more than %.0f%%" workload metric
-                     v old (bound *. 100.))
+                  (Printf.sprintf "%s: %s %.6g is worse than %.6g by more than %.0f%%" workload
+                     metric v old (bound *. 100.))
               else None)
           (medians base metric))
       bounds

@@ -204,7 +204,9 @@ let test_policy_applied_by_agent () =
 (* --- Algorithm helpers --- *)
 
 let test_field_helpers () =
-  let report = { Message.flow = 1; layout = Message.layout [| "a"; "b"; "a" |]; values = [| 1.0; 2.0; 3.0 |] } in
+  let report =
+    { Message.flow = 1; layout = Message.layout [| "a"; "b"; "a" |]; values = [| 1.0; 2.0; 3.0 |] }
+  in
   Alcotest.(check (option (float 1e-9))) "field" (Some 2.0) (Algorithm.field report "b");
   Alcotest.(check (option (float 1e-9))) "missing" None (Algorithm.field report "c");
   Alcotest.(check (float 1e-9)) "field_exn" 1.0 (Algorithm.field_exn report "a");

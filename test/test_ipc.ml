@@ -429,7 +429,8 @@ let gen_batch_entry : (Message.t * Message.trace_context) QCheck.Gen.t =
   in
   let urgent =
     map3
-      (fun flow kind cwnd -> Message.Urgent { flow; kind; cwnd_at_event = cwnd; inflight_at_event = 0 })
+      (fun flow kind cwnd ->
+        Message.Urgent { flow; kind; cwnd_at_event = cwnd; inflight_at_event = 0 })
       (int_bound 5000)
       (oneofl [ Message.Dup_ack_loss; Message.Timeout; Message.Ecn ])
       (int_bound 1_000_000)

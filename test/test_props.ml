@@ -69,10 +69,10 @@ let gen_message rng : Ccp_ipc.Message.t =
       in
       Ccp_ipc.Message.Report
         {
-            Ccp_ipc.Message.flow;
-            layout = Ccp_ipc.Message.layout (Array.map fst fields);
-            values = Array.map snd fields;
-          }
+          Ccp_ipc.Message.flow;
+          layout = Ccp_ipc.Message.layout (Array.map fst fields);
+          values = Array.map snd fields;
+        }
   | 2 ->
       let columns = Array.of_list (Prop.list rng ~min:1 ~max:4 gen_field_name) in
       let rows =
