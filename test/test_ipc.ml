@@ -407,6 +407,43 @@ let prop_batch_round_trip =
            (fun (m, s) (m', s') -> Message.equal m m' && s = s')
            entries (Array.to_list decoded))
 
+(* --- The layout table --- *)
+
+(* Ids are content hashes: the same names give the same layout, and
+   other names another id, whatever was interned before. *)
+let test_layout_interning () =
+  let names = [| "acked"; "rtt" |] in
+  let a = Message.layout names in
+  names.(0) <- "changed";
+  Alcotest.(check (array string)) "names copied at intern" [| "acked"; "rtt" |] a.Message.names;
+  Alcotest.(check bool) "same names, same layout" true (Message.layout [| "acked"; "rtt" |] == a);
+  Alcotest.(check bool) "found by id" true (Message.find_layout a.Message.id == a);
+  (* A name boundary is part of the hash: "ab","c" is not "a","bc". *)
+  let b = Message.layout [| "ab"; "c" |] and c = Message.layout [| "a"; "bc" |] in
+  Alcotest.(check bool) "boundaries hashed" true (b.Message.id <> c.Message.id);
+  Alcotest.(check bool) "62-bit non-negative id" true (a.Message.id >= 0)
+
+(* Two domains intern at once, some layouts on both: the table keeps
+   every layout once, and each domain gets the one the other interned. *)
+let test_layout_two_domains () =
+  let before = Message.layouts_interned () in
+  let names tag i = [| Printf.sprintf "%s%d" tag i; "x" |] in
+  let intern tag () =
+    Array.init 200 (fun i -> Message.layout (names (if i mod 4 = 0 then "shared" else tag) i))
+  in
+  let other = Domain.spawn (intern "left") in
+  let mine = intern "right" () in
+  let theirs = Domain.join other in
+  Alcotest.(check int) "each layout once" (before + 150 + 150 + 50) (Message.layouts_interned ());
+  Array.iteri
+    (fun i l ->
+      if i mod 4 = 0 then Alcotest.(check bool) "one shared layout" true (l == theirs.(i));
+      Alcotest.(check bool) "found" true (Message.find_layout l.Message.id == l))
+    mine;
+  Array.iter
+    (fun l -> Alcotest.(check bool) "found" true (Message.find_layout l.Message.id == l))
+    theirs
+
 (* --- Batch frames through the cursor decoder ---
 
    Frames of reports over random interned layouts, urgents and span
@@ -704,6 +741,8 @@ let suite =
         Alcotest.test_case "trace-context wire compatibility" `Quick
           test_traced_codec_compat;
         QCheck_alcotest.to_alcotest prop_traced_codec_round_trip;
+        Alcotest.test_case "layout interning" `Quick test_layout_interning;
+        Alcotest.test_case "layouts interned from two domains" `Quick test_layout_two_domains;
       ] );
     ( "ipc.latency",
       [
