@@ -62,6 +62,9 @@ type t = {
   mutable round_scheduled : bool;
   pending_restore : (int, Checkpoint.flow_snapshot) Hashtbl.t;
   mutable max_queue_wait : Time_ns.t;
+  mutable typechecked : Ccp_lang.Ast.program option;
+      (* the last program the typecheck passed, for any flow *)
+  mutable typechecks : int;
   (* One store per counted fact: a counter in the obs bundle's registry,
      or a private one without a bundle ({!Ccp_obs.Obs.counter}). *)
   reports_received : Ccp_obs.Metrics.counter;
@@ -170,6 +173,23 @@ let purge_queue t flow =
 
 (* ---- handler isolation -------------------------------------------------- *)
 
+(* The typecheck of an install, run once per program for the whole
+   agent: a program bit-identical ({!Ccp_lang.Ast.identical_program}) to
+   the last one that passed, on whichever flow, passes without another
+   check. Reno and the aggregate install the same program on every flow.
+   A program that fails is never remembered, so it fails again. *)
+let typecheck t program =
+  match t.typechecked with
+  | Some ok when Ccp_lang.Ast.identical_program ok program -> Ok ()
+  | Some _ | None -> (
+    t.typechecks <- t.typechecks + 1;
+    match Ccp_lang.Typecheck.check program with
+    | Ok _ ->
+      t.typechecked <- Some program;
+      Ok ()
+    | Error (first :: _) -> Error first
+    | Error [] -> assert false)
+
 (* Run one flow's handler with failure isolation: an exception is counted
    and, with [degrade] armed, [error_threshold] consecutive failures
    quarantine the flow agent-side with a backed-off re-admission. *)
@@ -241,31 +261,30 @@ and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
       go ()
     | None -> ()
   in
-  (* The last program that passed the typecheck on this handle, with the
-     [Install] frame that carries it (the policy applied). Cubic, AIMD,
-     DCTCP, Vegas and Timely re-install the same program on nearly every
-     report (Reno and the aggregate install once), and a bit-identical
-     one ({!Ccp_lang.Ast.identical_program}) cannot fail where it
-     passed, nor encode differently: the policy is fixed per handle.
-     Invalid programs are never remembered. *)
+  (* The last program this handle installed, with the [Install] frame
+     that carries it (the policy applied). Cubic, AIMD, DCTCP, Vegas and
+     Timely re-install the same program on nearly every report (Reno and
+     the aggregate install once), and a bit-identical one
+     ({!Ccp_lang.Ast.identical_program}) cannot fail where it passed,
+     nor encode differently: the policy is fixed per handle. Invalid
+     programs are never remembered. *)
   let checked = ref None in
   let install program =
     let frame =
       match !checked with
       | Some (ok, frame) when Ccp_lang.Ast.identical_program ok program -> frame
       | Some _ | None -> (
-        match Ccp_lang.Typecheck.check program with
-        | Ok _ ->
+        match typecheck t program with
+        | Ok () ->
           let frame =
             Codec.encode (Message.Install { flow; program = Policy.apply_program policy program })
           in
           checked := Some (program, frame);
           frame
-        | Error (first :: _) ->
+        | Error first ->
           invalid_arg
             (Format.asprintf "Agent.install: invalid program: %a" Ccp_lang.Typecheck.pp_error
-               first)
-        | Error [] -> assert false)
+               first))
     in
     match Flow_table.get t.flows tok with
     | Some _ ->
@@ -571,6 +590,8 @@ let create ~sim ~channel ~choose ?(policy = fun _ -> Policy.unrestricted) ?overl
       round_scheduled = false;
       pending_restore = Hashtbl.create 4;
       max_queue_wait = Time_ns.zero;
+      typechecked = None;
+      typechecks = 0;
       reports_received = counter "msgs" "agent.reports_received";
       urgents_received = counter "msgs" "agent.urgents_received";
       installs_sent = counter "msgs" "agent.installs_sent";
@@ -635,4 +656,5 @@ let degradations t = value t.degradations
 let degraded_drops t = value t.degraded_drops
 let warm_restores t = value t.warm_restores
 let registrations_rejected t = value t.registrations_rejected
+let typechecks t = t.typechecks
 let pool_stats t = Flow_table.stats t.flows

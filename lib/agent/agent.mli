@@ -154,6 +154,11 @@ val registrations_rejected : t -> int
 (** [Ready] registrations refused because the [flow_pool] was exhausted.
     Always 0 without [flow_pool]. *)
 
+val typechecks : t -> int
+(** Programs the agent typechecked before sending them. A handle
+    re-installing its own last program, and any flow installing a
+    program bit-identical to the last one that passed, skip the check. *)
+
 val pool_stats : t -> Flow_table.stats
 (** Registry accounting: capacity, live flows, lifetime churn, stale
     handle references and rejections. *)

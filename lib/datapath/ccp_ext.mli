@@ -111,12 +111,21 @@ type guard_incidents = {
 }
 
 (** Every program a flow runs has passed admission
-    ({!Ccp_lang.Limits.admit}) and compilation. A re-install whose program
-    bytes equal those of the program the flow is running (so a
-    bit-identical program, {!Ccp_lang.Ast.identical_program}) is matched
-    on the wire ({!Ccp_ipc.Channel.match_installs}): no AST is decoded,
-    and the flow keeps its admitted AST, compiled code and fold state. It
-    still restarts the program.
+    ({!Ccp_lang.Limits.admit}) and compilation. The datapath keeps the
+    program it admitted last, for whichever flow, with its compiled code
+    and report layout. An install's program bytes are matched on the
+    wire ({!Ccp_ipc.Channel.match_installs}), first against the program
+    the flow is running, then against the kept one; equal bytes mean a
+    bit-identical program ({!Ccp_lang.Ast.identical_program}), so no AST
+    is decoded and nothing is admitted again:
+    - a re-install of the flow's own program keeps its admitted AST,
+      compiled code, machine and fold state. It still restarts the
+      program.
+    - an install of the kept program, on any other flow, shares its AST,
+      compiled code and report layout, with a fresh machine and fold
+      for that flow.
+    A program that fails admission is never kept: installed again, on
+    any flow, it is admitted and rejected again.
 
     A [WaitRtts] before the flow's first RTT sample waits 10 ms. A vector
     measurement keeps at most 4,096 rows per report; later rows are
@@ -160,6 +169,11 @@ val reports_sent : t -> int
 val urgents_sent : t -> int
 val installs_accepted : t -> int
 val installs_rejected : t -> int
+
+val admissions : t -> int
+(** Installs that ran admission and compilation: every install that
+    matched neither the flow's running program nor the kept one,
+    accepted or rejected. *)
 
 val fallbacks_triggered : t -> int
 
