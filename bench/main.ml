@@ -705,11 +705,12 @@ let run_telemetry () =
 
 (* Registration churn and report dispatch measured end to end through
    the real channel + agent with the slot-pooled registry armed at
-   fleet size, at N in {16, 256, 2048}. Two acceptance bars ride along:
-   per-flow churn allocation stays bounded and N-independent (the pool
-   touches preallocated slots, not a growing heap), and batched report
+   fleet size, at N in {16, 256, 2048}. Three acceptance bars ride
+   along: per-flow churn allocation stays bounded and N-independent (the
+   pool touches preallocated slots, not a growing heap), batched report
    dispatch costs less per report than unbatched (the frame amortizes
-   per-message channel overhead). *)
+   per-message channel overhead), and the agent's answers to one report
+   frame go back in one reply frame. *)
 
 let scale_ns = [ 16; 256; 2048 ]
 
@@ -812,6 +813,53 @@ let scale_batching =
     deadline = Time_ns.ms 1;
   }
 
+(* A sink that answers every report with [set_cwnd], as Reno does. *)
+let scale_reply_sink : Ccp_agent.Algorithm.t =
+  {
+    Ccp_agent.Algorithm.name = "bench-reply-sink";
+    make =
+      (fun handle ->
+        {
+          Ccp_agent.Algorithm.no_op_handlers with
+          Ccp_agent.Algorithm.on_report = (fun _ -> handle.Ccp_agent.Algorithm.set_cwnd 14_480);
+        });
+  }
+
+(* Frames the agent sends the datapath per report, at [n] live flows,
+   when every report is answered with one [set_cwnd]: one each without
+   batching, and one per report frame with it, since the answers to a
+   frame's reports leave in one reply frame. *)
+let datapath_frames_per_report ?batching ~n ~reports () =
+  let open Ccp_ipc in
+  let sim = Ccp_eventsim.Sim.create () in
+  let channel =
+    Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) ?batching ()
+  in
+  Channel.on_receive channel Channel.Datapath_end (fun _ -> ());
+  let agent =
+    Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> scale_reply_sink) ~flow_pool:n ()
+  in
+  for f = 0 to n - 1 do
+    Channel.send channel ~from:Channel.Datapath_end
+      (Message.Ready { flow = f; mss = 1448; init_cwnd = 14_480 })
+  done;
+  Ccp_eventsim.Sim.run sim;
+  let frames0 = Channel.messages_sent channel Channel.Agent_end in
+  for i = 0 to reports - 1 do
+    Channel.send channel ~from:Channel.Datapath_end
+      (Message.Report
+         { flow = i mod n; layout = scale_report_layout; values = [| 1448.0; 0.0; 10_233.0 |] })
+  done;
+  Channel.flush channel;
+  Ccp_eventsim.Sim.run sim;
+  if Ccp_agent.Agent.reports_received agent <> reports then begin
+    Printf.eprintf "bench: FAIL: reply frames at n=%d lost reports (%d of %d)\n%!" n
+      (Ccp_agent.Agent.reports_received agent)
+      reports;
+    exit 1
+  end;
+  float_of_int (Channel.messages_sent channel Channel.Agent_end - frames0) /. float_of_int reports
+
 (* Frames the agent sends the datapath per report, for one ccp-aggregate
    group of [n] members on the real channel and agent (as
    test/test_scale.ml's aggregate fleet). All members join at t=0; then,
@@ -886,19 +934,28 @@ let run_scale_aggregate ~rounds =
       : (int * float) option)
 
 let run_scale () =
-  heading "Scale: slot-pooled registry churn + batched report dispatch + aggregate frames";
+  heading
+    "Scale: slot-pooled registry churn + batched report dispatch + reply frames + aggregate \
+     frames";
   let rounds = if quick then 20 else 100 in
   let reports = if quick then 20_000 else 100_000 in
-  Printf.printf "%-8s %16s %14s %18s %18s %18s %18s\n" "flows" "flows/sec" "words/flow"
-    "us/report(1-per)" "us/report(batch)" "words/rep(1-per)" "words/rep(batch)";
+  Printf.printf "%-8s %16s %14s %18s %18s %18s %18s %18s %18s\n" "flows" "flows/sec"
+    "words/flow" "us/report(1-per)" "us/report(batch)" "words/rep(1-per)" "words/rep(batch)"
+    "frames/rep(1-per)" "frames/rep(batch)";
   let measured =
     List.map
       (fun n ->
         let flows_per_sec, words = scale_churn ~n ~rounds in
         let unbatched, unbatched_words = scale_reports ~n ~reports () in
         let batched, batched_words = scale_reports ~batching:scale_batching ~n ~reports () in
-        Printf.printf "%-8d %16.0f %14.1f %18.3f %18.3f %18.1f %18.1f\n%!" n flows_per_sec words
-          unbatched batched unbatched_words batched_words;
+        (* 4,096 reports fill 128 frames of 32 exactly. *)
+        let frames_unbatched = datapath_frames_per_report ~n ~reports:4096 () in
+        let frames_batched =
+          datapath_frames_per_report ~batching:scale_batching ~n ~reports:4096 ()
+        in
+        Printf.printf "%-8d %16.0f %14.1f %18.3f %18.3f %18.1f %18.1f %18.4f %18.4f\n%!" n
+          flows_per_sec words unbatched batched unbatched_words batched_words frames_unbatched
+          frames_batched;
         json_rows :=
           !json_rows
           @ [
@@ -909,7 +966,31 @@ let run_scale () =
                 unbatched_words,
                 "words" );
               (Printf.sprintf "scale.agent_words_per_report.batched.n%d" n, batched_words, "words");
+              ( Printf.sprintf "scale.datapath_frames_per_report.unbatched.n%d" n,
+                frames_unbatched,
+                "frames/report" );
+              ( Printf.sprintf "scale.datapath_frames_per_report.batched.n%d" n,
+                frames_batched,
+                "frames/report" );
             ];
+        (* Every answer is its own frame without batching; with it, the
+           answers to one report frame share one reply frame. *)
+        if frames_unbatched <> 1.0 then begin
+          Printf.eprintf
+            "bench: FAIL: unbatched, the agent sent %.4f frames per answered report at n=%d \
+             (expected exactly 1)\n\
+             %!"
+            frames_unbatched n;
+          exit 1
+        end;
+        if frames_batched > 1.0 /. 16.0 then begin
+          Printf.eprintf
+            "bench: FAIL: batched, the agent sent %.4f frames per answered report at n=%d \
+             (expected <= 1/16 with frames of 32)\n\
+             %!"
+            frames_batched n;
+          exit 1
+        end;
         if batched >= unbatched then begin
           Printf.eprintf
             "bench: FAIL: batched dispatch at n=%d cost %.3f us/report vs %.3f unbatched \

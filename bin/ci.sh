@@ -191,9 +191,13 @@ echo "== scale bench smoke =="
 # set (57 unbatched; 40.9 batched, where each report decodes in place
 # from its frame) or grow with N, or if a ccp-aggregate
 # group sends the datapath more than 2 frames per report or more at a
-# bigger group (N = 16 to 16,384). It emits
-# scale.agent_words_per_report.* and scale.aggregate_frames_per_report.*
-# rows beside the timing rows.
+# bigger group (N = 16 to 16,384). The reply-frame gate: with a sink
+# that answers every report with set_cwnd, the agent must send the
+# datapath exactly 1 frame per report unbatched and at most 1/16 batched
+# (1/32 with frames of 32: a report frame's answers share one reply
+# frame). It emits scale.agent_words_per_report.*,
+# scale.datapath_frames_per_report.{unbatched,batched}.* and
+# scale.aggregate_frames_per_report.* rows beside the timing rows.
 QUICK=1 dune exec bench/main.exe -- scale
 grep -q '"scale\.' BENCH.json
 
