@@ -591,8 +591,9 @@ module Incast : sig
   (** Run the matrix (defaults: 96 Mbit/s, 10 ms, 1 s, N in
       {16, 64, 256}, both arrivals, both algorithms, seed 42, batching
       on). Deterministic: same arguments, same scorecard (including its
-      JSON bytes) — batching changes wire traffic but draws nothing
-      from any RNG stream. *)
+      JSON bytes). Batching changes wire traffic, and with it the
+      channel's draws (one latency draw per frame), but every draw is
+      seeded. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
 
