@@ -246,8 +246,9 @@ let obs_ctl sim ~flow =
    the running program's frame, so every install is matched against the
    running program's bytes, decodes no AST and reuses its compiled
    program. [agent/install/repeat] is a handle's [install] of a freshly
-   built copy of the program it last sent, as Reno does per report: it
-   re-sends the frame encoded the first time. *)
+   built copy of the program it last sent, as Vegas does on most reports
+   and BBR on most of its installs: it re-sends the frame encoded the
+   first time. *)
 let install_program cwnd = Ccp_algorithms.Prog.window_program ~cwnd ()
 
 let install_channel () =

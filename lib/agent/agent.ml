@@ -52,7 +52,8 @@ type t = {
   (* The per-flow registry: a generation-checked slot table, so a handle
      that outlives its flow is detected (counted stale) instead of
      steering the slot's next occupant. Capped by [flow_pool], it
-     refuses registrations past the cap; uncapped, it grows. *)
+     refuses registrations past the cap; uncapped, it grows. It keeps
+     the stale-deref and rejected-registration counts. *)
   flows : flow_entry Flow_table.t;
   overload : overload option;
   degrade : degrade option;
@@ -64,9 +65,9 @@ type t = {
   mutable max_queue_wait : Time_ns.t;
   mutable typechecked : Ccp_lang.Ast.program option;
       (* the last program the typecheck passed, for any flow *)
-  mutable typechecks : int;
   (* One store per counted fact: a counter in the obs bundle's registry,
      or a private one without a bundle ({!Ccp_obs.Obs.counter}). *)
+  typechecks : Ccp_obs.Metrics.counter;
   reports_received : Ccp_obs.Metrics.counter;
   urgents_received : Ccp_obs.Metrics.counter;
   installs_sent : Ccp_obs.Metrics.counter;
@@ -78,7 +79,6 @@ type t = {
   degradations : Ccp_obs.Metrics.counter;
   degraded_drops : Ccp_obs.Metrics.counter;
   warm_restores : Ccp_obs.Metrics.counter;
-  registrations_rejected : Ccp_obs.Metrics.counter;
   obs : agent_obs option;
   tracer : Ccp_obs.Tracer.t option;
 }
@@ -86,7 +86,6 @@ type t = {
 and agent_obs = {
   o_queue_depth : Ccp_obs.Metrics.gauge;
   o_pool_occupancy : Ccp_obs.Metrics.gauge;
-  o_pool_stale : Ccp_obs.Metrics.gauge;
   (* Per-flow heavy-hitter sketches; [None] when telemetry is off. *)
   tk_sheds : Ccp_obs.Topk.sketch option;
   tk_queue_wait : Ccp_obs.Topk.sketch option;
@@ -98,7 +97,6 @@ let make_agent_obs obs =
   {
     o_queue_depth = Metrics.gauge m ~unit_:"msgs" "agent.queue_depth";
     o_pool_occupancy = Metrics.gauge m ~unit_:"flows" "agent.pool.occupancy";
-    o_pool_stale = Metrics.gauge m ~unit_:"refs" "agent.pool.stale_derefs";
     tk_sheds = Obs.flow_sketch obs "flow.sheds";
     tk_queue_wait = Obs.flow_sketch obs "flow.queue_wait_us";
   }
@@ -108,14 +106,11 @@ let note_queue_depth t =
   | Some h -> Ccp_obs.Metrics.set h.o_queue_depth (float_of_int t.queued_total)
   | None -> ()
 
-(* Republish the flow pool's occupancy and stale-deref totals as gauges
-   after any registry mutation, so the windowed sampler can see them. *)
+(* Republish the flow pool's occupancy as a gauge after any registry
+   mutation, so the windowed sampler can see it. *)
 let note_pool t =
   match t.obs with
-  | Some h ->
-    let s = Flow_table.stats t.flows in
-    Ccp_obs.Metrics.set h.o_pool_occupancy (float_of_int s.Flow_table.live);
-    Ccp_obs.Metrics.set h.o_pool_stale (float_of_int s.Flow_table.stale_refs)
+  | Some h -> Ccp_obs.Metrics.set h.o_pool_occupancy (float_of_int (Flow_table.live t.flows))
   | None -> ()
 
 let is_degraded entry = match entry.state with Degraded _ -> true | Active -> false
@@ -182,7 +177,7 @@ let typecheck t program =
   match t.typechecked with
   | Some ok when Ccp_lang.Ast.identical_program ok program -> Ok ()
   | Some _ | None -> (
-    t.typechecks <- t.typechecks + 1;
+    Ccp_obs.Metrics.incr t.typechecks;
     match Ccp_lang.Typecheck.check program with
     | Ok _ ->
       t.typechecked <- Some program;
@@ -190,11 +185,13 @@ let typecheck t program =
     | Error (first :: _) -> Error first
     | Error [] -> assert false)
 
-(* Run one flow's handler with failure isolation: an exception is counted
-   and, with [degrade] armed, [error_threshold] consecutive failures
-   quarantine the flow agent-side with a backed-off re-admission. *)
-let rec guard_flow t entry f =
-  match f () with
+(* Run one flow's handler [f] on [x] with failure isolation: an exception
+   is counted and, with [degrade] armed, [error_threshold] consecutive
+   failures quarantine the flow agent-side with a backed-off
+   re-admission. *)
+let rec guard_flow : 'a. t -> flow_entry -> ('a -> unit) -> 'a -> unit =
+ fun t entry f x ->
+  match f x with
   | () ->
     if entry.consec_errors > 0 then begin
       entry.consec_errors <- 0;
@@ -245,7 +242,7 @@ and readmit t entry flow =
     entry.consec_errors <- 0;
     entry.state <- Active;
     Logs.info (fun m -> m "agent: flow %d re-admitted" flow);
-    guard_flow t entry entry.handlers.Algorithm.on_ready
+    guard_flow t entry entry.handlers.Algorithm.on_ready ()
   | _ -> ()
 
 and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
@@ -262,12 +259,15 @@ and make_handle t (info : Algorithm.flow_info) policy ~tok : Algorithm.handle =
     | None -> ()
   in
   (* The last program this handle installed, with the [Install] frame
-     that carries it (the policy applied). Cubic, AIMD, DCTCP, Vegas and
-     Timely re-install the same program on nearly every report (Reno and
-     the aggregate install once), and a bit-identical one
-     ({!Ccp_lang.Ast.identical_program}) cannot fail where it passed,
-     nor encode differently: the policy is fixed per handle. Invalid
-     programs are never remembered. *)
+     that carries it (the policy applied). Vegas re-sends it on most of
+     its installs and BBR on most of its few; Cubic, DCTCP, Timely, AIMD
+     and PCC almost never do, since each install carries a new window or
+     rate (the measured counts are at [Ccp_ext.install_program]; this
+     memo hits exactly as often as the datapath's own-program match). Reno
+     and the aggregate install once. A bit-identical program
+     ({!Ccp_lang.Ast.identical_program}) cannot fail where it passed, nor
+     encode differently: the policy is fixed per handle. Invalid programs
+     are never remembered. *)
   let checked = ref None in
   let install program =
     let frame =
@@ -351,7 +351,6 @@ let on_ready t ~flow ~mss ~init_cwnd =
       (* Structured rejection: the flow simply stays unserved (its
          datapath watchdog keeps native CC) and the refusal is counted,
          instead of a capped table quietly growing. *)
-      Ccp_obs.Metrics.incr t.registrations_rejected;
       Logs.warn (fun m ->
           m "agent: flow %d registration rejected: flow pool exhausted (capacity %d)" flow
             (Flow_table.capacity t.flows))
@@ -367,9 +366,8 @@ let on_ready t ~flow ~mss ~init_cwnd =
         Hashtbl.remove t.pending_restore flow;
         Ccp_obs.Metrics.incr t.warm_restores;
         if Array.length snap.Checkpoint.registers > 0 then
-          guard_flow t entry (fun () ->
-              entry.handlers.Algorithm.on_restore snap.Checkpoint.registers);
-        guard_flow t entry entry.handlers.Algorithm.on_ready;
+          guard_flow t entry entry.handlers.Algorithm.on_restore snap.Checkpoint.registers;
+        guard_flow t entry entry.handlers.Algorithm.on_ready ();
         if Array.length snap.Checkpoint.registers = 0 then begin
           if snap.Checkpoint.cwnd > 0 then handle.Algorithm.set_cwnd snap.Checkpoint.cwnd;
           if snap.Checkpoint.rate > 0.0 then handle.Algorithm.set_rate snap.Checkpoint.rate
@@ -377,39 +375,31 @@ let on_ready t ~flow ~mss ~init_cwnd =
       | Some _ ->
         (* A snapshot from a different algorithm is stale, not restorable. *)
         Hashtbl.remove t.pending_restore flow;
-        guard_flow t entry entry.handlers.Algorithm.on_ready
-      | None -> guard_flow t entry entry.handlers.Algorithm.on_ready)
+        guard_flow t entry entry.handlers.Algorithm.on_ready ()
+      | None -> guard_flow t entry entry.handlers.Algorithm.on_ready ())
 
-let drop_if_degraded t entry =
-  let degraded = is_degraded entry in
-  if degraded then Ccp_obs.Metrics.incr t.degraded_drops;
-  degraded
+(* Hand [x] to one of [flow]'s handlers, picked by [handler]: nothing
+   for an unknown flow, a counted drop for a degraded one, and otherwise
+   the call under [guard_flow]. *)
+let to_flow t ~flow handler x =
+  match Flow_table.find t.flows ~flow with
+  | Some entry when is_degraded entry -> Ccp_obs.Metrics.incr t.degraded_drops
+  | Some entry -> guard_flow t entry (handler entry.handlers) x
+  | None -> ()
 
 let dispatch t (msg : Message.t) =
   match msg with
   | Message.Ready { flow; mss; init_cwnd } -> on_ready t ~flow ~mss ~init_cwnd
-  | Message.Report report -> (
+  | Message.Report report ->
     Ccp_obs.Metrics.incr t.reports_received;
-    match Flow_table.find t.flows ~flow:report.Message.flow with
-    | Some entry when drop_if_degraded t entry -> ()
-    | Some entry ->
-      guard_flow t entry (fun () -> entry.handlers.Algorithm.on_report report)
-    | None -> ())
-  | Message.Report_vector report -> (
+    to_flow t ~flow:report.Message.flow (fun h -> h.Algorithm.on_report) report
+  | Message.Report_vector report ->
     Ccp_obs.Metrics.incr t.reports_received;
-    match Flow_table.find t.flows ~flow:report.Message.flow with
-    | Some entry when drop_if_degraded t entry -> ()
-    | Some entry ->
-      guard_flow t entry (fun () -> entry.handlers.Algorithm.on_report_vector report)
-    | None -> ())
-  | Message.Urgent urgent -> (
+    to_flow t ~flow:report.Message.flow (fun h -> h.Algorithm.on_report_vector) report
+  | Message.Urgent urgent ->
     Ccp_obs.Metrics.incr t.urgents_received;
-    match Flow_table.find t.flows ~flow:urgent.Message.flow with
-    | Some entry when drop_if_degraded t entry -> ()
-    | Some entry ->
-      guard_flow t entry (fun () -> entry.handlers.Algorithm.on_urgent urgent)
-    | None -> ())
-  | Message.Install_result result -> (
+    to_flow t ~flow:urgent.Message.flow (fun h -> h.Algorithm.on_urgent) urgent
+  | Message.Install_result result ->
     (match result.Message.verdict with
     | Message.Accepted -> ()
     | Message.Rejected { reason; detail } ->
@@ -418,22 +408,14 @@ let dispatch t (msg : Message.t) =
           m "agent: datapath rejected install for flow %d: %s (%s)" result.Message.flow
             (Ccp_lang.Limits.reason_to_string reason)
             detail));
-    match Flow_table.find t.flows ~flow:result.Message.flow with
-    | Some entry when drop_if_degraded t entry -> ()
-    | Some entry ->
-      guard_flow t entry (fun () -> entry.handlers.Algorithm.on_install_result result)
-    | None -> ())
-  | Message.Quarantined q -> (
+    to_flow t ~flow:result.Message.flow (fun h -> h.Algorithm.on_install_result) result
+  | Message.Quarantined q ->
     Ccp_obs.Metrics.incr t.quarantines_seen;
     Logs.warn (fun m ->
         m "agent: flow %d quarantined after %d incidents (dominant %s)" q.Message.flow
           q.Message.incidents
           (Message.incident_kind_to_string q.Message.dominant));
-    match Flow_table.find t.flows ~flow:q.Message.flow with
-    | Some entry when drop_if_degraded t entry -> ()
-    | Some entry ->
-      guard_flow t entry (fun () -> entry.handlers.Algorithm.on_quarantine q)
-    | None -> ())
+    to_flow t ~flow:q.Message.flow (fun h -> h.Algorithm.on_quarantine) q
   | Message.Closed { flow } ->
     purge_queue t flow;
     ignore (Flow_table.release t.flows ~flow : bool);
@@ -581,7 +563,7 @@ let create ~sim ~channel ~choose ?(policy = fun _ -> Policy.unrestricted) ?overl
       channel;
       choose;
       policy;
-      flows = Flow_table.create ?capacity:flow_pool ();
+      flows = Flow_table.create ?capacity:flow_pool ?obs ();
       overload;
       degrade;
       queues = Hashtbl.create 8;
@@ -591,7 +573,7 @@ let create ~sim ~channel ~choose ?(policy = fun _ -> Policy.unrestricted) ?overl
       pending_restore = Hashtbl.create 4;
       max_queue_wait = Time_ns.zero;
       typechecked = None;
-      typechecks = 0;
+      typechecks = counter "programs" "agent.typechecks";
       reports_received = counter "msgs" "agent.reports_received";
       urgents_received = counter "msgs" "agent.urgents_received";
       installs_sent = counter "msgs" "agent.installs_sent";
@@ -603,7 +585,6 @@ let create ~sim ~channel ~choose ?(policy = fun _ -> Policy.unrestricted) ?overl
       degradations = counter "events" "agent.degradations";
       degraded_drops = counter "msgs" "agent.degraded_drops";
       warm_restores = counter "events" "agent.warm_restores";
-      registrations_rejected = counter "flows" "agent.registrations_rejected";
       obs = Option.map make_agent_obs obs;
       tracer = (match obs with Some o -> o.Ccp_obs.Obs.tracer | None -> None);
     }
@@ -655,6 +636,6 @@ let dispatch_rounds t = value t.dispatch_rounds
 let degradations t = value t.degradations
 let degraded_drops t = value t.degraded_drops
 let warm_restores t = value t.warm_restores
-let registrations_rejected t = value t.registrations_rejected
-let typechecks t = t.typechecks
+let registrations_rejected t = (Flow_table.stats t.flows).Flow_table.rejected
+let typechecks t = value t.typechecks
 let pool_stats t = Flow_table.stats t.flows

@@ -151,8 +151,9 @@ val warm_restores : t -> int
 (** Flows re-registered with a checkpoint snapshot applied. *)
 
 val registrations_rejected : t -> int
-(** [Ready] registrations refused because the [flow_pool] was exhausted.
-    Always 0 without [flow_pool]. *)
+(** [Ready] registrations refused because the [flow_pool] was exhausted:
+    the pool's [rejected] count ({!pool_stats}). Always 0 without
+    [flow_pool]. *)
 
 val typechecks : t -> int
 (** Programs the agent typechecked before sending them. A handle
@@ -161,4 +162,5 @@ val typechecks : t -> int
 
 val pool_stats : t -> Flow_table.stats
 (** Registry accounting: capacity, live flows, lifetime churn, stale
-    handle references and rejections. *)
+    handle references and rejections. With [obs] the last two are the
+    [agent.pool.stale_derefs] and [agent.registrations_rejected] rows. *)

@@ -44,8 +44,8 @@ type 'a t = {
   index : (int, token) Hashtbl.t;  (* flow id -> live token *)
   mutable registered : int;
   mutable released : int;
-  mutable stale_refs : int;
-  mutable rejected : int;
+  stale_refs : Ccp_obs.Metrics.counter;  (* [agent.pool.stale_derefs] *)
+  rejected : Ccp_obs.Metrics.counter;  (* [agent.registrations_rejected] *)
 }
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
@@ -57,7 +57,7 @@ let push_free_range t ~from ~upto =
     t.free_top <- t.free_top + 1
   done
 
-let create ?capacity () =
+let create ?capacity ?obs () =
   let cap =
     match capacity with
     | None -> initial_capacity
@@ -78,8 +78,8 @@ let create ?capacity () =
       index = Hashtbl.create cap;
       registered = 0;
       released = 0;
-      stale_refs = 0;
-      rejected = 0;
+      stale_refs = Ccp_obs.Obs.counter obs ~unit_:"refs" "agent.pool.stale_derefs";
+      rejected = Ccp_obs.Obs.counter obs ~unit_:"flows" "agent.registrations_rejected";
     }
   in
   push_free_range t ~from:0 ~upto:cap;
@@ -129,7 +129,7 @@ let register t ~flow value =
   ignore (release t ~flow : bool);
   if t.free_top = 0 && not t.capped then grow t;
   if t.free_top = 0 then begin
-    t.rejected <- t.rejected + 1;
+    Ccp_obs.Metrics.incr t.rejected;
     Error `Pool_exhausted
   end
   else begin
@@ -152,7 +152,7 @@ let is_live t token =
 let get t token =
   if is_live t token then t.slots.(token land slot_mask)
   else begin
-    if token >= 0 then t.stale_refs <- t.stale_refs + 1;
+    if token >= 0 then Ccp_obs.Metrics.incr t.stale_refs;
     None
   end
 
@@ -184,6 +184,6 @@ let stats t =
     live = live t;
     registered = t.registered;
     released = t.released;
-    stale_refs = t.stale_refs;
-    rejected = t.rejected;
+    stale_refs = Ccp_obs.Metrics.counter_value t.stale_refs;
+    rejected = Ccp_obs.Metrics.counter_value t.rejected;
   }

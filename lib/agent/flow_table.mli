@@ -27,6 +27,10 @@ type token = int
 val no_token : token
 (** Sentinel (-1): never live, and {!get} on it counts nothing. *)
 
+(** A view of the table's ledger. [stale_refs] and [rejected] read the
+    [agent.pool.stale_derefs] and [agent.registrations_rejected]
+    counters, bumped where the generation check fails and where a
+    registration is refused ({!Ccp_obs.Obs.counter}). *)
 type stats = {
   capacity : int;  (** current slot count (power of two) *)
   live : int;  (** currently registered flows *)
@@ -38,9 +42,10 @@ type stats = {
           uncapped *)
 }
 
-val create : ?capacity:int -> unit -> 'a t
+val create : ?capacity:int -> ?obs:Ccp_obs.Obs.t -> unit -> 'a t
 (** [capacity] caps the table at that many slots; without it the table
-    grows. Raises [Invalid_argument] when [capacity] is not in
+    grows. With [obs] the two counters of {!stats} are rows of its
+    registry. Raises [Invalid_argument] when [capacity] is not in
     \[1, 2{^30}\]. *)
 
 val register : 'a t -> flow:int -> 'a -> (token, [ `Pool_exhausted ]) result

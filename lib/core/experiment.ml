@@ -171,7 +171,6 @@ let run (config : config) =
   if config.flows = [] then invalid_arg "Experiment.run: no flows";
   let sim = Sim.create ~seed:config.seed () in
   let trace = Trace.create sim in
-  let checkpoints_taken = ref 0 in
   let dumbbell =
     Topology.Dumbbell.create ~sim ~rate_bps:config.rate_bps ~base_rtt:config.base_rtt
       ~buffer_bytes:config.buffer_bytes ?ecn_threshold_bytes:config.ecn_threshold_bytes
@@ -203,12 +202,15 @@ let run (config : config) =
          real agent persisting to a state file would have available
          after a crash. *)
       let latest_checkpoint = ref None in
+      let checkpoints_taken =
+        Ccp_obs.Obs.counter config.obs ~unit_:"snapshots" "agent.checkpoints_taken"
+      in
       (match config.checkpoint_interval with
       | Some interval when Time_ns.is_positive interval ->
         let rec tick () =
           latest_checkpoint :=
             Some (Ccp_ipc.Checkpoint.encode (Ccp_agent.Agent.checkpoint agent));
-          incr checkpoints_taken;
+          Ccp_obs.Metrics.incr checkpoints_taken;
           ignore (Sim.schedule_after sim ~delay:interval (fun () -> tick ()))
         in
         ignore (Sim.schedule_after sim ~delay:interval (fun () -> tick ()))
@@ -236,7 +238,7 @@ let run (config : config) =
         (fun inspect ->
           inspect { h_sim = sim; h_channel = channel; h_datapath = ccp_ext; h_agent = agent })
         config.inspect;
-      Some (channel, ccp_ext, agent, algorithms)
+      Some (channel, ccp_ext, agent, algorithms, checkpoints_taken)
     end
   in
   (* Offload paths (Figure 5). One sender path and one receiver path per
@@ -246,7 +248,7 @@ let run (config : config) =
       match spec.cc with
       | Native_cc make_cc -> make_cc ()
       | Ccp_cc algo ->
-        let _, ccp_ext, _, algorithms = Option.get ccp_parts in
+        let _, ccp_ext, _, algorithms, _ = Option.get ccp_parts in
         Hashtbl.replace algorithms id algo;
         Ccp_ext.congestion_control ccp_ext
     in
@@ -443,7 +445,7 @@ let run (config : config) =
   let qdisc = Link.qdisc (Topology.Dumbbell.forward dumbbell) in
   let agent_stats =
     Option.map
-      (fun (channel, ccp_ext, agent, _) ->
+      (fun (channel, ccp_ext, agent, _, checkpoints_taken) ->
         {
           reports = Ccp_agent.Agent.reports_received agent;
           urgents = Ccp_agent.Agent.urgents_received agent;
@@ -461,45 +463,22 @@ let run (config : config) =
           decode_failures = Ccp_ipc.Channel.decode_failures channel;
           reports_shed = Ccp_agent.Agent.reports_shed agent;
           degradations = Ccp_agent.Agent.degradations agent;
-          checkpoints_taken = !checkpoints_taken;
+          checkpoints_taken = Ccp_obs.Metrics.counter_value checkpoints_taken;
           warm_restores = Ccp_agent.Agent.warm_restores agent;
           max_queue_wait = Ccp_agent.Agent.max_queue_wait agent;
         })
       ccp_parts
   in
   let duration_s = Time_ns.to_float_sec config.duration in
-  let cpu_stats_of_sender paths =
-    match paths with
+  (* One host side's offload paths, summed; [None] without offloads. *)
+  let cpu_stats ~busy_time ~operations ~segments = function
     | [] -> None
-    | _ ->
+    | paths ->
       let busy =
-        List.fold_left
-          (fun acc p -> acc +. Time_ns.to_float_sec (Offload.Sender_path.busy_time p))
-          0.0 paths
+        List.fold_left (fun acc p -> acc +. Time_ns.to_float_sec (busy_time p)) 0.0 paths
       in
-      let ops = List.fold_left (fun acc p -> acc + Offload.Sender_path.operations p) 0 paths in
-      let segs = List.fold_left (fun acc p -> acc + Offload.Sender_path.segments p) 0 paths in
-      Some
-        {
-          busy_fraction = busy /. duration_s;
-          operations = ops;
-          segments_total = segs;
-          mean_batch = (if ops = 0 then 0.0 else float_of_int segs /. float_of_int ops);
-        }
-  in
-  let cpu_stats_of_receiver paths =
-    match paths with
-    | [] -> None
-    | _ ->
-      let busy =
-        List.fold_left
-          (fun acc p -> acc +. Time_ns.to_float_sec (Offload.Receiver_path.busy_time p))
-          0.0 paths
-      in
-      let ops = List.fold_left (fun acc p -> acc + Offload.Receiver_path.operations p) 0 paths in
-      let segs =
-        List.fold_left (fun acc p -> acc + Offload.Receiver_path.segments p) 0 paths
-      in
+      let sum f = List.fold_left (fun acc p -> acc + f p) 0 paths in
+      let ops = sum operations and segs = sum segments in
       Some
         {
           busy_fraction = busy /. duration_s;
@@ -523,8 +502,9 @@ let run (config : config) =
     jain_index =
       Stats.jain_fairness (Array.of_list (List.map (fun r -> r.goodput_bps) flow_results));
     agent_stats;
-    sender_cpu = cpu_stats_of_sender sender_paths;
-    receiver_cpu = cpu_stats_of_receiver receiver_paths;
+    sender_cpu = Offload.Sender_path.(cpu_stats ~busy_time ~operations ~segments) sender_paths;
+    receiver_cpu =
+      Offload.Receiver_path.(cpu_stats ~busy_time ~operations ~segments) receiver_paths;
     perturb_stats =
       (match List.filter_map (fun inst -> inst.sampler) flows_only with
       | [] -> None

@@ -153,7 +153,9 @@ and agent_stats = {
   decode_failures : int;  (** IPC deliveries whose bytes failed to decode *)
   reports_shed : int;  (** reports dropped by agent overload control *)
   degradations : int;  (** agent-side per-flow quarantine entries *)
-  checkpoints_taken : int;  (** agent state snapshots written *)
+  checkpoints_taken : int;
+      (** agent state snapshots written: the [agent.checkpoints_taken]
+          counter *)
   warm_restores : int;  (** flows re-registered with snapshot state applied *)
   max_queue_wait : Time_ns.t;
       (** longest any dispatched report sat in the overload queue —

@@ -50,51 +50,25 @@ let wait_before_srtt = Time_ns.ms 10
 (* Vector-mode memory bound: rows past it are dropped. *)
 let vector_row_cap = 4096
 
-type guard_incidents = {
-  mutable cwnd_clamped : int;
-  mutable rate_clamped : int;
-  mutable wait_clamped : int;
-  mutable non_finite : int;
-  mutable div_storms : int;
-  mutable report_throttled : int;
-  mutable fold_divergence : int;
-  mutable eval_budget : int;
-}
+(* A flow's guard window: its incidents since the last accepted install,
+   one count per kind, indexed by [Message.incident_index]. *)
+let fresh_window () = Array.make (List.length Message.all_incident_kinds) 0
 
-let fresh_guard_incidents () =
-  {
-    cwnd_clamped = 0;
-    rate_clamped = 0;
-    wait_clamped = 0;
-    non_finite = 0;
-    div_storms = 0;
-    report_throttled = 0;
-    fold_divergence = 0;
-    eval_budget = 0;
-  }
+let window_total w = Array.fold_left ( + ) 0 w
 
-let guard_total g =
-  g.cwnd_clamped + g.rate_clamped + g.wait_clamped + g.non_finite + g.div_storms
-  + g.report_throttled + g.fold_divergence + g.eval_budget
-
-let dominant_incident g : Message.incident_kind =
-  let counts =
-    [
-      (g.cwnd_clamped, Message.Cwnd_clamped);
-      (g.rate_clamped, Message.Rate_clamped);
-      (g.wait_clamped, Message.Wait_clamped);
-      (g.non_finite, Message.Non_finite);
-      (g.div_storms, Message.Div_by_zero_storm);
-      (g.report_throttled, Message.Report_throttled);
-      (g.fold_divergence, Message.Fold_divergence);
-      (g.eval_budget, Message.Eval_budget_exhausted);
-    ]
-  in
+(* The kind with the most incidents, the first in
+   [Message.all_incident_kinds] on a tie. *)
+let dominant_incident w : Message.incident_kind =
   snd
     (List.fold_left
-       (fun (best, kind) (n, k) -> if n > best then (n, k) else (best, kind))
+       (fun (best, kind) k ->
+         let n = w.(Message.incident_index k) in
+         if n > best then (n, k) else (best, kind))
        (-1, Message.Cwnd_clamped)
-       counts)
+       Message.all_incident_kinds)
+
+let non_finite_slot = Message.incident_index Message.Non_finite
+let div_storm_slot = Message.incident_index Message.Div_by_zero_storm
 
 type config = {
   urgent_on_loss : bool;
@@ -172,14 +146,13 @@ type flow_state = {
   mutable div_baseline : int;
       (* raw eval div-by-zero count at the last guard reset *)
   mutable nonfinite_baseline : int;
-  guard : guard_incidents;
+  window : int array;  (* the current guard window ([fresh_window]) *)
 }
 
 (* Pre-resolved metric handles: the per-ACK path must not do name lookups,
    and with [obs = None] it must not allocate at all. *)
 type obs_handles = {
   obs : Ccp_obs.Obs.t;
-  o_guard_incidents : Ccp_obs.Metrics.counter;
   o_acks : Ccp_obs.Metrics.counter;
   o_fold_ns : Ccp_obs.Metrics.histogram;
   (* Per-flow heavy-hitter sketches; [None] when telemetry is off. *)
@@ -192,7 +165,6 @@ let make_obs_handles obs =
   let m = obs.Obs.metrics in
   {
     obs;
-    o_guard_incidents = Metrics.counter m ~unit_:"events" "datapath.guard_incidents";
     o_acks = Metrics.counter m ~unit_:"acks" "datapath.acks_processed";
     o_fold_ns = Metrics.histogram m ~unit_:"ns" "datapath.fold_step_ns";
     tk_reports = Obs.flow_sketch obs "flow.reports";
@@ -212,11 +184,10 @@ type t = {
   installs_rejected : Ccp_obs.Metrics.counter;
   fallbacks_triggered : Ccp_obs.Metrics.counter;
   quarantines : Ccp_obs.Metrics.counter;
-  mutable fallback_probes_sent : int;
+  fallback_probes_sent : Ccp_obs.Metrics.counter;
+  admissions : Ccp_obs.Metrics.counter;
+  guard_incidents : Ccp_obs.Metrics.counter;  (* every incident of every flow and kind *)
   mutable kept : admitted option;  (* the program admitted last, for any flow *)
-  mutable admissions : int;
-  retired_guard : guard_incidents;
-      (* incidents from guard windows closed by an accepted re-install *)
   obs : obs_handles option;
   tracer : Ccp_obs.Tracer.t option;
   idle_timer : Sim.timer;  (* never armed: a flow's [wait_timer] until it has its own *)
@@ -227,14 +198,18 @@ let obs_record t event =
   | None -> ()
   | Some h -> Ccp_obs.Obs.record h.obs ~at:(Sim.now t.sim) event
 
-let obs_guard_incident t fs =
-  match t.obs with
-  | None -> ()
-  | Some h -> (
-    Ccp_obs.Metrics.incr h.o_guard_incidents;
-    match h.tk_guard with
-    | Some s -> Ccp_obs.Topk.touch s fs.ctl.Congestion_iface.flow
-    | None -> ())
+(* Every guard incident, of every kind, is counted here: in the flow's
+   window, the datapath-wide counter and the per-flow sketch at once. *)
+let count_incidents t fs slot n =
+  if n > 0 then begin
+    fs.window.(slot) <- fs.window.(slot) + n;
+    Ccp_obs.Metrics.add t.guard_incidents n;
+    match t.obs with
+    | Some { tk_guard = Some s; _ } -> Ccp_obs.Topk.add s fs.ctl.Congestion_iface.flow n
+    | _ -> ()
+  end
+
+let incident t fs kind = count_incidents t fs (Message.incident_index kind) 1
 
 (* --- slot tables ---
 
@@ -426,10 +401,13 @@ let eval_flow fs (m : Compile.machine) (code : Compile.code) =
 (* --- runtime guardrails and quarantine --- *)
 
 (* Fold the evaluator's raw incident counts (cumulative for the flow's
-   lifetime) into the current guard window. *)
-let absorb_eval_incidents fs =
-  fs.guard.non_finite <- fs.incidents.Eval.non_finite - fs.nonfinite_baseline;
-  fs.guard.div_storms <- (fs.incidents.Eval.div_by_zero - fs.div_baseline) / divs_per_incident
+   lifetime) into the current guard window: what they add since the
+   window last saw them counts as new incidents. *)
+let absorb_eval_incidents t fs =
+  let non_finite = fs.incidents.Eval.non_finite - fs.nonfinite_baseline in
+  let storms = (fs.incidents.Eval.div_by_zero - fs.div_baseline) / divs_per_incident in
+  count_incidents t fs non_finite_slot (non_finite - fs.window.(non_finite_slot));
+  count_incidents t fs div_storm_slot (storms - fs.window.(div_storm_slot))
 
 (* The offending program is cancelled outright; only an accepted
    re-install brings CCP control back. *)
@@ -444,15 +422,15 @@ let quarantine t fs mode =
     (Ccp_obs.Recorder.Quarantine
        {
          flow = fs.ctl.Congestion_iface.flow;
-         incidents = guard_total fs.guard;
-         dominant = Message.incident_kind_to_string (dominant_incident fs.guard);
+         incidents = window_total fs.window;
+         dominant = Message.incident_kind_to_string (dominant_incident fs.window);
        });
   Channel.send t.channel ~from:Channel.Datapath_end
     (Message.Quarantined
        {
          flow = fs.ctl.Congestion_iface.flow;
-         incidents = guard_total fs.guard;
-         dominant = dominant_incident fs.guard;
+         incidents = window_total fs.window;
+         dominant = dominant_incident fs.window;
        })
 
 let maybe_quarantine t fs =
@@ -462,13 +440,13 @@ let maybe_quarantine t fs =
   | Some mode ->
     if
       (not (under_quarantine fs)) && g.quarantine_after > 0
-      && guard_total fs.guard >= g.quarantine_after
+      && window_total fs.window >= g.quarantine_after
     then quarantine t fs mode
 
 (* Absorb eval-side incidents and re-check the threshold; call after any
    guarded evaluation or fold step. *)
 let guard_note t fs =
-  absorb_eval_incidents fs;
+  absorb_eval_incidents t fs;
   maybe_quarantine t fs
 
 (* The guard envelope's window and rate bounds, for a program's [Cwnd]
@@ -480,10 +458,7 @@ let apply_cwnd t fs raw =
   let lo = float_of_int (g.min_cwnd_segments * fs.ctl.Congestion_iface.mss) in
   let hi = float_of_int cwnd_ceiling in
   let cwnd = Float.min (Float.max lo raw) hi in
-  if cwnd <> raw then begin
-    fs.guard.cwnd_clamped <- fs.guard.cwnd_clamped + 1;
-    obs_guard_incident t fs
-  end;
+  if cwnd <> raw then incident t fs Message.Cwnd_clamped;
   fs.ctl.Congestion_iface.set_cwnd (int_of_float cwnd)
 
 let apply_rate t fs raw =
@@ -492,10 +467,7 @@ let apply_rate t fs raw =
       Float.min (Float.max 0.0 raw) t.config.guard.max_rate_bytes_per_sec
     else 0.0
   in
-  if rate <> raw then begin
-    fs.guard.rate_clamped <- fs.guard.rate_clamped + 1;
-    obs_guard_incident t fs
-  end;
+  if rate <> raw then incident t fs Message.Rate_clamped;
   fs.ctl.Congestion_iface.set_rate rate
 
 (* A restart on the plan the flow last measured with resets that fold in
@@ -528,8 +500,7 @@ let block_for t fs duration =
    real datapath's CPU) at one timestamp; floor it and count the clamp. *)
 let guarded_wait t fs duration =
   if Time_ns.compare duration wait_floor < 0 then begin
-    fs.guard.wait_clamped <- fs.guard.wait_clamped + 1;
-    obs_guard_incident t fs;
+    incident t fs Message.Wait_clamped;
     maybe_quarantine t fs;
     wait_floor
   end
@@ -546,8 +517,7 @@ let rec advance t fs = step t fs steps_per_tick
 and step t fs budget =
   let budget = budget - 1 in
   if budget <= 0 then begin
-    fs.guard.eval_budget <- fs.guard.eval_budget + 1;
-    obs_guard_incident t fs;
+    incident t fs Message.Eval_budget_exhausted;
     maybe_quarantine t fs;
     if not (under_quarantine fs) then block_for t fs (Time_ns.us 1)
   end
@@ -607,8 +577,7 @@ and step t fs budget =
           if throttled then begin
             (* Skip the send but keep aggregating: the pending state goes
                out with the next unthrottled report. *)
-            fs.guard.report_throttled <- fs.guard.report_throttled + 1;
-            obs_guard_incident t fs;
+            incident t fs Message.Report_throttled;
             maybe_quarantine t fs
           end
           else begin
@@ -618,27 +587,11 @@ and step t fs budget =
           if not (under_quarantine fs) then step t fs budget
       end
 
-(* Close the current guard window: bank its incidents in the datapath-wide
-   accumulator and start the new program with a clean slate (otherwise a
-   corrected re-install would be re-quarantined on inherited incidents). *)
-let reset_guard_window t fs =
-  let g = fs.guard and r = t.retired_guard in
-  r.cwnd_clamped <- r.cwnd_clamped + g.cwnd_clamped;
-  r.rate_clamped <- r.rate_clamped + g.rate_clamped;
-  r.wait_clamped <- r.wait_clamped + g.wait_clamped;
-  r.non_finite <- r.non_finite + g.non_finite;
-  r.div_storms <- r.div_storms + g.div_storms;
-  r.report_throttled <- r.report_throttled + g.report_throttled;
-  r.fold_divergence <- r.fold_divergence + g.fold_divergence;
-  r.eval_budget <- r.eval_budget + g.eval_budget;
-  g.cwnd_clamped <- 0;
-  g.rate_clamped <- 0;
-  g.wait_clamped <- 0;
-  g.non_finite <- 0;
-  g.div_storms <- 0;
-  g.report_throttled <- 0;
-  g.fold_divergence <- 0;
-  g.eval_budget <- 0;
+(* Close the current guard window and start the new program with a clean
+   slate (otherwise a corrected re-install would be re-quarantined on
+   inherited incidents). The datapath-wide counter keeps them. *)
+let reset_guard_window fs =
+  Array.fill fs.window 0 (Array.length fs.window) 0;
   fs.div_baseline <- fs.incidents.Eval.div_by_zero;
   fs.nonfinite_baseline <- fs.incidents.Eval.non_finite
 
@@ -653,7 +606,7 @@ let send_install_result t fs verdict =
    disagree; the flow then keeps what it runs instead of faulting per
    packet. *)
 let admit t program =
-  t.admissions <- t.admissions + 1;
+  Ccp_obs.Metrics.incr t.admissions;
   match Limits.admit program with
   | Error _ as rejected -> rejected
   | Ok () -> (
@@ -677,8 +630,11 @@ let runs adm program =
    accepted one is the only message that wins the flow back from a
    stand-in, fallback or quarantine, atomically.
 
-   Cubic, AIMD, DCTCP, Vegas and Timely re-install on nearly every
-   report, and almost always the program the flow already runs; Reno and
+   How often an install re-sends the flow's running program depends on
+   the algorithm. One flow at 48 Mbit/s and 20 ms for 10 s: Vegas 384 of
+   455 installs, vector Vegas 442 of 477, BBR 58 of 64; Cubic 8 of 321,
+   DCTCP 10 of 463, Timely 3 of 397, AIMD 2 of 367 and PCC none of 123,
+   since their programs carry a new window or rate each time. Reno and
    the aggregate install one program per flow, the same on every flow,
    and steer with [Set_cwnd]. The channel matches each [Install]'s
    program bytes against the flow's running bytes, then against the
@@ -723,7 +679,7 @@ let install_program t fs program =
       (Ccp_obs.Recorder.Install
          { flow = fs.ctl.Congestion_iface.flow; accepted = true; detail = "" });
     fs.owner <- Agent;
-    reset_guard_window t fs;
+    reset_guard_window fs;
     cancel_wait fs;
     (match fresh with Some exec -> fs.exec <- Some exec | None -> ());
     fs.pc <- 0;
@@ -835,10 +791,10 @@ let create ~sim ~channel ?(config = default_config) ?obs () =
       installs_rejected = counter "msgs" "datapath.installs_rejected";
       fallbacks_triggered = counter "events" "datapath.fallbacks";
       quarantines = counter "events" "datapath.quarantines";
-      fallback_probes_sent = 0;
+      fallback_probes_sent = counter "msgs" "datapath.fallback_probes";
+      admissions = counter "programs" "datapath.admissions";
+      guard_incidents = counter "events" "datapath.guard_incidents";
       kept = None;
-      admissions = 0;
-      retired_guard = fresh_guard_incidents ();
       obs = Option.map make_obs_handles obs;
       tracer = (match obs with Some o -> o.Ccp_obs.Obs.tracer | None -> None);
       idle_timer = Sim.timer sim ignore;
@@ -886,7 +842,7 @@ let rec watchdog_tick t fs (fb : fallback) =
     | Fallback _, Native _ | (Agent | Quarantine _), _ -> ())
   end;
   if silent || match fs.owner with Fallback _ -> true | Agent | Quarantine _ -> false then begin
-    t.fallback_probes_sent <- t.fallback_probes_sent + 1;
+    Ccp_obs.Metrics.incr t.fallback_probes_sent;
     send_ready t fs.ctl
   end;
   ignore (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
@@ -908,7 +864,7 @@ let on_init t ctl =
       last_report_at = None;
       div_baseline = 0;
       nonfinite_baseline = 0;
-      guard = fresh_guard_incidents ();
+      window = fresh_window ();
     }
   in
   fs.wait_timer <- Sim.timer t.sim (fun () -> advance t fs);
@@ -929,10 +885,8 @@ let record_measurement t fs (ev : Congestion_iface.ack_event) ~bytes_lost =
     refresh_flow fs m (Compile.Fold.step_flow_mask plan);
     refresh_pkt m ev ~bytes_lost;
     Compile.Fold.step fold ~m ~incidents:fs.incidents;
-    if Compile.Fold.diverged fold ~limit:fold_bound then begin
-      fs.guard.fold_divergence <- fs.guard.fold_divergence + 1;
-      obs_guard_incident t fs
-    end;
+    if Compile.Fold.diverged fold ~limit:fold_bound then
+      incident t fs Message.Fold_divergence;
     guard_note t fs
   | Vector v, Some (_, m) ->
     if v.count < vector_row_cap then begin
@@ -1033,9 +987,9 @@ let urgents_sent t = Ccp_obs.Metrics.counter_value t.urgents_sent
 let installs_accepted t = Ccp_obs.Metrics.counter_value t.installs_accepted
 let installs_rejected t = Ccp_obs.Metrics.counter_value t.installs_rejected
 
-let admissions t = t.admissions
+let admissions t = Ccp_obs.Metrics.counter_value t.admissions
 let fallbacks_triggered t = Ccp_obs.Metrics.counter_value t.fallbacks_triggered
-let fallback_probes_sent t = t.fallback_probes_sent
+let fallback_probes_sent t = Ccp_obs.Metrics.counter_value t.fallback_probes_sent
 
 let in_fallback t ~flow =
   match Hashtbl.find_opt t.flows flow with
@@ -1054,10 +1008,12 @@ let in_quarantine t ~flow =
   | Some fs -> under_quarantine fs
   | None -> false
 
-let guard_incidents t ~flow = Option.map (fun fs -> fs.guard) (Hashtbl.find_opt t.flows flow)
+let guard_incidents t ~flow kind =
+  match Hashtbl.find_opt t.flows flow with
+  | Some fs -> fs.window.(Message.incident_index kind)
+  | None -> 0
 
-let guard_incident_total t =
-  Hashtbl.fold (fun _ fs acc -> acc + guard_total fs.guard) t.flows (guard_total t.retired_guard)
+let guard_incident_total t = Ccp_obs.Metrics.counter_value t.guard_incidents
 
 type controller = Agent_program | Native_fallback | Quarantined | Awaiting_agent
 

@@ -97,19 +97,6 @@ val default_guard : guard_envelope
 (** 1-segment cwnd floor, 1 Tbit/s rate ceiling, 10 us report interval,
     quarantine at 50 with no mode armed. *)
 
-(** Per-flow incident counters, one per {!Ccp_ipc.Message.incident_kind}.
-    Mutable for the datapath's own accounting; treat as read-only. *)
-type guard_incidents = {
-  mutable cwnd_clamped : int;
-  mutable rate_clamped : int;
-  mutable wait_clamped : int;
-  mutable non_finite : int;
-  mutable div_storms : int;
-  mutable report_throttled : int;
-  mutable fold_divergence : int;
-  mutable eval_budget : int;
-}
-
 (** Every program a flow runs has passed admission
     ({!Ccp_lang.Limits.admit}) and compilation. The datapath keeps the
     program it admitted last, for whichever flow, with its compiled code
@@ -195,14 +182,16 @@ val has_compiled_program : t -> flow:int -> bool
     [Install] and [Install_result] can never leave a half-admitted
     program (source recorded but nothing runnable, or vice versa). *)
 
-val guard_incidents : t -> flow:int -> guard_incidents option
-(** The flow's counters for the {e current} guard window (reset on every
-    accepted install). *)
+val guard_incidents : t -> flow:int -> Message.incident_kind -> int
+(** The flow's incidents of one kind in its {e current} guard window
+    (reset on every accepted install); 0 for a flow the datapath does
+    not know. *)
 
 val guard_incident_total : t -> int
-(** Incidents across all flows and all closed guard windows — the
+(** Incidents of every kind across all flows and all guard windows: the
     datapath-wide "how badly were we abused" number for experiment
-    stats. *)
+    stats. It reads [datapath.guard_incidents], which every incident
+    feeds where it is counted ({!Ccp_obs.Obs.counter}). *)
 
 (** Who is driving a flow right now. Each flow has exactly one owner, held
     in one field: the agent, the watchdog's fallback, or the guard

@@ -22,8 +22,10 @@ type pending = {
 type direction = {
   toward : endpoint;
   mutable handler : (Message.t -> unit) option;
-  mutable messages : int;
-  mutable bytes : int;
+  (* Every frame put on the wire toward [toward], and its bytes, including
+     frames a fault destroys: [ipc.to_agent.*] or [ipc.to_datapath.*]. *)
+  frames : Ccp_obs.Metrics.counter;
+  wire_bytes : Ccp_obs.Metrics.counter;
   mutable last_delivery : Time_ns.t;  (* FIFO floor for this direction *)
   memo : Codec.memo option;
       (* what the receiving end already holds, stored as the option
@@ -41,18 +43,20 @@ type fault_stats = {
   partition_dropped : int;
 }
 
-let no_faults_yet =
-  { dropped = 0; duplicated = 0; delayed = 0; reordered = 0; partition_dropped = 0 }
+(* One counter per fault kind, both directions combined; [fault_stats]
+   reads them. *)
+type fault_counters = {
+  c_dropped : Ccp_obs.Metrics.counter;
+  c_duplicated : Ccp_obs.Metrics.counter;
+  c_delayed : Ccp_obs.Metrics.counter;
+  c_reordered : Ccp_obs.Metrics.counter;
+  c_partition_dropped : Ccp_obs.Metrics.counter;
+}
 
 (* Pre-registered handles so the send path never does a name lookup. *)
 type obs_handles = {
   obs : Ccp_obs.Obs.t;
-  msg_to_agent : Ccp_obs.Metrics.counter;
-  msg_to_datapath : Ccp_obs.Metrics.counter;
-  bytes_to_agent : Ccp_obs.Metrics.counter;
-  bytes_to_datapath : Ccp_obs.Metrics.counter;
   oneway_us : Ccp_obs.Metrics.histogram;
-  faults_injected : Ccp_obs.Metrics.counter;
   pending_reports : Ccp_obs.Metrics.gauge;
 }
 
@@ -60,14 +64,7 @@ let make_handles obs =
   let open Ccp_obs in
   {
     obs;
-    msg_to_agent = Metrics.counter obs.Obs.metrics ~unit_:"msgs" "ipc.to_agent.messages";
-    msg_to_datapath =
-      Metrics.counter obs.Obs.metrics ~unit_:"msgs" "ipc.to_datapath.messages";
-    bytes_to_agent = Metrics.counter obs.Obs.metrics ~unit_:"bytes" "ipc.to_agent.bytes";
-    bytes_to_datapath =
-      Metrics.counter obs.Obs.metrics ~unit_:"bytes" "ipc.to_datapath.bytes";
     oneway_us = Metrics.histogram obs.Obs.metrics ~unit_:"us" "ipc.oneway_latency_us";
-    faults_injected = Metrics.counter obs.Obs.metrics ~unit_:"events" "ipc.faults_injected";
     pending_reports = Metrics.gauge obs.Obs.metrics ~unit_:"reports" "ipc.pending_reports";
   }
 
@@ -76,9 +73,11 @@ type t = {
   latency : Latency_model.t;
   rng : Rng.t;
   faults : Fault_plan.t;
-  (* Separate stream so fault decisions never perturb latency draws; only
-     split when the plan is non-empty, keeping clean runs byte-identical. *)
-  fault_rng : Rng.t option;
+  fault_rng : Rng.t;
+      (* fault decisions, on their own stream so they never perturb
+         latency draws. Split off the root only for a non-empty plan: the
+         empty plan never draws, so it shares [rng] and a clean run stays
+         byte-identical to one without fault injection. *)
   (* With batching off (the default) neither direction has a pending
      frame, and every send takes the one-frame-per-message path,
      byte-identical to a build without batching. *)
@@ -95,7 +94,7 @@ type t = {
   decode_failures : Ccp_obs.Metrics.counter;
   batches_sent : Ccp_obs.Metrics.counter;
   reports_batched : Ccp_obs.Metrics.counter;
-  mutable fault_stats : fault_stats;
+  fault_counts : fault_counters;
   handles : obs_handles option;
   tracer : Ccp_obs.Tracer.t option;
   (* Span token of the message currently being delivered (-1 none): the
@@ -104,7 +103,7 @@ type t = {
   mutable rx_span : Message.trace_context;
 }
 
-let fresh_direction ~toward ~memo batching =
+let fresh_direction ?obs ~toward ~memo batching =
   let pending cfg =
     {
       cfg;
@@ -115,11 +114,14 @@ let fresh_direction ~toward ~memo batching =
       flush_serial = 0;
     }
   in
+  let prefix =
+    match toward with Agent_end -> "ipc.to_agent." | Datapath_end -> "ipc.to_datapath."
+  in
   {
     toward;
     handler = None;
-    messages = 0;
-    bytes = 0;
+    frames = Ccp_obs.Obs.counter obs ~unit_:"msgs" (prefix ^ "messages");
+    wire_bytes = Ccp_obs.Obs.counter obs ~unit_:"bytes" (prefix ^ "bytes");
     last_delivery = Time_ns.zero;
     memo;
     pending = Option.map pending batching;
@@ -129,25 +131,18 @@ let direction_toward t = function
   | Agent_end -> t.to_agent
   | Datapath_end -> t.to_datapath
 
-let note_fault t kind =
-  match t.handles with
-  | None -> ()
-  | Some h ->
-    Ccp_obs.Metrics.incr h.faults_injected;
-    Ccp_obs.Obs.record h.obs ~at:(Sim.now t.sim) (Ccp_obs.Recorder.Ipc_fault { kind })
+let direction_from t = function Datapath_end -> t.to_agent | Agent_end -> t.to_datapath
 
-let note_send t toward ~bytes ~delay =
+let note_fault t counter kind =
+  Ccp_obs.Metrics.incr counter;
   match t.handles with
   | None -> ()
-  | Some h ->
-    let msgs, byts =
-      match toward with
-      | Agent_end -> (h.msg_to_agent, h.bytes_to_agent)
-      | Datapath_end -> (h.msg_to_datapath, h.bytes_to_datapath)
-    in
-    Ccp_obs.Metrics.incr msgs;
-    Ccp_obs.Metrics.add byts bytes;
-    Ccp_obs.Metrics.observe h.oneway_us (Time_ns.to_float_us delay)
+  | Some h -> Ccp_obs.Obs.record h.obs ~at:(Sim.now t.sim) (Ccp_obs.Recorder.Ipc_fault { kind })
+
+let note_delay t delay =
+  match t.handles with
+  | None -> ()
+  | Some h -> Ccp_obs.Metrics.observe h.oneway_us (Time_ns.to_float_us delay)
 
 let on_receive t endpoint handler = (direction_toward t endpoint).handler <- Some handler
 
@@ -199,8 +194,14 @@ let rec live_spans spans i acc =
   if i < 0 then acc
   else live_spans spans (i - 1) (if spans.(i) >= 0 then spans.(i) :: acc else acc)
 
-let deliver t handler ~toward bytes =
-  let memo = (direction_toward t toward).memo in
+(* Sends fail fast toward an end with no handler. A frame is delivered to
+   the handler registered when it arrives. *)
+let check_handler caller dir =
+  if Option.is_none dir.handler then
+    invalid_arg (caller ^ ": destination handler not registered")
+
+let deliver t dir bytes =
+  let handler = Option.get dir.handler and toward = dir.toward and memo = dir.memo in
   if Codec.is_batch bytes then
     (* Frame validation is atomic: a corrupt entry rejects the whole
        frame as one decode failure, never a decoded prefix of it. *)
@@ -233,98 +234,73 @@ let deliver t handler ~toward bytes =
 (* Schedule one copy of [bytes]. [fifo] decides whether the arrival is
    clamped to (and advances) the direction's FIFO floor; reordered and
    duplicated copies skip the clamp so later sends may overtake them. *)
-let schedule_copy t dir ~toward handler ~arrival ~fifo ~spans bytes =
+let schedule_copy t dir ~arrival ~fifo ~spans bytes =
   let arrival = if fifo then Time_ns.max arrival dir.last_delivery else arrival in
   if fifo then dir.last_delivery <- arrival;
   ignore
     (Sim.schedule t.sim ~at:arrival (fun () ->
          (* A crashed agent loses messages already in flight toward it. *)
-         if toward = Agent_end && Fault_plan.agent_down t.faults (Sim.now t.sim) then begin
-           t.fault_stats <-
-             { t.fault_stats with partition_dropped = t.fault_stats.partition_dropped + 1 };
-           note_fault t "agent_down";
+         if dir.toward = Agent_end && Fault_plan.agent_down t.faults (Sim.now t.sim) then begin
+           note_fault t t.fault_counts.c_partition_dropped "agent_down";
            orphan_spans t spans
          end
-         else deliver t handler ~toward bytes))
+         else deliver t dir bytes))
+
+(* A fault decision with probability [p], drawn from the fault stream.
+   Every probability of the empty plan is 0, so it never draws. *)
+let fires t p = p > 0.0 && Rng.float t.fault_rng 1.0 < p
 
 (* Put one wire frame (single message or batch) on the channel: byte
    accounting, latency draw, fault plan, delivery scheduling. [spans] are
-   the live span tokens riding the frame, orphaned if a fault eats it. *)
-let transmit t dir handler ~toward ~spans bytes =
-  dir.messages <- dir.messages + 1;
-  dir.bytes <- dir.bytes + String.length bytes;
-  match t.fault_rng with
-  | None ->
-    (* Clean channel: the original delivery path, untouched. *)
+   the live span tokens riding the frame, orphaned if a fault eats it.
+   Under the empty plan no fault fires and no fault draw is made. *)
+let transmit t dir ~spans bytes =
+  Ccp_obs.Metrics.incr dir.frames;
+  Ccp_obs.Metrics.add dir.wire_bytes (String.length bytes);
+  let now = Sim.now t.sim in
+  let faults = t.faults and counts = t.fault_counts in
+  if Fault_plan.in_partition faults now then begin
+    note_fault t counts.c_partition_dropped "partition";
+    orphan_spans t spans
+  end
+  else if fires t faults.Fault_plan.drop_probability then begin
+    note_fault t counts.c_dropped "drop";
+    orphan_spans t spans
+  end
+  else begin
     let delay = Latency_model.one_way t.latency t.rng in
-    note_send t toward ~bytes:(String.length bytes) ~delay;
-    let arrival = Time_ns.add (Sim.now t.sim) delay in
-    (* Preserve per-direction FIFO ordering under random latency draws. *)
-    let arrival = Time_ns.max arrival dir.last_delivery in
-    dir.last_delivery <- arrival;
-    ignore (Sim.schedule t.sim ~at:arrival (fun () -> deliver t handler ~toward bytes))
-  | Some frng ->
-    let now = Sim.now t.sim in
-    let stats = t.fault_stats in
-    if Fault_plan.in_partition t.faults now then begin
-      t.fault_stats <- { stats with partition_dropped = stats.partition_dropped + 1 };
-      note_fault t "partition";
-      orphan_spans t spans
+    let delay =
+      match faults.Fault_plan.spike with
+      | Some s when fires t s.Fault_plan.probability ->
+        note_fault t counts.c_delayed "spike";
+        Time_ns.add delay s.Fault_plan.extra
+      | _ -> delay
+    in
+    note_delay t delay;
+    let arrival = Time_ns.add now delay in
+    (match faults.Fault_plan.reorder with
+    | Some r when fires t r.Fault_plan.probability ->
+      (* Bounded reordering: push the message at most [window] past its
+         FIFO slot without raising the floor, so later sends overtake. *)
+      let slot = Time_ns.max arrival dir.last_delivery in
+      (* Time_ns.t is integer nanoseconds, so the window bounds the draw. *)
+      let lag = Rng.int t.fault_rng (max 1 (r.Fault_plan.window + 1)) in
+      note_fault t counts.c_reordered "reorder";
+      schedule_copy t dir ~arrival:(Time_ns.add slot (Time_ns.ns lag)) ~fifo:false ~spans bytes
+    | _ -> schedule_copy t dir ~arrival ~fifo:true ~spans bytes);
+    if fires t faults.Fault_plan.duplicate_probability then begin
+      (* The duplicate pays its own latency draw and floats free of the
+         FIFO floor, as a retransmitted datagram would. *)
+      let dup_arrival = Time_ns.add now (Latency_model.one_way t.latency t.rng) in
+      note_fault t counts.c_duplicated "duplicate";
+      schedule_copy t dir ~arrival:dup_arrival ~fifo:false ~spans bytes
     end
-    else if
-      t.faults.Fault_plan.drop_probability > 0.0
-      && Rng.float frng 1.0 < t.faults.Fault_plan.drop_probability
-    then begin
-      t.fault_stats <- { stats with dropped = stats.dropped + 1 };
-      note_fault t "drop";
-      orphan_spans t spans
-    end
-    else begin
-      let delay = Latency_model.one_way t.latency t.rng in
-      let delay =
-        match t.faults.Fault_plan.spike with
-        | Some s when s.Fault_plan.probability > 0.0 && Rng.float frng 1.0 < s.Fault_plan.probability ->
-          t.fault_stats <- { t.fault_stats with delayed = t.fault_stats.delayed + 1 };
-          note_fault t "spike";
-          Time_ns.add delay s.Fault_plan.extra
-        | _ -> delay
-      in
-      note_send t toward ~bytes:(String.length bytes) ~delay;
-      let arrival = Time_ns.add now delay in
-      (match t.faults.Fault_plan.reorder with
-      | Some r
-        when r.Fault_plan.probability > 0.0 && Rng.float frng 1.0 < r.Fault_plan.probability ->
-        (* Bounded reordering: push the message at most [window] past its
-           FIFO slot without raising the floor, so later sends overtake. *)
-        let slot = Time_ns.max arrival dir.last_delivery in
-        (* Time_ns.t is integer nanoseconds, so the window bounds the draw. *)
-        let lag = Rng.int frng (max 1 (r.Fault_plan.window + 1)) in
-        t.fault_stats <- { t.fault_stats with reordered = t.fault_stats.reordered + 1 };
-        note_fault t "reorder";
-        schedule_copy t dir ~toward handler ~arrival:(Time_ns.add slot (Time_ns.ns lag))
-          ~fifo:false ~spans bytes
-      | _ -> schedule_copy t dir ~toward handler ~arrival ~fifo:true ~spans bytes);
-      if
-        t.faults.Fault_plan.duplicate_probability > 0.0
-        && Rng.float frng 1.0 < t.faults.Fault_plan.duplicate_probability
-      then begin
-        (* The duplicate pays its own latency draw and floats free of the
-           FIFO floor, as a retransmitted datagram would. *)
-        let dup_arrival = Time_ns.add now (Latency_model.one_way t.latency t.rng) in
-        t.fault_stats <- { t.fault_stats with duplicated = t.fault_stats.duplicated + 1 };
-        note_fault t "duplicate";
-        schedule_copy t dir ~toward handler ~arrival:dup_arrival ~fifo:false ~spans bytes
-      end
-    end
+  end
 
 (* Put a pending frame on the wire, if it holds anything. *)
 let flush_frame t dir p =
   if p.count > 0 then begin
-    let handler =
-      match dir.handler with
-      | Some h -> h
-      | None -> invalid_arg "Channel.flush: destination handler not registered"
-    in
+    check_handler "Channel.flush" dir;
     let frame = Codec.seal_batch p.body ~count:p.count in
     let spans = live_spans p.spans (p.count - 1) [] in
     Wire.Writer.reset p.body;
@@ -341,7 +317,7 @@ let flush_frame t dir p =
          actually hits the wire, not when the report was parked. *)
       List.iter (fun s -> stamp_send t ~from:Datapath_end s) spans
     | Datapath_end -> ());
-    transmit t dir handler ~toward:dir.toward ~spans frame
+    transmit t dir ~spans frame
   end
 
 let flush t =
@@ -383,17 +359,11 @@ let park_reply t dir p ~span len =
   stamp_send t ~from:Agent_end span;
   if add_entry p ~span len then flush_frame t dir p
 
-let send_frame t dir handler ~from ~toward ~span bytes =
+let send_frame t dir ~from ~span bytes =
   stamp_send t ~from span;
-  transmit t dir handler ~toward ~spans:(if span >= 0 then [ span ] else []) bytes
+  transmit t dir ~spans:(if span >= 0 then [ span ] else []) bytes
 
-let send_single t dir handler ~from ~toward ~span msg =
-  send_frame t dir handler ~from ~toward ~span (Codec.encode_traced ~span msg)
-
-let handler_toward dir =
-  match dir.handler with
-  | Some h -> h
-  | None -> invalid_arg "Channel.send: destination handler not registered"
+let send_single t dir ~from ~span msg = send_frame t dir ~from ~span (Codec.encode_traced ~span msg)
 
 (* Agent-side control messages attach to the span whose handler is
    running, so algorithm code needs no tracing awareness at all. *)
@@ -407,18 +377,16 @@ let outgoing_span t ~from span =
 
 let send_install_frame t frame =
   let dir = t.to_datapath in
-  let handler = handler_toward dir in
+  check_handler "Channel.send" dir;
   let span = outgoing_span t ~from:Agent_end Message.no_trace in
   match dir.pending with
   | Some p when t.replying -> park_reply t dir p ~span (Codec.add_batch_encoded p.body ~span frame)
   | _ ->
-    send_frame t dir handler ~from:Agent_end ~toward:Datapath_end ~span
-      (Codec.with_trace ~span frame)
+    send_frame t dir ~from:Agent_end ~span (Codec.with_trace ~span frame)
 
 let send t ~from ?(span = Message.no_trace) msg =
-  let toward = match from with Datapath_end -> Agent_end | Agent_end -> Datapath_end in
-  let dir = direction_toward t toward in
-  let handler = handler_toward dir in
+  let dir = direction_from t from in
+  check_handler "Channel.send" dir;
   let span = outgoing_span t ~from span in
   match (from, dir.pending) with
   | Datapath_end, Some p -> (
@@ -429,14 +397,14 @@ let send t ~from ?(span = Message.no_trace) msg =
          never waits on a watermark: flush what is queued — preserving
          send order on the wire — then go out immediately. *)
       flush_frame t dir p;
-      send_single t dir handler ~from ~toward ~span msg)
+      send_single t dir ~from ~span msg)
   | Agent_end, Some p when t.replying ->
     park_reply t dir p ~span (Codec.add_batch_entry p.body ~span msg)
-  | _ -> send_single t dir handler ~from ~toward ~span msg
+  | _ -> send_single t dir ~from ~span msg
 
 let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
   let rng = Rng.split (Sim.rng sim) in
-  let fault_rng = if Fault_plan.is_none faults then None else Some (Rng.split (Sim.rng sim)) in
+  let fault_rng = if Fault_plan.is_none faults then rng else Rng.split (Sim.rng sim) in
   Option.iter
     (fun cfg ->
       if cfg.max_count <= 0 || cfg.max_bytes <= 0 then
@@ -456,14 +424,21 @@ let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
       rng;
       faults;
       fault_rng;
-      to_agent = fresh_direction ~toward:Agent_end ~memo:None batching;
-      to_datapath = fresh_direction ~toward:Datapath_end ~memo:(Some (Codec.memo ())) batching;
+      to_agent = fresh_direction ?obs ~toward:Agent_end ~memo:None batching;
+      to_datapath = fresh_direction ?obs ~toward:Datapath_end ~memo:(Some (Codec.memo ())) batching;
       replying = false;
       flush_replies = ignore;
       decode_failures = counter "errors" "ipc.decode_failures";
       batches_sent = counter "frames" "ipc.batches_sent";
       reports_batched = counter "reports" "ipc.reports_batched";
-      fault_stats = no_faults_yet;
+      fault_counts =
+        {
+          c_dropped = counter "frames" "ipc.faults.dropped";
+          c_duplicated = counter "frames" "ipc.faults.duplicated";
+          c_delayed = counter "frames" "ipc.faults.delayed";
+          c_reordered = counter "frames" "ipc.faults.reordered";
+          c_partition_dropped = counter "frames" "ipc.faults.partition_dropped";
+        };
       handles = Option.map make_handles obs;
       tracer = (match obs with Some o -> o.Ccp_obs.Obs.tracer | None -> None);
       rx_span = Message.no_trace;
@@ -476,21 +451,23 @@ let create ~sim ~latency ?(faults = Fault_plan.none) ?batching ?obs () =
 
 let deliver_raw t ~toward bytes =
   let dir = direction_toward t toward in
-  match dir.handler with
-  | Some handler -> deliver t handler ~toward bytes
-  | None -> invalid_arg "Channel.deliver_raw: destination handler not registered"
+  check_handler "Channel.deliver_raw" dir;
+  deliver t dir bytes
 
-let messages_sent t = function
-  | Datapath_end -> t.to_agent.messages
-  | Agent_end -> t.to_datapath.messages
-
-let bytes_sent t = function
-  | Datapath_end -> t.to_agent.bytes
-  | Agent_end -> t.to_datapath.bytes
+let messages_sent t from = Ccp_obs.Metrics.counter_value (direction_from t from).frames
+let bytes_sent t from = Ccp_obs.Metrics.counter_value (direction_from t from).wire_bytes
 
 let decode_failures t = Ccp_obs.Metrics.counter_value t.decode_failures
 let pending_reports t = match t.to_agent.pending with Some p -> p.count | None -> 0
 let batches_sent t = Ccp_obs.Metrics.counter_value t.batches_sent
 let reports_batched t = Ccp_obs.Metrics.counter_value t.reports_batched
 let fault_plan t = t.faults
-let fault_stats t = t.fault_stats
+let fault_stats t =
+  let c = t.fault_counts and v = Ccp_obs.Metrics.counter_value in
+  {
+    dropped = v c.c_dropped;
+    duplicated = v c.c_duplicated;
+    delayed = v c.c_delayed;
+    reordered = v c.c_reordered;
+    partition_dropped = v c.c_partition_dropped;
+  }

@@ -42,10 +42,10 @@ val create :
   t
 (** The latency model is interpreted as a round-trip distribution; each
     message pays a one-way (half) draw. [faults] defaults to
-    {!Fault_plan.none}. When [obs] is given the channel publishes
-    per-direction message/byte counters, a one-way latency histogram
-    ([ipc.oneway_latency_us]) and an [ipc.faults_injected] counter, and
-    records an [Ipc_fault] trace event for every injected fault.
+    {!Fault_plan.none}. When [obs] is given the channel's counters
+    (see Statistics) are rows of its registry, and it also publishes a
+    one-way latency histogram ([ipc.oneway_latency_us]) and records an
+    [Ipc_fault] trace event for every injected fault.
 
     [batching] (default off) turns on batch frames in both directions,
     one pending frame per direction, built and sent by the same code:
@@ -148,15 +148,18 @@ val deliver_raw : t -> toward:endpoint -> string -> unit
 
 (** {1 Statistics}
 
-    [decode_failures], [batches_sent] and [reports_batched] read the
-    [ipc.decode_failures], [ipc.batches_sent] and [ipc.reports_batched]
-    counters, kept in the [obs] bundle's registry when there is one and
-    as private counters otherwise ({!Ccp_obs.Obs.counter}). [messages_sent], [bytes_sent] and
-    [fault_stats] are the channel's own: they count every frame put on
+    Each count is one counter, kept in the [obs] bundle's registry when
+    there is one and as a private counter otherwise
+    ({!Ccp_obs.Obs.counter}), and each accessor reads it:
+    [messages_sent] and [bytes_sent] read [ipc.to_agent.messages] and
+    [ipc.to_agent.bytes] (sent from the datapath end) or
+    [ipc.to_datapath.*] (from the agent end); [decode_failures],
+    [batches_sent] and [reports_batched] read [ipc.decode_failures],
+    [ipc.batches_sent] and [ipc.reports_batched]; [fault_stats] reads
+    the five [ipc.faults.*] counters. Frames count where they are put on
     the wire, including frames that a random drop or a partition
-    destroys before any latency draw. The [ipc.to_agent.*] and
-    [ipc.to_datapath.*] rows count only frames that got a latency draw,
-    so under those faults they read lower. *)
+    destroys before any latency draw; [ipc.oneway_latency_us] counts the
+    frames that got a draw. *)
 
 val messages_sent : t -> endpoint -> int
 (** Wire frames sent {e from} the given endpoint — with batching on, a
@@ -182,7 +185,9 @@ val reports_batched : t -> int
     including frames of one. *)
 
 (** Cumulative effect of the fault plan on this channel, both directions
-    combined. All-zero when the plan is {!Fault_plan.none}. *)
+    combined: a view of the [ipc.faults.dropped], [.duplicated],
+    [.delayed], [.reordered] and [.partition_dropped] counters. All-zero
+    when the plan is {!Fault_plan.none}. *)
 type fault_stats = {
   dropped : int;  (** random per-message losses *)
   duplicated : int;  (** extra copies delivered *)

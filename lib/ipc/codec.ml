@@ -206,15 +206,7 @@ let reason_of_tag : int -> Ccp_lang.Limits.reason = function
   | 5 -> Invalid_program
   | n -> fail "bad install-reject reason tag %d" n
 
-let incident_tag : Message.incident_kind -> int = function
-  | Cwnd_clamped -> 0
-  | Rate_clamped -> 1
-  | Wait_clamped -> 2
-  | Non_finite -> 3
-  | Div_by_zero_storm -> 4
-  | Report_throttled -> 5
-  | Fold_divergence -> 6
-  | Eval_budget_exhausted -> 7
+let incident_tag = Message.incident_index
 
 let incident_of_tag : int -> Message.incident_kind = function
   | 0 -> Cwnd_clamped

@@ -96,11 +96,15 @@ let crash ~at ~restart t =
   check_interval "agent outage" episode;
   { t with agent_outages = normalize_intervals (t.agent_outages @ [ episode ]) }
 
-let inside at { from_; until } =
-  Time_ns.compare at from_ >= 0 && Time_ns.compare at until < 0
+(* Direct recursion: the channel asks on every frame, and a partially
+   applied predicate would allocate a closure each time. *)
+let rec covers at = function
+  | [] -> false
+  | { from_; until } :: rest ->
+    (Time_ns.compare at from_ >= 0 && Time_ns.compare at until < 0) || covers at rest
 
-let agent_down t at = List.exists (inside at) t.agent_outages
-let in_partition t at = List.exists (inside at) t.partitions || agent_down t at
+let agent_down t at = covers at t.agent_outages
+let in_partition t at = covers at t.partitions || agent_down t at
 
 let partition_time t =
   List.fold_left

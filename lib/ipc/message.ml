@@ -150,6 +150,16 @@ let incident_kind_to_string = function
   | Fold_divergence -> "fold-divergence"
   | Eval_budget_exhausted -> "eval-budget-exhausted"
 
+let incident_index = function
+  | Cwnd_clamped -> 0
+  | Rate_clamped -> 1
+  | Wait_clamped -> 2
+  | Non_finite -> 3
+  | Div_by_zero_storm -> 4
+  | Report_throttled -> 5
+  | Fold_divergence -> 6
+  | Eval_budget_exhausted -> 7
+
 let all_incident_kinds =
   [
     Cwnd_clamped; Rate_clamped; Wait_clamped; Non_finite; Div_by_zero_storm; Report_throttled;

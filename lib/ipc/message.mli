@@ -118,4 +118,9 @@ val flow : t -> int
 val describe : t -> string
 val incident_kind_to_string : incident_kind -> string
 val all_incident_kinds : incident_kind list
+
+val incident_index : incident_kind -> int
+(** The kind's position in {!all_incident_kinds}, from 0: an array index
+    and the kind's wire tag. *)
+
 val equal : t -> t -> bool

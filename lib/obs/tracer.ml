@@ -58,6 +58,10 @@ type t = {
      threaded, like the simulator. *)
   mutable active : int;
   mutable active_consumed : bool;
+  (* The active span when something finalized it while its handler still
+     ran (-1 none): a fault destroyed the reply that carried it. Its
+     [handler_end] ends quietly; the span is recorded already. *)
+  mutable ended_in_handler : int;
   clock : unit -> float;
   recorder : Recorder.t option;
   tk_orphans : Topk.sketch option;
@@ -109,6 +113,7 @@ let create ?(capacity = 1024) ~metrics ?recorder ?tk_orphans ~clock () =
     next_serial = 0;
     active = -1;
     active_consumed = false;
+    ended_in_handler = -1;
     clock;
     recorder;
     tk_orphans;
@@ -187,6 +192,7 @@ let arrived t token ~now =
   else stale t token
 
 let handler_begin t token =
+  t.ended_in_handler <- no_span;
   if is_live t token then begin
     t.hand0.(slot_of t token) <- t.clock ();
     t.active <- token;
@@ -259,7 +265,8 @@ let finish t token ~now ~disposition ~apply_ns =
            }));
     if t.active = token then begin
       t.active <- no_span;
-      t.active_consumed <- false
+      t.active_consumed <- false;
+      t.ended_in_handler <- token
     end;
     release t slot
   end
@@ -281,7 +288,8 @@ let handler_end t token ~now =
     if not consumed then finish t token ~now ~disposition:No_action ~apply_ns:0.0
   end
   else begin
-    stale t token;
+    if token <> t.ended_in_handler then stale t token;
+    t.ended_in_handler <- no_span;
     t.active <- no_span
   end
 

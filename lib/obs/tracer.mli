@@ -60,7 +60,10 @@ val handler_begin : t -> int -> unit
 
 val handler_end : t -> int -> now:int -> unit
 (** Handler done: observes [trace.handler_ns] and disarms. A span that no
-    control message claimed is finalized here with [No_action]. *)
+    control message claimed is finalized here with [No_action]. A span
+    that was finalized while its handler ran, because a fault destroyed
+    the reply carrying it ({!orphan}), ends here quietly: it is no stale
+    reference. *)
 
 val active : t -> int
 (** The armed span awaiting its first control message, or {!no_span}. *)

@@ -182,8 +182,8 @@ let test_guard_clamps_cwnd_and_rate () =
   install Scenarios.Hostile.zero_cwnd ~flow:1;
   Sim.run ~until:(Time_ns.ms 50) sim;
   Alcotest.(check int) "cwnd pinned at the 1-segment floor" 1448 !cwnd;
-  let g = Option.get (Ccp_ext.guard_incidents ext ~flow:1) in
-  Alcotest.(check bool) "cwnd clamps counted" true (g.Ccp_ext.cwnd_clamped > 0);
+  let g = Ccp_ext.guard_incidents ext ~flow:1 in
+  Alcotest.(check bool) "cwnd clamps counted" true (g Ccp_ipc.Message.Cwnd_clamped > 0);
   Alcotest.(check bool) "still under agent control" true
     (Ccp_ext.controller ext ~flow:1 = Some Ccp_ext.Agent_program);
   (* Same flow, new program: absurd rate and window both hit ceilings. *)
@@ -193,10 +193,10 @@ let test_guard_clamps_cwnd_and_rate () =
   Alcotest.(check bool) "rate within ceiling" true
     (!rate <= guard.Ccp_ext.max_rate_bytes_per_sec);
   Alcotest.(check bool) "cwnd within the 1 GiB ceiling" true (!cwnd <= 1 lsl 30);
-  let g = Option.get (Ccp_ext.guard_incidents ext ~flow:1) in
-  Alcotest.(check bool) "rate clamps counted" true (g.Ccp_ext.rate_clamped > 0);
+  let g = Ccp_ext.guard_incidents ext ~flow:1 in
+  Alcotest.(check bool) "rate clamps counted" true (g Ccp_ipc.Message.Rate_clamped > 0);
   Alcotest.(check bool) "fresh window after accepted install" true
-    (g.Ccp_ext.cwnd_clamped > 0)
+    (g Ccp_ipc.Message.Cwnd_clamped > 0)
 
 (* The agent's direct commands pass the same envelope as a program's
    results: clamped, counted, and scored toward quarantine. *)
@@ -229,9 +229,9 @@ let test_direct_commands_clamped () =
     Alcotest.(check (float 0.0)) "NaN rate becomes 0" 0.0 r1;
     Alcotest.(check (float 0.0)) "1e300 rate capped" guard.Ccp_ext.max_rate_bytes_per_sec r2
   | _ -> Alcotest.fail "one observation per command");
-  let g = Option.get (Ccp_ext.guard_incidents ext ~flow:1) in
-  Alcotest.(check int) "window clamps counted" 2 g.Ccp_ext.cwnd_clamped;
-  Alcotest.(check int) "rate clamps counted" 2 g.Ccp_ext.rate_clamped;
+  let g = Ccp_ext.guard_incidents ext ~flow:1 in
+  Alcotest.(check int) "window clamps counted" 2 (g Ccp_ipc.Message.Cwnd_clamped);
+  Alcotest.(check int) "rate clamps counted" 2 (g Ccp_ipc.Message.Rate_clamped);
   Alcotest.(check int) "datapath-wide total" 4 (Ccp_ext.guard_incident_total ext);
   (* Armed, the same four commands quarantine the flow. *)
   let config =
@@ -262,8 +262,8 @@ let test_report_rate_limiter () =
       (List.filter (function Ccp_ipc.Message.Report _ -> true | _ -> false) !to_agent)
   in
   Alcotest.(check bool) "reports throttled" true (reports > 0 && reports <= 110);
-  let g = Option.get (Ccp_ext.guard_incidents ext ~flow:1) in
-  Alcotest.(check bool) "throttling counted" true (g.Ccp_ext.report_throttled > 0)
+  let g = Ccp_ext.guard_incidents ext ~flow:1 in
+  Alcotest.(check bool) "throttling counted" true (g Ccp_ipc.Message.Report_throttled > 0)
 
 let test_quarantine_lifecycle () =
   let config =
@@ -475,7 +475,7 @@ let run_bounded program ~acks =
     cc.Congestion_iface.on_ack ctl (ack_event sim)
   done;
   Sim.run ~until:(Time_ns.ms 15) sim;
-  (Option.get (Ccp_ext.guard_incidents ext ~flow:1), List.rev !to_agent)
+  (Ccp_ext.guard_incidents ext ~flow:1, List.rev !to_agent)
 
 let fold_of init update = Ast.Measure (Ast.Fold { Ast.init; update })
 let then_report prims = Ast.program (prims @ [ Ast.Wait_rtts (Ast.Const 1.0); Ast.Report ])
@@ -515,18 +515,18 @@ let bound_rows =
   let computed_wait us =
     let wait = Ast.Wait (Ast.Bin (Ast.Div, Ast.Var "mss", Ast.Const (1448.0 /. us))) in
     let g, _ = run_bounded ~acks:0 (Ast.program ~repeat:false [ wait; Ast.Report ]) in
-    g.Ccp_ext.wait_clamped > 0
+    g Ccp_ipc.Message.Wait_clamped > 0
   in
   (* [n] divisions by zero, one per ACK: its [ecn] is 0. *)
   let divisions n =
     let q = [ ("q", Ast.Bin (Ast.Div, Ast.Pkt "bytes_acked", Ast.Pkt "ecn")) ] in
     let g, _ = run_bounded ~acks:n (then_report [ fold_of [ ("q", Ast.Const 0.0) ] q ]) in
-    g.Ccp_ext.div_storms > 0
+    g Ccp_ipc.Message.Div_by_zero_storm > 0
   in
   let fold_state x =
     let fold = fold_of [ ("x", Ast.Const x) ] [ ("x", Ast.Var "x") ] in
     let g, _ = run_bounded ~acks:1 (then_report [ fold ]) in
-    g.Ccp_ext.fold_divergence > 0
+    g Ccp_ipc.Message.Fold_divergence > 0
   in
   (* Whether a vector report drops any of [n] rows. *)
   let rows n =

@@ -860,29 +860,45 @@ let test_reply_window_closes_on_raise () =
   Sim.run sim;
   Alcotest.(check (list int)) "both arrive, in order" [ 1000; 9 ] (cwnds got)
 
+(* A traced agent end: each handler runs inside its message's span and
+   answers with one [Set_cwnd]; [before_end] sees the channel just
+   before the handler ends. The datapath end actuates what arrives. *)
+let traced_replier ?batching ?faults ?(before_end = ignore) () =
+  let obs = Ccp_obs.Obs.create ~recorder:false ~tracer:true () in
+  let tracer = Ccp_obs.Obs.tracer_exn obs in
+  let sim = Sim.create () in
+  let channel =
+    Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) ?faults ?batching ~obs
+      ()
+  in
+  Channel.on_receive channel Channel.Agent_end (fun msg ->
+      let span = Channel.rx_span channel in
+      Ccp_obs.Tracer.handler_begin tracer span;
+      Channel.send channel ~from:Channel.Agent_end
+        (Message.Set_cwnd { flow = Message.flow msg; bytes = 1448 });
+      before_end channel;
+      Ccp_obs.Tracer.handler_end tracer span ~now:(Sim.now sim));
+  Channel.on_receive channel Channel.Datapath_end (fun _ ->
+      Ccp_obs.Tracer.finish tracer (Channel.rx_span channel) ~now:(Sim.now sim)
+        ~disposition:Ccp_obs.Tracer.Actuated ~apply_ns:0.0);
+  (sim, channel, tracer, obs)
+
 (* Spans of a reply frame: each handler's reply carries its report's
    span, stamped as the frame leaves. A frame the fault plan drops
-   orphans each of its spans once; a delivered one measures the IPC
-   leg back from the frame's departure. The frames here hold all three
-   replies, so the frame leaves after the last handler has ended. *)
+   orphans each of its spans once, where it is destroyed; a delivered
+   one measures the IPC leg back from the frame's departure. An 8-entry
+   frame holds all three replies and leaves after the last handler has
+   ended. A 3-entry watermark flushes it inside the third handler, whose
+   end then finds its span recorded already: no stale reference. *)
 let test_reply_frame_spans () =
-  let run ?faults () =
-    let obs = Ccp_obs.Obs.create ~recorder:false ~tracer:true () in
-    let tracer = Ccp_obs.Obs.tracer_exn obs in
-    let sim = Sim.create () in
-    let channel =
-      Channel.create ~sim ~latency:(Latency_model.Constant (Time_ns.us 20)) ?faults ~obs
-        ~batching:(batching ~max_count:8 ()) ()
+  let run ?faults ~max_count () =
+    let frames_at_end = ref [] in
+    let sim, channel, tracer, obs =
+      traced_replier ?faults ~batching:(batching ~max_count ())
+        ~before_end:(fun channel ->
+          frames_at_end := Channel.messages_sent channel Channel.Agent_end :: !frames_at_end)
+        ()
     in
-    Channel.on_receive channel Channel.Agent_end (fun msg ->
-        let span = Channel.rx_span channel in
-        Ccp_obs.Tracer.handler_begin tracer span;
-        Channel.send channel ~from:Channel.Agent_end
-          (Message.Set_cwnd { flow = Message.flow msg; bytes = 1448 });
-        Ccp_obs.Tracer.handler_end tracer span ~now:(Sim.now sim));
-    Channel.on_receive channel Channel.Datapath_end (fun _ ->
-        Ccp_obs.Tracer.finish tracer (Channel.rx_span channel) ~now:(Sim.now sim)
-          ~disposition:Ccp_obs.Tracer.Actuated ~apply_ns:0.0);
     let entries =
       Array.map
         (fun f ->
@@ -893,16 +909,24 @@ let test_reply_frame_spans () =
     in
     Channel.deliver_raw channel ~toward:Channel.Agent_end (Codec.encode_batch entries);
     Sim.run sim;
-    (channel, tracer, obs)
+    (channel, tracer, obs, List.rev !frames_at_end)
   in
-  let channel, tracer, _ = run ~faults:(Fault_plan.make ~drop_probability:1.0 ()) () in
-  let st = Ccp_obs.Tracer.stats tracer in
-  Alcotest.(check int) "one frame dropped" 1 (Channel.fault_stats channel).Channel.dropped;
-  Alcotest.(check int) "each span orphaned" 3 st.Ccp_obs.Tracer.orphaned;
-  Alcotest.(check int) "none finished twice" 0 st.Ccp_obs.Tracer.stale_refs;
-  Alcotest.(check int) "none ended as no-action" 0 st.Ccp_obs.Tracer.no_action;
-  Alcotest.(check int) "none left live" 0 st.Ccp_obs.Tracer.live;
-  let channel, tracer, obs = run () in
+  List.iter
+    (fun (max_count, frames) ->
+      let what = Printf.sprintf "%d-entry frame" max_count in
+      let channel, tracer, _, at_end =
+        run ~faults:(Fault_plan.make ~drop_probability:1.0 ()) ~max_count ()
+      in
+      let st = Ccp_obs.Tracer.stats tracer in
+      Alcotest.(check (list int)) (what ^ ": frames out as each handler ends") frames at_end;
+      Alcotest.(check int) (what ^ ": one frame dropped") 1
+        (Channel.fault_stats channel).Channel.dropped;
+      Alcotest.(check int) (what ^ ": each span orphaned") 3 st.Ccp_obs.Tracer.orphaned;
+      Alcotest.(check int) (what ^ ": no stale reference") 0 st.Ccp_obs.Tracer.stale_refs;
+      Alcotest.(check int) (what ^ ": none ended as no-action") 0 st.Ccp_obs.Tracer.no_action;
+      Alcotest.(check int) (what ^ ": none left live") 0 st.Ccp_obs.Tracer.live)
+    [ (8, [ 0; 0; 0 ]); (3, [ 0; 0; 1 ]) ];
+  let channel, tracer, obs, _ = run ~max_count:8 () in
   let st = Ccp_obs.Tracer.stats tracer in
   Alcotest.(check int) "one reply frame" 1 (Channel.messages_sent channel Channel.Agent_end);
   Alcotest.(check int) "each span actuated" 3 st.Ccp_obs.Tracer.actuated;
@@ -912,6 +936,32 @@ let test_reply_frame_spans () =
   Alcotest.(check int) "three IPC legs back" 3 (Ccp_obs.Metrics.observations back);
   Alcotest.(check (float 1e-9)) "each one one-way latency from the frame's departure" 10.0
     (Ccp_obs.Metrics.hist_mean back)
+
+(* One [Set_cwnd] answering a traced urgent, alone on the wire. Dropped,
+   it orphans the urgent's span while the handler runs, and the
+   handler's end counts nothing. Duplicated, the first copy actuates the
+   span and the second finds it finalized: one stale reference. *)
+let test_single_reply_dropped_in_handler () =
+  let run faults =
+    let sim, channel, tracer, _ = traced_replier ~faults () in
+    let span =
+      Ccp_obs.Tracer.start tracer ~now:(Sim.now sim) ~flow:5 ~kind:Ccp_obs.Tracer.Urgent_span
+    in
+    Channel.deliver_raw channel ~toward:Channel.Agent_end
+      (Codec.encode_traced ~span
+         (Message.Urgent
+            { flow = 5; kind = Message.Dup_ack_loss; cwnd_at_event = 1448; inflight_at_event = 0 }));
+    Sim.run sim;
+    Ccp_obs.Tracer.stats tracer
+  in
+  let st = run (Fault_plan.make ~drop_probability:1.0 ()) in
+  Alcotest.(check int) "dropped: the span orphaned" 1 st.Ccp_obs.Tracer.orphaned;
+  Alcotest.(check int) "dropped: no stale reference" 0 st.Ccp_obs.Tracer.stale_refs;
+  Alcotest.(check int) "dropped: none left live" 0 st.Ccp_obs.Tracer.live;
+  let st = run (Fault_plan.make ~duplicate_probability:1.0 ()) in
+  Alcotest.(check int) "duplicated: the span actuated" 1 st.Ccp_obs.Tracer.actuated;
+  Alcotest.(check int) "duplicated: one stale reference" 1 st.Ccp_obs.Tracer.stale_refs;
+  Alcotest.(check int) "duplicated: none left live" 0 st.Ccp_obs.Tracer.live
 
 (* Replies to a single frame leave one frame each, as does every agent
    send with batching off: the same frames and bytes either way, each
@@ -1019,6 +1069,8 @@ let suite =
         Alcotest.test_case "a raising handler closes the reply window" `Quick
           test_reply_window_closes_on_raise;
         Alcotest.test_case "reply frame spans" `Quick test_reply_frame_spans;
+        Alcotest.test_case "a single reply dropped in its handler is no stale ref" `Quick
+          test_single_reply_dropped_in_handler;
         Alcotest.test_case "replies to a single frame go out alone" `Quick
           test_single_frame_replies_unbatched;
       ] );

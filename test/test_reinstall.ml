@@ -1004,11 +1004,7 @@ let test_quarantined_reinstall_fresh_window () =
   install_on env ~flow:1 hostile;
   run_for env (Time_ns.ms 40);
   Alcotest.(check bool) "flow 1 quarantined" true (Ccp_ext.in_quarantine env.ext ~flow:1);
-  let incidents ~flow =
-    match Ccp_ext.guard_incidents env.ext ~flow with
-    | Some g -> g.Ccp_ext.cwnd_clamped
-    | None -> Alcotest.fail "no guard window"
-  in
+  let incidents ~flow = Ccp_ext.guard_incidents env.ext ~flow Ccp_ipc.Message.Cwnd_clamped in
   Alcotest.(check int) "two incidents before quarantine" 2 (incidents ~flow:1);
   install_on env ~flow:1 (map_consts (fun _ c -> c) hostile);
   run_for env (Time_ns.us 100);

@@ -235,6 +235,37 @@ let test_chaos_alert_fires_and_clears () =
       (fired_at >= sc_from && fired_at <= sc_from +. 1.0)
   | _ -> Alcotest.failf "expected orphan_rate fire+clear, got %d" (List.length trs)
 
+(* An SLO reads each metric it names as one kind: [Event_ratio] sums
+   counter deltas, [Latency_above] reads a histogram. A name registered
+   as another kind, or not at all, never reaches the SLO. The armed chaos
+   cell registers every metric the stack publishes. *)
+let test_slo_metric_kinds () =
+  let obs = Lazy.force chaos_timeline in
+  let kinds =
+    List.map
+      (fun (name, _, view) ->
+        ( name,
+          match view with
+          | Metrics.V_counter _ -> "counter"
+          | Metrics.V_gauge _ -> "gauge"
+          | Metrics.V_histogram _ -> "histogram" ))
+      (Metrics.sorted_views obs.Obs.metrics)
+  in
+  List.iter
+    (fun (slo : Health.slo) ->
+      let wanted =
+        match slo.Health.sli with
+        | Health.Event_ratio { bad; total } -> List.map (fun n -> (n, "counter")) (bad @ total)
+        | Health.Latency_above { hist; _ } -> [ (hist, "histogram") ]
+      in
+      List.iter
+        (fun (name, kind) ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s reads %s as a %s" slo.Health.slo_name name kind)
+            (Some kind) (List.assoc_opt name kinds))
+        wanted)
+    Health.default_config.Health.slos
+
 (* --- Top-K at N=2048: dominant flows identified, O(k) state ------------- *)
 
 (* A 2048-flow fan-in where 8 flows report every 0.25 RTT and the rest
@@ -341,6 +372,8 @@ let suite =
         Alcotest.test_case "timeline self-validates" `Quick test_timeline_validates;
         Alcotest.test_case "chaos crash alert fires and clears" `Quick
           test_chaos_alert_fires_and_clears;
+        Alcotest.test_case "every SLO metric has the kind its SLI reads" `Quick
+          test_slo_metric_kinds;
         Alcotest.test_case "topk at n=2048" `Quick test_topk_n2048;
       ] );
   ]
