@@ -151,17 +151,19 @@ let mean_rows ~group ~prefix cells fields =
 
 (* --- shared options --- *)
 
-let rate_mbps =
+(* The link options every command shares, each with its command's
+   default; {!link} validates them. *)
+let rate_mbps default =
   let doc = "Bottleneck rate in Mbit/s." in
-  Arg.(value & opt float 100.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
+  Arg.(value & opt float default & info [ "rate" ] ~docv:"MBPS" ~doc)
 
-let rtt_ms =
+let rtt_ms default =
   let doc = "Base round-trip time in milliseconds." in
-  Arg.(value & opt float 20.0 & info [ "rtt" ] ~docv:"MS" ~doc)
+  Arg.(value & opt float default & info [ "rtt" ] ~docv:"MS" ~doc)
 
-let duration_s =
-  let doc = "Simulated duration in seconds." in
-  Arg.(value & opt float 15.0 & info [ "duration" ] ~docv:"S" ~doc)
+let duration_s default =
+  let doc = "Simulated duration in seconds; in a matrix command, of each cell." in
+  Arg.(value & opt float default & info [ "duration" ] ~docv:"S" ~doc)
 
 let buffer_bdp =
   let doc = "Bottleneck buffer in bandwidth-delay products." in
@@ -555,10 +557,11 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one dumbbell experiment.")
     Term.(
-      const action $ rate_mbps $ rtt_ms $ duration_s $ buffer_bdp $ seed $ flows_arg $ ecn_bdp
-      $ trace_file $ ipc_drop $ ipc_dup $ ipc_spike $ ipc_reorder $ agent_crash $ fallback_rtts
-      $ guard_min_cwnd $ guard_max_rate $ guard_report_us $ guard_quarantine $ shed_queue
-      $ shed_watermark $ shed_budget $ shed_interval_ms $ checkpoint_ms)
+      const action $ rate_mbps 100.0 $ rtt_ms 20.0 $ duration_s 15.0 $ buffer_bdp $ seed
+      $ flows_arg $ ecn_bdp $ trace_file $ ipc_drop $ ipc_dup $ ipc_spike $ ipc_reorder
+      $ agent_crash $ fallback_rtts $ guard_min_cwnd $ guard_max_rate $ guard_report_us
+      $ guard_quarantine $ shed_queue $ shed_watermark $ shed_budget $ shed_interval_ms
+      $ checkpoint_ms)
 
 let csv_cmd =
   let series =
@@ -575,8 +578,8 @@ let csv_cmd =
   Cmd.v
     (Cmd.info "csv" ~doc:"Run an experiment and print one trace series as CSV.")
     Term.(
-      const action $ rate_mbps $ rtt_ms $ duration_s $ buffer_bdp $ seed $ flows_arg $ ecn_bdp
-      $ series)
+      const action $ rate_mbps 100.0 $ rtt_ms 20.0 $ duration_s 15.0 $ buffer_bdp $ seed
+      $ flows_arg $ ecn_bdp $ series)
 
 let simple name doc render =
   Cmd.v (Cmd.info name ~doc) Term.(const (fun () -> print_string (render ())) $ const ())
@@ -762,7 +765,7 @@ let latency_cmd =
        ~doc:
          "Figure 2 measured end to end: run the control loop with the span tracer armed \
           and report reaction-latency CDFs under clean and degraded IPC.")
-    Term.(const action $ duration_s $ seed $ trace $ bench_json)
+    Term.(const action $ duration_s 15.0 $ seed $ trace $ bench_json)
 
 (* --- robustness: measurement-noise matrix (docs/robustness.md) --- *)
 
@@ -795,14 +798,6 @@ let robustness_cmd =
     Arg.(value & opt string "" & info [ "perturb" ] ~docv:"LIST" ~doc)
   in
   let seeds = seeds_arg "Comma-separated seeds; each seed multiplies the matrix." in
-  let rate_mbps =
-    let doc = "Bottleneck rate in Mbit/s." in
-    Arg.(value & opt float 48.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
-  in
-  let duration_s =
-    let doc = "Simulated duration per cell in seconds." in
-    Arg.(value & opt float 10.0 & info [ "duration" ] ~docv:"S" ~doc)
-  in
   let bench_json =
     bench_json "$(b,robustness.*) per-(algorithm, perturbation) rows (averaged over seeds)"
   in
@@ -835,7 +830,7 @@ let robustness_cmd =
           flows per cell with the guard envelope armed, reported as a schema-validated \
           scorecard.")
     Term.(
-      const action $ algos $ perturbs $ seeds $ rate_mbps $ rtt_ms $ duration_s
+      const action $ algos $ perturbs $ seeds $ rate_mbps 48.0 $ rtt_ms 20.0 $ duration_s 10.0
       $ scorecard_file $ bench_json)
 
 (* --- chaos: composed resilience scenario (docs/fault-injection.md) --- *)
@@ -854,14 +849,6 @@ let chaos_rows (sc : Scenarios.Chaos.scorecard) =
 
 let chaos_cmd =
   let seeds = seeds_arg "Comma-separated seeds; each seed runs a cold and a warm cell." in
-  let rate_mbps =
-    let doc = "Bottleneck rate in Mbit/s." in
-    Arg.(value & opt float 96.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
-  in
-  let duration_s =
-    let doc = "Simulated duration per cell in seconds." in
-    Arg.(value & opt float 12.0 & info [ "duration" ] ~docv:"S" ~doc)
-  in
   let bench_json = bench_json "$(b,chaos.*) per-mode rows (averaged over seeds)" in
   let timeline_file =
     timeline_file
@@ -918,24 +905,12 @@ let chaos_cmd =
           crash/restart, run cold and warm (checkpointed) per seed, reported as a \
           schema-validated scorecard.")
     Term.(
-      const action $ seeds $ rate_mbps $ rtt_ms $ duration_s $ scorecard_file $ bench_json
-      $ timeline_file)
+      const action $ seeds $ rate_mbps 96.0 $ rtt_ms 20.0 $ duration_s 12.0 $ scorecard_file
+      $ bench_json $ timeline_file)
 
 (* --- top: textual live view of the control-loop telemetry --- *)
 
 let top_cmd =
-  let top_seed =
-    let doc = "Seed for the chaos composition driven under the live view." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let top_rate =
-    let doc = "Bottleneck rate in Mbit/s." in
-    Arg.(value & opt float 96.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
-  in
-  let top_duration =
-    let doc = "Simulated duration per cell in seconds." in
-    Arg.(value & opt float 12.0 & info [ "duration" ] ~docv:"S" ~doc)
-  in
   let action seed rate_mbps rtt_ms duration_s =
     let rate_bps, base_rtt, duration = link ~rate_mbps ~rtt_ms ~duration_s in
     let delta name w =
@@ -1036,7 +1011,7 @@ let top_cmd =
           with the bundle armed and prints one row per closed window (report/shed/orphan \
           deltas, actuation p99, burn-rate alert transitions) as the simulation runs, \
           then a per-cell rollup of heavy-hitter flows and SLO verdicts.")
-    Term.(const action $ top_seed $ top_rate $ rtt_ms $ top_duration)
+    Term.(const action $ seed $ rate_mbps 96.0 $ rtt_ms 20.0 $ duration_s 12.0)
 
 (* --- incast: flow-count scale-out family (docs/scale.md) --- *)
 
@@ -1073,18 +1048,6 @@ let incast_cmd =
     Arg.(value & opt string "" & info [ "algos" ] ~docv:"LIST" ~doc)
   in
   let seeds = seeds_arg "Comma-separated seeds; each seed multiplies the matrix." in
-  let rate_mbps =
-    let doc = "Bottleneck rate in Mbit/s." in
-    Arg.(value & opt float 96.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
-  in
-  let incast_rtt_ms =
-    let doc = "Base RTT in milliseconds." in
-    Arg.(value & opt float 10.0 & info [ "rtt" ] ~docv:"MS" ~doc)
-  in
-  let duration_s =
-    let doc = "Simulated duration per cell in seconds." in
-    Arg.(value & opt float 1.0 & info [ "duration" ] ~docv:"S" ~doc)
-  in
   let no_batching =
     let doc =
       "Disable cross-flow report batching on the IPC channel (one wire frame per \
@@ -1159,8 +1122,8 @@ let incast_cmd =
           shallow-buffered bottleneck, slot-pooled agent registry and batched reports \
           armed, reported as a schema-validated scorecard.")
     Term.(
-      const action $ ns $ arrivals $ algos $ seeds $ rate_mbps $ incast_rtt_ms $ duration_s
-      $ no_batching $ scorecard_file $ bench_json $ timeline_file)
+      const action $ ns $ arrivals $ algos $ seeds $ rate_mbps 96.0 $ rtt_ms 10.0
+      $ duration_s 1.0 $ no_batching $ scorecard_file $ bench_json $ timeline_file)
 
 let sweep_cmd = simple "sweep" "CCP vs native Reno across a grid of operating points."
     (fun () ->

@@ -33,14 +33,49 @@ end
 
 type comparison = { ccp : Experiment.result; native : Experiment.result }
 
-let one_flow_config ~rate_bps ~base_rtt ~duration ~seed cc =
-  let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
+(* The dumbbell every scenario runs: [flows] on one link for [duration],
+   the first [warmup] fraction of the run left out of its statistics. *)
+let dumbbell ~rate_bps ~base_rtt ~duration ~seed ~warmup flows =
   {
-    base with
+    (Experiment.default_config ~rate_bps ~base_rtt ~duration) with
     Experiment.seed;
-    warmup = Time_ns.scale duration 0.1;
-    flows = [ Experiment.flow cc ];
+    warmup = Time_ns.scale duration warmup;
+    flows;
   }
+
+(* The matrix families' cell scaffold. A fresh tracer and telemetry
+   bundle per cell, so windows, sketches and alert state never bleed
+   across cells; its zero wall clock keeps the stage-cost histograms,
+   and so every export, byte-stable across hosts, while every other
+   timestamp is sim time. *)
+let cell_telemetry ?slo with_telemetry =
+  if with_telemetry then
+    Some (Ccp_obs.Obs.create ~tracer:true ~telemetry:true ?slo ~clock:(fun () -> 0.0) ())
+  else None
+
+let sum_flows (r : Experiment.result) f =
+  List.fold_left (fun acc fr -> acc + f fr) 0 r.Experiment.flows
+
+(* Retransmits per segment sent, over all of a run's flows. *)
+let retransmit_rate r =
+  let segments = sum_flows r (fun f -> f.Experiment.segments_sent) in
+  if segments = 0 then 0.0
+  else float_of_int (sum_flows r (fun f -> f.Experiment.retransmits)) /. float_of_int segments
+
+let timeouts r = sum_flows r (fun f -> f.Experiment.timeouts)
+
+(* An agent counter; 0 for a run with no CCP flow. *)
+let agent_count (r : Experiment.result) f =
+  match r.Experiment.agent_stats with Some s -> f s | None -> 0
+
+(* The matrix families' one loop: [run_cell seed point] for every seed,
+   outermost, and every point of the family's axes. A cell reads nothing
+   but its own arguments, so no cell depends on another or on the order
+   of the selection. *)
+let matrix ~seeds points run_cell =
+  List.concat_map (fun seed -> List.map (run_cell seed) points) seeds
+
+let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
 (* Kinds and fields the scenario scorecards share. *)
 module Schema = Ccp_obs.Schema
@@ -62,7 +97,10 @@ module Fig3 = struct
   let base_rtt = Time_ns.ms 10
 
   let run ?(rate_bps = default_rate_bps) ?(duration = Time_ns.sec 30) ?(seed = 42) () =
-    let run_one cc = Experiment.run (one_flow_config ~rate_bps ~base_rtt ~duration ~seed cc) in
+    let run_one cc =
+      Experiment.run
+        (dumbbell ~rate_bps ~base_rtt ~duration ~seed ~warmup:0.1 [ Experiment.flow cc ])
+    in
     {
       ccp = run_one (Experiment.Ccp_cc (Ccp_cubic.create ()));
       native = run_one (Experiment.Native_cc Native_cubic.create);
@@ -76,13 +114,9 @@ module Fig4 = struct
       ?(duration = Time_ns.sec 60) ?(seed = 42) () =
     let base_rtt = Time_ns.ms 10 in
     let run_one mk =
-      let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
       Experiment.run
-        {
-          base with
-          Experiment.seed;
-          flows = [ Experiment.flow (mk ()); Experiment.flow ~start_at:second_flow_start (mk ()) ];
-        }
+        (dumbbell ~rate_bps ~base_rtt ~duration ~seed ~warmup:0.0
+           [ Experiment.flow (mk ()); Experiment.flow ~start_at:second_flow_start (mk ()) ])
     in
     {
       ccp = run_one (fun () -> Experiment.Ccp_cc (Ccp_reno.create ()));
@@ -171,22 +205,17 @@ module Fig5 = struct
 
   let run ?(runs = 4) ?(duration = Time_ns.of_float_sec 0.8) ?(seed = 42) () =
     let rate_bps = 10e9 and base_rtt = Time_ns.us 200 in
-    let warmup = Time_ns.scale duration 0.25 in
     let cell setting (system, cc, ack_cost) =
       let run_once i =
-        let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
-        let config =
+        Experiment.run
           {
-            base with
-            Experiment.seed = seed + i;
-            warmup;
-            buffer_bytes = 500_000;
-            flows = [ Experiment.flow (cc ()) ];
+            (dumbbell ~rate_bps ~base_rtt ~duration ~seed:(seed + i) ~warmup:0.25
+               [ Experiment.flow (cc ()) ])
+            with
+            Experiment.buffer_bytes = 500_000;
             offloads = Some (offload_spec ~setting ~ack_cost);
             sample_interval = Time_ns.ms 50;
           }
-        in
-        Experiment.run config
       in
       let results = List.init runs run_once in
       let gbps r =
@@ -238,18 +267,14 @@ module Degraded = struct
 
   let run_one ?(duration = Time_ns.sec 15) ?(seed = 42)
       ?(faults = Ccp_ipc.Fault_plan.none) ?fallback () =
-    let base =
-      Experiment.default_config ~rate_bps:default_rate_bps ~base_rtt:default_base_rtt
-        ~duration
-    in
     Experiment.run
       {
-        base with
-        Experiment.seed;
-        warmup = Time_ns.scale duration 0.05;
-        datapath = { Ccp_datapath.Ccp_ext.default_config with fallback };
+        (dumbbell ~rate_bps:default_rate_bps ~base_rtt:default_base_rtt ~duration ~seed
+           ~warmup:0.05
+           [ Experiment.flow (Experiment.Ccp_cc (Ccp_reno.create ())) ])
+        with
+        Experiment.datapath = { Ccp_datapath.Ccp_ext.default_config with fallback };
         faults;
-        flows = [ Experiment.flow (Experiment.Ccp_cc (Ccp_reno.create ())) ];
       }
 
   type crash_comparison = {
@@ -328,6 +353,9 @@ module Ablation = struct
   let base_rtt = Time_ns.ms 20
   let duration = Time_ns.sec 12
 
+  let config ~seed cc =
+    dumbbell ~rate_bps ~base_rtt ~duration ~seed ~warmup:0.1 [ Experiment.flow cc ]
+
   type interval_point = {
     interval_rtts : float;
     utilization : float;
@@ -339,15 +367,12 @@ module Ablation = struct
     List.map
       (fun interval_rtts ->
         let cc = Experiment.Ccp_cc (Ccp_reno.create_with ~interval_rtts ()) in
-        let r = Experiment.run (one_flow_config ~rate_bps ~base_rtt ~duration ~seed cc) in
+        let r = Experiment.run (config ~seed cc) in
         {
           interval_rtts;
           utilization = r.Experiment.utilization;
           median_rtt = r.Experiment.median_rtt;
-          reports =
-            (match r.Experiment.agent_stats with
-            | Some s -> s.Experiment.reports
-            | None -> 0);
+          reports = agent_count r (fun s -> s.Experiment.reports);
         })
       [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
 
@@ -361,13 +386,10 @@ module Ablation = struct
     List.map
       (fun ipc_rtt ->
         let cc = Experiment.Ccp_cc (Ccp_reno.create ()) in
-        let config =
-          {
-            (one_flow_config ~rate_bps ~base_rtt ~duration ~seed cc) with
-            Experiment.ipc = Ccp_ipc.Latency_model.Constant ipc_rtt;
-          }
+        let r =
+          Experiment.run
+            { (config ~seed cc) with Experiment.ipc = Ccp_ipc.Latency_model.Constant ipc_rtt }
         in
-        let r = Experiment.run config in
         { ipc_rtt; utilization = r.Experiment.utilization; median_rtt = r.Experiment.median_rtt })
       [ Time_ns.us 1; Time_ns.us 10; Time_ns.us 100; Time_ns.ms 1; Time_ns.ms 10 ]
 
@@ -382,14 +404,14 @@ module Ablation = struct
     List.map
       (fun urgent_enabled ->
         let cc = Experiment.Ccp_cc (Ccp_reno.create ()) in
-        let config =
-          {
-            (one_flow_config ~rate_bps ~base_rtt ~duration ~seed cc) with
-            Experiment.datapath =
-              { Ccp_datapath.Ccp_ext.default_config with urgent_on_loss = urgent_enabled };
-          }
+        let r =
+          Experiment.run
+            {
+              (config ~seed cc) with
+              Experiment.datapath =
+                { Ccp_datapath.Ccp_ext.default_config with urgent_on_loss = urgent_enabled };
+            }
         in
-        let r = Experiment.run config in
         {
           urgent_enabled;
           utilization = r.Experiment.utilization;
@@ -408,10 +430,7 @@ module Ablation = struct
   let batching_mode ?(seed = 42) () =
     List.map
       (fun (mode, algo) ->
-        let r =
-          Experiment.run
-            (one_flow_config ~rate_bps ~base_rtt ~duration ~seed (Experiment.Ccp_cc algo))
-        in
+        let r = Experiment.run (config ~seed (Experiment.Ccp_cc algo)) in
         let stats = Option.get r.Experiment.agent_stats in
         {
           mode;
@@ -520,23 +539,21 @@ module Hostile = struct
   let run_one ?(duration = Time_ns.sec 5) ?(seed = 42) ?(threshold = 25) ?(recover = true)
       (name, hostile) =
     let dp = ref None in
-    let base =
-      Experiment.default_config ~rate_bps:default_rate_bps ~base_rtt:default_base_rtt ~duration
+    let r =
+      Experiment.run
+        {
+          (dumbbell ~rate_bps:default_rate_bps ~base_rtt:default_base_rtt ~duration ~seed
+             ~warmup:0.0
+             [ Experiment.flow (Experiment.Ccp_cc (attacker ~recover name hostile)) ])
+          with
+          Experiment.datapath =
+            {
+              Ccp_datapath.Ccp_ext.default_config with
+              Ccp_datapath.Ccp_ext.guard = armed_guard ~threshold ();
+            };
+          inspect = Some (fun h -> dp := Some h.Experiment.h_datapath);
+        }
     in
-    let config =
-      {
-        base with
-        Experiment.seed;
-        datapath =
-          {
-            Ccp_datapath.Ccp_ext.default_config with
-            Ccp_datapath.Ccp_ext.guard = armed_guard ~threshold ();
-          };
-        flows = [ Experiment.flow (Experiment.Ccp_cc (attacker ~recover name hostile)) ];
-        inspect = Some (fun h -> dp := Some h.Experiment.h_datapath);
-      }
-    in
-    let r = Experiment.run config in
     let stats = Option.get r.Experiment.agent_stats in
     let recovered =
       match !dp with
@@ -654,55 +671,29 @@ module Robustness = struct
   let schema_tag = "ccp-robustness-scorecard/v1"
   let second_flow_at duration = Time_ns.scale duration 0.25
 
-  let run_cell ?(with_telemetry = false) ~rate_bps ~base_rtt ~duration ~seed ~plan mk
-      () =
-    let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
-    let telemetry =
-      if with_telemetry then
-        Some
-          (Ccp_obs.Obs.create ~tracer:true ~telemetry:true ~clock:(fun () -> 0.0) ())
-      else None
-    in
+  (* Two same-algorithm flows, the second joining a quarter into the run,
+     under one perturbation plan with the guard envelope armed. The RMSE
+     against the clean cell is left for {!run}. *)
+  let run_cell ~with_telemetry ~rate_bps ~base_rtt ~duration seed
+      ((algo, mk), (perturb, plan)) =
+    let telemetry = cell_telemetry with_telemetry in
     let r =
       Experiment.run
-      {
-        base with
-        Experiment.seed;
-        obs = telemetry;
-        warmup = Time_ns.scale duration 0.1;
-        datapath =
-          {
-            Ccp_datapath.Ccp_ext.default_config with
-            Ccp_datapath.Ccp_ext.guard = Hostile.armed_guard ();
-          };
-        perturb = plan;
-        flows =
-          [
-            Experiment.flow (Experiment.Ccp_cc (mk ()));
-            Experiment.flow ~start_at:(second_flow_at duration) (Experiment.Ccp_cc (mk ()));
-          ];
-      }
-    in
-    (r, telemetry)
-
-  let rmse_vs baseline r =
-    match baseline with
-    | None -> None
-    | Some b -> (
-      try
-        let rep =
-          Ccp_obs.Fidelity.compare_runs ~ccp:(fidelity_run r) ~native:(fidelity_run b)
-        in
-        Some rep.Ccp_obs.Fidelity.cwnd_rmse
-      with Invalid_argument _ -> None)
-
-  let cell_of ~algo ~perturb ~seed ~base_rtt ~baseline ~telemetry
-      (r : Experiment.result) =
-    let sum f = List.fold_left (fun acc fr -> acc + f fr) 0 r.Experiment.flows in
-    let segments = sum (fun (f : Experiment.flow_result) -> f.segments_sent) in
-    let retx = sum (fun (f : Experiment.flow_result) -> f.retransmits) in
-    let agent f =
-      match r.Experiment.agent_stats with Some s -> f s | None -> 0
+        {
+          (dumbbell ~rate_bps ~base_rtt ~duration ~seed ~warmup:0.1
+             [
+               Experiment.flow (Experiment.Ccp_cc (mk ()));
+               Experiment.flow ~start_at:(second_flow_at duration) (Experiment.Ccp_cc (mk ()));
+             ])
+          with
+          Experiment.obs = telemetry;
+          datapath =
+            {
+              Ccp_datapath.Ccp_ext.default_config with
+              Ccp_datapath.Ccp_ext.guard = Hostile.armed_guard ();
+            };
+          perturb = plan;
+        }
     in
     let base_ms = Time_ns.to_float_ms base_rtt in
     {
@@ -713,18 +704,24 @@ module Robustness = struct
       jain_index = r.Experiment.jain_index;
       median_rtt_inflation = Time_ns.to_float_ms r.Experiment.median_rtt /. base_ms;
       p95_rtt_inflation = Time_ns.to_float_ms r.Experiment.p95_rtt /. base_ms;
-      retransmit_rate =
-        (if segments = 0 then 0.0 else float_of_int retx /. float_of_int segments);
-      timeouts = sum (fun (f : Experiment.flow_result) -> f.timeouts);
-      quarantines = agent (fun s -> s.Experiment.quarantines);
-      installs_refused = agent (fun s -> s.Experiment.installs_refused);
-      fallbacks = agent (fun s -> s.Experiment.fallbacks);
-      guard_incidents = agent (fun s -> s.Experiment.guard_incidents);
-      cwnd_rmse_vs_baseline = rmse_vs baseline r;
+      retransmit_rate = retransmit_rate r;
+      timeouts = timeouts r;
+      quarantines = agent_count r (fun s -> s.Experiment.quarantines);
+      installs_refused = agent_count r (fun s -> s.Experiment.installs_refused);
+      fallbacks = agent_count r (fun s -> s.Experiment.fallbacks);
+      guard_incidents = agent_count r (fun s -> s.Experiment.guard_incidents);
+      cwnd_rmse_vs_baseline = None;
       perturb_stats = r.Experiment.perturb_stats;
       result = r;
       telemetry;
     }
+
+  let rmse_vs (clean : cell) (c : cell) =
+    match
+      Ccp_obs.Fidelity.compare_runs ~ccp:(fidelity_run c.result) ~native:(fidelity_run clean.result)
+    with
+    | rep -> Some rep.Ccp_obs.Fidelity.cwnd_rmse
+    | exception Invalid_argument _ -> None
 
   let lookup kind table names =
     List.map
@@ -746,39 +743,19 @@ module Robustness = struct
         (Option.value perturbs ~default:perturbation_names)
     in
     let cells =
-      List.concat_map
-        (fun seed ->
-          List.concat_map
-            (fun (algo, mk) ->
-              (* The clean cell doubles as the reference trace for the
-                 perturbed cells' cwnd RMSE; without "baseline" in the
-                 selection no hidden extra runs happen and RMSE is
-                 omitted. *)
-              let baseline =
-                if List.mem_assoc "baseline" sel_perturbs then
-                  Some
-                    (run_cell ~with_telemetry ~rate_bps ~base_rtt ~duration ~seed
-                       ~plan:Plan.none mk ())
-                else None
-              in
-              List.map
-                (fun (pname, plan) ->
-                  let r, telemetry =
-                    match (pname, baseline) with
-                    | "baseline", Some b -> b
-                    | _ ->
-                      run_cell ~with_telemetry ~rate_bps ~base_rtt ~duration ~seed
-                        ~plan mk ()
-                  in
-                  let reference =
-                    if pname = "baseline" then None else Option.map fst baseline
-                  in
-                  cell_of ~algo ~perturb:pname ~seed ~base_rtt ~baseline:reference
-                    ~telemetry r)
-                sel_perturbs)
-            sel_algos)
-        seeds
+      matrix ~seeds (product sel_algos sel_perturbs)
+        (run_cell ~with_telemetry ~rate_bps ~base_rtt ~duration)
     in
+    (* Once every cell has run: each perturbed cell's cwnd RMSE against
+       the clean cell of its (seed, algorithm). Without "baseline" in the
+       selection no hidden extra cell runs, and RMSE is omitted. *)
+    let with_rmse (c : cell) =
+      let clean (b : cell) = b.perturb = "baseline" && b.seed = c.seed && b.algo = c.algo in
+      match List.find_opt clean cells with
+      | Some b when c.perturb <> "baseline" -> { c with cwnd_rmse_vs_baseline = rmse_vs b c }
+      | _ -> c
+    in
+    let cells = List.map with_rmse cells in
     { rate_bps; base_rtt; duration; seeds; cells }
 
   let stats_spec =
@@ -988,21 +965,12 @@ module Chaos = struct
       long_windows = 2;
     }
 
-  let run_cell ?(with_telemetry = false) ?window_hook ~rate_bps ~base_rtt ~duration
-      ~seed ~crash_from ~crash_until ~mode ~checkpoint () =
-    let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
+  let modes = [ ("cold", None); ("warm", Some checkpoint_interval) ]
+
+  let run_cell ~with_telemetry ?window_hook ~rate_bps ~base_rtt ~duration ~crash_from
+      ~crash_until seed (mode, checkpoint) =
     let mk () = Ccp_reno.create_with ~interval_rtts:report_interval_rtts () in
-    (* One fresh bundle per cell so windows, sketches, and alert state
-       never bleed across modes or seeds. The zero wall clock keeps the
-       stage-cost histograms (and therefore the exported timeline)
-       byte-stable across hosts; every other timestamp is sim time. *)
-    let telemetry =
-      if with_telemetry then
-        Some
-          (Ccp_obs.Obs.create ~tracer:true ~telemetry:true ~slo:slo_config
-             ~clock:(fun () -> 0.0) ())
-      else None
-    in
+    let telemetry = cell_telemetry ~slo:slo_config with_telemetry in
     (match (telemetry, window_hook) with
     | Some obs, Some f ->
       Ccp_obs.Obs.set_window_hook obs (fun _ w -> f ~mode ~seed obs w)
@@ -1010,10 +978,10 @@ module Chaos = struct
     let r =
       Experiment.run
         {
-          base with
-          Experiment.seed;
-          obs = telemetry;
-          warmup = Time_ns.scale duration 0.1;
+          (dumbbell ~rate_bps ~base_rtt ~duration ~seed ~warmup:0.1
+             (List.init flow_count (fun _ -> Experiment.flow (Experiment.Ccp_cc (mk ())))))
+          with
+          Experiment.obs = telemetry;
           datapath =
             {
               Ccp_datapath.Ccp_ext.default_config with
@@ -1024,8 +992,6 @@ module Chaos = struct
           agent_overload = Some (overload ~base_rtt);
           agent_degrade = Some degrade;
           checkpoint_interval = checkpoint;
-          flows =
-            List.init flow_count (fun _ -> Experiment.flow (Experiment.Ccp_cc (mk ())));
         }
     in
     let recoveries =
@@ -1033,7 +999,7 @@ module Chaos = struct
           recovery_of ~base_rtt ~crash_from ~crash_until r id)
     in
     let recovered = List.filter_map (fun rec_ -> rec_.recovery_rtts) recoveries in
-    let stats f = match r.Experiment.agent_stats with Some s -> f s | None -> 0 in
+    let stats = agent_count r in
     {
       mode;
       seed;
@@ -1041,11 +1007,8 @@ module Chaos = struct
       jain_index = r.Experiment.jain_index;
       reports_shed = stats (fun s -> s.Experiment.reports_shed);
       max_queue_wait_rtts =
-        (match r.Experiment.agent_stats with
-        | Some s ->
-          Time_ns.to_float_sec s.Experiment.max_queue_wait
-          /. Time_ns.to_float_sec base_rtt
-        | None -> 0.0);
+        Time_ns.to_float_sec (stats (fun s -> s.Experiment.max_queue_wait))
+        /. Time_ns.to_float_sec base_rtt;
       degradations = stats (fun s -> s.Experiment.degradations);
       decode_failures = stats (fun s -> s.Experiment.decode_failures);
       checkpoints_taken = stats (fun s -> s.Experiment.checkpoints_taken);
@@ -1060,22 +1023,15 @@ module Chaos = struct
       telemetry;
     }
 
-  let modes = [ ("cold", None); ("warm", Some checkpoint_interval) ]
-
   let run ?(rate_bps = default_rate_bps) ?(base_rtt = default_base_rtt)
       ?(duration = Time_ns.sec 12) ?(seeds = [ 42 ]) ?(with_telemetry = false)
       ?window_hook () =
     let crash_from = crash_from ~duration in
     let crash_until = Time_ns.add crash_from (crash_length ~base_rtt) in
     let cells =
-      List.concat_map
-        (fun seed ->
-          List.map
-            (fun (mode, checkpoint) ->
-              run_cell ~with_telemetry ?window_hook ~rate_bps ~base_rtt ~duration
-                ~seed ~crash_from ~crash_until ~mode ~checkpoint ())
-            modes)
-        seeds
+      matrix ~seeds modes
+        (run_cell ~with_telemetry ?window_hook ~rate_bps ~base_rtt ~duration ~crash_from
+           ~crash_until)
     in
     { rate_bps; base_rtt; duration; seeds; crash_from; crash_until; cells }
 
@@ -1196,23 +1152,19 @@ module Reaction = struct
   let run_one ?(duration = Time_ns.sec 12) ?(seed = 42) ~label ~model ~model_p99_us
       ?(faults = Ccp_ipc.Fault_plan.none) ?fallback ?crash_at () =
     let obs = Ccp_obs.Obs.create ~tracer:true ~tracer_capacity:4096 () in
-    let base =
-      Experiment.default_config ~rate_bps:default_rate_bps ~base_rtt:default_base_rtt
-        ~duration
+    let result =
+      Experiment.run
+        {
+          (dumbbell ~rate_bps:default_rate_bps ~base_rtt:default_base_rtt ~duration ~seed
+             ~warmup:0.05
+             [ Experiment.flow (Experiment.Ccp_cc (Ccp_reno.create ())) ])
+          with
+          Experiment.ipc = model;
+          faults;
+          datapath = { Ccp_datapath.Ccp_ext.default_config with fallback };
+          obs = Some obs;
+        }
     in
-    let config =
-      {
-        base with
-        Experiment.seed;
-        warmup = Time_ns.scale duration 0.05;
-        ipc = model;
-        faults;
-        datapath = { Ccp_datapath.Ccp_ext.default_config with fallback };
-        obs = Some obs;
-        flows = [ Experiment.flow (Experiment.Ccp_cc (Ccp_reno.create ())) ];
-      }
-    in
-    let result = Experiment.run config in
     {
       label;
       model;
@@ -1362,30 +1314,20 @@ module Incast = struct
   let run_cell ?(with_telemetry = false) ~rate_bps ~base_rtt ~duration ~batching
       ~seed ~n ~arrival ~algo () =
     let handles = ref None in
-    let base = Experiment.default_config ~rate_bps ~base_rtt ~duration in
-    (* Telemetry at fan-in scale: a fresh bundle per cell whose Top-K
-       sketches stay O(k) even at N=2048 flows. The zero wall clock
-       keeps exports byte-stable; k = 64 gives the heavy-hitter bound
-       (error <= total/k) room to separate aggregate-dominant flows from
-       the crowd. *)
-    let telemetry =
-      if with_telemetry then
-        Some (Ccp_obs.Obs.create ~tracer:true ~telemetry:true ~clock:(fun () -> 0.0) ())
-      else None
-    in
+    (* At fan-in scale the bundle's Top-K sketches stay O(k) even at
+       N=2048 flows. *)
+    let telemetry = cell_telemetry with_telemetry in
     (* A shallow buffer is what makes incast incast: BDP/4, floored at
        six segments so tiny configurations still pass traffic. *)
     let bdp_bytes = rate_bps *. Time_ns.to_float_sec base_rtt /. 8.0 in
-    let buffer_bytes = max 9000 (int_of_float (bdp_bytes /. 4.0)) in
     let r =
       Experiment.run
         {
-          base with
-          Experiment.seed;
-          obs = telemetry;
-          buffer_bytes;
-          warmup = Time_ns.scale duration 0.1;
-          flows = flows_of ~algo ~arrival ~duration ~n;
+          (dumbbell ~rate_bps ~base_rtt ~duration ~seed ~warmup:0.1
+             (flows_of ~algo ~arrival ~duration ~n))
+          with
+          Experiment.obs = telemetry;
+          buffer_bytes = max 9000 (int_of_float (bdp_bytes /. 4.0));
           ipc_batching = (if batching then Some default_batching else None);
           agent_flow_pool = Some (max 16 n);
           datapath =
@@ -1394,10 +1336,6 @@ module Incast = struct
           inspect = Some (fun h -> handles := Some h);
         }
     in
-    let sum f = List.fold_left (fun acc fr -> acc + f fr) 0 r.Experiment.flows in
-    let segments = sum (fun (f : Experiment.flow_result) -> f.segments_sent) in
-    let retx = sum (fun (f : Experiment.flow_result) -> f.retransmits) in
-    let agent f = match r.Experiment.agent_stats with Some s -> f s | None -> 0 in
     let wire_messages, batches, pool_rejections =
       match !handles with
       | Some h ->
@@ -1416,12 +1354,11 @@ module Incast = struct
       p99_queue_delay_ms =
         Float.max 0.0
           (Time_ns.to_float_ms r.Experiment.p99_rtt -. Time_ns.to_float_ms base_rtt);
-      retransmit_rate =
-        (if segments = 0 then 0.0 else float_of_int retx /. float_of_int segments);
-      timeouts = sum (fun (f : Experiment.flow_result) -> f.timeouts);
-      reports = agent (fun s -> s.Experiment.reports);
-      reports_shed = agent (fun s -> s.Experiment.reports_shed);
-      decode_failures = agent (fun s -> s.Experiment.decode_failures);
+      retransmit_rate = retransmit_rate r;
+      timeouts = timeouts r;
+      reports = agent_count r (fun s -> s.Experiment.reports);
+      reports_shed = agent_count r (fun s -> s.Experiment.reports_shed);
+      decode_failures = agent_count r (fun s -> s.Experiment.decode_failures);
       wire_messages;
       batches;
       pool_rejections;
@@ -1444,20 +1381,9 @@ module Incast = struct
       (fun n -> if n <= 0 then invalid_arg "Incast: flow counts must be positive")
       ns;
     let cells =
-      List.concat_map
-        (fun seed ->
-          List.concat_map
-            (fun n ->
-              List.concat_map
-                (fun arrival ->
-                  List.map
-                    (fun algo ->
-                      run_cell ~with_telemetry ~rate_bps ~base_rtt ~duration
-                        ~batching ~seed ~n ~arrival ~algo ())
-                    algos)
-                arrivals)
-            ns)
-        seeds
+      matrix ~seeds (product ns (product arrivals algos)) (fun seed (n, (arrival, algo)) ->
+          run_cell ~with_telemetry ~rate_bps ~base_rtt ~duration ~batching ~seed ~n ~arrival
+            ~algo ())
     in
     { rate_bps; base_rtt; duration; batching; seeds; cells }
 
