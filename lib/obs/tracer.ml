@@ -58,9 +58,10 @@ type t = {
      threaded, like the simulator. *)
   mutable active : int;
   mutable active_consumed : bool;
-  (* The active span when something finalized it while its handler still
-     ran (-1 none): a fault destroyed the reply that carried it. Its
-     [handler_end] ends quietly; the span is recorded already. *)
+  (* The running handler's span when it is finalized already (-1 none):
+     a fault destroyed the reply that carried it while the handler ran,
+     or the handler began on a stale token, which [arrived] counted for
+     its delivery. Its [handler_end] ends quietly. *)
   mutable ended_in_handler : int;
   clock : unit -> float;
   recorder : Recorder.t option;
@@ -199,7 +200,7 @@ let handler_begin t token =
     t.active_consumed <- false
   end
   else begin
-    stale t token;
+    t.ended_in_handler <- token;
     t.active <- no_span
   end
 

@@ -51,19 +51,22 @@ val sent : t -> int -> now:int -> unit
     observes the wall-clock summarize cost ([trace.summarize_ns]). *)
 
 val arrived : t -> int -> now:int -> unit
-(** First arrival at the agent end (later arrivals keep the first stamp). *)
+(** First arrival at the agent end (later arrivals keep the first stamp).
+    A delivery of a finalized span, such as a duplicate, is counted here
+    as one stale reference, and the handler it runs adds none. *)
 
 val handler_begin : t -> int -> unit
 (** The agent handler for this span starts: begins wall handler timing
     and arms the span as {!active} so outgoing control messages can
-    attach to it. *)
+    attach to it. On a stale token it arms nothing and counts nothing:
+    {!arrived} counted the delivery. *)
 
 val handler_end : t -> int -> now:int -> unit
 (** Handler done: observes [trace.handler_ns] and disarms. A span that no
     control message claimed is finalized here with [No_action]. A span
     that was finalized while its handler ran, because a fault destroyed
-    the reply carrying it ({!orphan}), ends here quietly: it is no stale
-    reference. *)
+    the reply carrying it ({!orphan}), or that was stale when the handler
+    began, ends here quietly: it is no further stale reference. *)
 
 val active : t -> int
 (** The armed span awaiting its first control message, or {!no_span}. *)

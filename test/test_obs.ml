@@ -460,6 +460,31 @@ let test_tracer_first_arrival_wins () =
     Alcotest.(check int) "first arrival kept" 500 sp.Recorder.agent_at
   | _ -> Alcotest.fail "expected one Span event"
 
+(* A traced message that reaches the agent again after its span was
+   finalized is one stale reference: the delivery counts it, and the
+   handler it then runs ends quietly. *)
+let test_tracer_one_stale_ref_per_delivery () =
+  let obs = Obs.create ~recorder:false ~tracer:true () in
+  let tr = Obs.tracer_exn obs in
+  let sim = Ccp_eventsim.Sim.create () in
+  let channel =
+    Ccp_ipc.Channel.create ~sim ~latency:(Ccp_ipc.Latency_model.Constant (Time_ns.us 20)) ~obs ()
+  in
+  let idle =
+    { Ccp_agent.Algorithm.name = "idle"; make = (fun _ -> Ccp_agent.Algorithm.no_op_handlers) }
+  in
+  let _agent = Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> idle) ~obs () in
+  let span = Tracer.start tr ~now:0 ~flow:3 ~kind:Tracer.Report_span in
+  let frame = Ccp_ipc.Codec.encode_traced ~span (Ccp_ipc.Message.Closed { flow = 3 }) in
+  Ccp_ipc.Channel.deliver_raw channel ~toward:Ccp_ipc.Channel.Agent_end frame;
+  let st = Tracer.stats tr in
+  Alcotest.(check int) "first delivery ends the span" 1 st.Tracer.no_action;
+  Alcotest.(check int) "first delivery is not stale" 0 st.Tracer.stale_refs;
+  Ccp_ipc.Channel.deliver_raw channel ~toward:Ccp_ipc.Channel.Agent_end frame;
+  Alcotest.(check int) "the duplicate is one stale reference" 1
+    (Tracer.stats tr).Tracer.stale_refs;
+  check_stats_invariant "after the duplicate" tr
+
 (* --- one store per counted fact ------------------------------------------ *)
 
 (* A census of the counter rows. Each count paired below, one for every
@@ -684,6 +709,8 @@ let suite =
           test_tracer_handler_end_finalizes_unconsumed;
         Alcotest.test_case "tracer first arrival wins under duplication" `Quick
           test_tracer_first_arrival_wins;
+        Alcotest.test_case "tracer counts one stale reference per delivery" `Quick
+          test_tracer_one_stale_ref_per_delivery;
         Alcotest.test_case "accessors equal their metric rows" `Quick
           test_accessors_equal_rows;
       ] );
