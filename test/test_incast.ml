@@ -82,6 +82,21 @@ let test_batching_wire_amortization () =
       Alcotest.(check bool) "link busy" true (c.Incast.utilization > 0.2))
     [ on; off ]
 
+(* Every cell runs alone: the cells of a matrix over two fan-ins are
+   those of the two one-fan-in matrices, in selection order. *)
+let test_cells_independent () =
+  let run ns =
+    let sc =
+      Incast.run ~rate_bps:24e6 ~duration:(Time_ns.of_float_sec 0.5) ~ns
+        ~arrivals:[ Incast.Synchronized ] ~algos:[ "ccp-reno" ] ()
+    in
+    match Ccp_obs.Json.member "cells" (Incast.to_json sc) with
+    | Some (Ccp_obs.Json.List cells) -> List.map Ccp_obs.Json.to_string cells
+    | _ -> Alcotest.fail "scorecard without cells"
+  in
+  Alcotest.(check (list string)) "ns [4; 16] = ns [4] then ns [16]" (run [ 4 ] @ run [ 16 ])
+    (run [ 4; 16 ])
+
 let suite =
   [
     ( "incast.scenario",
@@ -91,5 +106,6 @@ let suite =
         Alcotest.test_case "cell sanity" `Quick test_incast_cell_sanity;
         Alcotest.test_case "batching wire amortization" `Quick
           test_batching_wire_amortization;
+        Alcotest.test_case "cells independent of each other" `Quick test_cells_independent;
       ] );
   ]

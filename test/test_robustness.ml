@@ -85,6 +85,36 @@ let test_vegas_remaining_perturbations () =
     Alcotest.(check bool) "combined perturbs rate" true (s.Sampler.rate_samples > 0)
   | None -> Alcotest.fail "combined cell lost its stats"
 
+(* --- matrix cells: independent of each other and of their order --- *)
+
+(* Every cell runs alone, and the RMSE is filled in once all have run:
+   reversing the selection reorders the cells and changes none of them,
+   and without the clean cell there is no RMSE. *)
+let test_cells_independent_of_order () =
+  let run perturbs =
+    Scenarios.Robustness.run ~rate_bps:24e6 ~duration:(Time_ns.sec 2) ~seeds:[ 42 ]
+      ~algos:[ "ccp-vegas" ] ~perturbs ()
+  in
+  let cells sc =
+    match Ccp_obs.Json.member "cells" (Scenarios.Robustness.to_json sc) with
+    | Some (Ccp_obs.Json.List cells) -> List.map Ccp_obs.Json.to_string cells
+    | _ -> Alcotest.fail "scorecard without cells"
+  in
+  let forward = run [ "baseline"; "combined" ] in
+  (match forward.Scenarios.Robustness.cells with
+  | [ _; combined ] ->
+    Alcotest.(check bool) "RMSE against the clean cell" true
+      (Option.is_some combined.cwnd_rmse_vs_baseline)
+  | _ -> Alcotest.fail "expected two cells");
+  Alcotest.(check (list string))
+    "same cells, RMSE included, in selection order"
+    (List.rev (cells forward))
+    (cells (run [ "combined"; "baseline" ]));
+  match (run [ "combined" ]).Scenarios.Robustness.cells with
+  | [ alone ] ->
+    Alcotest.(check bool) "no clean cell, no RMSE" true (alone.cwnd_rmse_vs_baseline = None)
+  | _ -> Alcotest.fail "expected one cell"
+
 (* --- empty plan = strict identity --- *)
 
 (* An armed-but-empty plan must leave the whole pipeline byte-identical
@@ -281,6 +311,7 @@ let suite =
         Alcotest.test_case "fold zero-alloc on perturbed acks" `Quick
           test_fold_zero_alloc_under_perturbed_acks;
         Alcotest.test_case "scorecard determinism" `Quick scorecard_determinism;
+        Alcotest.test_case "cells independent of order" `Quick test_cells_independent_of_order;
       ] );
     ( "robustness.props",
       [
