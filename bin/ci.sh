@@ -168,6 +168,9 @@ bad_input run --flows reno,reno@nan --duration 0.1
 bad_input run --duration nan
 bad_input csv --rate 0 --duration 0.1
 bad_input chaos --duration nan
+bad_input top --duration nan
+bad_input robustness --rate 0
+bad_input incast --rtt nan
 bad_input incast --seeds abc
 bad_input incast -n 0
 bad_input incast --arrivals bogus
