@@ -295,7 +295,9 @@ let handler_end t token ~now =
   end
 
 let orphan t token ~now = finish t token ~now ~disposition:Orphaned ~apply_ns:0.0
-let shed t token ~now = finish t token ~now ~disposition:Shed ~apply_ns:0.0
+(* A report reaches the agent's queue only by a delivery, whose
+   [arrived] counted a stale token already. *)
+let shed t token ~now = if is_live t token then finish t token ~now ~disposition:Shed ~apply_ns:0.0
 
 (* ---- accounting -------------------------------------------------------- *)
 

@@ -87,7 +87,8 @@ val orphan : t -> int -> now:int -> unit
 val shed : t -> int -> now:int -> unit
 (** [finish] with [Shed] — the agent's overload control dropped the
     traced report before its handler ran. Counted in
-    [trace.spans_shed]. *)
+    [trace.spans_shed]. A stale token is ignored: {!arrived} counted
+    the delivery that queued it. *)
 
 (** {1 Accounting} *)
 

@@ -461,29 +461,58 @@ let test_tracer_first_arrival_wins () =
   | _ -> Alcotest.fail "expected one Span event"
 
 (* A traced message that reaches the agent again after its span was
-   finalized is one stale reference: the delivery counts it, and the
-   handler it then runs ends quietly. *)
+   finalized is one stale reference: the delivery counts it, and neither
+   the handler it runs nor the overload control that sheds it adds one. *)
 let test_tracer_one_stale_ref_per_delivery () =
+  let module Channel = Ccp_ipc.Channel in
+  let module Message = Ccp_ipc.Message in
+  let module Sim = Ccp_eventsim.Sim in
   let obs = Obs.create ~recorder:false ~tracer:true () in
   let tr = Obs.tracer_exn obs in
-  let sim = Ccp_eventsim.Sim.create () in
+  let sim = Sim.create () in
   let channel =
-    Ccp_ipc.Channel.create ~sim ~latency:(Ccp_ipc.Latency_model.Constant (Time_ns.us 20)) ~obs ()
+    Channel.create ~sim ~latency:(Ccp_ipc.Latency_model.Constant (Time_ns.us 20)) ~obs ()
   in
+  Channel.on_receive channel Channel.Datapath_end ignore;
   let idle =
     { Ccp_agent.Algorithm.name = "idle"; make = (fun _ -> Ccp_agent.Algorithm.no_op_handlers) }
   in
-  let _agent = Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> idle) ~obs () in
-  let span = Tracer.start tr ~now:0 ~flow:3 ~kind:Tracer.Report_span in
-  let frame = Ccp_ipc.Codec.encode_traced ~span (Ccp_ipc.Message.Closed { flow = 3 }) in
-  Ccp_ipc.Channel.deliver_raw channel ~toward:Ccp_ipc.Channel.Agent_end frame;
-  let st = Tracer.stats tr in
-  Alcotest.(check int) "first delivery ends the span" 1 st.Tracer.no_action;
-  Alcotest.(check int) "first delivery is not stale" 0 st.Tracer.stale_refs;
-  Ccp_ipc.Channel.deliver_raw channel ~toward:Ccp_ipc.Channel.Agent_end frame;
-  Alcotest.(check int) "the duplicate is one stale reference" 1
-    (Tracer.stats tr).Tracer.stale_refs;
-  check_stats_invariant "after the duplicate" tr
+  (* Reports queue, and a third queued one sheds the oldest. *)
+  let overload =
+    {
+      Ccp_agent.Agent.queue_capacity = 4;
+      high_watermark = 2;
+      dispatch_budget = 1;
+      dispatch_interval = Time_ns.ms 1;
+    }
+  in
+  let agent = Ccp_agent.Agent.create ~sim ~channel ~choose:(fun _ -> idle) ~overload ~obs () in
+  Channel.send channel ~from:Channel.Datapath_end
+    (Message.Ready { flow = 3; mss = 1448; init_cwnd = 14_480 });
+  Sim.run sim;
+  (* Deliver a traced [msg] and let its handler end the span, then
+     deliver [copies] more of the same frame at once. *)
+  let stale_refs_of_copies msg ~copies =
+    let span = Tracer.start tr ~now:(Sim.now sim) ~flow:3 ~kind:Tracer.Report_span in
+    let frame = Ccp_ipc.Codec.encode_traced ~span msg in
+    Channel.deliver_raw channel ~toward:Channel.Agent_end frame;
+    Sim.run sim;
+    Alcotest.(check int) "the first delivery ends the span" 0 (Tracer.live_spans tr);
+    let before = (Tracer.stats tr).Tracer.stale_refs in
+    for _ = 1 to copies do
+      Channel.deliver_raw channel ~toward:Channel.Agent_end frame
+    done;
+    Sim.run sim;
+    (Tracer.stats tr).Tracer.stale_refs - before
+  in
+  Alcotest.(check int) "three queued reports, one of them shed" 3
+    (stale_refs_of_copies
+       (Message.Report { flow = 3; layout = Message.layout [||]; values = [||] })
+       ~copies:3);
+  Alcotest.(check int) "the shed path ran" 1 (Ccp_agent.Agent.reports_shed agent);
+  Alcotest.(check int) "one closed" 1
+    (stale_refs_of_copies (Message.Closed { flow = 3 }) ~copies:1);
+  check_stats_invariant "after the copies" tr
 
 (* --- one store per counted fact ------------------------------------------ *)
 
