@@ -151,8 +151,7 @@ let mean_rows ~group ~prefix cells fields =
 
 (* --- shared options --- *)
 
-(* The link options every command shares, each with its command's
-   default; {!link} validates them. *)
+(* The link options; each command passes its own default. *)
 let rate_mbps default =
   let doc = "Bottleneck rate in Mbit/s." in
   Arg.(value & opt float default & info [ "rate" ] ~docv:"MBPS" ~doc)

@@ -1315,7 +1315,9 @@ module Incast = struct
       ~seed ~n ~arrival ~algo () =
     let handles = ref None in
     (* At fan-in scale the bundle's Top-K sketches stay O(k) even at
-       N=2048 flows. *)
+       N=2048 flows; k = 64 gives the heavy-hitter bound (error <=
+       total/k) room to separate aggregate-dominant flows from the
+       crowd. *)
     let telemetry = cell_telemetry with_telemetry in
     (* A shallow buffer is what makes incast incast: BDP/4, floored at
        six segments so tiny configurations still pass traffic. *)

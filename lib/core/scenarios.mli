@@ -327,7 +327,9 @@ module Robustness : sig
       by name; unknown names raise [Invalid_argument]. Deterministic:
       same arguments, same scorecard (including its JSON bytes).
       [with_telemetry] (default [false]) arms a fresh tracer+telemetry
-      bundle per cell, adding a [health] section to each cell's JSON. *)
+      bundle per cell, adding a [health] section to each cell's JSON.
+      Each cell runs alone, and the RMSE is computed once all cells have
+      run, so the order of the selection changes no cell. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
 
@@ -437,7 +439,9 @@ module Chaos : sig
       each cell's JSON and making [ccp_sim chaos --timeline] possible.
       [window_hook] (needs [with_telemetry]) fires after every closed
       telemetry window with the cell's bundle — the [ccp_sim top] live
-      view; {!Health} has already consumed the window when it fires. *)
+      view; {!Health} has already consumed the window when it fires.
+      Each cell runs alone, so no cell depends on another or on their
+      order. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
 
@@ -593,7 +597,9 @@ module Incast : sig
       on). Deterministic: same arguments, same scorecard (including its
       JSON bytes). Batching changes wire traffic, and with it the
       channel's draws (one latency draw per frame), but every draw is
-      seeded. *)
+      seeded. Each cell is one {!run_cell} that runs alone, so the cells
+      of a matrix are those of its parts: [~ns:[4; 16]] gives the cells
+      of [~ns:[4]] followed by those of [~ns:[16]]. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
 
